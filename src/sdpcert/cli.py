@@ -50,14 +50,19 @@ def cmd_coverage(args):
         raise UsageError("--n must be at least 2")
     if not 1 <= args.r < args.n or gcd(args.r, args.n) != 1:
         raise UsageError(f"--r must lie in [1, {args.n - 1}] and be coprime to --n")
-    report = cov.coverage_subgroup(args.n, args.r, args.depth)
+    if args.exhaustive is not None and args.exhaustive < 0:
+        raise UsageError("--exhaustive must be non-negative")
+    report = cov.coverage_subgroup(args.n, args.r)
     problems = cov.verify_report(report)
     results = {"coverage": _coverage_payload(report)}
     status = "ok" if not problems else "check-failure"
     if problems:
         results["problems"] = sorted(problems)
     if args.exhaustive is not None:
-        units = cov.exhaustive_fixed_units(args.n, args.r, args.exhaustive)
+        try:
+            units = cov.exhaustive_fixed_units(args.n, args.r, args.exhaustive)
+        except cov.SearchSpaceTooLargeError as exc:
+            raise UsageError(f"--exhaustive {args.exhaustive}: {exc}") from exc
         residues = sorted({eps_bar(u) for u in units})
         oracle_subgroup = cov.subgroup_closure(residues, args.n)
         agrees = oracle_subgroup == report.subgroup
@@ -73,7 +78,6 @@ def cmd_coverage(args):
     return {
         "command": "coverage",
         "inputs": {
-            "depth": args.depth,
             "exhaustive": args.exhaustive,
             "n": args.n,
             "r": args.r,
@@ -92,14 +96,13 @@ def cmd_certificate(args):
     if gcd(args.l, args.n) != 1:
         raise UsageError("--l must be coprime to --n")
     inputs = {
-        "depth": args.depth,
         "l": args.l,
         "n": args.n,
         "r": args.r,
         "seed": args.seed,
     }
     try:
-        cert = make_certificate(args.n, args.r, args.l, args.depth)
+        cert = make_certificate(args.n, args.r, args.l)
     except NotCoveredError as exc:
         return {
             "command": "certificate",
@@ -198,7 +201,6 @@ def build_parser():
     p_cov = sub.add_parser("coverage", help="report the covered subgroup of (Z/nZ)*")
     p_cov.add_argument("--n", type=int, required=True, help="cyclic group order")
     p_cov.add_argument("--r", type=int, required=True, help="conjugation exponent, coprime to n")
-    p_cov.add_argument("--depth", type=int, default=3, help="generator product depth")
     p_cov.add_argument(
         "--exhaustive",
         type=int,
@@ -212,7 +214,6 @@ def build_parser():
     p_cert.add_argument("--n", type=int, required=True)
     p_cert.add_argument("--r", type=int, required=True)
     p_cert.add_argument("--l", type=int, required=True, help="target residue, coprime to n")
-    p_cert.add_argument("--depth", type=int, default=3)
     p_cert.set_defaults(handler=cmd_certificate)
 
     p_verify = sub.add_parser("verify", help="run a module property suite")

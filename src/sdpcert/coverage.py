@@ -8,12 +8,12 @@ from math import gcd
 
 import numpy as np
 
+from .finitefield import _is_prime
 from .group_ring import TauData, partial_norm
-from .quotient import SElement, eps_bar, is_unit, lift, reduce, tau_apply_s
+from .quotient import SElement, _table, eps_bar, is_unit, lift, reduce, tau_apply_s
 
 _EXHAUSTIVE_GUARD = 10**8
-_BLOCK_LIMIT = 1 << 20
-_PREFILTER_THRESHOLD = 512
+_BLOCK_LIMIT = 1 << 16
 
 
 class SearchSpaceTooLargeError(ValueError):
@@ -91,16 +91,15 @@ def tau_symmetrize(s, tau):
     return acc
 
 
-def fixed_unit_generators(n, r, depth=3):
+def fixed_unit_generators(n, r):
     """Deduplicated tau-fixed units built from symmetrized monomials and norms.
 
-    Base candidates: +-(rho^i symmetrized), symmetrized partial norms with
-    length coprime to n, and the symmetric-sum family when r = n-1. Products
-    of up to `depth` base units are included; products of units need no
-    re-check. Returned in canonical sorted order.
+    Candidates: +-(rho^i symmetrized), symmetrized partial norms with length
+    coprime to n, and the symmetric-sum family when r = n-1; the non-units
+    among them are dropped. Products of these units add no residue: eps_bar is
+    a ring homomorphism S -> Z/n, so the residues of products lie in the
+    subgroup the units' own residues generate. Returned in canonical sorted order.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     tau = TauData(n, r)
     candidates = []
     for i in range(n):
@@ -112,30 +111,14 @@ def fixed_unit_generators(n, r, depth=3):
             candidates.append(tau_symmetrize(reduce(partial_norm(n, 1, j)), tau))
     if n >= 3 and r % n == n - 1:
         candidates.extend(_symmetric_sums(n))
-    base = []
-    seen = set()
-    for u in candidates:
-        if u not in seen and is_unit(u):
-            seen.add(u)
-            base.append(u)
-    pool = set(base)
-    frontier = list(base)
-    for _ in range(depth - 1):
-        new = []
-        for x in frontier:
-            for b in base:
-                y = x * b
-                if y not in pool:
-                    pool.add(y)
-                    new.append(y)
-        frontier = new
-    return sorted(pool, key=lambda s: s.coeffs)
+    units = [u for u in dict.fromkeys(candidates) if is_unit(u)]
+    return sorted(units, key=lambda s: s.coeffs)
 
 
-def coverage_subgroup(n, r, depth=3):
-    """Subgroup of (Z/nZ)* generated by eps_bar over the fixed-unit pool."""
+def coverage_subgroup(n, r):
+    """Subgroup of (Z/nZ)* generated by eps_bar over the fixed units."""
     tau = TauData(n, r)
-    units = fixed_unit_generators(n, r, depth)
+    units = fixed_unit_generators(n, r)
     witnesses = {}
     for u in units:
         res = eps_bar(u)
@@ -151,17 +134,17 @@ def coverage_subgroup(n, r, depth=3):
         generators=generators,
         subgroup=subgroup,
         is_full=subgroup == units_mod_n,
-        strategy=f"generator-based(depth={depth})",
+        strategy="generator-based",
     )
 
 
-def unit_witnesses(n, r, depth=3):
+def unit_witnesses(n, r):
     """One tau-fixed unit per residue of the covered subgroup.
 
     Extends the direct witnesses of coverage_subgroup by multiplying them
     until every residue in the closure has a concrete unit.
     """
-    report = coverage_subgroup(n, r, depth)
+    report = coverage_subgroup(n, r)
     witnesses = {1 % n: SElement.one(n)}
     for unit, res in report.generators:
         witnesses.setdefault(res, unit)
@@ -204,45 +187,17 @@ def _candidate_blocks(dim, bound):
         yield block
 
 
-def _primes_one_mod_n(n, count=2):
-    found = []
-    p = n + 1
-    while len(found) < count:
-        if p > 2 and all(p % q for q in range(2, int(p**0.5) + 1)):
-            found.append(p)
-        p += n
-    return found
+def _norm_mod_p_mask(coeff_rows, n):
+    """Mask of rows whose S-norm is +-1 modulo the first kernel prime. Never rejects a true unit.
 
-
-def _root_of_order(n, p):
-    for g in range(2, p):
-        w = pow(g, (p - 1) // n, p)
-        if w == 1:
-            continue
-        order = 1
-        x = w
-        while x != 1:
-            x = (x * w) % p
-            order += 1
-        if order == n:
-            return w
-    raise RuntimeError(f"no element of order {n} mod {p}")
-
-
-def _norm_mod_p_mask(coeff_rows, n, p):
-    """Mask of rows whose S-norm is +-1 mod p. Never rejects a true unit."""
-    w = _root_of_order(n, p)
-    dim = n - 1
-    vand = np.empty((dim, dim), dtype=np.int64)
-    for jidx in range(dim):
-        point = pow(w, jidx + 1, p)
-        acc = 1
-        for i in range(dim):
-            vand[i, jidx] = acc
-            acc = (acc * point) % p
+    The prime lies below 2^26, so the int64 products and their sums over
+    n - 1 terms stay below 2^63 for n <= 2048.
+    """
+    p, _, rows = _table(n)[0]
+    vand = np.array([row[: n - 1] for row in rows[1:]], dtype=np.int64).T
     values = (coeff_rows % p) @ vand % p
     norms = np.ones(len(coeff_rows), dtype=np.int64)
-    for jidx in range(dim):
+    for jidx in range(n - 1):
         norms = (norms * values[:, jidx]) % p
     return (norms == 1) | (norms == p - 1)
 
@@ -251,11 +206,11 @@ def exhaustive_fixed_units(n, r, bound=2):
     """Every tau-fixed unit whose canonical coefficients all lie in [-bound, bound].
 
     Independent oracle for the generator strategy: candidates are enumerated
-    coefficientwise (fixedness is a linear condition, applied vectorized), a
-    mod-p norm filter discards most non-units without ever discarding a true
-    unit, and each survivor is confirmed by the exact resultant test.
-    Enumeration blocks are disjoint, so they could be farmed out to workers;
-    the final order is canonical either way.
+    coefficientwise block by block; in each block fixedness (a linear
+    condition) and a mod-p norm filter, which never discards a true unit,
+    are applied vectorized, and each survivor is confirmed by the exact unit
+    test. Only survivors are kept. Enumeration blocks are disjoint, so they
+    could be farmed out to workers; the final order is canonical either way.
     """
     tau = TauData(n, r)
     dim = n - 1
@@ -265,29 +220,14 @@ def exhaustive_fixed_units(n, r, bound=2):
             f"(2*{bound}+1)^{dim} = {total} exceeds the desk-scale guard of {_EXHAUSTIVE_GUARD}"
         )
     fix = _tau_matrix(n, tau) - np.eye(dim, dtype=np.int64)
-    survivors = []
-    for block in _candidate_blocks(dim, bound):
-        mask = ~(block @ fix.T).any(axis=1)
-        if mask.any():
-            survivors.append(block[mask])
-    if not survivors:
-        return []
-    fixed = np.concatenate(survivors)
-    if len(fixed) > _PREFILTER_THRESHOLD:
-        for p in _primes_one_mod_n(n):
-            fixed = fixed[_norm_mod_p_mask(fixed, n, p)]
     units = []
-    for row in fixed:
-        s = SElement(n, tuple(int(c) for c in row))
-        if is_unit(s):
-            units.append(s)
+    for block in _candidate_blocks(dim, bound):
+        fixed = block[~(block @ fix.T).any(axis=1)]
+        for row in fixed[_norm_mod_p_mask(fixed, n)].tolist():
+            s = SElement(n, row)
+            if is_unit(s):
+                units.append(s)
     return sorted(units, key=lambda s: s.coeffs)
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    return all(p % q for q in range(2, int(p**0.5) + 1))
 
 
 def reduce_to_cyclic(p, action_images):
@@ -328,7 +268,7 @@ def verify_report(report):
         if eps_bar(unit) != residue:
             problems.append(f"generator residue mismatch for {unit!r}")
         if not is_unit(unit):
-            problems.append(f"generator {unit!r} fails the resultant unit test")
+            problems.append(f"generator {unit!r} fails the unit test")
         if not lift(unit).is_tau_fixed(tau):
             problems.append(f"generator {unit!r} is not tau-fixed after lifting")
     return problems

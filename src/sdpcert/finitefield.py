@@ -97,7 +97,7 @@ class PrimeField:
     """The field Z/pZ for p prime."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.order = p
@@ -367,6 +367,38 @@ def _is_irreducible(coeffs, base):
     for prime in _prime_divisors(degree):
         g = poly_gcd(list(coeffs), x_power_minus_x(q ** (degree // prime)))
         if len(g) != 1:
+            return False
+    return True
+
+
+# Miller-Rabin with these bases decides primality for every p below the limit
+# (Sorenson and Webster, 2015); the first twelve alone stop at 3.2 * 10^23.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin primality test, proven below 3.3 * 10^24."""
+    if p < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"{p} is beyond the range of the deterministic primality test")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 

@@ -124,7 +124,7 @@ class Certificate:
     s: int
 
 
-def make_certificate(n, r, l, depth=3):
+def make_certificate(n, r, l):
     """Build a certificate for residue l by multiplying coverage witnesses.
 
     The unit alpha with eps_bar(alpha) = l mod n comes from the coverage
@@ -134,11 +134,11 @@ def make_certificate(n, r, l, depth=3):
     if gcd(l, n) != 1:
         raise ValueError(f"l must be coprime to n: gcd({l}, {n}) != 1")
     TauData(n, r)  # validates (n, r)
-    witnesses = unit_witnesses(n, r, depth)
+    witnesses = unit_witnesses(n, r)
     residue = l % n
     if residue not in witnesses:
         raise NotCoveredError(
-            f"residue {residue} is not covered by the depth-{depth} generator pool for (n={n}, r={r})"
+            f"residue {residue} is not covered by the fixed-unit generators for (n={n}, r={r})"
         )
     alpha = witnesses[residue]
     beta = invert(alpha)

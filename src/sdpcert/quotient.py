@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+from operator import mul
+
 from . import linalg
+from .finitefield import _is_prime, _prime_divisors
 from .group_ring import GroupRingElement, OrderMismatchError
 
 
@@ -127,17 +131,165 @@ def lift(s):
     return GroupRingElement(s.n, s.coeffs + (0,))
 
 
-def _modulus_polynomial(n):
-    return [1] * n
+# Kernel primes lie below 2^26, so that evaluation in int64 (coefficients and
+# powers below p, n - 1 products summed) cannot overflow for n <= 2048.
+_PRIME_CEILING = 1 << 26
+
+
+class _PrimeTable:
+    """Primes p = 1 (mod n), taken downward from 2^26, with the powers of a root of order n.
+
+    Entry k is (p, w, rows) where w has exact order n mod p and
+    rows[j][i] = w^(j*i) mod p for 0 <= i, j < n. Since p does not divide n,
+    1 + x + ... + x^(n-1) splits mod p with the distinct roots w^1, ..., w^(n-1),
+    so S/pS is the product of the evaluations at those roots.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        self.entries = []
+        top = (_PRIME_CEILING - 2) // n * n + 1
+        self._candidates = itertools.chain(range(top, n, -n), itertools.count(top + n, n))
+
+    def __getitem__(self, k):
+        while len(self.entries) <= k:
+            p = next(c for c in self._candidates if _is_prime(c))
+            w = _root_of_exact_order(self.n, p)
+            rows = []
+            for j in range(self.n):
+                step, acc, row = pow(w, j, p), 1, []
+                for _ in range(self.n):
+                    row.append(acc)
+                    acc = acc * step % p
+                rows.append(row)
+            self.entries.append((p, w, rows))
+        return self.entries[k]
+
+
+def _root_of_exact_order(n, p):
+    cofactor = (p - 1) // n
+    divisors = _prime_divisors(n)
+    for g in itertools.count(2):
+        w = pow(g, cofactor, p)
+        if all(pow(w, n // q, p) != 1 for q in divisors):
+            return w
+
+
+_TABLES = {}
+
+
+def _table(n):
+    if n not in _TABLES:
+        _TABLES[n] = _PrimeTable(n)
+    return _TABLES[n]
+
+
+def _evaluations(coeffs, p, rows):
+    """The canonical representative evaluated at w^1, ..., w^(n-1), mod p."""
+    return [sum(map(mul, coeffs, rows[j])) % p for j in range(1, len(rows))]
+
+
+def _norm_residues(s):
+    """Yield (p, N(s) mod p) over the table's primes until their product exceeds 2 * L^(n-1).
+
+    L is the sum of the absolute coefficients: every |f(w^j)| <= L over C, so
+    |N(s)| <= L^(n-1) and the symmetric residue modulo the product is N(s).
+    At least one prime is always yielded.
+    """
+    table = _table(s.n)
+    bound = 2 * sum(map(abs, s.coeffs)) ** (s.n - 1)
+    modulus = 1
+    for k in itertools.count():
+        p, _, rows = table[k]
+        value = 1
+        for v in _evaluations(s.coeffs, p, rows):
+            value = value * v % p
+        yield p, value
+        modulus *= p
+        if modulus > bound:
+            return
+
+
+def _crt(residues, modulus, new_residues, p):
+    """Combine residue vectors modulo coprime modulus and p into residues modulo their product."""
+    scale = pow(modulus, -1, p)
+    return [x + modulus * ((y - x) * scale % p) for x, y in zip(residues, new_residues)]
+
+
+def _symmetric(x, modulus):
+    return x - modulus if 2 * x > modulus else x
+
+
+def norm(s):
+    """The norm of s from S to Z: the product of its values at the roots of 1 + ... + x^(n-1).
+
+    Equals the resultant of the canonical representative with
+    1 + x + ... + x^(n-1) up to sign; computed exactly from residues modulo
+    primes p = 1 (mod n).
+    """
+    value, modulus = 0, 1
+    for p, residue in _norm_residues(s):
+        (value,) = _crt([value], modulus, [residue], p)
+        modulus *= p
+    return _symmetric(value, modulus)
 
 
 def is_unit(s):
-    """Whether s is invertible in S.
+    """Whether s is invertible in S, i.e. whether its norm is +-1.
 
-    Decided by the resultant of the canonical representative with
-    1 + x + ... + x^(n-1): s is a unit exactly when the resultant is +-1.
+    With the primes norm(s) would use, N(s) = +1 exactly when it is 1 modulo
+    every one of them, and -1 exactly when it is -1 modulo each. The first
+    prime that breaks the pattern rejects s; most non-units fail at the first.
     """
-    return abs(linalg.resultant(list(s.coeffs), _modulus_polynomial(s.n))) == 1
+    residues = _norm_residues(s)
+    p, first = next(residues)
+    if first != 1 and first != p - 1:
+        return False
+    sign = 1 if first == 1 else -1
+    return all(residue == sign % q for q, residue in residues)
+
+
+def _inverse_bound(s):
+    """(2H)^2, where H bounds the absolute coefficients of the inverse of a unit s.
+
+    By Cramer's rule on the multiplication matrix, whose determinant is
+    N(s) = +-1, each coefficient is at most the product of the matrix's column
+    lengths (Hadamard). Column j is the canonical form of s * rho^j: the lift
+    shifted by j, minus its top entry t, of squared length Q - 2*t*F + n*t^2
+    with Q the sum of squares and F the sum of the coefficients; t runs over
+    0, c_1, ..., c_(n-2).
+    """
+    coeffs = s.coeffs
+    q = sum(c * c for c in coeffs)
+    f = sum(coeffs)
+    squared = 1
+    for t in (0,) + coeffs[1:]:
+        squared *= q - 2 * t * f + s.n * t * t
+    return 4 * squared
+
+
+def _modular_inverse(s):
+    """Inverse of a unit s, from its pointwise inverses mod each table prime, joined by CRT.
+
+    The inverse transform sets the value at the root 1 to 0; that choice only
+    adds a multiple of the norm element, which reduction to the canonical
+    form removes.
+    """
+    n = s.n
+    table = _table(n)
+    bound = _inverse_bound(s)
+    coeffs, modulus = [0] * (n - 1), 1
+    k = 0
+    while modulus * modulus <= bound:
+        p, _, rows = table[k]
+        inverses = [0] + [pow(v, -1, p) for v in _evaluations(s.coeffs, p, rows)]
+        full = [sum(map(mul, inverses, rows[-i % n])) for i in range(n)]
+        scale = pow(n, -1, p)
+        residues = [(t - full[-1]) * scale % p for t in full[:-1]]
+        coeffs = _crt(coeffs, modulus, residues, p)
+        modulus *= p
+        k += 1
+    return SElement(n, tuple(_symmetric(c, modulus) for c in coeffs))
 
 
 def _multiplication_matrix(s):
@@ -155,7 +307,7 @@ def solve_inverse(s):
 
     Returns None when no inverse exists in S (singular system or a
     non-integral solution). This is the oracle route, independent of the
-    resultant criterion used by is_unit.
+    modular norm kernel behind is_unit and invert.
     """
     matrix = _multiplication_matrix(s)
     rhs = [1] + [0] * (s.n - 2)
@@ -168,17 +320,15 @@ def solve_inverse(s):
 
 
 def invert(s):
-    """Inverse of a unit of S, via the exact integer linear system.
+    """Inverse of a unit of S, from the modular norm kernel.
 
-    Raises NotInvertibleError when s fails the resultant unit test. A
-    non-integral solution after a +-1 resultant would be an internal
-    inconsistency and raises RuntimeError.
+    Raises NotInvertibleError when s is not a unit. The result is checked
+    exactly; a product other than 1 would be an internal inconsistency and
+    raises RuntimeError.
     """
     if not is_unit(s):
         raise NotInvertibleError(f"{s!r} is not a unit of S")
-    inverse = solve_inverse(s)
-    if inverse is None:
-        raise RuntimeError("resultant is +-1 but the linear solve found no integral inverse")
+    inverse = _modular_inverse(s)
     if s * inverse != SElement.one(s.n):
         raise RuntimeError("computed inverse failed verification")
     return inverse

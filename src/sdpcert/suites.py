@@ -11,12 +11,13 @@ from . import monomial as mon
 from . import tower as tow
 from .checks import CheckResult
 from .group_ring import GroupRingElement, TauData, full_norm, partial_norm
-from .linalg import rank_rational
+from .linalg import rank_rational, resultant
 from .quotient import (
     SElement,
     eps_bar,
     is_unit,
     lift,
+    norm,
     reduce,
     solve_inverse,
     tau_apply_s,
@@ -102,6 +103,13 @@ def _random_fixed_s(rng, n, tau, span=9):
     return reduce(acc)
 
 
+def _case_detail(cases, failure):
+    detail = f"{cases} cases"
+    if failure is not None:
+        detail += f"; first disagreement: {failure!r}"
+    return detail
+
+
 def suite_quotient(seed=0):
     rng = random.Random(seed)
     checks = []
@@ -117,15 +125,24 @@ def suite_quotient(seed=0):
         ok &= reduce(lift(reduce(p))) == reduce(p)
     checks.append(CheckResult("reduction kernel is exactly the norm line", ok))
 
-    ok = True
-    for _ in range(150):
+    cases = 150
+    failure = None
+    for _ in range(cases):
         n = rng.randint(3, 7)
         s = SElement(n, [rng.randint(-2, 2) for _ in range(n - 1)])
         oracle = solve_inverse(s)
-        ok &= is_unit(s) == (oracle is not None)
+        agrees = is_unit(s) == (oracle is not None)
         if oracle is not None:
-            ok &= s * oracle == SElement.one(n)
-    checks.append(CheckResult("unit criterion matches the linear-solve oracle", ok))
+            agrees &= s * oracle == SElement.one(n)
+        if not agrees and failure is None:
+            failure = s
+    checks.append(
+        CheckResult(
+            "unit criterion matches the linear-solve oracle",
+            failure is None,
+            _case_detail(cases, failure),
+        )
+    )
 
     ok = True
     for _ in range(60):
@@ -156,6 +173,22 @@ def suite_quotient(seed=0):
             iterate = tau_apply_s(iterate, tau)
         ok &= iterate == s
     checks.append(CheckResult("tau preserves units and eps-bar", ok))
+
+    cases = 60
+    failure = None
+    for _ in range(cases):
+        n = rng.randint(2, 12)
+        span = rng.choice((2, 10, 10**6))
+        s = SElement(n, [rng.randint(-span, span) for _ in range(n - 1)])
+        if abs(norm(s)) != abs(resultant(list(s.coeffs), [1] * n)) and failure is None:
+            failure = s
+    checks.append(
+        CheckResult(
+            "modular norm equals the Bareiss resultant up to sign",
+            failure is None,
+            _case_detail(cases, failure),
+        )
+    )
     return checks
 
 

@@ -56,7 +56,7 @@ def test_criterion_2_oracle_agreement():
     def body():
         for n in (3, 5, 7):
             for r in valid_r(n):
-                report = cov.coverage_subgroup(n, r, depth=3)
+                report = cov.coverage_subgroup(n, r)
                 oracle = cov.exhaustive_fixed_units(n, r, 2)
                 oracle_subgroup = cov.subgroup_closure([eps_bar(u) for u in oracle], n)
                 assert set(oracle_subgroup) <= set(report.subgroup), (n, r)

@@ -42,6 +42,26 @@ def test_coverage_usage_error(capsys):
     assert "coprime" in err
 
 
+@pytest.mark.parametrize("bound", ["-1", "2"])
+def test_coverage_exhaustive_bound_usage_error(capsys, bound):
+    # -1 is negative; 2 at n = 40 asks for 5^39 candidates, past the oracle's guard
+    code, out, err = run_cli(
+        capsys, "coverage", "--n", "40", "--r", "3", "--exhaustive", bound
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_depth_flag_is_gone(capsys):
+    for command in (["coverage", "--n", "5", "--r", "4"],
+                    ["certificate", "--n", "5", "--r", "4", "--l", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--depth", "0"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--depth" in capsys.readouterr().err
+
+
 def test_certificate_success(capsys):
     code, out, _ = run_cli(
         capsys, "certificate", "--n", "3", "--r", "2", "--l", "2", "--format", "json"

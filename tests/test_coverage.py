@@ -57,7 +57,7 @@ def test_dihedral_list_may_contain_non_units():
     non_units = [g for g in gens if not is_unit(g)]
     assert SElement.from_exponents(9, (8, 0, 1)) in non_units
     # the unit pool filters them out
-    pool = fixed_unit_generators(9, 8, depth=1)
+    pool = fixed_unit_generators(9, 8)
     assert all(is_unit(u) for u in pool)
     assert SElement.from_exponents(9, (8, 0, 1)) not in pool
 
@@ -85,11 +85,11 @@ def test_tau_symmetrize_always_fixed():
 
 
 def test_fixed_unit_generators_contains_minus_one():
-    assert SElement.constant(3, -1) in fixed_unit_generators(3, 2, depth=1)
+    assert SElement.constant(3, -1) in fixed_unit_generators(3, 2)
 
 
 def test_fixed_unit_generators_contains_dihedral_units_n5():
-    pool = fixed_unit_generators(5, 4, depth=1)
+    pool = fixed_unit_generators(5, 4)
     assert SElement.from_exponents(5, (1, 4)) in pool  # eps_bar 2
     assert SElement.from_exponents(5, (4, 0, 1)) in pool  # eps_bar 3
 
@@ -97,7 +97,7 @@ def test_fixed_unit_generators_contains_dihedral_units_n5():
 def test_fixed_unit_generators_all_unit_and_fixed():
     for n, r in ((3, 1), (5, 2), (7, 6), (8, 7), (9, 4)):
         tau = TauData(n, r)
-        pool = fixed_unit_generators(n, r, depth=2)
+        pool = fixed_unit_generators(n, r)
         assert pool
         for u in pool:
             assert is_unit(u)
@@ -124,7 +124,7 @@ def test_coverage_report_invariants():
         assert isinstance(report, CoverageReport)
         assert verify_report(report) == []
         assert report.m == TauData(n, r).m
-        assert report.strategy == "generator-based(depth=3)"
+        assert report.strategy == "generator-based"
 
 
 def test_exhaustive_n3_r2_bound1_is_exactly_plus_minus_one():
@@ -155,7 +155,7 @@ def test_oracle_agreement_up_to_nine(n):
     # mutual containment: the generator pool and the bounded oracle generate
     # the same subgroup of (Z/nZ)* for every valid r
     for r in valid_r(n):
-        report = coverage_subgroup(n, r, depth=3)
+        report = coverage_subgroup(n, r)
         oracle = exhaustive_fixed_units(n, r, 2)
         oracle_subgroup = subgroup_closure([eps_bar(u) for u in oracle], n)
         assert set(report.subgroup) <= set(oracle_subgroup), (n, r)
@@ -210,3 +210,24 @@ def test_reduce_to_cyclic_properties():
 def test_subgroup_closure_rejects_non_units():
     with pytest.raises(ValueError):
         subgroup_closure([2], 4)
+
+
+@pytest.mark.parametrize("n", range(2, 26))
+def test_base_units_cover_what_depth_three_products_cover(n):
+    # eps_bar is a ring homomorphism S -> Z/n, so products of up to three base
+    # units reach no residue outside the subgroup the base units generate
+    for r in valid_r(n):
+        base = fixed_unit_generators(n, r)
+        pool = set(base)
+        frontier = list(base)
+        for _ in range(2):
+            new = []
+            for x in frontier:
+                for b in base:
+                    y = x * b
+                    if y not in pool:
+                        pool.add(y)
+                        new.append(y)
+            frontier = new
+        pool_subgroup = subgroup_closure({eps_bar(u) for u in pool}, n)
+        assert coverage_subgroup(n, r).subgroup == pool_subgroup, (n, r)

@@ -4,14 +4,19 @@ from math import gcd
 
 import pytest
 
+from sdpcert.coverage import fixed_unit_generators
+from sdpcert.finitefield import PrimeField, _is_prime
 from sdpcert.group_ring import GroupRingElement, TauData, full_norm
+from sdpcert.linalg import resultant
 from sdpcert.quotient import (
     NotInvertibleError,
     SElement,
+    _table,
     eps_bar,
     invert,
     is_unit,
     lift,
+    norm,
     reduce,
     solve_inverse,
     tau_apply_s,
@@ -216,3 +221,97 @@ def test_rho_pow_inverse_via_negative_exponent():
     rho = SElement.rho_power(7, 1)
     assert rho ** (-1) == invert(rho)
     assert rho**7 == SElement.one(7)
+
+
+def norm_cases():
+    """n = 2, zero elements, coefficients near +-10^6, and random elements of each size."""
+    rng = random.Random(8)
+    cases = [SElement(2, (c,)) for c in (-7, -1, 0, 1, 10**6)]
+    cases += [SElement.zero(n) for n in (2, 3, 11)]
+    for _ in range(120):
+        n = rng.randint(2, 14)
+        span = rng.choice((1, 2, 10, 10**6))
+        cases.append(SElement(n, [rng.randint(-span, span) for _ in range(n - 1)]))
+    for _ in range(20):
+        n = rng.randint(2, 10)
+        cases.append(SElement(n, [rng.choice((-1, 1)) * (10**6 - rng.randint(0, 3))
+                                  for _ in range(n - 1)]))
+    return cases
+
+
+def trimmed_degree(coeffs):
+    return max((i for i, c in enumerate(coeffs) if c), default=0)
+
+
+def test_norm_matches_bareiss_resultant():
+    # N(s) = Res(1 + ... + x^(n-1), f) = (-1)^(deg f * (n-1)) Res(f, 1 + ... + x^(n-1))
+    for s in norm_cases():
+        expected = resultant(list(s.coeffs), [1] * s.n)
+        sign = (-1) ** (trimmed_degree(s.coeffs) * (s.n - 1))
+        assert norm(s) == sign * expected, s
+        assert is_unit(s) == (abs(expected) == 1), s
+
+
+def test_norm_matches_sympy_resultant():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for s in norm_cases()[::4]:
+        f = sympy.Poly(list(reversed(s.coeffs)), x, domain="ZZ")
+        g = sympy.Poly([1] * s.n, x, domain="ZZ")
+        expected = 0 if f.is_zero else int(sympy.resultant(f, g))
+        assert abs(norm(s)) == abs(expected), s
+
+
+def test_norm_at_the_crt_bound():
+    # |N(c * rho^k)| = |c|^(n-1) = L^(n-1), the largest norm the CRT bound allows for
+    # L = |c|; the sign is (-1)^(k(n-1)) since the roots of 1 + ... + x^(n-1) multiply
+    # to (-1)^(n-1)
+    for n in (2, 3, 8, 13, 30):
+        for c in (-(10**6), -3, 2, 10**6 - 1):
+            for k in {0, n // 2, n - 2}:
+                s = c * SElement.rho_power(n, k)
+                assert norm(s) == c ** (n - 1) * (-1) ** (k * (n - 1)), (n, c, k)
+                assert not is_unit(s)
+        assert norm(SElement.rho_power(n, n - 1)) == (-1) ** (n - 1)
+        assert is_unit(-SElement.rho_power(n, n - 1))
+
+
+def test_kernel_tables_hold_primes_with_roots_of_exact_order():
+    for n in (2, 3, 12, 30, 61):
+        table = _table(n)
+        primes = []
+        for k in range(4):
+            p, w, rows = table[k]
+            primes.append(p)
+            assert p % n == 1 and n < p < 2**26
+            assert all(p % q for q in range(2, int(p**0.5) + 1)), p
+            assert pow(w, n, p) == 1
+            assert all(pow(w, d, p) != 1 for d in range(1, n) if n % d == 0), (n, p)
+            assert rows == [[pow(w, i * j, p) for i in range(n)] for j in range(n)]
+        assert primes == sorted(set(primes), reverse=True)
+
+
+def test_miller_rabin_against_trial_division():
+    for p in range(-2, 5000):
+        assert _is_prime(p) == (p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))), p
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37 in turn
+    for composite in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(composite)
+    assert _is_prime(2**61 - 1) and _is_prime(67108859)
+    with pytest.raises(ValueError):
+        _is_prime(2**127 - 1)
+    with pytest.raises(ValueError):
+        PrimeField(91)
+
+
+def test_invert_matches_linear_solve_on_unit_products():
+    rng = random.Random(9)
+    for n in (2, 3, 6, 9, 14, 20):
+        base = fixed_unit_generators(n, n - 1) + fixed_unit_generators(n, 1)
+        for _ in range(6):
+            u = SElement.one(n)
+            for _ in range(rng.randint(1, 8)):
+                u = u * rng.choice(base)
+            inverse = invert(u)
+            assert u * inverse == SElement.one(n)
+            assert inverse == solve_inverse(u), (n, u)
