@@ -13,7 +13,7 @@ from .group_ring import TauData, partial_norm
 from .quotient import SElement, _table, eps_bar, is_unit, lift, reduce, tau_apply_s
 
 _EXHAUSTIVE_GUARD = 10**8
-_BLOCK_LIMIT = 1 << 16
+_BLOCK_LIMIT = 1 << 18
 
 
 class SearchSpaceTooLargeError(ValueError):
@@ -160,71 +160,71 @@ def unit_witnesses(n, r):
     return witnesses
 
 
-def _tau_matrix(n, tau):
-    """Matrix of tau_apply_s on the canonical coordinates, as int64."""
-    dim = n - 1
-    cols = []
-    for j in range(dim):
-        image = tau_apply_s(SElement(n, tuple(1 if i == j else 0 for i in range(dim))), tau)
-        cols.append(image.coeffs)
-    return np.array(cols, dtype=np.int64).T
-
-
-def _candidate_blocks(dim, bound):
-    values = np.arange(-bound, bound + 1, dtype=np.int64)
-    width = len(values)
-    free = dim
-    while width**free > _BLOCK_LIMIT and free > 1:
-        free -= 1
-    grid = np.stack(np.meshgrid(*([values] * free), indexing="ij"), axis=-1).reshape(-1, free)
-    if free == dim:
-        yield grid
-        return
-    for prefix in itertools.product(values.tolist(), repeat=dim - free):
-        block = np.empty((grid.shape[0], dim), dtype=np.int64)
-        block[:, : dim - free] = np.array(prefix, dtype=np.int64)
-        block[:, dim - free :] = grid
-        yield block
-
-
-def _norm_mod_p_mask(coeff_rows, n):
-    """Mask of rows whose S-norm is +-1 modulo the first kernel prime. Never rejects a true unit.
-
-    The prime lies below 2^26, so the int64 products and their sums over
-    n - 1 terms stay below 2^63 for n <= 2048.
-    """
-    p, _, rows = _table(n)[0]
-    vand = np.array([row[: n - 1] for row in rows[1:]], dtype=np.int64).T
-    values = (coeff_rows % p) @ vand % p
-    norms = np.ones(len(coeff_rows), dtype=np.int64)
-    for jidx in range(n - 1):
-        norms = (norms * values[:, jidx]) % p
-    return (norms == 1) | (norms == p - 1)
+def _free_orbits(n, r):
+    """The <r>-orbits of Z/n other than the one containing n - 1, by least element."""
+    seen = set()
+    orbits = []
+    for start in range(n):
+        orbit = []
+        while start not in seen:
+            seen.add(start)
+            orbit.append(start)
+            start = start * r % n
+        if orbit and n - 1 not in orbit:
+            orbits.append(orbit)
+    return orbits
 
 
 def exhaustive_fixed_units(n, r, bound=2):
     """Every tau-fixed unit whose canonical coefficients all lie in [-bound, bound].
 
-    Independent oracle for the generator strategy: candidates are enumerated
-    coefficientwise block by block; in each block fixedness (a linear
-    condition) and a mod-p norm filter, which never discards a true unit,
-    are applied vectorized, and each survivor is confirmed by the exact unit
-    test. Only survivors are kept. Enumeration blocks are disjoint, so they
-    could be farmed out to workers; the final order is canonical either way.
+    Independent oracle for the generator strategy. The canonical lift of a
+    fixed element is fixed, so the fixed elements are exactly the integer
+    weight vectors on the d free <r>-orbits of Z/n (all but the orbit of n - 1,
+    whose weight the canonical form makes 0): the coefficient of rho^i is the
+    weight of the orbit of i. The (2*bound+1)^d weight vectors are split into
+    an inner grid, evaluated once at w^1, ..., w^(n-1) modulo the first kernel
+    prime p, and outer prefixes, each adding one constant offset. A mod-p norm
+    filter, which never discards a true unit, keeps the rows with norm +-1, and
+    each is confirmed by the exact unit test. With p < 2^26, an offset value
+    lies below 2p and every int64 product below 2^54; a sum of d products
+    below 2^52 cannot overflow while the guard holds (d <= 16 unless bound = 0).
+    The grid holds at most _BLOCK_LIMIT values, whatever n; the final order is
+    canonical.
     """
-    tau = TauData(n, r)
-    dim = n - 1
-    total = (2 * bound + 1) ** dim
+    orbits = _free_orbits(n, TauData(n, r).r)
+    d = len(orbits)
+    total = (2 * bound + 1) ** d
     if total > _EXHAUSTIVE_GUARD:
         raise SearchSpaceTooLargeError(
-            f"(2*{bound}+1)^{dim} = {total} exceeds the desk-scale guard of {_EXHAUSTIVE_GUARD}"
+            f"(2*{bound}+1)^{d} = {total} weight vectors on the d = {d} free <r>-orbits "
+            f"exceeds the desk-scale guard of {_EXHAUSTIVE_GUARD}"
         )
-    fix = _tau_matrix(n, tau) - np.eye(dim, dtype=np.int64)
+    weight_index = [d] * (n - 1)
+    for k, orbit in enumerate(orbits):
+        for e in orbit:
+            weight_index[e] = k
+    p, _, rows = _table(n)[0]
+    orbit_values = np.array(
+        [[sum(rows[j][e] for e in orbit) % p for j in range(1, n)] for orbit in orbits],
+        dtype=np.int64,
+    )
+    weights = range(-bound, bound + 1)
+    inner = d
+    while inner and len(weights) ** inner * (n - 1) > _BLOCK_LIMIT:
+        inner -= 1
+    grid = np.indices((len(weights),) * inner, dtype=np.int64)
+    grid = grid.reshape(inner, len(weights) ** inner).T - bound
+    columns = np.ascontiguousarray((grid % p @ orbit_values[d - inner :] % p).T)
     units = []
-    for block in _candidate_blocks(dim, bound):
-        fixed = block[~(block @ fix.T).any(axis=1)]
-        for row in fixed[_norm_mod_p_mask(fixed, n)].tolist():
-            s = SElement(n, row)
+    for prefix in itertools.product(weights, repeat=d - inner):
+        offset = np.array(prefix, dtype=np.int64) % p @ orbit_values[: d - inner] % p
+        norms = (columns[0] + offset[0]) % p
+        for column, shift in zip(columns[1:], offset[1:].tolist()):
+            norms = norms * (column + shift) % p
+        for idx in np.flatnonzero((norms == 1) | (norms == p - 1)).tolist():
+            vector = prefix + tuple(grid[idx].tolist()) + (0,)
+            s = SElement(n, [vector[k] for k in weight_index])
             if is_unit(s):
                 units.append(s)
     return sorted(units, key=lambda s: s.coeffs)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import linalg
 from .checks import CheckResult
-from .tower import sigma_partial_product
+from .tower import FiniteTower, sigma_partial_product
 
 _TENSOR_GUARD_N = 3
 _TENSOR_GUARD_L = 2
@@ -271,10 +272,17 @@ def corrupt_chain(algebra, chain):
     """Scale one chain value so that delta z = c provably fails (negative-control input).
 
     Scaling z_1 by an element of norm 1 would produce another valid chain, so
-    candidates are scanned until the delta condition actually breaks.
+    candidates are scanned until the delta condition actually breaks: the
+    field's elements for a finite tower, the integers 2, 3, ... for a number
+    tower.
     """
-    for candidate in algebra.tower.field.elements():
-        if not candidate or candidate == algebra.tower.one:
+    tw = algebra.tower
+    if isinstance(tw, FiniteTower):
+        candidates = tw.field.elements()
+    else:
+        candidates = map(tw.scalar, itertools.count(2))
+    for candidate in candidates:
+        if not candidate or candidate == tw.one:
             continue
         values = list(chain.values)
         values[1] = values[1] * candidate

@@ -190,14 +190,20 @@ def _evaluations(coeffs, p, rows):
 
 
 def _norm_residues(s):
-    """Yield (p, N(s) mod p) over the table's primes until their product exceeds 2 * L^(n-1).
+    """Yield (p, N(s) mod p) over the table's primes until their product M exceeds 2|N(s)|.
 
-    L is the sum of the absolute coefficients: every |f(w^j)| <= L over C, so
-    |N(s)| <= L^(n-1) and the symmetric residue modulo the product is N(s).
-    At least one prime is always yielded.
+    With Q the sum of squares and F the sum of the coefficients, Parseval over
+    all n-th roots of unity gives |f(w^1)|^2 + ... + |f(w^(n-1))|^2 = n*Q - F^2,
+    and AM-GM bounds their product: |N(s)|^2 <= ((n*Q - F^2) / (n-1))^(n-1).
+    So M^2 * (n-1)^(n-1) > 4 * (n*Q - F^2)^(n-1) suffices for the symmetric
+    residue modulo M to be N(s). The bound never exceeds L^(n-1), L the sum of
+    the absolute coefficients. At least one prime is always yielded.
     """
-    table = _table(s.n)
-    bound = 2 * sum(map(abs, s.coeffs)) ** (s.n - 1)
+    n = s.n
+    table = _table(n)
+    f = sum(s.coeffs)
+    bound = 4 * (n * sum(c * c for c in s.coeffs) - f * f) ** (n - 1)
+    scale = (n - 1) ** (n - 1)
     modulus = 1
     for k in itertools.count():
         p, _, rows = table[k]
@@ -206,7 +212,7 @@ def _norm_residues(s):
             value = value * v % p
         yield p, value
         modulus *= p
-        if modulus > bound:
+        if modulus * modulus * scale > bound:
             return
 
 

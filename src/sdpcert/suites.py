@@ -212,13 +212,21 @@ def suite_coverage(seed=0):
         ok &= tau_apply_s(sym, tau) == sym
     checks.append(CheckResult("tau-symmetrization lands in the fixed ring", ok))
 
-    ok = True
-    for n, r in ((3, 1), (3, 2), (4, 3), (5, 2), (5, 4), (6, 5), (7, 3), (7, 6), (8, 7), (9, 8)):
+    pairs = ((3, 1), (3, 2), (4, 3), (5, 2), (5, 4), (6, 5), (7, 3), (7, 6), (8, 7), (9, 8))
+    failure = None
+    for n, r in pairs:
         report = cov.coverage_subgroup(n, r)
         oracle = cov.exhaustive_fixed_units(n, r, 2)
         oracle_subgroup = cov.subgroup_closure([eps_bar(u) for u in oracle], n)
-        ok &= oracle_subgroup == report.subgroup
-    checks.append(CheckResult("generator coverage agrees with the bounded oracle", ok))
+        if oracle_subgroup != report.subgroup and failure is None:
+            failure = {"n": n, "r": r, "generator": report.subgroup, "oracle": oracle_subgroup}
+    checks.append(
+        CheckResult(
+            "generator coverage agrees with the bounded oracle",
+            failure is None,
+            _case_detail(len(pairs), failure),
+        )
+    )
 
     ok = True
     for _ in range(20):

@@ -44,13 +44,34 @@ def test_coverage_usage_error(capsys):
 
 @pytest.mark.parametrize("bound", ["-1", "2"])
 def test_coverage_exhaustive_bound_usage_error(capsys, bound):
-    # -1 is negative; 2 at n = 40 asks for 5^39 candidates, past the oracle's guard
+    # -1 is negative; 2 at n = 40 asks for 5^12 orbit-weight vectors, past the oracle's guard
     code, out, err = run_cli(
         capsys, "coverage", "--n", "40", "--r", "3", "--exhaustive", bound
     )
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_exhaustive_guard_error_names_the_orbit_count(capsys):
+    code, _, err = run_cli(capsys, "coverage", "--n", "40", "--r", "3", "--exhaustive", "2")
+    assert code == EXIT_USAGE
+    assert "(2*2+1)^12" in err and "d = 12 free <r>-orbits" in err
+
+
+def test_oracle_agreement_check_names_the_first_disagreement(monkeypatch):
+    from sdpcert import coverage, suites
+
+    name = "generator coverage agrees with the bounded oracle"
+    check = next(c for c in suites.suite_coverage() if c.name == name)
+    assert check.passed and check.detail == "10 cases"
+    monkeypatch.setattr(coverage, "exhaustive_fixed_units", lambda n, r, bound: [])
+    check = next(c for c in suites.suite_coverage() if c.name == name)
+    assert not check.passed
+    assert check.detail == (
+        "10 cases; first disagreement: "
+        "{'n': 3, 'r': 1, 'generator': (1, 2), 'oracle': (1,)}"
+    )
 
 
 def test_depth_flag_is_gone(capsys):

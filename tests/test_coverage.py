@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -17,6 +19,7 @@ from sdpcert.coverage import (
     verify_report,
 )
 from sdpcert.group_ring import TauData
+from sdpcert.linalg import resultant
 from sdpcert.quotient import SElement, eps_bar, is_unit, lift, tau_apply_s
 
 
@@ -143,6 +146,53 @@ def test_exhaustive_outputs_are_units_and_fixed():
         for u in exhaustive_fixed_units(n, r, 2):
             assert is_unit(u)
             assert tau_apply_s(u, tau) == u
+
+
+def is_unit_by_resultant(s):
+    return abs(resultant(list(s.coeffs), [1] * s.n)) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exhaustive_matches_the_coordinate_box_at_bound_one(n):
+    # the whole box [-1, 1]^(n-1), with fixedness decided by tau_apply_s and unit
+    # status by the Bareiss resultant: no orbit weights and no mod-p filter
+    for r in valid_r(n):
+        tau = TauData(n, r)
+        expected = []
+        for coeffs in itertools.product((-1, 0, 1), repeat=n - 1):
+            s = SElement(n, coeffs)
+            if tau_apply_s(s, tau) == s and is_unit_by_resultant(s):
+                expected.append(coeffs)
+        assert [u.coeffs for u in exhaustive_fixed_units(n, r, 1)] == expected, (n, r)
+
+
+@pytest.mark.parametrize("n, r", [(101, 4), (61, 3)])
+def test_exhaustive_at_large_n_within_block_memory(n, r):
+    # (101, 4): r has order 50, so there are d = 2 free orbits. (61, 3): d = 6, and
+    # the 5^6 weight vectors at 60 values each would take 7.5 MB per array unsplit
+    tau = TauData(n, r)
+    tracemalloc.start()
+    try:
+        units = exhaustive_fixed_units(n, r, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert SElement.one(n) in units and -SElement.one(n) in units
+    for u in units:
+        assert tau_apply_s(u, tau) == u, u
+        assert is_unit_by_resultant(u), u
+
+
+def test_exhaustive_finds_residue_five_at_13_4():
+    # a fixed unit the generator strategy does not reach: its report is a lower bound
+    tau = TauData(13, 4)
+    witnesses = [u for u in exhaustive_fixed_units(13, 4, 2) if sum(u.coeffs) % 13 == 5]
+    assert SElement(13, (-2, 0, -1, 0, 0, -1, -1, -1, -1, 0, 0, -1)) in witnesses
+    for u in witnesses:
+        assert tau_apply_s(u, tau) == u, u
+        assert is_unit_by_resultant(u), u
+    assert set(coverage_subgroup(13, 4).subgroup) <= {1, 5, 8, 12}
 
 
 def test_exhaustive_guard():

@@ -132,6 +132,17 @@ def test_corrupted_chain_is_rejected():
         ideal_from_chain(algebra, bad)
 
 
+def test_corrupted_chain_over_the_number_tower_is_rejected(s3_algebra):
+    tw = s3_algebra.tower
+    chain = chain_from_unit(s3_algebra, tw.scalar(-1))  # N(-1) = b
+    assert is_splitting_chain(s3_algebra, chain)
+    bad = corrupt_chain(s3_algebra, chain)
+    assert not is_splitting_chain(s3_algebra, bad)
+    assert bad.values[1] == chain.values[1] * tw.scalar(2)
+    with pytest.raises(ValueError):
+        ideal_from_chain(s3_algebra, bad)
+
+
 def test_scaling_by_norm_one_element_gives_another_chain():
     # scaling z_1 by a norm-one scalar produces a different valid chain, a
     # different point of the same variety

@@ -11,6 +11,7 @@ from sdpcert.linalg import resultant
 from sdpcert.quotient import (
     NotInvertibleError,
     SElement,
+    _norm_residues,
     _table,
     eps_bar,
     invert,
@@ -274,6 +275,18 @@ def test_norm_at_the_crt_bound():
                 assert not is_unit(s)
         assert norm(SElement.rho_power(n, n - 1)) == (-1) ** (n - 1)
         assert is_unit(-SElement.rho_power(n, n - 1))
+
+
+def test_parseval_bound_needs_fewer_primes_than_the_triangle_bound():
+    # L = 50 and n = 11: the triangle bound 2 * 50^10 takes three table primes, the
+    # Parseval/AM-GM bound 2 * 275^5 two; |N(s)| exceeds one prime, so CRT still joins
+    s = SElement(11, (5, -5) * 5)
+    primes = [_table(11)[k][0] for k in range(3)]
+    assert primes[0] * primes[1] <= 2 * 50**10 < primes[0] * primes[1] * primes[2]
+    assert [p for p, _ in _norm_residues(s)] == primes[:2]
+    expected = resultant(list(s.coeffs), [1] * 11)
+    assert norm(s) == (-1) ** (trimmed_degree(s.coeffs) * 10) * expected
+    assert abs(norm(s)) > primes[0]
 
 
 def test_kernel_tables_hold_primes_with_roots_of_exact_order():
