@@ -45,11 +45,15 @@ def _coverage_payload(report):
     }
 
 
-def cmd_coverage(args):
+def _check_n_r(args):
     if args.n < 2:
         raise UsageError("--n must be at least 2")
     if not 1 <= args.r < args.n or gcd(args.r, args.n) != 1:
         raise UsageError(f"--r must lie in [1, {args.n - 1}] and be coprime to --n")
+
+
+def cmd_coverage(args):
+    _check_n_r(args)
     if args.exhaustive is not None and args.exhaustive < 0:
         raise UsageError("--exhaustive must be non-negative")
     report = cov.coverage_subgroup(args.n, args.r)
@@ -89,10 +93,7 @@ def cmd_coverage(args):
 
 
 def cmd_certificate(args):
-    if args.n < 2:
-        raise UsageError("--n must be at least 2")
-    if not 1 <= args.r < args.n or gcd(args.r, args.n) != 1:
-        raise UsageError(f"--r must lie in [1, {args.n - 1}] and be coprime to --n")
+    _check_n_r(args)
     if gcd(args.l, args.n) != 1:
         raise UsageError("--l must be coprime to --n")
     inputs = {

@@ -160,21 +160,6 @@ def unit_witnesses(n, r):
     return witnesses
 
 
-def _free_orbits(n, r):
-    """The <r>-orbits of Z/n other than the one containing n - 1, by least element."""
-    seen = set()
-    orbits = []
-    for start in range(n):
-        orbit = []
-        while start not in seen:
-            seen.add(start)
-            orbit.append(start)
-            start = start * r % n
-        if orbit and n - 1 not in orbit:
-            orbits.append(orbit)
-    return orbits
-
-
 def exhaustive_fixed_units(n, r, bound=2):
     """Every tau-fixed unit whose canonical coefficients all lie in [-bound, bound].
 
@@ -192,7 +177,7 @@ def exhaustive_fixed_units(n, r, bound=2):
     The grid holds at most _BLOCK_LIMIT values, whatever n; the final order is
     canonical.
     """
-    orbits = _free_orbits(n, TauData(n, r).r)
+    orbits = [orbit for orbit in TauData(n, r).orbits() if n - 1 not in orbit]
     d = len(orbits)
     total = (2 * bound + 1) ** d
     if total > _EXHAUSTIVE_GUARD:

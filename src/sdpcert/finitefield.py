@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import itertools
 
+from ._element import ExactElement
 
-class PrimeFieldElement:
+
+class PrimeFieldElement(ExactElement):
     __slots__ = ("field", "value")
 
     def __init__(self, field, value):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "value", value % field.p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("field elements are immutable")
 
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElement):
@@ -41,9 +40,6 @@ class PrimeFieldElement:
             return NotImplemented
         return PrimeFieldElement(self.field, self.value - other.value)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -56,15 +52,6 @@ class PrimeFieldElement:
         if self.value == 0:
             raise ZeroDivisionError("0 has no inverse")
         return PrimeFieldElement(self.field, pow(self.value, -1, self.field.p))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __pow__(self, exponent):
         if exponent < 0:
@@ -120,7 +107,7 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-class ExtFieldElement:
+class ExtFieldElement(ExactElement):
     """Element of base[y]/(modulus), stored as a coefficient tuple over the base."""
 
     __slots__ = ("field", "coeffs")
@@ -131,9 +118,6 @@ class ExtFieldElement:
             raise ValueError(f"expected {field.degree} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("field elements are immutable")
 
     def _coerce(self, other):
         if isinstance(other, ExtFieldElement) and other.field.order == self.field.order:
@@ -153,15 +137,6 @@ class ExtFieldElement:
     def __neg__(self):
         return ExtFieldElement(self.field, tuple(-a for a in self.coeffs))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -176,27 +151,6 @@ class ExtFieldElement:
             raise ZeroDivisionError("0 has no inverse")
         inv = _poly_inverse(self.coeffs, self.field.modulus, self.field.base)
         return ExtFieldElement(self.field, self.field.pad(inv))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, exponent):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.field.one
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -240,7 +194,7 @@ def _poly_divmod(a, b, zero):
         raise ZeroDivisionError("polynomial division by zero")
     quotient = [zero] * max(len(a) - len(b) + 1, 1)
     rem = list(a)
-    inv_lead = b[-1].inverse() if hasattr(b[-1], "inverse") else 1 / b[-1]
+    inv_lead = b[-1].inverse()
     while len(rem) >= len(b) and _poly_trim(rem, zero):
         rem = _poly_trim(rem, zero)
         if len(rem) < len(b):
@@ -270,7 +224,7 @@ def _poly_inverse(a, modulus, base):
     r0 = _poly_trim(r0, zero)
     if len(r0) != 1:
         raise ZeroDivisionError("element is not invertible modulo the field polynomial")
-    scale = r0[0].inverse() if hasattr(r0[0], "inverse") else 1 / r0[0]
+    scale = r0[0].inverse()
     return [c * scale for c in s0]
 
 
@@ -331,42 +285,23 @@ class ExtField:
 
 
 def _is_irreducible(coeffs, base):
-    """Rabin's criterion: x^(q^n) = x mod f, and x^(q^(n/l)) - x is coprime to f."""
-    zero, one = base.zero, base.one
+    """Rabin's criterion: x^(q^n) = x mod f, and x^(q^(n/l)) - x is coprime to f.
+
+    The powers of x are taken in base[y]/(f), whose multiplication does not
+    need f to be irreducible.
+    """
+    zero = base.zero
     degree = len(coeffs) - 1
     q = base.order
-
-    def pow_x(exp):
-        result = [zero, one]  # x
-        acc = [one]
-        base_poly = result
-        e = exp
-        while e:
-            if e & 1:
-                acc = _poly_divmod(_poly_mul(acc, base_poly, zero), list(coeffs), zero)[1] or [zero]
-            base_poly = _poly_divmod(_poly_mul(base_poly, base_poly, zero), list(coeffs), zero)[1] or [zero]
-            e >>= 1
-        return acc
-
-    def poly_gcd(a, b):
-        a = _poly_trim(a, zero)
-        b = _poly_trim(b, zero)
-        while b:
-            a, b = b, _poly_divmod(a, b, zero)[1]
-        return a
-
-    def x_power_minus_x(exp):
-        p = pow_x(exp)
-        p = list(p) + [zero] * max(0, 2 - len(p))
-        p[1] = p[1] - one
-        return p
-
-    top = x_power_minus_x(q**degree)
-    if _poly_trim(top, zero):
+    x = ExtField(base, coeffs).generator()
+    if x ** (q**degree) != x:
         return False
     for prime in _prime_divisors(degree):
-        g = poly_gcd(list(coeffs), x_power_minus_x(q ** (degree // prime)))
-        if len(g) != 1:
+        a = list(coeffs)
+        b = _poly_trim((x ** (q ** (degree // prime)) - x).coeffs, zero)
+        while b:
+            a, b = b, _poly_divmod(a, b, zero)[1]
+        if len(a) != 1:
             return False
     return True
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from math import gcd
 
+from ._element import ExactElement
+
 
 class OrderMismatchError(ValueError):
     """Raised when elements over different group orders are combined."""
 
 
-class GroupRingElement:
+class GroupRingElement(ExactElement):
     """Element of the group ring Z<sigma>, sigma of order n.
 
     coeffs[i] is the integer coefficient of sigma^i. Coefficients are
@@ -27,9 +29,6 @@ class GroupRingElement:
             raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupRingElement is immutable")
 
     @classmethod
     def zero(cls, n):
@@ -50,6 +49,11 @@ class GroupRingElement:
         if self.n != other.n:
             raise OrderMismatchError(f"group orders differ: {self.n} != {other.n}")
 
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return GroupRingElement.sigma_power(self.n, 0, other)
+        return other if isinstance(other, GroupRingElement) else NotImplemented
+
     def __add__(self, other):
         if isinstance(other, int):
             other = GroupRingElement.sigma_power(self.n, 0, other)
@@ -60,14 +64,6 @@ class GroupRingElement:
 
     def __neg__(self):
         return GroupRingElement(self.n, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = GroupRingElement.sigma_power(self.n, 0, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -84,18 +80,8 @@ class GroupRingElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined in the group ring")
-        result = GroupRingElement.one(self.n)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    def inverse(self):
+        raise ValueError("inverses and negative powers are not defined in the group ring")
 
     def augmentation(self):
         """Sum of all coefficients (image of the map sending every group element to 1)."""
@@ -193,6 +179,20 @@ class TauData:
 
     def __setattr__(self, name, value):
         raise AttributeError("TauData is immutable")
+
+    def orbits(self):
+        """The <r>-orbits of Z/n, each listed from its least element, by that element."""
+        seen = set()
+        out = []
+        for start in range(self.n):
+            orbit = []
+            while start not in seen:
+                seen.add(start)
+                orbit.append(start)
+                start = start * self.r % self.n
+            if orbit:
+                out.append(orbit)
+        return out
 
     def __eq__(self, other):
         return isinstance(other, TauData) and (self.n, self.r) == (other.n, other.r)

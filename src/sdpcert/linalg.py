@@ -1,23 +1,24 @@
-"""Exact linear algebra: integer determinants, rational solves, generic row reduction."""
+"""Exact linear algebra: two eliminations.
+
+Fraction-free (Bareiss) elimination on integer matrices gives determinants,
+resultants and integer solves; rref reduces over any exact field and serves
+ranks, kernels, spans and linear combinations.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 
-def bareiss_determinant(rows):
-    """Determinant of a square integer matrix by fraction-free elimination.
+def _bareiss(mat, size):
+    """Fraction-free (Bareiss) elimination below the diagonal of the leading size columns.
 
-    Every intermediate value is an exact integer; the divisions performed by
-    the Bareiss recurrence are exact.
+    Works in place on an integer matrix with size rows and at least size
+    columns; columns past size are carried along. Every division is exact,
+    and afterwards mat[k][k] is the (k+1)-th leading principal minor of the
+    row-permuted matrix. Returns the sign of that row permutation, or 0 when
+    the leading block is found singular before its last pivot.
     """
-    mat = [[int(x) for x in row] for row in rows]
-    size = len(mat)
-    if size == 0:
-        return 1
-    for row in mat:
-        if len(row) != size:
-            raise ValueError("matrix is not square")
     sign = 1
     prev = 1
     for k in range(size - 1):
@@ -28,11 +29,51 @@ def bareiss_determinant(rows):
             mat[k], mat[pivot] = mat[pivot], mat[k]
             sign = -sign
         for i in range(k + 1, size):
-            for j in range(k + 1, size):
+            for j in range(k + 1, len(mat[i])):
                 mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
             mat[i][k] = 0
         prev = mat[k][k]
-    return sign * mat[size - 1][size - 1]
+    return sign
+
+
+def _square_integer_matrix(rows):
+    mat = [[int(x) for x in row] for row in rows]
+    if any(len(row) != len(mat) for row in mat):
+        raise ValueError("matrix is not square")
+    return mat
+
+
+def bareiss_determinant(rows):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    mat = _square_integer_matrix(rows)
+    if not mat:
+        return 1
+    return _bareiss(mat, len(mat)) * mat[-1][-1]
+
+
+def solve_integer(matrix, rhs):
+    """Solve the square integer system A x = rhs without fractions: returns (det A, det A * x).
+
+    By Cramer's rule det A * x is an integer vector; it is found by back
+    substitution on the eliminated system, where every division is exact.
+    x is integral exactly when det A divides every entry. A singular A gives
+    (0, None).
+    """
+    mat = _square_integer_matrix(matrix)
+    size = len(mat)
+    if size == 0:
+        return 1, []
+    for row, value in zip(mat, rhs):
+        row.append(int(value))
+    det = _bareiss(mat, size) * mat[-1][size - 1]
+    if det == 0:
+        return 0, None
+    scaled = [0] * size
+    for i in reversed(range(size)):
+        row = mat[i]
+        total = det * row[size] - sum(row[j] * scaled[j] for j in range(i + 1, size))
+        scaled[i] = total // row[i]
+    return det, scaled
 
 
 def _trim(coeffs):
@@ -70,49 +111,9 @@ def resultant(f, g):
     return bareiss_determinant(rows)
 
 
-def solve_rational(matrix, rhs):
-    """Solve a square linear system exactly over Q.
-
-    Returns a list of Fractions, or None when the matrix is singular.
-    """
-    size = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = next((i for i in range(col, size) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        head = aug[col][col]
-        aug[col] = [x / head for x in aug[col]]
-        for i in range(size):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][size] for i in range(size)]
-
-
 def rank_rational(rows):
-    """Rank of a rational matrix, by exact Gaussian elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        head = mat[rank][col]
-        mat[rank] = [x / head for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    """Rank of a rational matrix: the number of pivots of its reduced row echelon form."""
+    return len(rref([[Fraction(x) for x in row] for row in rows], Fraction(0))[1])
 
 
 def nullspace_rational(rows):

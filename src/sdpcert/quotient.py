@@ -6,6 +6,7 @@ import itertools
 from operator import mul
 
 from . import linalg
+from ._element import ExactElement
 from .finitefield import _is_prime, _prime_divisors
 from .group_ring import GroupRingElement, OrderMismatchError
 
@@ -14,7 +15,7 @@ class NotInvertibleError(ArithmeticError):
     """Raised when inversion is requested for a non-unit of S."""
 
 
-class SElement:
+class SElement(ExactElement):
     """Canonical residue in S: the unique representative of degree <= n-2.
 
     coeffs[i] is the coefficient of rho^i; len(coeffs) == n - 1. Equality and
@@ -32,9 +33,6 @@ class SElement:
             raise ValueError(f"expected {n - 1} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SElement is immutable")
 
     @classmethod
     def zero(cls, n):
@@ -65,6 +63,11 @@ class SElement:
         if self.n != other.n:
             raise OrderMismatchError(f"quotient orders differ: {self.n} != {other.n}")
 
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return SElement.constant(self.n, other)
+        return other if isinstance(other, SElement) else NotImplemented
+
     def __add__(self, other):
         if isinstance(other, int):
             other = SElement.constant(self.n, other)
@@ -76,14 +79,6 @@ class SElement:
     def __neg__(self):
         return SElement(self.n, tuple(-a for a in self.coeffs))
 
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = SElement.constant(self.n, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             return SElement(self.n, tuple(other * a for a in self.coeffs))
@@ -92,19 +87,8 @@ class SElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent):
-        if exponent < 0:
-            base = invert(self)
-            exponent = -exponent
-        else:
-            base = self
-        result = SElement.one(self.n)
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+    def inverse(self):
+        return invert(self)
 
     def __eq__(self, other):
         return isinstance(other, SElement) and self.n == other.n and self.coeffs == other.coeffs
@@ -309,20 +293,17 @@ def _multiplication_matrix(s):
 
 
 def solve_inverse(s):
-    """Inverse of s found by the exact rational linear solve, or None.
+    """Inverse of s found by the fraction-free integer linear solve, or None.
 
-    Returns None when no inverse exists in S (singular system or a
-    non-integral solution). This is the oracle route, independent of the
+    Solves (multiplication by s) x = 1, which gives det and det * x; the
+    inverse exists in S exactly when det is nonzero and divides every entry.
+    Returns None otherwise. This is the oracle route, independent of the
     modular norm kernel behind is_unit and invert.
     """
-    matrix = _multiplication_matrix(s)
-    rhs = [1] + [0] * (s.n - 2)
-    solution = linalg.solve_rational(matrix, rhs)
-    if solution is None:
+    det, scaled = linalg.solve_integer(_multiplication_matrix(s), [1] + [0] * (s.n - 2))
+    if det == 0 or any(c % det for c in scaled):
         return None
-    if any(x.denominator != 1 for x in solution):
-        return None
-    return SElement(s.n, tuple(int(x) for x in solution))
+    return SElement(s.n, tuple(c // det for c in scaled))
 
 
 def invert(s):

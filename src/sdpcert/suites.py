@@ -84,23 +84,18 @@ def suite_group_ring(seed=0):
     return checks
 
 
-def _random_fixed_s(rng, n, tau, span=9):
-    """A random tau-fixed element of S, from orbit sums with random weights."""
-    seen = set()
-    acc = GroupRingElement.zero(n)
-    for start in range(n):
-        if start in seen:
-            continue
-        orbit = []
-        e = start
-        while e not in orbit:
-            orbit.append(e)
-            seen.add(e)
-            e = (e * tau.r) % n
+def random_fixed_s(rng, n, tau, span=9):
+    """A random tau-fixed element of S, from orbit sums with random weights.
+
+    One weight is drawn from [-span, span] per <r>-orbit, in the order of
+    TauData.orbits.
+    """
+    coeffs = [0] * n
+    for orbit in tau.orbits():
         weight = rng.randint(-span, span)
         for e in orbit:
-            acc = acc + GroupRingElement.sigma_power(n, e, weight)
-    return reduce(acc)
+            coeffs[e] = weight
+    return reduce(GroupRingElement(n, coeffs))
 
 
 def _case_detail(cases, failure):
@@ -155,7 +150,7 @@ def suite_quotient(seed=0):
     for _ in range(100):
         n = rng.randint(2, 15)
         tau = _random_tau(rng, n)
-        s = _random_fixed_s(rng, n, tau)
+        s = random_fixed_s(rng, n, tau)
         ok &= tau_apply_s(s, tau) == s
         ok &= lift(s).is_tau_fixed(tau)
     checks.append(CheckResult("canonical lifts of fixed elements are fixed", ok))

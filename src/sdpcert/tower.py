@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from ._element import ExactElement
 from .finitefield import ExtField, ExtFieldElement, gf, smallest_irreducible
 from .group_ring import GroupRingElement
 
 
-class TowerElement:
+class TowerElement(ExactElement):
     """Field element as exact rational coordinates over a fixed power-product basis."""
 
     __slots__ = ("tower", "coords")
@@ -28,9 +29,6 @@ class TowerElement:
             raise ValueError(f"expected {tower.dim} coordinates, got {len(coords)}")
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("tower elements are immutable")
 
     def _coerce(self, other):
         if isinstance(other, TowerElement):
@@ -49,15 +47,6 @@ class TowerElement:
 
     def __neg__(self):
         return TowerElement(self.tower, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -79,27 +68,6 @@ class TowerElement:
 
     def inverse(self):
         return self.tower.inverse(self)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, exponent):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.tower.one
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -139,6 +107,14 @@ def _identity_matrix(size):
     return tuple(tuple(Fraction(int(i == j)) for j in range(size)) for i in range(size))
 
 
+def _matrix_powers(matrix, top):
+    """[matrix^0, matrix^1, ..., matrix^top]."""
+    powers = [_identity_matrix(len(matrix))]
+    for _ in range(top):
+        powers.append(_matrix_mul(matrix, powers[-1]))
+    return powers
+
+
 class NumberTower:
     """Structure-constant model of a Galois field tower over Q.
 
@@ -167,8 +143,12 @@ class NumberTower:
         self.lam = TowerElement(self, lam_coords)
         self._flatten_pairs = flatten_pairs
         self._l_structure = None
-        self._conjugation_matrices = self._build_automorphisms()
-        self._self_check()
+        sigma_powers = _matrix_powers(self.sigma_matrix, n)
+        tau_powers = _matrix_powers(self.tau_matrix, m)
+        self._conjugation_matrices = tuple(
+            _matrix_mul(ps, pt) for ps in sigma_powers[:-1] for pt in tau_powers[:-1]
+        )
+        self._self_check(sigma_powers, tau_powers)
 
     def basis_element(self, index):
         return TowerElement(self, tuple(int(i == index) for i in range(self.dim)))
@@ -184,17 +164,6 @@ class NumberTower:
 
     def tau(self, x):
         return TowerElement(self, _matrix_apply(self.tau_matrix, x.coords))
-
-    def _build_automorphisms(self):
-        powers_sigma = [_identity_matrix(self.dim)]
-        for _ in range(self.n - 1):
-            powers_sigma.append(_matrix_mul(self.sigma_matrix, powers_sigma[-1]))
-        powers_tau = [_identity_matrix(self.dim)]
-        for _ in range(self.m - 1):
-            powers_tau.append(_matrix_mul(self.tau_matrix, powers_tau[-1]))
-        return tuple(
-            _matrix_mul(ps, pt) for ps in powers_sigma for pt in powers_tau
-        )
 
     def inverse(self, x):
         """Inverse via the product of all nontrivial conjugates.
@@ -213,7 +182,7 @@ class NumberTower:
         return conjugate_product * self.scalar(1 / denom)
 
     def _ensure_l_structure(self):
-        """Derive the E-over-L basis and the change-of-basis matrix when not given.
+        """Derive the E-over-L basis e and the Q-basis of products g*e when not given.
 
         L is the sigma-fixed subspace; an E-over-L basis is picked greedily
         among the power-product basis elements. Everything stays rational.
@@ -242,10 +211,7 @@ class NumberTower:
                     break
         if len(chosen) != self.n:
             raise RuntimeError("no basis of E over L among the power products")
-        matrix = [
-            [spanned[column][row] for column in range(self.dim)] for row in range(self.dim)
-        ]
-        self._l_structure = (chosen, l_elements, matrix)
+        self._l_structure = (chosen, l_elements, spanned)
 
     def flatten(self, x):
         """Coordinates of x over the designated basis of E over L, as elements of L."""
@@ -258,10 +224,10 @@ class NumberTower:
                 out.append(TowerElement(self, coords))
             return out
         self._ensure_l_structure()
-        _, l_elements, matrix = self._l_structure
-        solution = linalg.solve_rational(matrix, list(x.coords))
+        _, l_elements, spanned = self._l_structure
+        solution = linalg.solve_combination(spanned, x.coords, Fraction(0))
         if solution is None:
-            raise RuntimeError("change-of-basis matrix is singular")  # unreachable
+            raise RuntimeError("E-over-L basis is not a basis")  # unreachable
         out = []
         for i in range(self.n):
             coeff = self.zero
@@ -279,9 +245,6 @@ class NumberTower:
     def random_element(self, rng, span=5):
         return TowerElement(self, tuple(rng.randint(-span, span) for _ in range(self.dim)))
 
-    def _matrix_is_identity(self, matrix):
-        return matrix == _identity_matrix(self.dim)
-
     def _is_ring_automorphism(self, matrix):
         basis = [self.basis_element(i) for i in range(self.dim)]
         images = [TowerElement(self, _matrix_apply(matrix, e.coords)) for e in basis]
@@ -295,7 +258,8 @@ class NumberTower:
                     return False
         return True
 
-    def _self_check(self):
+    def _self_check(self, sigma_powers, tau_powers):
+        """Validate the tower; the powers run from exponent 0 to n (sigma) and m (tau)."""
         basis = [self.basis_element(i) for i in range(self.dim)]
         for j in range(self.dim):
             if basis[0] * basis[j] != basis[j]:
@@ -312,28 +276,15 @@ class NumberTower:
         for name, matrix in (("sigma", self.sigma_matrix), ("tau", self.tau_matrix)):
             if not self._is_ring_automorphism(matrix):
                 raise RuntimeError(f"{name} is not a ring automorphism")
-        power = _identity_matrix(self.dim)
-        for i in range(1, self.n + 1):
-            power = _matrix_mul(self.sigma_matrix, power)
-            if i < self.n and self._matrix_is_identity(power):
-                raise RuntimeError("sigma has order smaller than n")
-        if not self._matrix_is_identity(power):
-            raise RuntimeError("sigma does not have order n")
-        power = _identity_matrix(self.dim)
-        for i in range(1, self.m + 1):
-            power = _matrix_mul(self.tau_matrix, power)
-            if i < self.m and self._matrix_is_identity(power):
-                raise RuntimeError("tau has order smaller than m")
-        if not self._matrix_is_identity(power):
-            raise RuntimeError("tau does not have order m")
-        tau_inverse = _identity_matrix(self.dim)
-        for _ in range(self.m - 1):
-            tau_inverse = _matrix_mul(self.tau_matrix, tau_inverse)
+        identity = sigma_powers[0]
+        for name, powers, order in (("sigma", sigma_powers, "n"), ("tau", tau_powers, "m")):
+            if identity in powers[1:-1]:
+                raise RuntimeError(f"{name} has order smaller than {order}")
+            if powers[-1] != identity:
+                raise RuntimeError(f"{name} does not have order {order}")
+        tau_inverse = tau_powers[-2]
         conjugated = _matrix_mul(self.tau_matrix, _matrix_mul(self.sigma_matrix, tau_inverse))
-        sigma_r = _identity_matrix(self.dim)
-        for _ in range(self.r):
-            sigma_r = _matrix_mul(self.sigma_matrix, sigma_r)
-        if conjugated != sigma_r:
+        if conjugated != sigma_powers[self.r % self.n]:
             raise RuntimeError("tau sigma tau^-1 != sigma^r")
         if self.sigma(self.b) != self.b or self.sigma(self.lam) != self.lam:
             raise RuntimeError("b and lambda must be sigma-fixed")

@@ -12,7 +12,8 @@ from sdpcert import crossed as cp
 from sdpcert import monomial as mon
 from sdpcert import tower as tow
 from sdpcert.group_ring import GroupRingElement, TauData, partial_norm
-from sdpcert.quotient import eps_bar, is_unit, lift, reduce, tau_apply_s
+from sdpcert.quotient import eps_bar, is_unit, lift, tau_apply_s
+from sdpcert.suites import random_fixed_s, s3_spanning_points
 
 
 def _run(label, bound, body):
@@ -109,18 +110,7 @@ def test_criterion_4_group_ring_laws():
 
 
 def _s3_spanning_points(tw):
-    zeta = tw.basis_element(3)
-    c_minus_1 = tw.basis_element(1) - tw.one
-    units = [
-        tw.one,
-        zeta,
-        c_minus_1,
-        zeta * c_minus_1,
-        c_minus_1 * c_minus_1,
-        zeta * c_minus_1 * c_minus_1,
-    ]
-    points = [tow.make_norm_point(tw, u, 0) for u in units]
-    points.extend(tow.make_norm_point(tw, -u, 1) for u in units)
+    points = s3_spanning_points(tw)
     assert any(pt.x == tw.scalar(-1) for pt in points)
     return points
 
@@ -224,21 +214,7 @@ def test_criterion_8_lift_fixedness():
             n = rng.randint(2, 15)
             r = rng.choice(valid_r(n))
             tau = TauData(n, r)
-            seen = set()
-            acc = GroupRingElement.zero(n)
-            for start in range(n):
-                if start in seen:
-                    continue
-                orbit = []
-                e = start
-                while e not in orbit:
-                    orbit.append(e)
-                    seen.add(e)
-                    e = (e * tau.r) % n
-                weight = rng.randint(-9, 9)
-                for e in orbit:
-                    acc = acc + GroupRingElement.sigma_power(n, e, weight)
-            s = reduce(acc)
+            s = random_fixed_s(rng, n, tau, span=9)
             assert tau_apply_s(s, tau) == s
             assert lift(s).is_tau_fixed(tau)
             count += 1

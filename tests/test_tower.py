@@ -19,27 +19,12 @@ from sdpcert.tower import (
     point_is_valid,
     tau_hat,
 )
+from sdpcert.suites import s3_spanning_points as spanning_points
 
 
 @pytest.fixture(scope="module")
 def s3():
     return builtin_s3()
-
-
-def spanning_points(tw):
-    zeta = tw.basis_element(3)
-    c_minus_1 = tw.basis_element(1) - tw.one
-    units = [
-        tw.one,
-        zeta,
-        c_minus_1,
-        zeta * c_minus_1,
-        c_minus_1 * c_minus_1,
-        zeta * c_minus_1 * c_minus_1,
-    ]
-    return [make_norm_point(tw, u, 0) for u in units] + [
-        make_norm_point(tw, -u, 1) for u in units
-    ]
 
 
 def test_s3_parameters(s3):
