@@ -1,8 +1,22 @@
-"""Small exact finite fields: GF(p) and polynomial extensions with deterministic moduli."""
+"""Small exact finite fields: GF(p) and polynomial extensions with deterministic moduli.
+
+All arithmetic runs on raw values: the ints in range(p) for GF(p), and for
+an extension base[y]/(f) tuples of the base's raw values, lowest degree
+first. An extension reaches its base only through the base's raw
+operations, so a nested base such as GF(4) under GF(16) runs through the
+same code as GF(p). Element objects wrap raw values at the surface.
+
+Both field classes provide the raw operations _add, _neg, _mul, _inv and
+_axpy (ys + c * xs on sequences of raw values), the constants _raw_zero
+and _raw_one, and _raw (an int, an element or, for an extension, a
+coefficient sequence, to a raw value), _wrap (raw value to element),
+_values (every raw value, in canonical order) and _random.
+"""
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from ._element import ExactElement
 
@@ -49,9 +63,7 @@ class PrimeFieldElement(ExactElement):
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return PrimeFieldElement(self.field, pow(self.value, -1, self.field.p))
+        return PrimeFieldElement(self.field, self.field._inv(self.value))
 
     def __pow__(self, exponent):
         if exponent < 0:
@@ -73,15 +85,15 @@ class PrimeFieldElement(ExactElement):
     def __bool__(self):
         return self.value != 0
 
-    def sort_key(self):
-        return (self.value,)
-
     def __repr__(self):
         return f"{self.value}"
 
 
 class PrimeField:
-    """The field Z/pZ for p prime."""
+    """The field Z/pZ for p prime; its raw values are the ints in range(p)."""
+
+    _raw_zero = 0
+    _raw_one = 1
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -92,23 +104,56 @@ class PrimeField:
         self.one = PrimeFieldElement(self, 1)
 
     def element(self, value):
-        return PrimeFieldElement(self, value)
+        return PrimeFieldElement(self, self._raw(value))
 
-    def from_int(self, value):
-        return PrimeFieldElement(self, value)
+    from_int = element
 
     def elements(self):
         return [PrimeFieldElement(self, v) for v in range(self.p)]
 
     def random_element(self, rng):
-        return PrimeFieldElement(self, rng.randrange(self.p))
+        return PrimeFieldElement(self, self._random(rng))
+
+    def _raw(self, value):
+        if isinstance(value, PrimeFieldElement):
+            if value.field.p != self.p:
+                raise ValueError("elements belong to different prime fields")
+            return value.value
+        return operator.index(value) % self.p
+
+    def _wrap(self, value):
+        return PrimeFieldElement(self, value)
+
+    def _values(self):
+        return range(self.p)
+
+    def _random(self, rng):
+        return rng.randrange(self.p)
+
+    def _add(self, a, b):
+        return (a + b) % self.p
+
+    def _neg(self, a):
+        return -a % self.p
+
+    def _mul(self, a, b):
+        return a * b % self.p
+
+    def _inv(self, a):
+        if not a:
+            raise ZeroDivisionError("0 has no inverse")
+        return pow(a, -1, self.p)
+
+    def _axpy(self, c, xs, ys):
+        p = self.p
+        return [(y + c * x) % p for x, y in zip(xs, ys)]
 
     def __repr__(self):
         return f"PrimeField({self.p})"
 
 
 class ExtFieldElement(ExactElement):
-    """Element of base[y]/(modulus), stored as a coefficient tuple over the base."""
+    """Element of base[y]/(modulus): coeffs holds the base's raw values, lowest degree first."""
 
     __slots__ = ("field", "coeffs")
 
@@ -117,7 +162,7 @@ class ExtFieldElement(ExactElement):
         if len(coeffs) != field.degree:
             raise ValueError(f"expected {field.degree} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", field._raw(coeffs))
 
     def _coerce(self, other):
         if isinstance(other, ExtFieldElement) and other.field.order == self.field.order:
@@ -130,27 +175,27 @@ class ExtFieldElement(ExactElement):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExtFieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        field = self.field
+        return field._wrap(field._add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtFieldElement(self.field, tuple(-a for a in self.coeffs))
+        field = self.field
+        return field._wrap(field._neg(self.coeffs))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        raw = _poly_mul(self.coeffs, other.coeffs, self.field.base.zero)
-        return ExtFieldElement(self.field, self.field.reduce_poly(raw))
+        field = self.field
+        return field._wrap(field._mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self:
-            raise ZeroDivisionError("0 has no inverse")
-        inv = _poly_inverse(self.coeffs, self.field.modulus, self.field.base)
-        return ExtFieldElement(self.field, self.field.pad(inv))
+        field = self.field
+        return field._wrap(field._inv(self.coeffs))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -162,145 +207,201 @@ class ExtFieldElement(ExactElement):
         return hash(("GFext", self.field.order, self.coeffs))
 
     def __bool__(self):
-        return any(bool(c) for c in self.coeffs)
-
-    def sort_key(self):
-        return tuple(c.sort_key() for c in self.coeffs)
+        return self.coeffs != self.field._raw_zero
 
     def __repr__(self):
-        return f"ExtFieldElement({list(self.coeffs)})"
+        return f"ExtFieldElement({[self.field.base._wrap(c) for c in self.coeffs]})"
 
 
 def _poly_trim(coeffs, zero):
-    out = list(coeffs)
-    while out and out[-1] == zero:
-        out.pop()
-    return out
+    """Drop the zero leading coefficients of a list, in place."""
+    while coeffs and coeffs[-1] == zero:
+        coeffs.pop()
+    return coeffs
 
 
-def _poly_mul(a, b, zero):
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != zero:
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _poly_divmod(a, b, zero):
-    a = _poly_trim(a, zero)
-    b = _poly_trim(b, zero)
+def _poly_divmod(a, b, field):
+    """Quotient and remainder of raw-coefficient polynomials over the field."""
+    zero = field._raw_zero
+    rem = _poly_trim(list(a), zero)
+    b = _poly_trim(list(b), zero)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    quotient = [zero] * max(len(a) - len(b) + 1, 1)
-    rem = list(a)
-    inv_lead = b[-1].inverse()
-    while len(rem) >= len(b) and _poly_trim(rem, zero):
-        rem = _poly_trim(rem, zero)
-        if len(rem) < len(b):
-            break
+    quotient = [zero] * max(len(rem) - len(b) + 1, 1)
+    inv_lead = field._inv(b[-1])
+    while len(rem) >= len(b):
         shift = len(rem) - len(b)
-        factor = rem[-1] * inv_lead
-        quotient[shift] = quotient[shift] + factor
-        for i, c in enumerate(b):
-            rem[shift + i] = rem[shift + i] - factor * c
-    return quotient, _poly_trim(rem, zero)
+        factor = field._mul(rem[-1], inv_lead)
+        quotient[shift] = factor
+        rem[shift:] = field._axpy(field._neg(factor), b, rem[shift:])
+        _poly_trim(rem, zero)
+    return quotient, rem
 
 
-def _poly_inverse(a, modulus, base):
+def _poly_inverse(a, modulus, field):
     """Inverse of a mod the modulus polynomial, by the extended Euclid algorithm."""
-    zero, one = base.zero, base.one
-    r0, r1 = list(modulus), _poly_trim(a, zero)
-    s0, s1 = [zero], [one]
-    while _poly_trim(r1, zero):
-        q, rem = _poly_divmod(r0, r1, zero)
+    zero = field._raw_zero
+    r0, r1 = list(modulus), _poly_trim(list(a), zero)
+    s0, s1 = [zero], [field._raw_one]
+    while r1:
+        q, rem = _poly_divmod(r0, r1, field)
         r0, r1 = r1, rem
-        prod = _poly_mul(q, s1, zero)
-        length = max(len(s0), len(prod))
-        s0, s1 = s1, [
-            (s0[i] if i < len(s0) else zero) - (prod[i] if i < len(prod) else zero)
-            for i in range(length)
-        ]
+        # s0 - q * s1, one shifted copy of s1 per nonzero coefficient of q
+        s2 = s0 + [zero] * (len(q) + len(s1) - 1 - len(s0))
+        for i, c in enumerate(q):
+            if c != zero:
+                s2[i:i + len(s1)] = field._axpy(field._neg(c), s1, s2[i:i + len(s1)])
+        s0, s1 = s1, s2
     r0 = _poly_trim(r0, zero)
     if len(r0) != 1:
         raise ZeroDivisionError("element is not invertible modulo the field polynomial")
-    scale = r0[0].inverse()
-    return [c * scale for c in s0]
+    scale = field._inv(r0[0])
+    return [field._mul(c, scale) for c in _poly_trim(s0, zero)]
 
 
 class ExtField:
-    """base[y]/(modulus) for an irreducible monic modulus over the base field."""
+    """base[y]/(modulus) for a monic modulus over the base field.
+
+    The modulus must be irreducible for this to be a field; _is_irreducible
+    works in the same ring with a modulus under test. Raw values are tuples
+    of degree base raw values.
+    """
 
     def __init__(self, base, modulus):
-        modulus = tuple(modulus)
+        modulus = tuple(base._raw(c) for c in modulus)
         if len(modulus) < 3:
             raise ValueError("extension degree must be at least 2")
-        if modulus[-1] != base.one:
+        if modulus[-1] != base._raw_one:
             raise ValueError("modulus must be monic")
         self.base = base
         self.modulus = modulus
         self.degree = len(modulus) - 1
         self.order = base.order**self.degree
-        self.zero = ExtFieldElement(self, (base.zero,) * self.degree)
-        self.one = ExtFieldElement(self, (base.one,) + (base.zero,) * (self.degree - 1))
+        self._raw_zero = (base._raw_zero,) * self.degree
+        self._raw_one = (base._raw_one,) + self._raw_zero[1:]
+        # y^degree = _top[0] + _top[1] y + ... modulo the modulus
+        self._top = tuple(base._neg(c) for c in modulus[:-1])
+        self.zero = self._wrap(self._raw_zero)
+        self.one = self._wrap(self._raw_one)
 
-    def pad(self, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) > self.degree:
-            raise ValueError("too many coefficients")
-        return tuple(coeffs + [self.base.zero] * (self.degree - len(coeffs)))
+    def element(self, value):
+        """The element with the given coefficients (or int); ints are reduced into the base."""
+        return self._wrap(self._raw(value))
 
-    def element(self, coeffs):
-        return ExtFieldElement(self, self.pad(list(coeffs)))
+    from_int = element
 
     def embed(self, base_value):
-        return ExtFieldElement(self, (base_value,) + (self.base.zero,) * (self.degree - 1))
-
-    def from_int(self, value):
-        return self.embed(self.base.from_int(value))
+        return self._wrap((self.base._raw(base_value),) + self._raw_zero[1:])
 
     def generator(self):
         """The class of y."""
-        coeffs = [self.base.zero] * self.degree
-        coeffs[1] = self.base.one
-        return ExtFieldElement(self, coeffs)
-
-    def reduce_poly(self, raw):
-        _, rem = _poly_divmod(list(raw), list(self.modulus), self.base.zero)
-        return self.pad(rem)
+        base = self.base
+        return self._wrap((base._raw_zero, base._raw_one) + self._raw_zero[2:])
 
     def elements(self):
-        out = []
-        for combo in itertools.product(self.base.elements(), repeat=self.degree):
-            out.append(ExtFieldElement(self, combo))
-        return out
+        return [self._wrap(v) for v in self._values()]
 
     def random_element(self, rng):
-        return ExtFieldElement(
-            self, tuple(self.base.random_element(rng) for _ in range(self.degree))
-        )
+        return self._wrap(self._random(rng))
+
+    def _raw(self, value):
+        if isinstance(value, ExtFieldElement):
+            if value.field.order != self.order:
+                raise ValueError("elements belong to fields of different orders")
+            return value.coeffs
+        if isinstance(value, (tuple, list)):
+            if len(value) > self.degree:
+                raise ValueError("too many coefficients")
+            return tuple(self.base._raw(c) for c in value) + self._raw_zero[len(value):]
+        return (self.base._raw(value),) + self._raw_zero[1:]
+
+    def _wrap(self, coeffs):
+        element = object.__new__(ExtFieldElement)
+        object.__setattr__(element, "field", self)
+        object.__setattr__(element, "coeffs", coeffs)
+        return element
+
+    def _values(self):
+        return itertools.product(self.base._values(), repeat=self.degree)
+
+    def _random(self, rng):
+        return tuple(self.base._random(rng) for _ in range(self.degree))
+
+    def _add(self, a, b):
+        base = self.base
+        return tuple(base._axpy(base._raw_one, b, a))
+
+    def _neg(self, a):
+        return tuple(map(self.base._neg, a))
+
+    def _mul(self, a, b):
+        """Sum of a_i * (y^i * b), each y^i * b reduced by the monic modulus as it is made."""
+        base = self.base
+        axpy, zero = base._axpy, base._raw_zero
+        acc = self._raw_zero
+        shifted = b
+        last = self.degree - 1
+        for i, c in enumerate(a):
+            if c != zero:
+                acc = axpy(c, shifted, acc)
+            if i < last:
+                lead = shifted[-1]
+                shifted = [zero, *shifted[:-1]]
+                if lead != zero:
+                    shifted = axpy(lead, self._top, shifted)
+        return tuple(acc)
+
+    def _inv(self, a):
+        if a == self._raw_zero:
+            raise ZeroDivisionError("0 has no inverse")
+        inverse = _poly_inverse(a, self.modulus, self.base)
+        return tuple(inverse) + self._raw_zero[len(inverse):]
+
+    def _axpy(self, c, xs, ys):
+        add, mul = self._add, self._mul
+        return [add(y, mul(c, x)) for x, y in zip(xs, ys)]
 
     def __repr__(self):
         return f"ExtField(order={self.order})"
 
 
-def _is_irreducible(coeffs, base):
-    """Rabin's criterion: x^(q^n) = x mod f, and x^(q^(n/l)) - x is coprime to f.
+def _has_root(coeffs, base):
+    """Whether the raw-coefficient polynomial vanishes at some element of the base."""
+    zero = base._raw_zero
+    for value in base._values():
+        acc = zero
+        for c in reversed(coeffs):
+            acc = base._add(base._mul(acc, value), c)
+        if acc == zero:
+            return True
+    return False
 
-    The powers of x are taken in base[y]/(f), whose multiplication does not
-    need f to be irreducible.
+
+def _is_irreducible(coeffs, base):
+    """Whether a monic polynomial of degree >= 2, given by raw coefficients, is irreducible.
+
+    A root in the base is a linear factor, which rejects most candidates
+    cheaply. Rabin's criterion decides the rest: x^(q^n) = x mod f, and
+    x^(q^(n/l)) - x is coprime to f for each prime l dividing n. The powers
+    of x are taken in base[y]/(f), whose multiplication does not need f to
+    be irreducible, by repeated q-th powers.
     """
-    zero = base.zero
+    if _has_root(coeffs, base):
+        return False
     degree = len(coeffs) - 1
     q = base.order
     x = ExtField(base, coeffs).generator()
-    if x ** (q**degree) != x:
+    frobenius = [x]
+    for _ in range(degree):
+        frobenius.append(frobenius[-1] ** q)
+    if frobenius[degree] != x:
         return False
+    zero = base._raw_zero
     for prime in _prime_divisors(degree):
         a = list(coeffs)
-        b = _poly_trim((x ** (q ** (degree // prime)) - x).coeffs, zero)
+        b = _poly_trim(list((frobenius[degree // prime] - x).coeffs), zero)
         while b:
-            a, b = b, _poly_divmod(a, b, zero)[1]
+            a, b = b, _poly_divmod(a, b, base)[1]
         if len(a) != 1:
             return False
     return True
@@ -353,15 +454,16 @@ def _prime_divisors(n):
 
 
 def smallest_irreducible(base, degree):
-    """The lexicographically smallest monic irreducible of the given degree.
+    """The lexicographically smallest monic irreducible of the given degree, as raw values.
 
     Coefficient tuples (c_0, ..., c_{degree-1}) are compared lexicographically
-    with base elements ordered by their canonical sort key; the choice is
-    deterministic, which keeps every downstream fixture reproducible.
+    with the base's raw values in their natural order (ints, and tuples of
+    them for a nested base); the choice is deterministic, which keeps every
+    downstream fixture reproducible.
     """
-    ordered = sorted(base.elements(), key=lambda e: e.sort_key())
+    ordered = sorted(base._values())
     for combo in itertools.product(ordered, repeat=degree):
-        coeffs = tuple(combo) + (base.one,)
+        coeffs = combo + (base._raw_one,)
         if _is_irreducible(coeffs, base):
             return coeffs
     raise RuntimeError("no irreducible polynomial found")  # unreachable

@@ -55,8 +55,10 @@ class GroupRingElement(ExactElement):
         return other if isinstance(other, GroupRingElement) else NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = GroupRingElement.sigma_power(self.n, 0, other)
+        if not isinstance(other, GroupRingElement):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         self._require_same_order(other)
         return GroupRingElement(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -66,8 +68,10 @@ class GroupRingElement(ExactElement):
         return GroupRingElement(self.n, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement(self.n, tuple(other * a for a in self.coeffs))
+        if not isinstance(other, GroupRingElement):
+            if isinstance(other, int):
+                return GroupRingElement(self.n, tuple(other * a for a in self.coeffs))
+            return NotImplemented
         self._require_same_order(other)
         n = self.n
         out = [0] * n

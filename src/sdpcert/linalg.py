@@ -137,8 +137,10 @@ def nullspace_rational(rows):
 def rref(rows, zero):
     """Reduced row echelon form over any exact field.
 
-    Entries must support +, -, *, / and ==. Returns (rows, pivot_columns)
-    with zero rows dropped; the result is a canonical basis of the row space.
+    Entries must support +, -, *, == and 1 / x. Each pivot is inverted once,
+    and only the nonzero entries of the pivot row are carried into the other
+    rows. Returns (rows, pivot_columns) with zero rows dropped; the result
+    is a canonical basis of the row space.
     """
     mat = [list(row) for row in rows]
     if not mat:
@@ -151,12 +153,16 @@ def rref(rows, zero):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        head = mat[r][c]
-        mat[r] = [x / head for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != zero:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        row = mat[r]
+        inverse = 1 / row[c]
+        support = [j for j in range(c, ncols) if row[j] != zero]
+        for j in support:
+            row[j] = row[j] * inverse
+        for i, other in enumerate(mat):
+            if i != r and other[c] != zero:
+                factor = other[c]
+                for j in support:
+                    other[j] = other[j] - factor * row[j]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -168,9 +174,11 @@ def reduce_against(vector, rows, pivots, zero):
     """Reduce a vector against RREF rows; the remainder is zero iff it lies in the span."""
     vec = list(vector)
     for row, piv in zip(rows, pivots):
-        if vec[piv] != zero:
-            factor = vec[piv]
-            vec = [a - factor * b for a, b in zip(vec, row)]
+        factor = vec[piv]
+        if factor != zero:
+            for j, entry in enumerate(row):
+                if entry != zero:
+                    vec[j] = vec[j] - factor * entry
     return vec
 
 

@@ -69,8 +69,10 @@ class SElement(ExactElement):
         return other if isinstance(other, SElement) else NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = SElement.constant(self.n, other)
+        if not isinstance(other, SElement):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         self._require_same_order(other)
         return SElement(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -80,8 +82,10 @@ class SElement(ExactElement):
         return SElement(self.n, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return SElement(self.n, tuple(other * a for a in self.coeffs))
+        if not isinstance(other, SElement):
+            if isinstance(other, int):
+                return SElement(self.n, tuple(other * a for a in self.coeffs))
+            return NotImplemented
         self._require_same_order(other)
         return reduce(lift(self) * lift(other))
 
@@ -329,7 +333,3 @@ def eps_bar(s):
 def tau_apply_s(s, tau):
     """Image of s under the ring automorphism rho -> rho^r."""
     return reduce(lift(s).tau_apply(tau))
-
-
-def is_tau_fixed_s(s, tau):
-    return tau_apply_s(s, tau) == s

@@ -9,8 +9,10 @@ tau-action on norm-set points are implemented on top of that surface.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from ._element import ExactElement
@@ -19,16 +21,28 @@ from .group_ring import GroupRingElement
 
 
 class TowerElement(ExactElement):
-    """Field element as exact rational coordinates over a fixed power-product basis."""
+    """Field element as integer numerators over one common denominator, on a fixed basis.
 
-    __slots__ = ("tower", "coords")
+    The coordinate on basis element i is num[i] / den, with den > 0 and
+    gcd(num[0], ..., num[dim-1], den) == 1, so equal elements have equal
+    (num, den).
+    """
+
+    __slots__ = ("tower", "num", "den")
 
     def __init__(self, tower, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != tower.dim:
             raise ValueError(f"expected {tower.dim} coordinates, got {len(coords)}")
+        den = lcm(*(c.denominator for c in coords))
         object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator) for c in coords))
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coords(self):
+        """The coordinates as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def _coerce(self, other):
         if isinstance(other, TowerElement):
@@ -41,28 +55,34 @@ class TowerElement(ExactElement):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return TowerElement(self.tower, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        da, db = self.den, other.den
+        if da == db:
+            return _element(self.tower, [a + b for a, b in zip(self.num, other.num)], da)
+        num = [a * db + b * da for a, b in zip(self.num, other.num)]
+        return _element(self.tower, num, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElement(self.tower, tuple(-a for a in self.coords))
+        return _element(self.tower, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        table = self.tower.table
-        out = [Fraction(0)] * self.tower.dim
-        for i, a in enumerate(self.coords):
+        tower = self.tower
+        dim = tower.dim
+        cells = tower._table.sparse
+        out = [0] * dim
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coords):
+                row = i * dim
+                for j, b in enumerate(other.num):
                     if b:
                         ab = a * b
-                        for k, c in enumerate(table[i][j]):
-                            if c:
-                                out[k] += ab * c
-        return TowerElement(self.tower, out)
+                        for k, c in cells[row + j]:
+                            out[k] += ab * c
+        return _element(tower, out, self.den * other.den * tower._table.den)
 
     __rmul__ = __mul__
 
@@ -73,52 +93,94 @@ class TowerElement(ExactElement):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coords == other.coords
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("tower", id(self.tower), self.coords))
+        return hash(("tower", id(self.tower), self.num, self.den))
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def rational_part(self):
         """The coordinate on the basis element 1, when the element is rational."""
-        if any(self.coords[1:]):
+        if any(self.num[1:]):
             raise ValueError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         return f"TowerElement({[str(c) for c in self.coords]})"
 
 
-def _matrix_apply(matrix, coords):
-    return tuple(sum(row[j] * coords[j] for j in range(len(coords))) for row in matrix)
+def _element(tower, num, den):
+    """The TowerElement num / den (den > 0), brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    element = object.__new__(TowerElement)
+    object.__setattr__(element, "tower", tower)
+    object.__setattr__(element, "num", tuple(num))
+    object.__setattr__(element, "den", den)
+    return element
 
 
-def _matrix_mul(a, b):
-    size = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size))
-        for i in range(size)
-    )
+class _Matrix:
+    """A rational matrix as integer rows over one positive denominator, in lowest terms.
 
+    sparse[i] lists the (column, numerator) pairs of the nonzero entries of row i.
+    """
 
-def _identity_matrix(size):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(size)) for i in range(size))
+    __slots__ = ("rows", "den", "sparse")
+
+    def __init__(self, rows, den=1):
+        rows = [list(row) for row in rows]
+        g = gcd(den, *(c for row in rows for c in row))
+        if g != 1:
+            rows = [[c // g for c in row] for row in rows]
+            den //= g
+        self.rows = tuple(tuple(row) for row in rows)
+        self.den = den
+        self.sparse = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in self.rows)
+
+    @classmethod
+    def from_rational(cls, rows):
+        rows = [[Fraction(c) for c in row] for row in rows]
+        den = lcm(*(c.denominator for row in rows for c in row))
+        return cls([[c.numerator * (den // c.denominator) for c in row] for row in rows], den)
+
+    @classmethod
+    def identity(cls, size):
+        return cls([[int(i == j) for j in range(size)] for i in range(size)])
+
+    def fractions(self):
+        return tuple(tuple(Fraction(c, self.den) for c in row) for row in self.rows)
+
+    def __matmul__(self, other):
+        columns = list(zip(*other.rows))
+        rows = [[sum(map(operator.mul, row, column)) for column in columns] for row in self.rows]
+        return _Matrix(rows, self.den * other.den)
+
+    def __eq__(self, other):
+        return isinstance(other, _Matrix) and self.rows == other.rows and self.den == other.den
+
+    __hash__ = None
 
 
 def _matrix_powers(matrix, top):
     """[matrix^0, matrix^1, ..., matrix^top]."""
-    powers = [_identity_matrix(len(matrix))]
+    powers = [_Matrix.identity(len(matrix.rows))]
     for _ in range(top):
-        powers.append(_matrix_mul(matrix, powers[-1]))
+        powers.append(matrix @ powers[-1])
     return powers
 
 
 class NumberTower:
     """Structure-constant model of a Galois field tower over Q.
 
-    The multiplication table, the automorphism matrices and the distinguished
+    The multiplication table (one row per pair of basis elements) and the
+    automorphism matrices are kept as integer matrices over a common
+    denominator. The table, the automorphism matrices and the distinguished
     elements are all validated at construction; a failed check raises, so a
     constructed tower always satisfies its invariants.
     """
@@ -127,43 +189,62 @@ class NumberTower:
                  b_coords, lam_coords, flatten_pairs=None):
         self.dim = len(labels)
         self.labels = tuple(labels)
-        self.table = tuple(
-            tuple(tuple(Fraction(c) for c in cell) for cell in row) for row in table
-        )
-        self.sigma_matrix = tuple(tuple(Fraction(c) for c in row) for row in sigma_matrix)
-        self.tau_matrix = tuple(tuple(Fraction(c) for c in row) for row in tau_matrix)
+        self._table = _Matrix.from_rational([cell for row in table for cell in row])
+        self._sigma = _Matrix.from_rational(sigma_matrix)
+        self._tau = _Matrix.from_rational(tau_matrix)
         self.n = n
         self.m = m
         self.r = r
         self.t = t
         self.s = s
         self.one = self.basis_element(0)
-        self.zero = TowerElement(self, (0,) * self.dim)
+        self.zero = _element(self, [0] * self.dim, 1)
         self.b = TowerElement(self, b_coords)
         self.lam = TowerElement(self, lam_coords)
         self._flatten_pairs = flatten_pairs
         self._l_structure = None
-        sigma_powers = _matrix_powers(self.sigma_matrix, n)
-        tau_powers = _matrix_powers(self.tau_matrix, m)
+        sigma_powers = _matrix_powers(self._sigma, n)
+        tau_powers = _matrix_powers(self._tau, m)
         self._conjugation_matrices = tuple(
-            _matrix_mul(ps, pt) for ps in sigma_powers[:-1] for pt in tau_powers[:-1]
+            ps @ pt for ps in sigma_powers[:-1] for pt in tau_powers[:-1]
         )
         self._self_check(sigma_powers, tau_powers)
 
+    @property
+    def table(self):
+        """The structure constants as Fractions: table[i][j][k] is the e_k-coordinate of e_i e_j."""
+        cells = self._table.fractions()
+        return tuple(cells[i * self.dim:(i + 1) * self.dim] for i in range(self.dim))
+
+    @property
+    def sigma_matrix(self):
+        return self._sigma.fractions()
+
+    @property
+    def tau_matrix(self):
+        return self._tau.fractions()
+
     def basis_element(self, index):
-        return TowerElement(self, tuple(int(i == index) for i in range(self.dim)))
+        return _element(self, [int(i == index) for i in range(self.dim)], 1)
 
     def scalar(self, value):
-        return TowerElement(self, (Fraction(value),) + (Fraction(0),) * (self.dim - 1))
+        value = Fraction(value)
+        return _element(self, [value.numerator] + [0] * (self.dim - 1), value.denominator)
 
     def element(self, coords):
         return TowerElement(self, coords)
 
+    def _apply(self, matrix, x):
+        num = x.num
+        return _element(
+            self, [sum(c * num[j] for j, c in row) for row in matrix.sparse], x.den * matrix.den
+        )
+
     def sigma(self, x):
-        return TowerElement(self, _matrix_apply(self.sigma_matrix, x.coords))
+        return self._apply(self._sigma, x)
 
     def tau(self, x):
-        return TowerElement(self, _matrix_apply(self.tau_matrix, x.coords))
+        return self._apply(self._tau, x)
 
     def inverse(self, x):
         """Inverse via the product of all nontrivial conjugates.
@@ -175,7 +256,7 @@ class NumberTower:
             raise ZeroDivisionError("0 has no inverse")
         conjugate_product = self.one
         for matrix in self._conjugation_matrices[1:]:
-            conjugate_product = conjugate_product * TowerElement(self, _matrix_apply(matrix, x.coords))
+            conjugate_product = conjugate_product * self._apply(matrix, x)
         denom = (x * conjugate_product).rational_part()
         if denom == 0:
             raise ZeroDivisionError("norm to the base field vanished")
@@ -191,11 +272,8 @@ class NumberTower:
             return
         if self.dim != self.n * self.m:
             raise RuntimeError("total degree is not n*m; no E-over-L structure exists")
-        identity = _identity_matrix(self.dim)
-        delta = [
-            [self.sigma_matrix[i][j] - identity[i][j] for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
+        sigma = self.sigma_matrix
+        delta = [[sigma[i][j] - (i == j) for j in range(self.dim)] for i in range(self.dim)]
         l_elements = [TowerElement(self, v) for v in linalg.nullspace_rational(delta)]
         if len(l_elements) != self.m:
             raise RuntimeError("sigma-fixed subspace does not have dimension m")
@@ -218,10 +296,10 @@ class NumberTower:
         if self._flatten_pairs is not None:
             out = []
             for pairs in self._flatten_pairs:
-                coords = [Fraction(0)] * self.dim
+                num = [0] * self.dim
                 for src, dst in pairs:
-                    coords[dst] = x.coords[src]
-                out.append(TowerElement(self, coords))
+                    num[dst] = x.num[src]
+                out.append(_element(self, num, x.den))
             return out
         self._ensure_l_structure()
         _, l_elements, spanned = self._l_structure
@@ -243,18 +321,16 @@ class NumberTower:
         return list(self._l_structure[0])
 
     def random_element(self, rng, span=5):
-        return TowerElement(self, tuple(rng.randint(-span, span) for _ in range(self.dim)))
+        return _element(self, [rng.randint(-span, span) for _ in range(self.dim)], 1)
 
     def _is_ring_automorphism(self, matrix):
         basis = [self.basis_element(i) for i in range(self.dim)]
-        images = [TowerElement(self, _matrix_apply(matrix, e.coords)) for e in basis]
+        images = [self._apply(matrix, e) for e in basis]
         if images[0] != self.one:
             return False
         for i in range(self.dim):
             for j in range(self.dim):
-                if images[i] * images[j] != TowerElement(
-                    self, _matrix_apply(matrix, (basis[i] * basis[j]).coords)
-                ):
+                if images[i] * images[j] != self._apply(matrix, basis[i] * basis[j]):
                     return False
         return True
 
@@ -273,7 +349,7 @@ class NumberTower:
                 for k in range(self.dim):
                     if (basis[i] * basis[j]) * basis[k] != basis[i] * (basis[j] * basis[k]):
                         raise RuntimeError("multiplication table is not associative")
-        for name, matrix in (("sigma", self.sigma_matrix), ("tau", self.tau_matrix)):
+        for name, matrix in (("sigma", self._sigma), ("tau", self._tau)):
             if not self._is_ring_automorphism(matrix):
                 raise RuntimeError(f"{name} is not a ring automorphism")
         identity = sigma_powers[0]
@@ -283,8 +359,7 @@ class NumberTower:
             if powers[-1] != identity:
                 raise RuntimeError(f"{name} does not have order {order}")
         tau_inverse = tau_powers[-2]
-        conjugated = _matrix_mul(self.tau_matrix, _matrix_mul(self.sigma_matrix, tau_inverse))
-        if conjugated != sigma_powers[self.r % self.n]:
+        if self._tau @ (self._sigma @ tau_inverse) != sigma_powers[self.r % self.n]:
             raise RuntimeError("tau sigma tau^-1 != sigma^r")
         if self.sigma(self.b) != self.b or self.sigma(self.lam) != self.lam:
             raise RuntimeError("b and lambda must be sigma-fixed")
@@ -326,20 +401,20 @@ def builtin_s3():
         for e1 in range(3):
             for a2 in range(2):
                 for e2 in range(3):
-                    vec = [Fraction(0)] * dim
-                    for coeff, a, e in _reduce_s3_monomial(Fraction(1), a1 + a2, e1 + e2):
+                    vec = [0] * dim
+                    for coeff, a, e in _reduce_s3_monomial(1, a1 + a2, e1 + e2):
                         vec[_s3_index(a, e)] += coeff
                     table[_s3_index(a1, e1)][_s3_index(a2, e2)] = tuple(vec)
     sigma_cols = []
     tau_cols = []
     for a in range(2):
         for e in range(3):
-            vec = [Fraction(0)] * dim
-            for coeff, aa, ee in _reduce_s3_monomial(Fraction(1), a + e, e):
+            vec = [0] * dim
+            for coeff, aa, ee in _reduce_s3_monomial(1, a + e, e):
                 vec[_s3_index(aa, ee)] += coeff
             sigma_cols.append(vec)
-            vec = [Fraction(0)] * dim
-            for coeff, aa, ee in _reduce_s3_monomial(Fraction(1), 2 * a, e):
+            vec = [0] * dim
+            for coeff, aa, ee in _reduce_s3_monomial(1, 2 * a, e):
                 vec[_s3_index(aa, ee)] += coeff
             tau_cols.append(vec)
     sigma_matrix = [[sigma_cols[j][i] for j in range(dim)] for i in range(dim)]
@@ -375,15 +450,14 @@ class FiniteTower:
         base = gf(q)
         if isinstance(b, ExtFieldElement) and b.field.order == base.order**n:
             # an element of the extension itself; it must lie in the base field
-            if any(bool(c) for c in b.coeffs[1:]):
+            if b != b.field.embed(b.coeffs[0]):
                 raise ValueError("b must lie in the base field")
             self.field = b.field
             b = b.coeffs[0]
         else:
             self.field = ExtField(base, smallest_irreducible(base, n))
-            if isinstance(b, int):
-                b = base.from_int(b)
-        if not b:
+        self.b = self.field.embed(b)
+        if not self.b:
             raise ValueError("b must be nonzero")
         self.q = q
         self.base = base
@@ -394,7 +468,6 @@ class FiniteTower:
         self.s = 0
         self.one = self.field.one
         self.zero = self.field.zero
-        self.b = self.field.embed(b)
         self.lam = self.field.one
         gen = self.field.generator()
         power = gen
@@ -537,9 +610,10 @@ def dump_tower(tw):
     lines = [f"tower dim={tw.dim} n={tw.n} m={tw.m} r={tw.r} t={tw.t} s={tw.s}"]
     for i, label in enumerate(tw.labels):
         lines.append(f"label {i} {label}")
+    table = tw.table
     for i in range(tw.dim):
         for j in range(tw.dim):
-            for k, value in enumerate(tw.table[i][j]):
+            for k, value in enumerate(table[i][j]):
                 if value:
                     lines.append(f"mul {i} {j} {k} {value}")
     for name, matrix in (("sigma", tw.sigma_matrix), ("tau", tw.tau_matrix)):

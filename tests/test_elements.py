@@ -1,5 +1,7 @@
 """Laws the shared element base supplies to all five exact element classes."""
 
+from fractions import Fraction
+
 import pytest
 
 from sdpcert.finitefield import PrimeField, gf
@@ -77,3 +79,28 @@ def test_element_laws(name):
         x.coeffs = ()
     with pytest.raises(AttributeError):
         x.anything = 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("foreign", ["a", 0.5, None])
+def test_foreign_operands_raise_type_error(name, foreign):
+    x, _ = CASES[name]()
+    for operation in (
+        lambda: x + foreign,
+        lambda: foreign + x,
+        lambda: x * foreign,
+        lambda: foreign * x,
+        lambda: x - foreign,
+        lambda: foreign - x,
+    ):
+        with pytest.raises(TypeError):
+            operation()
+
+
+@pytest.mark.parametrize("name", ["group_ring", "quotient"])
+def test_fraction_operand_is_foreign_to_the_integral_rings(name):
+    x, _ = CASES[name]()
+    with pytest.raises(TypeError):
+        x * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        x + Fraction(1, 2)

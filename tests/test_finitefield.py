@@ -1,0 +1,166 @@
+"""Finite fields on raw int values: coercion, the irreducible search, and an independent oracle."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdpcert.finitefield import ExtField, PrimeField, _is_irreducible, gf, smallest_irreducible
+from sdpcert.tower import builtin_finite
+
+# --- element() reduces plain-int coefficients into the base ---------------------
+
+
+def test_int_coefficients_are_reduced_mod_p():
+    field = gf(9)
+    assert field.element((5, 0)) == field.element((2, 0))
+    assert field.element((5, 0)).coeffs == (2, 0)
+    assert field.element((-1, 7)) == field.element((2, 1))
+
+
+def test_a_multiple_of_p_is_zero():
+    field = gf(9)
+    assert not field.element((3, 0))
+    assert not field.element((3, -6))
+    assert field.element((3, 0)) == field.zero
+
+
+def test_equal_elements_hash_alike():
+    field = gf(9)
+    assert hash(field.element((5, 4))) == hash(field.element((2, 1)))
+    assert len({field.element((5, 4)), field.element((2, 1)), field.element((-1, 1))}) == 1
+
+
+def test_inverse_of_an_element_given_by_ints():
+    field = gf(9)
+    x = field.element((5, 0))
+    assert x.inverse() == field.element((2, 0)).inverse()
+    assert x * x.inverse() == field.one
+    y = field.element((1, 2))
+    assert (y * y).inverse() * y * y == field.one
+
+
+def test_element_accepts_base_elements_and_rejects_foreign_ones():
+    field = gf(9)
+    a, b = field.base.element(1), field.base.element(2)
+    assert field.element((a, b)) == field.element((1, 2))
+    with pytest.raises(ValueError):
+        field.element((PrimeField(5).element(1), 0))
+    with pytest.raises(ValueError):
+        field.element((1, 2, 0))
+
+
+# --- the irreducible search ---------------------------------------------------
+
+
+def test_irreducibility_matches_sympy_on_every_small_monic():
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        for degree in (2, 3, 4):
+            for low in itertools.product(range(p), repeat=degree):
+                coeffs = low + (1,)
+                expected = gf_irreducible_p(list(reversed(coeffs)), p, ZZ)
+                assert _is_irreducible(coeffs, field) == expected, (p, coeffs)
+
+
+# Pinned: a different modulus changes every downstream fixture.
+PINNED_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 0, 1, 1),
+    (2, 4): (1, 0, 0, 1, 1),
+    (2, 5): (1, 0, 0, 1, 0, 1),
+    (3, 3): (1, 0, 2, 1),
+    (3, 4): (1, 0, 1, 1, 1),
+    (5, 2): (1, 1, 1),
+    (7, 3): (1, 0, 1, 1),
+    (7, 5): (1, 0, 0, 0, 3, 1),
+    (11, 2): (1, 0, 1),
+    (4, 2): ((0, 1), (0, 1), (1, 0)),
+    (4, 3): ((0, 1), (0, 0), (0, 0), (1, 0)),
+    (8, 2): ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+    (9, 2): ((0, 1), (0, 1), (1, 0)),
+    (25, 2): ((0, 1), (0, 2), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("q, k", sorted(PINNED_MODULI))
+def test_smallest_irreducible_is_pinned(q, k):
+    assert smallest_irreducible(gf(q), k) == PINNED_MODULI[(q, k)]
+
+
+def test_nested_base_runs_the_same_arithmetic():
+    tower = builtin_finite(4, 2, 1)
+    assert tower.field.order == 16
+    assert tower.field.base.order == 4
+    assert isinstance(tower.field.base, ExtField)
+    # every nonzero element of GF(16) has multiplicative order dividing 15
+    for x in tower.field.elements():
+        if x:
+            assert x**15 == tower.one
+            assert x * x.inverse() == tower.one
+    assert repr(tower.field.generator()) == "ExtFieldElement([ExtFieldElement([0, 0]), " \
+                                            "ExtFieldElement([1, 0])])"
+
+
+# --- GF(p^n) against sympy's dense polynomial arithmetic ------------------------
+
+FIELDS = [(2, 3), (3, 2), (3, 3), (5, 3), (7, 2), (7, 3), (11, 4)]
+
+
+def _sympy_ops():
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys import galoistools as gt
+
+    def dense(coeffs):
+        out = list(reversed(coeffs))
+        while out and out[0] == 0:
+            out.pop(0)
+        return out
+
+    def raw(poly, degree):
+        out = list(reversed(poly))
+        return tuple(out + [0] * (degree - len(out)))
+
+    return ZZ, gt, dense, raw
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(FIELDS), st.data())
+def test_arithmetic_matches_sympy(shape, data):
+    ZZ, gt, dense, raw = _sympy_ops()
+    p, n = shape
+    field = gf(p**n)
+    modulus = dense(field.modulus)
+    coefficient = st.integers(min_value=0, max_value=p - 1)
+    a = data.draw(st.tuples(*[coefficient] * n))
+    b = data.draw(st.tuples(*[coefficient] * n))
+    x, y = field.element(a), field.element(b)
+    product = gt.gf_rem(gt.gf_mul(dense(a), dense(b), p, ZZ), modulus, p, ZZ)
+    assert (x * y).coeffs == raw(product, n)
+    assert (x + y).coeffs == raw(gt.gf_add(dense(a), dense(b), p, ZZ), n)
+    assert (x - y).coeffs == raw(gt.gf_sub(dense(a), dense(b), p, ZZ), n)
+    if y:
+        s, _, g = gt.gf_gcdex(dense(b), modulus, p, ZZ)
+        assert g == [1]
+        assert y.inverse().coeffs == raw(s, n)
+        assert (x / y) * y == x
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_nested_field_laws(data):
+    field = builtin_finite(4, 2, 1).field
+    value = st.sampled_from(field.elements())
+    x, y, z = data.draw(value), data.draw(value), data.draw(value)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x * y == y * x
+    assert x + (-x) == field.zero
+    if x:
+        assert x * x.inverse() == field.one

@@ -1,0 +1,108 @@
+"""Tower elements as integer numerators over one denominator: laws, invariants, fixture I/O."""
+
+from fractions import Fraction
+from math import gcd
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdpcert.tower import TowerElement, builtin_s3, dump_tower, load_tower, norm
+
+S3 = builtin_s3()
+FIXTURE = Path(__file__).parent / "fixtures" / "s3_rescaled.tower"
+# The fixture's basis is f_i = SCALE[i] * e_i over the builtin basis e_i, which
+# makes its structure constants and automorphism matrices non-integral.
+SCALE = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(2), Fraction(3, 4))
+RESCALED = load_tower(FIXTURE.read_text())
+
+coordinate = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+element = st.lists(coordinate, min_size=6, max_size=6).map(S3.element)
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def assert_lowest_terms(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    assert x.coords == tuple(Fraction(a, x.den) for a in x.num)
+
+
+@PROPERTY
+@given(element, element, element)
+def test_field_laws(x, y, z):
+    assert x + y == y + x
+    assert x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + (-x) == S3.zero
+    assert x * S3.one == x
+
+
+@PROPERTY
+@given(element)
+def test_inverse(x):
+    if x:
+        inverse = x.inverse()
+        assert x * inverse == S3.one
+        assert inverse.inverse() == x
+        assert_lowest_terms(inverse)
+
+
+@PROPERTY
+@given(element, element)
+def test_results_are_in_lowest_terms(x, y):
+    for result in (x + y, x - y, x * y, -x, S3.sigma(x), S3.tau(y), norm(S3, x), x * Fraction(2, 3)):
+        assert_lowest_terms(result)
+
+
+@PROPERTY
+@given(element, element)
+def test_hash_agrees_with_equality(x, y):
+    pairs = [(x * y, y * x), ((x + y) - y, x), (S3.element(x.coords), x),
+             (S3.element([2 * c for c in x.coords]) * Fraction(1, 2), x)]
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
+    assert len({x, S3.element(x.coords), x + S3.zero}) == 1
+
+
+def test_common_denominator_is_reduced():
+    x = S3.element((Fraction(2, 4), Fraction(3, 6), 0, 0, 0, Fraction(-4, 8)))
+    assert (x.num, x.den) == ((1, 1, 0, 0, 0, -1), 2)
+    y = S3.element((Fraction(1, 6), Fraction(1, 6), 0, 0, 0, 0)) + S3.element(
+        (Fraction(1, 6), Fraction(-1, 6), 0, 0, 0, 0))
+    assert (y.num, y.den) == ((1, 0, 0, 0, 0, 0), 3)
+    assert (S3.zero.num, S3.zero.den) == ((0,) * 6, 1)
+
+
+# --- a tower with rational structure constants ----------------------------------
+
+
+def test_fixture_has_non_integral_constants_and_round_trips():
+    text = FIXTURE.read_text()
+    assert any(c.denominator > 1 for row in RESCALED.table for cell in row for c in cell)
+    assert any(c.denominator > 1 for row in RESCALED.sigma_matrix for c in row)
+    assert dump_tower(load_tower(text)) == text
+
+
+def to_rescaled(x):
+    return RESCALED.element([c / s for c, s in zip(x.coords, SCALE)])
+
+
+@PROPERTY
+@given(element, element)
+def test_rescaled_tower_is_isomorphic_to_the_builtin(x, y):
+    assert to_rescaled(x * y) == to_rescaled(x) * to_rescaled(y)
+    assert to_rescaled(x + y) == to_rescaled(x) + to_rescaled(y)
+    assert to_rescaled(S3.sigma(x)) == RESCALED.sigma(to_rescaled(x))
+    assert to_rescaled(S3.tau(x)) == RESCALED.tau(to_rescaled(x))
+    if x:
+        assert to_rescaled(x.inverse()) == to_rescaled(x).inverse()
+    assert_lowest_terms(to_rescaled(x) * to_rescaled(y))
+
+
+def test_constructor_checks_length():
+    with pytest.raises(ValueError, match="expected 6 coordinates"):
+        TowerElement(S3, (1, 2))
