@@ -9,7 +9,7 @@ from math import gcd
 import numpy as np
 
 from .finitefield import _is_prime
-from .group_ring import TauData, partial_norm
+from .group_ring import TauData, partial_norm_product
 from .quotient import SElement, _table, eps_bar, is_unit, lift, reduce, tau_apply_s
 
 _EXHAUSTIVE_GUARD = 10**8
@@ -92,23 +92,29 @@ def tau_symmetrize(s, tau):
 
 
 def fixed_unit_generators(n, r):
-    """Deduplicated tau-fixed units built from symmetrized monomials and norms.
+    """Deduplicated tau-fixed units built from <r>-orbit products of monomials and norms.
 
-    Candidates: +-(rho^i symmetrized), symmetrized partial norms with length
-    coprime to n, and the symmetric-sum family when r = n-1; the non-units
-    among them are dropped. Products of these units add no residue: eps_bar is
-    a ring homomorphism S -> Z/n, so the residues of products lie in the
-    subgroup the units' own residues generate. Returned in canonical sorted order.
+    Candidates: +-(the orbit product of rho^i), the orbit products of the
+    partial norms 1 + rho + ... + rho^(j-1) with j coprime to n, and the
+    symmetric-sum family when r = n-1; the non-units among them are dropped.
+    Each orbit product is taken in closed form, equal to tau_symmetrize of
+    its factor: rho^i gives rho^(i(1 + r + ... + r^(m-1))), and the partial
+    norm gives the product of partial_norm(n, r^k, j) over k < m, formed in
+    the group ring by partial_norm_product and reduced to S once. Products of
+    these units add no residue: eps_bar is a ring homomorphism S -> Z/n, so
+    the residues of products lie in the subgroup the units' own residues
+    generate. Returned in canonical sorted order.
     """
-    tau = TauData(n, r)
+    steps = [pow(r, k, n) for k in range(TauData(n, r).m)]
+    shift = sum(steps) % n
     candidates = []
     for i in range(n):
-        u = tau_symmetrize(SElement.rho_power(n, i), tau)
+        u = SElement.rho_power(n, i * shift)
         candidates.append(u)
         candidates.append(-u)
     for j in range(1, n):
         if gcd(j, n) == 1:
-            candidates.append(tau_symmetrize(reduce(partial_norm(n, 1, j)), tau))
+            candidates.append(reduce(partial_norm_product(n, steps, j)))
     if n >= 3 and r % n == n - 1:
         candidates.extend(_symmetric_sums(n))
     units = [u for u in dict.fromkeys(candidates) if is_unit(u)]

@@ -148,6 +148,12 @@ class PrimeField:
         p = self.p
         return [(y + c * x) % p for x, y in zip(xs, ys)]
 
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and self.p == other.p
+
+    def __hash__(self):
+        return hash(("GFp", self.p))
+
     def __repr__(self):
         return f"PrimeField({self.p})"
 
@@ -165,7 +171,9 @@ class ExtFieldElement(ExactElement):
         object.__setattr__(self, "coeffs", field._raw(coeffs))
 
     def _coerce(self, other):
-        if isinstance(other, ExtFieldElement) and other.field.order == self.field.order:
+        if isinstance(other, ExtFieldElement):
+            if other.field is not self.field and other.field != self.field:
+                raise ValueError("elements belong to different fields")
             return other
         if isinstance(other, int):
             return self.field.from_int(other)
@@ -198,6 +206,8 @@ class ExtFieldElement(ExactElement):
         return field._wrap(field._inv(self.coeffs))
 
     def __eq__(self, other):
+        if isinstance(other, ExtFieldElement):
+            return self.coeffs == other.coeffs and self.field == other.field
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -264,7 +274,9 @@ class ExtField:
 
     The modulus must be irreducible for this to be a field; _is_irreducible
     works in the same ring with a modulus under test. Raw values are tuples
-    of degree base raw values.
+    of degree base raw values. Two extensions are one field, and their
+    elements mix, exactly when their bases are equal and their moduli are
+    the same; an equal order alone is not enough.
     """
 
     def __init__(self, base, modulus):
@@ -306,8 +318,8 @@ class ExtField:
 
     def _raw(self, value):
         if isinstance(value, ExtFieldElement):
-            if value.field.order != self.order:
-                raise ValueError("elements belong to fields of different orders")
+            if value.field != self:
+                raise ValueError("elements belong to different fields")
             return value.coeffs
         if isinstance(value, (tuple, list)):
             if len(value) > self.degree:
@@ -360,6 +372,14 @@ class ExtField:
     def _axpy(self, c, xs, ys):
         add, mul = self._add, self._mul
         return [add(y, mul(c, x)) for x, y in zip(xs, ys)]
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, ExtField) and self.modulus == other.modulus and self.base == other.base
+        )
+
+    def __hash__(self):
+        return hash(("GFext", self.base, self.modulus))
 
     def __repr__(self):
         return f"ExtField(order={self.order})"

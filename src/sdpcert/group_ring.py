@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd
+from operator import sub
 
 from ._element import ExactElement
 
@@ -147,6 +149,41 @@ def partial_norm(n, g, j):
     coeffs = [0] * n
     for a in range(j):
         coeffs[(g * a) % n] += 1
+    return GroupRingElement(n, coeffs)
+
+
+def partial_norm_product(n, steps, j):
+    """The product of partial_norm(n, s, j) over the steps s, each a unit mod n.
+
+    Multiplying by 1 + sigma^s + ... + sigma^(s(j-1)) replaces each
+    coefficient by the sum of the j coefficients up to it along the single
+    cycle 0, s, 2s, ... of Z/n: a sliding window, read off prefix sums, so
+    each factor costs O(n) integer additions and no multiplication. With
+    j = q*n + t, the window is q whole cycles plus the last t entries.
+    """
+    if j < 0:
+        raise ValueError("partial norm length must be nonnegative")
+    q, t = divmod(j, n)
+    # values[k] is the coefficient of sigma^(k * prev) in the product so far
+    values, prev = [1] + [0] * (n - 1), 1
+    reorders = {}
+    for s in steps:
+        if gcd(s, n) != 1:
+            raise ValueError(f"step {s} is not a unit mod {n}")
+        ratio = s * pow(prev, -1, n) % n
+        if ratio not in reorders:
+            reorders[ratio] = [k * ratio % n for k in range(n)]
+        values = list(map(values.__getitem__, reorders[ratio]))
+        whole = q * sum(values) if q else 0
+        # prefix[k + t] - prefix[k] = values[k - t + 1] + ... + values[k], indices mod n
+        prefix = list(accumulate(values[n - t + 1:] + values, initial=0))
+        values = list(map(sub, prefix[t:], prefix[:n]))
+        if whole:
+            values = [window + whole for window in values]
+        prev = s
+    coeffs = [0] * n
+    for k, value in enumerate(values):
+        coeffs[k * prev % n] = value
     return GroupRingElement(n, coeffs)
 
 

@@ -10,7 +10,7 @@ from . import crossed as cp
 from . import monomial as mon
 from . import tower as tow
 from .checks import CheckResult
-from .group_ring import GroupRingElement, TauData, full_norm, partial_norm
+from .group_ring import GroupRingElement, TauData, full_norm, partial_norm, partial_norm_product
 from .linalg import rank_rational, resultant
 from .quotient import (
     SElement,
@@ -191,21 +191,48 @@ def suite_coverage(seed=0):
     rng = random.Random(seed)
     checks = []
 
-    ok = True
-    for n in range(3, 16, 2):
+    odd = range(3, 16, 2)
+    failure = None
+    for n in odd:
         report = cov.coverage_subgroup(n, n - 1)
-        ok &= report.is_full
-        ok &= not cov.verify_report(report)
-    checks.append(CheckResult("dihedral coverage is the full unit group for odd n <= 15", ok))
+        if (not report.is_full or cov.verify_report(report)) and failure is None:
+            failure = {"n": n, "r": n - 1, "subgroup": report.subgroup}
+    checks.append(
+        CheckResult(
+            "dihedral coverage is the full unit group for odd n <= 15",
+            failure is None,
+            _case_detail(len(odd), failure),
+        )
+    )
 
-    ok = True
-    for _ in range(25):
+    # each case also checks the closed-form orbit products that
+    # fixed_unit_generators uses against tau_symmetrize
+    cases = 25
+    failure = None
+    for _ in range(cases):
         n = rng.randint(3, 12)
         tau = _random_tau(rng, n)
         s = SElement(n, [rng.randint(-3, 3) for _ in range(n - 1)])
         sym = cov.tau_symmetrize(s, tau)
-        ok &= tau_apply_s(sym, tau) == sym
-    checks.append(CheckResult("tau-symmetrization lands in the fixed ring", ok))
+        ok = tau_apply_s(sym, tau) == sym
+        steps = [pow(tau.r, k, n) for k in range(tau.m)]
+        shift = sum(steps)
+        for i in range(n):
+            closed = SElement.rho_power(n, i * shift)
+            ok &= closed == cov.tau_symmetrize(SElement.rho_power(n, i), tau)
+        for j in range(1, n):
+            if gcd(j, n) == 1:
+                closed = reduce(partial_norm_product(n, steps, j))
+                ok &= closed == cov.tau_symmetrize(reduce(partial_norm(n, 1, j)), tau)
+        if not ok and failure is None:
+            failure = {"n": n, "r": tau.r, "s": s}
+    checks.append(
+        CheckResult(
+            "tau-symmetrization lands in the fixed ring",
+            failure is None,
+            _case_detail(cases, failure),
+        )
+    )
 
     pairs = ((3, 1), (3, 2), (4, 3), (5, 2), (5, 4), (6, 5), (7, 3), (7, 6), (8, 7), (9, 8))
     failure = None
@@ -223,8 +250,9 @@ def suite_coverage(seed=0):
         )
     )
 
-    ok = True
-    for _ in range(20):
+    cases = 20
+    failure = None
+    for _ in range(cases):
         p = rng.choice([3, 5, 7, 11, 13])
         images = [rng.randint(1, p - 1) for _ in range(rng.randint(1, 3))]
         m, r = cov.reduce_to_cyclic(p, images)
@@ -233,10 +261,17 @@ def suite_coverage(seed=0):
         while x != 1:
             x = (x * r) % p
             order += 1
-        ok &= order == m
         subgroup = cov.subgroup_closure([r], p)
-        ok &= all(img % p in subgroup for img in images)
-    checks.append(CheckResult("prime-case reduction returns a generator of the action image", ok))
+        ok = order == m and all(img % p in subgroup for img in images)
+        if not ok and failure is None:
+            failure = {"p": p, "images": images}
+    checks.append(
+        CheckResult(
+            "prime-case reduction returns a generator of the action image",
+            failure is None,
+            _case_detail(cases, failure),
+        )
+    )
     return checks
 
 

@@ -74,6 +74,50 @@ def test_oracle_agreement_check_names_the_first_disagreement(monkeypatch):
     )
 
 
+def _coverage_check(name):
+    from sdpcert import suites
+
+    return next(c for c in suites.suite_coverage() if c.name == name)
+
+
+def test_dihedral_coverage_check_names_the_first_failure(monkeypatch):
+    from sdpcert import coverage
+
+    name = "dihedral coverage is the full unit group for odd n <= 15"
+    assert _coverage_check(name).detail == "7 cases"
+    monkeypatch.setattr(coverage, "verify_report", lambda report: ["injected"])
+    check = _coverage_check(name)
+    assert not check.passed
+    assert check.detail == "7 cases; first disagreement: {'n': 3, 'r': 2, 'subgroup': (1, 2)}"
+
+
+def test_tau_symmetrization_check_compares_the_closed_forms(monkeypatch):
+    from sdpcert import suites
+    from sdpcert.group_ring import partial_norm
+
+    name = "tau-symmetrization lands in the fixed ring"
+    check = _coverage_check(name)
+    assert check.passed and check.detail == "25 cases"
+    # a partial norm in place of its orbit product is wrong wherever m > 1
+    monkeypatch.setattr(suites, "partial_norm_product", lambda n, steps, j: partial_norm(n, 1, j))
+    check = _coverage_check(name)
+    assert not check.passed
+    assert check.detail.startswith("25 cases; first disagreement: {'n': ")
+    assert "'s': SElement(" in check.detail
+
+
+def test_prime_case_reduction_check_names_the_first_failure(monkeypatch):
+    from sdpcert import coverage
+
+    name = "prime-case reduction returns a generator of the action image"
+    assert _coverage_check(name).detail == "20 cases"
+    monkeypatch.setattr(coverage, "reduce_to_cyclic", lambda p, images: (2, 1))
+    check = _coverage_check(name)
+    assert not check.passed
+    assert check.detail.startswith("20 cases; first disagreement: {'p': ")
+    assert "'images': [" in check.detail
+
+
 def test_depth_flag_is_gone(capsys):
     for command in (["coverage", "--n", "5", "--r", "4"],
                     ["certificate", "--n", "5", "--r", "4", "--l", "2"]):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -18,9 +19,9 @@ from sdpcert.coverage import (
     unit_witnesses,
     verify_report,
 )
-from sdpcert.group_ring import TauData
+from sdpcert.group_ring import GroupRingElement, TauData, partial_norm, partial_norm_product
 from sdpcert.linalg import resultant
-from sdpcert.quotient import SElement, eps_bar, is_unit, lift, tau_apply_s
+from sdpcert.quotient import SElement, eps_bar, is_unit, lift, reduce, tau_apply_s
 
 
 def valid_r(n):
@@ -85,6 +86,90 @@ def test_tau_symmetrize_always_fixed():
         s = SElement(n, [rng.randint(-3, 3) for _ in range(n - 1)])
         sym = tau_symmetrize(s, tau)
         assert tau_apply_s(sym, tau) == sym
+
+
+def orbit_steps(n, r):
+    return [pow(r, k, n) for k in range(TauData(n, r).m)]
+
+
+@functools.lru_cache(maxsize=None)
+def symmetrized_partial_norm(n, r, j):
+    # the reference route, m - 1 products in S; cached because two tests compare against it
+    return tau_symmetrize(reduce(partial_norm(n, 1, j)), TauData(n, r))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_partial_norm_product_equals_the_product_of_partial_norms(n):
+    # exact in the group ring, for every unit step alone and for a seeded
+    # multiset of steps, at every length up to past two whole cycles
+    rng = random.Random(n)
+    units = [s for s in range(n) if gcd(s, n) == 1]
+    step_lists = [[s] for s in units] + [[rng.choice(units) for _ in range(3)]]
+    for steps in step_lists:
+        for j in range(2 * n + 2):
+            expected = GroupRingElement.one(n)
+            for s in steps:
+                expected = expected * partial_norm(n, s, j)
+            assert partial_norm_product(n, steps, j) == expected, (steps, j)
+
+
+def test_partial_norm_product_validation():
+    assert partial_norm_product(5, [], 3) == GroupRingElement.one(5)
+    with pytest.raises(ValueError):
+        partial_norm_product(6, [1, 2], 1)
+    with pytest.raises(ValueError):
+        partial_norm_product(5, [1], -1)
+
+
+@pytest.mark.parametrize("n", range(2, 26))
+def test_closed_form_orbit_products_match_tau_symmetrize(n):
+    # the two closed forms fixed_unit_generators builds its candidates from
+    for r in valid_r(n):
+        tau = TauData(n, r)
+        steps = orbit_steps(n, r)
+        for i in range(n):
+            closed = SElement.rho_power(n, i * sum(steps))
+            assert closed == tau_symmetrize(SElement.rho_power(n, i), tau), (r, i)
+        for j in valid_r(n):
+            closed = reduce(partial_norm_product(n, steps, j))
+            assert closed == symmetrized_partial_norm(n, r, j), (r, j)
+
+
+@pytest.mark.parametrize("n, r", [(61, 2), (97, 5)])
+def test_closed_form_partial_norm_orbit_product_at_large_m(n, r):
+    tau = TauData(n, r)
+    assert tau.m == n - 1
+    steps = orbit_steps(n, r)
+    for j in (2, 7, n - 1):
+        closed = reduce(partial_norm_product(n, steps, j))
+        assert closed == tau_symmetrize(reduce(partial_norm(n, 1, j)), tau), j
+
+
+def reference_fixed_unit_generators(n, r):
+    # the candidate loop with every <r>-orbit product formed by tau_symmetrize,
+    # i.e. m - 1 products in S per candidate
+    tau = TauData(n, r)
+    candidates = []
+    for i in range(n):
+        u = tau_symmetrize(SElement.rho_power(n, i), tau)
+        candidates.append(u)
+        candidates.append(-u)
+    for j in valid_r(n):
+        candidates.append(symmetrized_partial_norm(n, r, j))
+    if n >= 3 and r == n - 1:
+        candidates.append(SElement.from_exponents(n, (1, n - 1)))
+        k = 1
+        while 2 * k + 1 < n:
+            candidates.append(SElement.from_exponents(n, [e % n for e in range(-k, k + 1)]))
+            k += 1
+    units = [u for u in dict.fromkeys(candidates) if is_unit(u)]
+    return sorted(units, key=lambda s: s.coeffs)
+
+
+@pytest.mark.parametrize("n", range(2, 26))
+def test_fixed_unit_generators_match_the_tau_symmetrize_loop(n):
+    for r in valid_r(n):
+        assert fixed_unit_generators(n, r) == reference_fixed_unit_generators(n, r), r
 
 
 def test_fixed_unit_generators_contains_minus_one():

@@ -51,6 +51,53 @@ def test_element_accepts_base_elements_and_rejects_foreign_ones():
         field.element((1, 2, 0))
 
 
+# --- which fields mix: the same object, or equal bases with the same modulus ----
+
+
+def test_elements_of_one_field_built_twice_mix():
+    f, g = ExtField(PrimeField(3), (1, 0, 1)), ExtField(PrimeField(3), (1, 0, 1))
+    assert f == g and hash(f) == hash(g) and f == gf(9)
+    x, y = f.generator(), g.generator()
+    assert x == y and hash(x) == hash(y)
+    assert x * y == y * x == f.element(-1)
+    assert x + y == f.element((0, 2)) and x - y == f.zero
+    assert g.element(x) == y
+
+
+def test_same_order_with_another_modulus_does_not_mix():
+    f1, f2 = ExtField(PrimeField(3), (1, 0, 1)), ExtField(PrimeField(3), (2, 1, 1))
+    assert f1.order == f2.order and f1 != f2
+    y1, y2 = f1.generator(), f2.generator()
+    assert y1 != y2 and not y1 == y2
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a / b):
+        with pytest.raises(ValueError):
+            op(y1, y2)
+        with pytest.raises(ValueError):
+            op(y2, y1)
+    with pytest.raises(ValueError):
+        f2.element(y1)
+
+
+def test_same_order_over_another_base_does_not_mix():
+    nested = builtin_finite(4, 2, 1).field  # GF(16) over GF(4)
+    flat = gf(16)  # GF(16) over GF(2)
+    assert nested.order == flat.order == 16 and nested != flat
+    assert nested.one != flat.one
+    with pytest.raises(ValueError):
+        nested.one * flat.one
+    rebuilt = ExtField(gf(4), nested.modulus)
+    assert rebuilt == nested
+    assert rebuilt.generator() * nested.generator() == nested.generator() ** 2
+
+
+def test_prime_fields_and_ints_mix_as_before():
+    assert PrimeField(5) == PrimeField(5) and PrimeField(5) != PrimeField(7)
+    assert PrimeField(5).element(3) * PrimeField(5).element(2) == 1
+    field = gf(9)
+    assert field.generator() * 2 == 2 * field.generator() == field.element((0, 2))
+    assert field.generator() != PrimeField(3).element(0)
+
+
 # --- the irreducible search ---------------------------------------------------
 
 
