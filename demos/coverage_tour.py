@@ -1,9 +1,10 @@
 """Tour of unit coverage: which residues mod n are reached by tau-fixed units.
 
 For the quotient ring S = Z[rho]/(1 + rho + ... + rho^(n-1)) with the action
-rho -> rho^r, the library searches for tau-fixed units and reports the
-subgroup of (Z/nZ)* covered by their coefficient sums mod n. An exhaustive
-bounded enumeration serves as an independent oracle.
+rho -> rho^r, the library builds tau-fixed real cyclotomic units and reports
+the subgroup of (Z/nZ)* covered by their coefficient sums mod n, with one
+witness unit per covered residue. An exhaustive bounded enumeration serves as
+an independent oracle.
 """
 
 from sdpcert import (
@@ -13,6 +14,7 @@ from sdpcert import (
     exhaustive_fixed_units,
     is_unit,
     subgroup_closure,
+    unit_witness,
 )
 
 
@@ -32,8 +34,8 @@ def main():
     report = coverage_subgroup(7, 2)
     print(f"covered subgroup: {report.subgroup}")
     print("witnesses by residue:")
-    for unit, residue in report.generators:
-        print(f"  residue {residue}: {unit.coeffs}")
+    for residue in report.subgroup:
+        print(f"  residue {residue}: {unit_witness(7, 2, residue).coeffs}")
 
     print()
     print("== Exhaustive oracle with coefficient bound 2 ==")

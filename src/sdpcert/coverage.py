@@ -9,7 +9,7 @@ from math import gcd
 import numpy as np
 
 from .finitefield import _is_prime
-from .group_ring import TauData, partial_norm_product
+from .group_ring import GroupRingElement, TauData, partial_norm_product
 from .quotient import SElement, _table, eps_bar, is_unit, lift, reduce, tau_apply_s
 
 _EXHAUSTIVE_GUARD = 10**8
@@ -45,16 +45,12 @@ def subgroup_closure(residues, n):
         if gcd(x, n) != 1:
             raise ValueError(f"{x} is not a unit mod {n}")
     known = {1}
-    frontier = {x % n for x in residues} | {1}
+    frontier = [x % n for x in residues]
     while frontier:
-        new = set()
-        for a in frontier:
-            for b in list(known) + list(frontier):
-                c = (a * b) % n
-                if c not in known and c not in frontier and c not in new:
-                    new.add(c)
-        known |= frontier
-        frontier = new
+        x = frontier.pop()
+        if x not in known:
+            known.add(x)
+            frontier.extend(x * y % n for y in list(known))
     return tuple(sorted(known))
 
 
@@ -67,12 +63,6 @@ def dihedral_generators(n):
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"dihedral generators require odd n >= 3, got {n}")
-    return _symmetric_sums(n)
-
-
-def _symmetric_sums(n):
-    # Well-defined and tau-fixed for r = n-1 over any n >= 3; the odd-n case
-    # is the dihedral family.
     gens = [SElement.from_exponents(n, (1, n - 1))]
     k = 1
     while 2 * k + 1 < n:
@@ -91,52 +81,65 @@ def tau_symmetrize(s, tau):
     return acc
 
 
-def fixed_unit_generators(n, r):
-    """Deduplicated tau-fixed units built from <r>-orbit products of monomials and norms.
-
-    Candidates: +-(the orbit product of rho^i), the orbit products of the
-    partial norms 1 + rho + ... + rho^(j-1) with j coprime to n, and the
-    symmetric-sum family when r = n-1; the non-units among them are dropped.
-    Each orbit product is taken in closed form, equal to tau_symmetrize of
-    its factor: rho^i gives rho^(i(1 + r + ... + r^(m-1))), and the partial
-    norm gives the product of partial_norm(n, r^k, j) over k < m, formed in
-    the group ring by partial_norm_product and reduced to S once. Products of
-    these units add no residue: eps_bar is a ring homomorphism S -> Z/n, so
-    the residues of products lie in the subgroup the units' own residues
-    generate. Returned in canonical sorted order.
-    """
+def coset_steps(n, r):
+    """Coset representatives r^k of <r>/{+-1}: the first m/2 if r^(m/2) = -1, else all m."""
     steps = [pow(r, k, n) for k in range(TauData(n, r).m)]
-    shift = sum(steps) % n
-    candidates = []
-    for i in range(n):
-        u = SElement.rho_power(n, i * shift)
-        candidates.append(u)
-        candidates.append(-u)
-    for j in range(1, n):
-        if gcd(j, n) == 1:
-            candidates.append(reduce(partial_norm_product(n, steps, j)))
-    if n >= 3 and r % n == n - 1:
-        candidates.extend(_symmetric_sums(n))
-    units = [u for u in dict.fromkeys(candidates) if is_unit(u)]
-    return sorted(units, key=lambda s: s.coeffs)
+    if n > 2 and n - 1 in steps:
+        steps = steps[: len(steps) // 2]
+    return steps
+
+
+def cyclotomic_unit(n, steps, a):
+    """The norm over steps of the real cyclotomic unit xi_a = rho^((1-a)/2) (1 + ... + rho^(a-1)).
+
+    a is odd and coprime to n. xi_a is fixed by rho -> rho^(-1), so its norm
+    over coset_steps(n, r) is tau-fixed, with norm +-1 and residue a^len(steps)
+    (Washington, Introduction to Cyclotomic Fields, ch. 8). Closed form:
+    partial_norm_product rotated by rho^((1-a)/2 * sum(steps)), reduced once.
+    """
+    if a % 2 == 0:
+        raise ValueError(f"the cyclotomic unit needs an odd a, got {a}")
+    rotation = GroupRingElement.sigma_power(n, (1 - a) // 2 * sum(steps))
+    return reduce(rotation * partial_norm_product(n, steps, a))
+
+
+def _checked_unit(n, steps, a):
+    """cyclotomic_unit(n, steps, a) with its unit status and residue a^e checked exactly."""
+    unit = cyclotomic_unit(n, steps, a)
+    if not is_unit(unit) or eps_bar(unit) != pow(a, len(steps), n):
+        raise RuntimeError(f"cyclotomic unit for a = {a} failed its check at n = {n}")
+    return unit
+
+
+def fixed_unit_generators(n, r):
+    """-1, then cyclotomic_unit(n, coset_steps(n, r), a) for odd a = 3, 5, ... coprime to n.
+
+    a is kept only when its residue a^e (e = len(steps)) is not yet covered.
+    Odd a reach every unit up to sign (one of a and n - a is odd when n is,
+    and every unit is odd when n is even), so the covered subgroup is
+    {+-a^e : gcd(a, n) = 1}.
+    """
+    steps = coset_steps(n, r)
+    units = [SElement.constant(n, -1)]
+    covered = subgroup_closure([n - 1], n)
+    for a in range(3, n, 2):
+        power = pow(a, len(steps), n)
+        if gcd(a, n) == 1 and power not in covered:
+            units.append(_checked_unit(n, steps, a))
+            covered = subgroup_closure(covered + (power,), n)
+    return units
 
 
 def coverage_subgroup(n, r):
     """Subgroup of (Z/nZ)* generated by eps_bar over the fixed units."""
-    tau = TauData(n, r)
     units = fixed_unit_generators(n, r)
-    witnesses = {}
-    for u in units:
-        res = eps_bar(u)
-        if res not in witnesses:
-            witnesses[res] = u
-    subgroup = subgroup_closure(witnesses.keys(), n)
+    generators = tuple((u, eps_bar(u)) for u in units)
+    subgroup = subgroup_closure([res for _, res in generators], n)
     units_mod_n = tuple(x for x in range(1, n) if gcd(x, n) == 1) or (1,)
-    generators = tuple((witnesses[res], res) for res in sorted(witnesses))
     return CoverageReport(
         n=n,
         r=r,
-        m=tau.m,
+        m=TauData(n, r).m,
         generators=generators,
         subgroup=subgroup,
         is_full=subgroup == units_mod_n,
@@ -144,26 +147,20 @@ def coverage_subgroup(n, r):
     )
 
 
-def unit_witnesses(n, r):
-    """One tau-fixed unit per residue of the covered subgroup.
+def unit_witness(n, r, residue):
+    """+-cyclotomic_unit(n, coset_steps(n, r), a) for the first odd a with +-a^e = residue mod n.
 
-    Extends the direct witnesses of coverage_subgroup by multiplying them
-    until every residue in the closure has a concrete unit.
+    None when there is no such a: {+-a^e} is the reported subgroup, so a
+    witness exists exactly for the residues coverage_subgroup reports.
     """
-    report = coverage_subgroup(n, r)
-    witnesses = {1 % n: SElement.one(n)}
-    for unit, res in report.generators:
-        witnesses.setdefault(res, unit)
-    changed = True
-    while changed:
-        changed = False
-        for res in sorted(witnesses):
-            for gen_unit, gen_res in report.generators:
-                new_res = (res * gen_res) % n
-                if new_res not in witnesses:
-                    witnesses[new_res] = witnesses[res] * gen_unit
-                    changed = True
-    return witnesses
+    steps = coset_steps(n, r)
+    residue %= n
+    for a in range(1, n, 2):
+        power = pow(a, len(steps), n)
+        if gcd(a, n) == 1 and residue in (power, -power % n):
+            unit = _checked_unit(n, steps, a)
+            return unit if residue == power else -unit
+    return None
 
 
 def exhaustive_fixed_units(n, r, bound=2):
@@ -234,15 +231,7 @@ def reduce_to_cyclic(p, action_images):
         raise ValueError("action images must be nonzero mod p")
     subgroup = subgroup_closure(images, p)
     m = len(subgroup)
-    for candidate in subgroup:
-        order = 1
-        x = candidate
-        while x != 1:
-            x = (x * candidate) % p
-            order += 1
-        if order == m:
-            return m, candidate
-    raise RuntimeError("no generator found in a subgroup of (Z/pZ)*")  # unreachable
+    return m, next(c for c in subgroup if len(subgroup_closure([c], p)) == m)
 
 
 def verify_report(report):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .checks import CheckResult, all_passed
-from .coverage import unit_witnesses
+from .coverage import unit_witness
 from .group_ring import GroupRingElement, OrderMismatchError, TauData, full_norm
 from .quotient import SElement, invert, is_unit, lift, reduce
 
@@ -125,22 +125,20 @@ class Certificate:
 
 
 def make_certificate(n, r, l):
-    """Build a certificate for residue l by multiplying coverage witnesses.
+    """Build a certificate for residue l from a single cyclotomic-unit witness.
 
-    The unit alpha with eps_bar(alpha) = l mod n comes from the coverage
-    generators; beta is its inverse in S; both are lifted canonically (the
-    canonical lift of a tau-fixed element is tau-fixed).
+    The unit alpha with eps_bar(alpha) = l mod n comes from unit_witness,
+    which covers exactly the residues coverage_subgroup reports; beta is its
+    inverse in S; both are lifted canonically (the canonical lift of a
+    tau-fixed element is tau-fixed).
     """
     if gcd(l, n) != 1:
         raise ValueError(f"l must be coprime to n: gcd({l}, {n}) != 1")
-    TauData(n, r)  # validates (n, r)
-    witnesses = unit_witnesses(n, r)
-    residue = l % n
-    if residue not in witnesses:
+    alpha = unit_witness(n, r, l)
+    if alpha is None:
         raise NotCoveredError(
-            f"residue {residue} is not covered by the fixed-unit generators for (n={n}, r={r})"
+            f"residue {l % n} is not covered by the fixed-unit generators for (n={n}, r={r})"
         )
-    alpha = witnesses[residue]
     beta = invert(alpha)
     alpha_tilde = lift(alpha)
     beta_tilde = lift(beta)

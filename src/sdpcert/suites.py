@@ -37,50 +37,63 @@ def suite_group_ring(seed=0):
     rng = random.Random(seed)
     checks = []
 
-    ok = True
-    for _ in range(60):
+    cases, failure = 60, None
+    for _ in range(cases):
         n = rng.randint(2, 24)
         a, b, c = (_random_element(rng, n) for _ in range(3))
-        ok &= (a + b) + c == a + (b + c)
-        ok &= a * b == b * a
-        ok &= (a * b) * c == a * (b * c)
-        ok &= a * (b + c) == a * b + a * c
-        ok &= a * GroupRingElement.one(n) == a
-    checks.append(CheckResult("ring laws on random triples", ok))
+        ok = (
+            (a + b) + c == a + (b + c)
+            and a * b == b * a
+            and (a * b) * c == a * (b * c)
+            and a * (b + c) == a * b + a * c
+            and a * GroupRingElement.one(n) == a
+        )
+        if not ok and failure is None:
+            failure = {"n": n, "a": a.coeffs, "b": b.coeffs, "c": c.coeffs}
+    checks.append(_case_check("ring laws on random triples", cases, failure))
 
-    ok = True
-    for _ in range(40):
+    cases, failure = 40, None
+    for _ in range(cases):
         n = rng.randint(2, 24)
         a, b = _random_element(rng, n), _random_element(rng, n)
-        ok &= (a + b).augmentation() == a.augmentation() + b.augmentation()
-        ok &= (a * b).augmentation() == a.augmentation() * b.augmentation()
-    checks.append(CheckResult("augmentation is a ring homomorphism", ok))
+        ok = (a + b).augmentation() == a.augmentation() + b.augmentation()
+        ok = ok and (a * b).augmentation() == a.augmentation() * b.augmentation()
+        if not ok and failure is None:
+            failure = {"n": n, "a": a.coeffs, "b": b.coeffs}
+    checks.append(_case_check("augmentation is a ring homomorphism", cases, failure))
 
-    ok = True
-    for _ in range(60):
+    cases, failure = 60, None
+    for _ in range(cases):
         n = rng.randint(2, 24)
         g = rng.randrange(n)
         i = rng.randint(0, 8)
         j = rng.randint(0, 8 if i == 0 else 60 // max(i, 1))
         lhs = partial_norm(n, g, j) * partial_norm(n, (g * j) % n, i)
-        ok &= lhs == partial_norm(n, g, i * j)
-    checks.append(CheckResult("partial-norm identity", ok))
+        if lhs != partial_norm(n, g, i * j) and failure is None:
+            failure = {"n": n, "g": g, "i": i, "j": j}
+    checks.append(_case_check("partial-norm identity", cases, failure))
 
-    ok = True
-    for _ in range(40):
+    cases, failure = 40, None
+    for _ in range(cases):
         n = rng.randint(2, 24)
         tau = _random_tau(rng, n)
         a, b = _random_element(rng, n), _random_element(rng, n)
-        ok &= (a + b).tau_apply(tau) == a.tau_apply(tau) + b.tau_apply(tau)
-        ok &= (a * b).tau_apply(tau) == a.tau_apply(tau) * b.tau_apply(tau)
-        ok &= GroupRingElement.one(n).tau_apply(tau) == GroupRingElement.one(n)
-        ok &= a.tau_apply(tau).augmentation() == a.augmentation()
         image = a
         for _ in range(tau.m):
             image = image.tau_apply(tau)
-        ok &= image == a
-        ok &= full_norm(n).tau_apply(tau) == full_norm(n)
-    checks.append(CheckResult("tau acts as a ring automorphism of order dividing m", ok))
+        ok = (
+            (a + b).tau_apply(tau) == a.tau_apply(tau) + b.tau_apply(tau)
+            and (a * b).tau_apply(tau) == a.tau_apply(tau) * b.tau_apply(tau)
+            and GroupRingElement.one(n).tau_apply(tau) == GroupRingElement.one(n)
+            and a.tau_apply(tau).augmentation() == a.augmentation()
+            and image == a
+            and full_norm(n).tau_apply(tau) == full_norm(n)
+        )
+        if not ok and failure is None:
+            failure = {"n": n, "r": tau.r, "a": a.coeffs, "b": b.coeffs}
+    checks.append(
+        _case_check("tau acts as a ring automorphism of order dividing m", cases, failure)
+    )
     return checks
 
 
@@ -98,30 +111,33 @@ def random_fixed_s(rng, n, tau, span=9):
     return reduce(GroupRingElement(n, coeffs))
 
 
-def _case_detail(cases, failure):
+def _case_check(name, cases, failure):
+    """The check passes when no case failed; its detail names the first failing input."""
     detail = f"{cases} cases"
     if failure is not None:
         detail += f"; first disagreement: {failure!r}"
-    return detail
+    return CheckResult(name, failure is None, detail)
 
 
 def suite_quotient(seed=0):
     rng = random.Random(seed)
     checks = []
 
-    ok = True
-    for _ in range(40):
+    cases, failure = 40, None
+    for _ in range(cases):
         n = rng.randint(2, 20)
         c = rng.randint(-20, 20)
-        ok &= reduce(c * full_norm(n)) == SElement.zero(n)
         p = _random_element(rng, n)
-        if reduce(p) == SElement.zero(n):
-            ok &= len(set(p.coeffs)) == 1
-        ok &= reduce(lift(reduce(p))) == reduce(p)
-    checks.append(CheckResult("reduction kernel is exactly the norm line", ok))
+        ok = (
+            reduce(c * full_norm(n)) == SElement.zero(n)
+            and (reduce(p) != SElement.zero(n) or len(set(p.coeffs)) == 1)
+            and reduce(lift(reduce(p))) == reduce(p)
+        )
+        if not ok and failure is None:
+            failure = {"n": n, "c": c, "p": p.coeffs}
+    checks.append(_case_check("reduction kernel is exactly the norm line", cases, failure))
 
-    cases = 150
-    failure = None
+    cases, failure = 150, None
     for _ in range(cases):
         n = rng.randint(3, 7)
         s = SElement(n, [rng.randint(-2, 2) for _ in range(n - 1)])
@@ -132,45 +148,42 @@ def suite_quotient(seed=0):
         if not agrees and failure is None:
             failure = s
     checks.append(
-        CheckResult(
-            "unit criterion matches the linear-solve oracle",
-            failure is None,
-            _case_detail(cases, failure),
-        )
+        _case_check("unit criterion matches the linear-solve oracle", cases, failure)
     )
 
-    ok = True
-    for _ in range(60):
+    cases, failure = 60, None
+    for _ in range(cases):
         n = rng.randint(2, 20)
         p = _random_element(rng, n)
-        ok &= eps_bar(reduce(p)) == p.augmentation() % n
-    checks.append(CheckResult("eps-bar commutes with reduction mod n", ok))
+        if eps_bar(reduce(p)) != p.augmentation() % n and failure is None:
+            failure = {"n": n, "p": p.coeffs}
+    checks.append(_case_check("eps-bar commutes with reduction mod n", cases, failure))
 
-    ok = True
-    for _ in range(100):
+    cases, failure = 100, None
+    for _ in range(cases):
         n = rng.randint(2, 15)
         tau = _random_tau(rng, n)
         s = random_fixed_s(rng, n, tau)
-        ok &= tau_apply_s(s, tau) == s
-        ok &= lift(s).is_tau_fixed(tau)
-    checks.append(CheckResult("canonical lifts of fixed elements are fixed", ok))
+        ok = tau_apply_s(s, tau) == s and lift(s).is_tau_fixed(tau)
+        if not ok and failure is None:
+            failure = {"n": n, "r": tau.r, "s": s}
+    checks.append(_case_check("canonical lifts of fixed elements are fixed", cases, failure))
 
-    ok = True
-    for _ in range(40):
+    cases, failure = 40, None
+    for _ in range(cases):
         n = rng.randint(3, 12)
         tau = _random_tau(rng, n)
         s = SElement.rho_power(n, rng.randrange(n)) * rng.choice([1, -1])
         image = tau_apply_s(s, tau)
-        ok &= is_unit(image)
-        ok &= eps_bar(image) == eps_bar(s)
         iterate = s
         for _ in range(tau.m):
             iterate = tau_apply_s(iterate, tau)
-        ok &= iterate == s
-    checks.append(CheckResult("tau preserves units and eps-bar", ok))
+        ok = is_unit(image) and eps_bar(image) == eps_bar(s) and iterate == s
+        if not ok and failure is None:
+            failure = {"n": n, "r": tau.r, "s": s}
+    checks.append(_case_check("tau preserves units and eps-bar", cases, failure))
 
-    cases = 60
-    failure = None
+    cases, failure = 60, None
     for _ in range(cases):
         n = rng.randint(2, 12)
         span = rng.choice((2, 10, 10**6))
@@ -178,11 +191,7 @@ def suite_quotient(seed=0):
         if abs(norm(s)) != abs(resultant(list(s.coeffs), [1] * n)) and failure is None:
             failure = s
     checks.append(
-        CheckResult(
-            "modular norm equals the Bareiss resultant up to sign",
-            failure is None,
-            _case_detail(cases, failure),
-        )
+        _case_check("modular norm equals the Bareiss resultant up to sign", cases, failure)
     )
     return checks
 
@@ -198,17 +207,12 @@ def suite_coverage(seed=0):
         if (not report.is_full or cov.verify_report(report)) and failure is None:
             failure = {"n": n, "r": n - 1, "subgroup": report.subgroup}
     checks.append(
-        CheckResult(
-            "dihedral coverage is the full unit group for odd n <= 15",
-            failure is None,
-            _case_detail(len(odd), failure),
-        )
+        _case_check("dihedral coverage is the full unit group for odd n <= 15", len(odd), failure)
     )
 
-    # each case also checks the closed-form orbit products that
-    # fixed_unit_generators uses against tau_symmetrize
-    cases = 25
-    failure = None
+    # each case also checks the closed forms behind fixed_unit_generators against
+    # tau_symmetrize; the orbit product of xi_a is the square of its coset norm if -1 is in <r>
+    cases, failure = 25, None
     for _ in range(cases):
         n = rng.randint(3, 12)
         tau = _random_tau(rng, n)
@@ -216,23 +220,19 @@ def suite_coverage(seed=0):
         sym = cov.tau_symmetrize(s, tau)
         ok = tau_apply_s(sym, tau) == sym
         steps = [pow(tau.r, k, n) for k in range(tau.m)]
-        shift = sum(steps)
-        for i in range(n):
-            closed = SElement.rho_power(n, i * shift)
-            ok &= closed == cov.tau_symmetrize(SElement.rho_power(n, i), tau)
         for j in range(1, n):
             if gcd(j, n) == 1:
                 closed = reduce(partial_norm_product(n, steps, j))
                 ok &= closed == cov.tau_symmetrize(reduce(partial_norm(n, 1, j)), tau)
+        reps = cov.coset_steps(n, tau.r)
+        power = 2 if n - 1 in steps else 1
+        for a in range(1, n, 2):
+            if gcd(a, n) == 1:
+                orbit_product = cov.tau_symmetrize(cov.cyclotomic_unit(n, [1], a), tau)
+                ok &= orbit_product == cov.cyclotomic_unit(n, reps, a) ** power
         if not ok and failure is None:
             failure = {"n": n, "r": tau.r, "s": s}
-    checks.append(
-        CheckResult(
-            "tau-symmetrization lands in the fixed ring",
-            failure is None,
-            _case_detail(cases, failure),
-        )
-    )
+    checks.append(_case_check("tau-symmetrization lands in the fixed ring", cases, failure))
 
     pairs = ((3, 1), (3, 2), (4, 3), (5, 2), (5, 4), (6, 5), (7, 3), (7, 6), (8, 7), (9, 8))
     failure = None
@@ -243,15 +243,10 @@ def suite_coverage(seed=0):
         if oracle_subgroup != report.subgroup and failure is None:
             failure = {"n": n, "r": r, "generator": report.subgroup, "oracle": oracle_subgroup}
     checks.append(
-        CheckResult(
-            "generator coverage agrees with the bounded oracle",
-            failure is None,
-            _case_detail(len(pairs), failure),
-        )
+        _case_check("generator coverage agrees with the bounded oracle", len(pairs), failure)
     )
 
-    cases = 20
-    failure = None
+    cases, failure = 20, None
     for _ in range(cases):
         p = rng.choice([3, 5, 7, 11, 13])
         images = [rng.randint(1, p - 1) for _ in range(rng.randint(1, 3))]
@@ -266,10 +261,8 @@ def suite_coverage(seed=0):
         if not ok and failure is None:
             failure = {"p": p, "images": images}
     checks.append(
-        CheckResult(
-            "prime-case reduction returns a generator of the action image",
-            failure is None,
-            _case_detail(cases, failure),
+        _case_check(
+            "prime-case reduction returns a generator of the action image", cases, failure
         )
     )
     return checks
@@ -284,37 +277,42 @@ def suite_monomial(seed=0):
     rng = random.Random(seed)
     checks = []
 
-    ok = True
-    for _ in range(40):
+    cases, failure = 40, None
+    for _ in range(cases):
         n = rng.randint(2, 9)
         f1 = _random_norm_map(rng, n, rng.randint(-3, 3))
         f2 = _random_norm_map(rng, n, f1.target_exp)
         f3 = _random_norm_map(rng, n, f2.target_exp)
-        ok &= mon.compose(f3, mon.compose(f2, f1)) == mon.compose(mon.compose(f3, f2), f1)
-    checks.append(CheckResult("composition of norm-set maps is associative", ok))
+        ok = mon.compose(f3, mon.compose(f2, f1)) == mon.compose(mon.compose(f3, f2), f1)
+        if not ok and failure is None:
+            failure = (f1, f2, f3)
+    checks.append(_case_check("composition of norm-set maps is associative", cases, failure))
 
-    ok = True
-    for _ in range(40):
+    cases, failure = 40, None
+    for _ in range(cases):
         n = rng.randint(2, 9)
         tau = _random_tau(rng, n)
         f1 = _random_norm_map(rng, n, rng.randint(-3, 3))
         f2 = _random_norm_map(rng, n, f1.target_exp)
         lhs = mon.tau_conjugate(mon.compose(f2, f1), tau)
         rhs = mon.compose(mon.tau_conjugate(f2, tau), mon.tau_conjugate(f1, tau))
-        ok &= lhs == rhs
-    checks.append(CheckResult("tau-conjugation is multiplicative", ok))
+        if lhs != rhs and failure is None:
+            failure = {"r": tau.r, "f1": f1, "f2": f2}
+    checks.append(_case_check("tau-conjugation is multiplicative", cases, failure))
 
-    ok = True
-    for _ in range(40):
+    cases, failure = 40, None
+    for _ in range(cases):
         n = rng.randint(2, 9)
         i = rng.randint(-3, 3)
         j, k = rng.randint(-4, 4), rng.randint(-4, 4)
         inner = mon.shift_map(n, k, i)
-        ok &= mon.compose(mon.shift_map(n, j, inner.target_exp), inner) == mon.shift_map(n, j + k, i)
-    checks.append(CheckResult("shift maps compose additively", ok))
+        composite = mon.compose(mon.shift_map(n, j, inner.target_exp), inner)
+        if composite != mon.shift_map(n, j + k, i) and failure is None:
+            failure = {"n": n, "i": i, "j": j, "k": k}
+    checks.append(_case_check("shift maps compose additively", cases, failure))
 
-    ok = True
-    for _ in range(40):
+    cases, failure = 40, None
+    for _ in range(cases):
         n = rng.randint(2, 9)
         i = rng.randint(-3, 3)
         k = rng.randint(-3, 3)
@@ -324,13 +322,16 @@ def suite_monomial(seed=0):
             mon.shift_map(n, element.augmentation() * k, i * element.augmentation()),
             mon.monomial_map(element, i),
         )
-        ok &= phi_first == monomial_first
-    checks.append(CheckResult("monomials commute with shifts via the augmentation", ok))
+        if phi_first != monomial_first and failure is None:
+            failure = {"n": n, "i": i, "k": k, "element": element.coeffs}
+    checks.append(
+        _case_check("monomials commute with shifts via the augmentation", cases, failure)
+    )
 
-    ok = True
+    cases, failure = 25, None
     finite = tow.builtin_finite(5, 3, 2)
     base_points = [x for x in finite.field.elements() if tow.norm(finite, x) == finite.b]
-    for _ in range(25):
+    for _ in range(cases):
         pt = tow.NormSetPoint(rng.choice(base_points), 1)
         element = GroupRingElement(3, [rng.randint(-2, 2) for _ in range(3)])
         shift = rng.randint(-2, 2)
@@ -339,20 +340,28 @@ def suite_monomial(seed=0):
         canonical_value = (
             tow.apply_monomial(finite, canonical.monomial, pt.x) * finite.b**canonical.shift
         )
-        ok &= raw_value == canonical_value
-        ok &= tow.norm(finite, raw_value) == finite.b**canonical.target_exp
-    checks.append(CheckResult("canonical and raw forms act identically on points", ok))
+        ok = raw_value == canonical_value
+        ok = ok and tow.norm(finite, raw_value) == finite.b**canonical.target_exp
+        if not ok and failure is None:
+            failure = {"x": pt.x, "element": element.coeffs, "shift": shift}
+    checks.append(
+        _case_check("canonical and raw forms act identically on points", cases, failure)
+    )
 
-    ok = True
+    cases, failure = 0, None
     for n in (3, 5):
         for r in range(1, n):
             if gcd(r, n) != 1:
                 continue
             report = cov.coverage_subgroup(n, r)
             for l in report.subgroup:
+                cases += 1
                 record = mon.verify_certificate(mon.make_certificate(n, r, l))
-                ok &= record.passed
-    checks.append(CheckResult("certificates verify for every covered residue", ok))
+                if not record.passed and failure is None:
+                    failure = {"n": n, "r": r, "l": l}
+    checks.append(
+        _case_check("certificates verify for every covered residue", cases, failure)
+    )
     return checks
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sdpcert.cli import EXIT_NOT_COVERED, EXIT_OK, EXIT_USAGE, main
+from sdpcert.cli import EXIT_CHECK_FAILURE, EXIT_NOT_COVERED, EXIT_OK, EXIT_USAGE, main
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +33,39 @@ def test_coverage_with_exhaustive_oracle(capsys):
     assert oracle["bound"] == 2
     assert oracle["agrees"] is True
     assert oracle["subgroup"] == report["results"]["coverage"]["subgroup"]
+
+
+def test_oracle_that_finds_less_is_not_a_failure(capsys):
+    # the B = 2 oracle misses the report's residues 4 and 13 at (17, 2)
+    code, out, _ = run_cli(
+        capsys, "coverage", "--n", "17", "--r", "2", "--exhaustive", "2", "--format", "json"
+    )
+    assert code == EXIT_OK
+    report = json.loads(out)
+    oracle = report["results"]["oracle"]
+    assert report["status"] == "ok"
+    assert report["results"]["coverage"]["subgroup"] == [1, 4, 13, 16]
+    assert oracle["subgroup"] == [1, 16]
+    assert oracle["agrees"] is False
+    assert oracle["oracle_only"] == [] and oracle["report_only"] == [4, 13]
+
+
+def test_oracle_that_finds_more_is_a_failure(capsys, monkeypatch):
+    from sdpcert import coverage
+    from sdpcert.quotient import SElement
+
+    # 1 + rho has residue 2, which the report {1, 4} at (5, 2) lacks
+    one_plus_rho = SElement.from_exponents(5, (0, 1))
+    monkeypatch.setattr(coverage, "exhaustive_fixed_units", lambda n, r, bound: [one_plus_rho])
+    code, out, _ = run_cli(
+        capsys, "coverage", "--n", "5", "--r", "2", "--exhaustive", "2", "--format", "json"
+    )
+    assert code == EXIT_CHECK_FAILURE
+    report = json.loads(out)
+    oracle = report["results"]["oracle"]
+    assert report["status"] == "check-failure"
+    assert oracle["agrees"] is False
+    assert oracle["oracle_only"] == [2, 3] and oracle["report_only"] == []
 
 
 def test_coverage_usage_error(capsys):
@@ -104,6 +137,21 @@ def test_tau_symmetrization_check_compares_the_closed_forms(monkeypatch):
     assert not check.passed
     assert check.detail.startswith("25 cases; first disagreement: {'n': ")
     assert "'s': SElement(" in check.detail
+
+
+def test_tau_symmetrization_check_compares_the_cyclotomic_units(monkeypatch):
+    from sdpcert import coverage
+    from sdpcert.group_ring import TauData
+
+    name = "tau-symmetrization lands in the fixed ring"
+    def all_steps(n, r):
+        # the norm over all of <r> in place of the norm over <r>/{+-1}
+        return [pow(r, k, n) for k in range(TauData(n, r).m)]
+
+    monkeypatch.setattr(coverage, "coset_steps", all_steps)
+    check = _coverage_check(name)
+    assert not check.passed
+    assert check.detail.startswith("25 cases; first disagreement: {'n': ")
 
 
 def test_prime_case_reduction_check_names_the_first_failure(monkeypatch):
@@ -213,3 +261,69 @@ def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
     assert exc.value.code == EXIT_USAGE
+
+
+CASE_COUNTS = {
+    "group-ring": {
+        "ring laws on random triples": 60,
+        "augmentation is a ring homomorphism": 40,
+        "partial-norm identity": 60,
+        "tau acts as a ring automorphism of order dividing m": 40,
+    },
+    "quotient": {
+        "reduction kernel is exactly the norm line": 40,
+        "eps-bar commutes with reduction mod n": 60,
+        "canonical lifts of fixed elements are fixed": 100,
+        "tau preserves units and eps-bar": 40,
+    },
+    "monomial": {
+        "composition of norm-set maps is associative": 40,
+        "tau-conjugation is multiplicative": 40,
+        "shift maps compose additively": 40,
+        "monomials commute with shifts via the augmentation": 40,
+        "canonical and raw forms act identically on points": 25,
+        "certificates verify for every covered residue": 16,
+    },
+}
+
+
+@pytest.mark.parametrize("suite", sorted(CASE_COUNTS))
+def test_seeded_checks_report_their_case_counts(suite):
+    from sdpcert import suites
+
+    details = {c.name: c.detail for c in suites.SUITES[suite]() if c.name in CASE_COUNTS[suite]}
+    assert details == {name: f"{count} cases" for name, count in CASE_COUNTS[suite].items()}
+
+
+def test_group_ring_check_names_the_first_failure(monkeypatch):
+    from sdpcert import suites
+
+    # a partial norm one term short breaks the identity wherever the length is positive
+    real = suites.partial_norm
+    monkeypatch.setattr(suites, "partial_norm", lambda n, g, j: real(n, g, max(j - 1, 0)))
+    check = next(c for c in suites.suite_group_ring() if c.name == "partial-norm identity")
+    assert not check.passed
+    assert check.detail.startswith("60 cases; first disagreement: {'n': ")
+    assert "'g': " in check.detail and "'j': " in check.detail
+
+
+def test_quotient_check_names_the_first_failure(monkeypatch):
+    from sdpcert import suites
+
+    monkeypatch.setattr(suites, "eps_bar", lambda s: sum(s.coeffs) % s.n + 1)
+    name = "eps-bar commutes with reduction mod n"
+    check = next(c for c in suites.suite_quotient() if c.name == name)
+    assert not check.passed
+    assert check.detail.startswith("60 cases; first disagreement: {'n': ")
+    assert "'p': (" in check.detail
+
+
+def test_monomial_check_names_the_first_failure(monkeypatch):
+    from sdpcert import monomial, suites
+
+    failed = monomial.VerificationRecord((monomial.CheckResult("injected", False),))
+    monkeypatch.setattr(monomial, "verify_certificate", lambda cert: failed)
+    name = "certificates verify for every covered residue"
+    check = next(c for c in suites.suite_monomial() if c.name == name)
+    assert not check.passed
+    assert check.detail == "16 cases; first disagreement: {'n': 3, 'r': 1, 'l': 1}"

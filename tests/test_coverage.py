@@ -5,18 +5,23 @@ import tracemalloc
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sdpcert import coverage
 from sdpcert.coverage import (
     CoverageReport,
     SearchSpaceTooLargeError,
+    coset_steps,
     coverage_subgroup,
+    cyclotomic_unit,
     dihedral_generators,
     exhaustive_fixed_units,
     fixed_unit_generators,
     reduce_to_cyclic,
     subgroup_closure,
     tau_symmetrize,
-    unit_witnesses,
+    unit_witness,
     verify_report,
 )
 from sdpcert.group_ring import GroupRingElement, TauData, partial_norm, partial_norm_product
@@ -123,7 +128,7 @@ def test_partial_norm_product_validation():
 
 @pytest.mark.parametrize("n", range(2, 26))
 def test_closed_form_orbit_products_match_tau_symmetrize(n):
-    # the two closed forms fixed_unit_generators builds its candidates from
+    # closed-form <r>-orbit products: rho^i, and partial_norm_product behind cyclotomic_unit
     for r in valid_r(n):
         tau = TauData(n, r)
         steps = orbit_steps(n, r)
@@ -146,8 +151,8 @@ def test_closed_form_partial_norm_orbit_product_at_large_m(n, r):
 
 
 def reference_fixed_unit_generators(n, r):
-    # the candidate loop with every <r>-orbit product formed by tau_symmetrize,
-    # i.e. m - 1 products in S per candidate
+    # the former candidate family (+-rho^i, partial norms and, for r = n-1, the
+    # symmetric sums), every <r>-orbit product formed by tau_symmetrize
     tau = TauData(n, r)
     candidates = []
     for i in range(n):
@@ -168,8 +173,10 @@ def reference_fixed_unit_generators(n, r):
 
 @pytest.mark.parametrize("n", range(2, 26))
 def test_fixed_unit_generators_match_the_tau_symmetrize_loop(n):
+    # the cyclotomic units cover every residue the former candidate family covered
     for r in valid_r(n):
-        assert fixed_unit_generators(n, r) == reference_fixed_unit_generators(n, r), r
+        former = {eps_bar(u) for u in reference_fixed_unit_generators(n, r)}
+        assert set(subgroup_closure(former, n)) <= set(coverage_subgroup(n, r).subgroup), r
 
 
 def test_fixed_unit_generators_contains_minus_one():
@@ -177,9 +184,11 @@ def test_fixed_unit_generators_contains_minus_one():
 
 
 def test_fixed_unit_generators_contains_dihedral_units_n5():
+    # -1 (eps_bar 4) and xi_3 = rho^4 + 1 + rho (eps_bar 3) generate (Z/5Z)*; the
+    # dihedral unit rho + rho^4 (eps_bar 2 = 3 * 4) is not needed
     pool = fixed_unit_generators(5, 4)
-    assert SElement.from_exponents(5, (1, 4)) in pool  # eps_bar 2
-    assert SElement.from_exponents(5, (4, 0, 1)) in pool  # eps_bar 3
+    assert pool == [SElement.constant(5, -1), SElement.from_exponents(5, (4, 0, 1))]
+    assert pool[1] in dihedral_generators(5)
 
 
 def test_fixed_unit_generators_all_unit_and_fixed():
@@ -270,7 +279,7 @@ def test_exhaustive_at_large_n_within_block_memory(n, r):
 
 
 def test_exhaustive_finds_residue_five_at_13_4():
-    # a fixed unit the generator strategy does not reach: its report is a lower bound
+    # the oracle's own unit of residue 5; the report reaches its class through -1 and 5^3 = 8
     tau = TauData(13, 4)
     witnesses = [u for u in exhaustive_fixed_units(13, 4, 2) if sum(u.coeffs) % 13 == 5]
     assert SElement(13, (-2, 0, -1, 0, 0, -1, -1, -1, -1, 0, 0, -1)) in witnesses
@@ -303,13 +312,18 @@ def test_dihedral_coverage_full_up_to_fifteen():
 
 
 def test_unit_witnesses_cover_whole_subgroup():
-    for n, r in ((5, 4), (7, 6), (7, 2), (9, 8)):
-        report = coverage_subgroup(n, r)
-        witnesses = unit_witnesses(n, r)
-        assert sorted(witnesses) == list(report.subgroup)
-        for residue, unit in witnesses.items():
-            assert eps_bar(unit) == residue
+    # a witness exists exactly for the reported residues
+    for n, r in ((5, 4), (7, 6), (7, 2), (9, 8), (13, 4), (17, 2), (2, 1)):
+        tau = TauData(n, r)
+        covered = coverage_subgroup(n, r).subgroup
+        for residue in range(-n, 2 * n):
+            unit = unit_witness(n, r, residue)
+            if residue % n not in covered:
+                assert unit is None, (n, r, residue)
+                continue
+            assert eps_bar(unit) == residue % n
             assert is_unit(unit)
+            assert lift(unit).is_tau_fixed(tau)
 
 
 def test_reduce_to_cyclic_examples():
@@ -366,3 +380,128 @@ def test_base_units_cover_what_depth_three_products_cover(n):
             frontier = new
         pool_subgroup = subgroup_closure({eps_bar(u) for u in pool}, n)
         assert coverage_subgroup(n, r).subgroup == pool_subgroup, (n, r)
+
+
+def test_coset_steps():
+    # -1 = r^(m/2) when -1 is in <r>; only the first m/2 powers are kept
+    assert coset_steps(13, 4) == [1, 4, 3]  # m = 6, 4^3 = 12
+    assert coset_steps(13, 3) == [1, 3, 9]  # m = 3, -1 not in <3>
+    assert coset_steps(7, 6) == [1]
+    assert coset_steps(5, 1) == [1]
+    assert coset_steps(2, 1) == [1]
+
+
+def test_cyclotomic_unit_closed_forms():
+    # over the single step 1, xi_a is the symmetric sum rho^(-k) + ... + rho^k, a = 2k+1
+    for n in (5, 8, 13):
+        for k in range(n // 2):
+            expected = SElement.from_exponents(n, [e % n for e in range(-k, k + 1)])
+            assert cyclotomic_unit(n, [1], 2 * k + 1) == expected, (n, k)
+    # at (13, 4), e = 3 and 5^3 = 8 = -5 (mod 13): the residue class the former family missed
+    unit = cyclotomic_unit(13, coset_steps(13, 4), 5)
+    assert unit == SElement(13, (1, 0, -1, 0, 0, -1, -1, -1, -1, 0, 0, -1))
+    assert eps_bar(unit) == 8 and is_unit_by_resultant(unit)
+    assert coverage_subgroup(13, 4).subgroup == (1, 5, 8, 12)
+    with pytest.raises(ValueError):
+        cyclotomic_unit(13, [1], 4)
+
+
+@pytest.mark.parametrize("n", range(3, 26))
+def test_tau_symmetrized_cyclotomic_unit_is_the_square_of_the_coset_norm(n):
+    # xi_a is fixed by rho -> rho^(-1), so its <r>-orbit product is the square of
+    # its norm over <r>/{+-1} when -1 is in <r>, and equal to it otherwise
+    for r in valid_r(n):
+        tau = TauData(n, r)
+        reps = coset_steps(n, r)
+        power = 2 if n - 1 in orbit_steps(n, r) else 1
+        assert len(reps) * power == tau.m
+        for a in range(1, n, 2):
+            if gcd(a, n) == 1:
+                xi = cyclotomic_unit(n, [1], a)
+                assert tau_symmetrize(xi, tau) == cyclotomic_unit(n, reps, a) ** power, (r, a)
+
+
+@st.composite
+def cyclotomic_parameters(draw):
+    n = draw(st.integers(min_value=3, max_value=60))
+    r = draw(st.sampled_from(valid_r(n)))
+    a = draw(st.sampled_from([a for a in range(1, n, 2) if gcd(a, n) == 1]))
+    return n, r, a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cyclotomic_parameters())
+def test_cyclotomic_unit_is_a_fixed_unit_of_residue_a_to_the_e(params):
+    n, r, a = params
+    steps = coset_steps(n, r)
+    unit = cyclotomic_unit(n, steps, a)
+    assert eps_bar(unit) == pow(a, len(steps), n)
+    assert is_unit(unit)
+    assert tau_apply_s(unit, TauData(n, r)) == unit
+
+
+@pytest.mark.parametrize("n", range(2, 26))
+def test_each_generator_adds_a_residue(n):
+    for r in valid_r(n):
+        residues = [eps_bar(u) for u in fixed_unit_generators(n, r)]
+        assert residues[0] == n - 1
+        for k in range(1, len(residues)):
+            assert residues[k] not in subgroup_closure(residues[:k], n), (r, residues)
+
+
+def test_fixed_unit_generators_check_each_unit(monkeypatch):
+    monkeypatch.setattr(coverage, "cyclotomic_unit", lambda n, steps, a: SElement.one(n))
+    with pytest.raises(RuntimeError):
+        fixed_unit_generators(13, 4)
+    monkeypatch.setattr(coverage, "cyclotomic_unit", lambda n, steps, a: SElement.constant(n, 2))
+    with pytest.raises(RuntimeError):
+        unit_witness(13, 4, 5)
+
+
+def test_coverage_is_plus_minus_the_e_th_powers():
+    # the report is {+-a^e : gcd(a, n) = 1}, e = m/2 when -1 is in <r> and m otherwise
+    for n in range(2, 41):
+        for r in valid_r(n):
+            e = len(coset_steps(n, r))
+            powers = {pow(a, e, n) for a in valid_r(n)} | {1 % n}
+            expected = tuple(sorted(powers | {-x % n for x in powers}))
+            assert coverage_subgroup(n, r).subgroup == expected, (n, r)
+
+
+def test_coverage_at_large_n():
+    assert coverage_subgroup(211, 210).is_full
+    assert coverage_subgroup(101, 2).subgroup == (1, 100)  # e = 50: the Legendre symbol
+    report = coverage_subgroup(73, 27)
+    assert len(report.subgroup) == 36
+    assert verify_report(report) == []
+
+
+def free_orbit_count(n, r):
+    return len(TauData(n, r).orbits()) - 1
+
+
+def oracle_subgroup(n, r):
+    return subgroup_closure([eps_bar(u) for u in exhaustive_fixed_units(n, r, 2)], n)
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_oracle_finds_nothing_beyond_the_report(n):
+    # every coprime pair whose 5^d orbit weights have d <= 8
+    for r in valid_r(n):
+        if free_orbit_count(n, r) <= 8:
+            assert set(oracle_subgroup(n, r)) <= set(coverage_subgroup(n, r).subgroup), r
+
+
+# every pair where the former candidate family reported less than the B = 2 oracle
+FORMER_GAPS = (
+    (13, 4), (13, 10), (17, 4), (17, 13), (21, 5), (21, 17),
+    (25, 4), (25, 9), (25, 14), (25, 19),
+    (29, 4), (29, 5), (29, 6), (29, 9), (29, 13), (29, 22),
+    (34, 9), (34, 13), (34, 15), (34, 19), (34, 21), (34, 25),
+    (35, 19), (35, 24), (37, 11), (37, 27), (39, 17), (39, 23),
+)
+
+
+@pytest.mark.parametrize("n, r", FORMER_GAPS)
+def test_former_gaps_are_closed(n, r):
+    assert set(oracle_subgroup(n, r)) <= set(coverage_subgroup(n, r).subgroup)
