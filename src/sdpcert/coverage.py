@@ -163,6 +163,60 @@ def unit_witness(n, r, residue):
     return None
 
 
+def _reduce(values, p):
+    """values % p in place, for values >= 0: numpy floor-divides by a scalar several times faster."""
+    values -= values // p * p
+    return values
+
+
+def _pow_mod(values, exponent, p):
+    """values ** exponent mod p, elementwise by square-and-multiply in int64 (values < p < 2^26)."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = values if result is None else _reduce(result * values, p)
+        exponent >>= 1
+        if not exponent:
+            return result
+        values = _reduce(values * values, p)
+
+
+def _orbit_sums_at_roots(n, r, orbits):
+    """The kernel prime p, the root columns grouped by orbit size, and the orbit sums at the roots.
+
+    One root w^j is taken per nonzero <r>-orbit J of Z/n, one column each;
+    groups pairs each size |J| with the columns of its orbits. Entry (k, i) of
+    the array is the sum of w^(je) over e in orbits[k], mod p, at root i.
+    """
+    roots = [orbit for orbit in TauData(n, r).orbits() if orbit[0]]
+    groups = [(size, [i for i, root in enumerate(roots) if len(root) == size])
+              for size in sorted({len(root) for root in roots})]
+    p, _, rows = _table(n)[0]
+    sums = np.array(
+        [[sum(rows[root[0]][e] for e in orbit) % p for root in roots] for orbit in orbits],
+        dtype=np.int64,
+    )
+    return p, groups, sums
+
+
+def _block_norms(columns, offset, groups, p):
+    """N(s) mod p for each vector of a block, from its values at one root per orbit.
+
+    columns[i] holds the block's values at root i (below p) and offset[i] the
+    prefix's (below p). The values at the roots of one group are multiplied
+    together, and the product is raised to the group's orbit size.
+    """
+    norms = None
+    for size, group in groups:
+        product = _reduce(columns[group[0]] + offset[group[0]], p)
+        for i in group[1:]:
+            product *= columns[i] + offset[i]
+            _reduce(product, p)
+        product = _pow_mod(product, size, p)
+        norms = product if norms is None else _reduce(norms * product, p)
+    return norms
+
+
 def exhaustive_fixed_units(n, r, bound=2):
     """Every tau-fixed unit whose canonical coefficients all lie in [-bound, bound].
 
@@ -170,15 +224,29 @@ def exhaustive_fixed_units(n, r, bound=2):
     fixed element is fixed, so the fixed elements are exactly the integer
     weight vectors on the d free <r>-orbits of Z/n (all but the orbit of n - 1,
     whose weight the canonical form makes 0): the coefficient of rho^i is the
-    weight of the orbit of i. The (2*bound+1)^d weight vectors are split into
-    an inner grid, evaluated once at w^1, ..., w^(n-1) modulo the first kernel
-    prime p, and outer prefixes, each adding one constant offset. A mod-p norm
-    filter, which never discards a true unit, keeps the rows with norm +-1, and
-    each is confirmed by the exact unit test. With p < 2^26, an offset value
-    lies below 2p and every int64 product below 2^54; a sum of d products
-    below 2^52 cannot overflow while the guard holds (d <= 16 unless bound = 0).
-    The grid holds at most _BLOCK_LIMIT values, whatever n; the final order is
-    canonical.
+    weight of the orbit of i. A mod-p norm filter, p the first kernel prime,
+    which never discards a true unit, keeps the vectors with norm +-1, and each
+    is confirmed by the exact unit test. Two exact symmetries halve and shrink
+    the filter's work (Washington, Introduction to Cyclotomic Fields, ch. 8):
+
+    - Negation. s is a unit if and only if -s is, so only the vectors whose
+      first nonzero weight is positive are filtered, and each confirmed s
+      brings -s with it. The zero vector is never a unit.
+    - One root per orbit. Evaluation at w^j is a ring map S -> F_p and s is
+      tau-fixed, so s(w^(jr)) = s(w^j): the norm is the product, over the
+      nonzero <r>-orbits J of Z/n, of s(w^j) ** |J| at one j in J.
+
+    The (2*bound+1)^d vectors are split into an inner grid, evaluated once at
+    those roots, and outer prefixes, each adding one constant offset per root.
+    In lexicographic order the zero vector sits in the middle of the box, so
+    only the prefixes after the middle are visited, and only the zero prefix
+    masks the inner grid to its rows after the middle. The values at roots with
+    orbits of one size are multiplied together and raised to that size once.
+    With p < 2^26 every reduced value lies below p and a factor (a grid value
+    plus an offset) below 2p, so each int64 product stays below 2^53; a sum of
+    d products below 2^52 cannot overflow while the guard holds (d <= 16
+    unless bound = 0). The grid holds at most _BLOCK_LIMIT values, whatever n;
+    the final order is canonical.
     """
     orbits = [orbit for orbit in TauData(n, r).orbits() if n - 1 not in orbit]
     d = len(orbits)
@@ -192,29 +260,25 @@ def exhaustive_fixed_units(n, r, bound=2):
     for k, orbit in enumerate(orbits):
         for e in orbit:
             weight_index[e] = k
-    p, _, rows = _table(n)[0]
-    orbit_values = np.array(
-        [[sum(rows[j][e] for e in orbit) % p for j in range(1, n)] for orbit in orbits],
-        dtype=np.int64,
-    )
+    p, groups, orbit_values = _orbit_sums_at_roots(n, r, orbits)
     weights = range(-bound, bound + 1)
     inner = d
-    while inner and len(weights) ** inner * (n - 1) > _BLOCK_LIMIT:
+    while inner and len(weights) ** inner * orbit_values.shape[1] > _BLOCK_LIMIT:
         inner -= 1
     grid = np.indices((len(weights),) * inner, dtype=np.int64)
     grid = grid.reshape(inner, len(weights) ** inner).T - bound
     columns = np.ascontiguousarray((grid % p @ orbit_values[d - inner :] % p).T)
+    outer = itertools.product(weights, repeat=d - inner)
     units = []
-    for prefix in itertools.product(weights, repeat=d - inner):
-        offset = np.array(prefix, dtype=np.int64) % p @ orbit_values[: d - inner] % p
-        norms = (columns[0] + offset[0]) % p
-        for column, shift in zip(columns[1:], offset[1:].tolist()):
-            norms = norms * (column + shift) % p
+    for prefix in itertools.islice(outer, (len(weights) ** (d - inner) - 1) // 2, None):
+        start = 0 if any(prefix) else (len(grid) + 1) // 2
+        offset = (np.array(prefix, dtype=np.int64) % p @ orbit_values[: d - inner] % p).tolist()
+        norms = _block_norms(columns[:, start:], offset, groups, p)
         for idx in np.flatnonzero((norms == 1) | (norms == p - 1)).tolist():
-            vector = prefix + tuple(grid[idx].tolist()) + (0,)
+            vector = prefix + tuple(grid[start + idx].tolist()) + (0,)
             s = SElement(n, [vector[k] for k in weight_index])
             if is_unit(s):
-                units.append(s)
+                units.extend((s, -s))
     return sorted(units, key=lambda s: s.coeffs)
 
 

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .checks import CheckResult
+from .checks import CheckResult, case_check
 from .tower import FiniteTower, sigma_partial_product
 
 _TENSOR_GUARD_N = 3
@@ -375,7 +375,8 @@ def tau_action_check(algebra):
     iterate = algebra.u(1)
     for _ in range(tw.m):
         iterate = tau_map(iterate)
-    checks.append(CheckResult("tau^m fixes u", iterate == algebra.u(1)))
+    failure = None if iterate == algebra.u(1) else {"m": tw.m, "image": iterate}
+    checks.append(case_check("tau^m fixes u", 1, failure))
     return checks
 
 
@@ -450,12 +451,10 @@ def tensor_power_check(algebra, l):
     for _ in range(n):
         v_powers.append(tensor_mul(v_powers[-1], v))
     expected = {_tensor_key_identity(l): tw.b**l}
-    checks.append(
-        CheckResult(
-            "v^n = b^l",
-            _tensor_normalize(v_powers[n], tw.zero) == _tensor_normalize(expected, tw.zero),
-        )
-    )
+    failure = None
+    if _tensor_normalize(v_powers[n], tw.zero) != _tensor_normalize(expected, tw.zero):
+        failure = {"n": n, "l": l, "v^n": v_powers[n]}
+    checks.append(case_check("v^n = b^l", 1, failure))
 
     commutes = all(
         tensor_mul(v, tensor_from_field(x)) == tensor_mul(tensor_from_field(tw.sigma(x)), v)

@@ -9,7 +9,7 @@ from . import coverage as cov
 from . import crossed as cp
 from . import monomial as mon
 from . import tower as tow
-from .checks import CheckResult
+from .checks import CheckResult, case_check
 from .group_ring import GroupRingElement, TauData, full_norm, partial_norm, partial_norm_product
 from .linalg import rank_rational, resultant
 from .quotient import (
@@ -50,7 +50,7 @@ def suite_group_ring(seed=0):
         )
         if not ok and failure is None:
             failure = {"n": n, "a": a.coeffs, "b": b.coeffs, "c": c.coeffs}
-    checks.append(_case_check("ring laws on random triples", cases, failure))
+    checks.append(case_check("ring laws on random triples", cases, failure))
 
     cases, failure = 40, None
     for _ in range(cases):
@@ -60,7 +60,7 @@ def suite_group_ring(seed=0):
         ok = ok and (a * b).augmentation() == a.augmentation() * b.augmentation()
         if not ok and failure is None:
             failure = {"n": n, "a": a.coeffs, "b": b.coeffs}
-    checks.append(_case_check("augmentation is a ring homomorphism", cases, failure))
+    checks.append(case_check("augmentation is a ring homomorphism", cases, failure))
 
     cases, failure = 60, None
     for _ in range(cases):
@@ -71,7 +71,7 @@ def suite_group_ring(seed=0):
         lhs = partial_norm(n, g, j) * partial_norm(n, (g * j) % n, i)
         if lhs != partial_norm(n, g, i * j) and failure is None:
             failure = {"n": n, "g": g, "i": i, "j": j}
-    checks.append(_case_check("partial-norm identity", cases, failure))
+    checks.append(case_check("partial-norm identity", cases, failure))
 
     cases, failure = 40, None
     for _ in range(cases):
@@ -92,7 +92,7 @@ def suite_group_ring(seed=0):
         if not ok and failure is None:
             failure = {"n": n, "r": tau.r, "a": a.coeffs, "b": b.coeffs}
     checks.append(
-        _case_check("tau acts as a ring automorphism of order dividing m", cases, failure)
+        case_check("tau acts as a ring automorphism of order dividing m", cases, failure)
     )
     return checks
 
@@ -111,14 +111,6 @@ def random_fixed_s(rng, n, tau, span=9):
     return reduce(GroupRingElement(n, coeffs))
 
 
-def _case_check(name, cases, failure):
-    """The check passes when no case failed; its detail names the first failing input."""
-    detail = f"{cases} cases"
-    if failure is not None:
-        detail += f"; first disagreement: {failure!r}"
-    return CheckResult(name, failure is None, detail)
-
-
 def suite_quotient(seed=0):
     rng = random.Random(seed)
     checks = []
@@ -135,7 +127,7 @@ def suite_quotient(seed=0):
         )
         if not ok and failure is None:
             failure = {"n": n, "c": c, "p": p.coeffs}
-    checks.append(_case_check("reduction kernel is exactly the norm line", cases, failure))
+    checks.append(case_check("reduction kernel is exactly the norm line", cases, failure))
 
     cases, failure = 150, None
     for _ in range(cases):
@@ -148,7 +140,7 @@ def suite_quotient(seed=0):
         if not agrees and failure is None:
             failure = s
     checks.append(
-        _case_check("unit criterion matches the linear-solve oracle", cases, failure)
+        case_check("unit criterion matches the linear-solve oracle", cases, failure)
     )
 
     cases, failure = 60, None
@@ -157,7 +149,7 @@ def suite_quotient(seed=0):
         p = _random_element(rng, n)
         if eps_bar(reduce(p)) != p.augmentation() % n and failure is None:
             failure = {"n": n, "p": p.coeffs}
-    checks.append(_case_check("eps-bar commutes with reduction mod n", cases, failure))
+    checks.append(case_check("eps-bar commutes with reduction mod n", cases, failure))
 
     cases, failure = 100, None
     for _ in range(cases):
@@ -167,7 +159,7 @@ def suite_quotient(seed=0):
         ok = tau_apply_s(s, tau) == s and lift(s).is_tau_fixed(tau)
         if not ok and failure is None:
             failure = {"n": n, "r": tau.r, "s": s}
-    checks.append(_case_check("canonical lifts of fixed elements are fixed", cases, failure))
+    checks.append(case_check("canonical lifts of fixed elements are fixed", cases, failure))
 
     cases, failure = 40, None
     for _ in range(cases):
@@ -181,7 +173,7 @@ def suite_quotient(seed=0):
         ok = is_unit(image) and eps_bar(image) == eps_bar(s) and iterate == s
         if not ok and failure is None:
             failure = {"n": n, "r": tau.r, "s": s}
-    checks.append(_case_check("tau preserves units and eps-bar", cases, failure))
+    checks.append(case_check("tau preserves units and eps-bar", cases, failure))
 
     cases, failure = 60, None
     for _ in range(cases):
@@ -191,7 +183,7 @@ def suite_quotient(seed=0):
         if abs(norm(s)) != abs(resultant(list(s.coeffs), [1] * n)) and failure is None:
             failure = s
     checks.append(
-        _case_check("modular norm equals the Bareiss resultant up to sign", cases, failure)
+        case_check("modular norm equals the Bareiss resultant up to sign", cases, failure)
     )
     return checks
 
@@ -207,7 +199,7 @@ def suite_coverage(seed=0):
         if (not report.is_full or cov.verify_report(report)) and failure is None:
             failure = {"n": n, "r": n - 1, "subgroup": report.subgroup}
     checks.append(
-        _case_check("dihedral coverage is the full unit group for odd n <= 15", len(odd), failure)
+        case_check("dihedral coverage is the full unit group for odd n <= 15", len(odd), failure)
     )
 
     # each case also checks the closed forms behind fixed_unit_generators against
@@ -232,7 +224,7 @@ def suite_coverage(seed=0):
                 ok &= orbit_product == cov.cyclotomic_unit(n, reps, a) ** power
         if not ok and failure is None:
             failure = {"n": n, "r": tau.r, "s": s}
-    checks.append(_case_check("tau-symmetrization lands in the fixed ring", cases, failure))
+    checks.append(case_check("tau-symmetrization lands in the fixed ring", cases, failure))
 
     pairs = ((3, 1), (3, 2), (4, 3), (5, 2), (5, 4), (6, 5), (7, 3), (7, 6), (8, 7), (9, 8))
     failure = None
@@ -243,7 +235,7 @@ def suite_coverage(seed=0):
         if oracle_subgroup != report.subgroup and failure is None:
             failure = {"n": n, "r": r, "generator": report.subgroup, "oracle": oracle_subgroup}
     checks.append(
-        _case_check("generator coverage agrees with the bounded oracle", len(pairs), failure)
+        case_check("generator coverage agrees with the bounded oracle", len(pairs), failure)
     )
 
     cases, failure = 20, None
@@ -261,7 +253,7 @@ def suite_coverage(seed=0):
         if not ok and failure is None:
             failure = {"p": p, "images": images}
     checks.append(
-        _case_check(
+        case_check(
             "prime-case reduction returns a generator of the action image", cases, failure
         )
     )
@@ -286,7 +278,7 @@ def suite_monomial(seed=0):
         ok = mon.compose(f3, mon.compose(f2, f1)) == mon.compose(mon.compose(f3, f2), f1)
         if not ok and failure is None:
             failure = (f1, f2, f3)
-    checks.append(_case_check("composition of norm-set maps is associative", cases, failure))
+    checks.append(case_check("composition of norm-set maps is associative", cases, failure))
 
     cases, failure = 40, None
     for _ in range(cases):
@@ -298,7 +290,7 @@ def suite_monomial(seed=0):
         rhs = mon.compose(mon.tau_conjugate(f2, tau), mon.tau_conjugate(f1, tau))
         if lhs != rhs and failure is None:
             failure = {"r": tau.r, "f1": f1, "f2": f2}
-    checks.append(_case_check("tau-conjugation is multiplicative", cases, failure))
+    checks.append(case_check("tau-conjugation is multiplicative", cases, failure))
 
     cases, failure = 40, None
     for _ in range(cases):
@@ -309,7 +301,7 @@ def suite_monomial(seed=0):
         composite = mon.compose(mon.shift_map(n, j, inner.target_exp), inner)
         if composite != mon.shift_map(n, j + k, i) and failure is None:
             failure = {"n": n, "i": i, "j": j, "k": k}
-    checks.append(_case_check("shift maps compose additively", cases, failure))
+    checks.append(case_check("shift maps compose additively", cases, failure))
 
     cases, failure = 40, None
     for _ in range(cases):
@@ -325,7 +317,7 @@ def suite_monomial(seed=0):
         if phi_first != monomial_first and failure is None:
             failure = {"n": n, "i": i, "k": k, "element": element.coeffs}
     checks.append(
-        _case_check("monomials commute with shifts via the augmentation", cases, failure)
+        case_check("monomials commute with shifts via the augmentation", cases, failure)
     )
 
     cases, failure = 25, None
@@ -345,7 +337,7 @@ def suite_monomial(seed=0):
         if not ok and failure is None:
             failure = {"x": pt.x, "element": element.coeffs, "shift": shift}
     checks.append(
-        _case_check("canonical and raw forms act identically on points", cases, failure)
+        case_check("canonical and raw forms act identically on points", cases, failure)
     )
 
     cases, failure = 0, None
@@ -360,7 +352,7 @@ def suite_monomial(seed=0):
                 if not record.passed and failure is None:
                     failure = {"n": n, "r": r, "l": l}
     checks.append(
-        _case_check("certificates verify for every covered residue", cases, failure)
+        case_check("certificates verify for every covered residue", cases, failure)
     )
     return checks
 
@@ -388,15 +380,16 @@ def suite_tower(seed=0):
     s3 = tow.builtin_s3()
 
     lam, b = s3.lam, s3.b
-    construction = (
-        s3.tau(b) == lam**3 * b**2
-        and s3.r * s3.t == s3.s * s3.n + 1
-        and all(
-            s3.tau(s3.sigma(s3.tau(x))) == s3.sigma(s3.sigma(x))
-            for x in (s3.basis_element(i) for i in range(6))
-        )
-    )
-    checks.append(CheckResult("s3 construction self-checks", construction))
+    identities = [
+        ("tau(b) = lam^3 * b^2", s3.tau(b) == lam**3 * b**2),
+        ("r*t = s*n + 1", s3.r * s3.t == s3.s * s3.n + 1),
+    ]
+    for i in range(6):
+        x = s3.basis_element(i)
+        identities.append((f"tau sigma tau = sigma^2 on basis element {i}",
+                           s3.tau(s3.sigma(s3.tau(x))) == s3.sigma(s3.sigma(x))))
+    failure = next(({"identity": label} for label, ok in identities if not ok), None)
+    checks.append(case_check("s3 construction self-checks", len(identities), failure))
 
     identity = [[int(i == j) for j in range(6)] for i in range(6)]
     sigma_fixed_dim = 6 - rank_rational(
@@ -413,23 +406,31 @@ def suite_tower(seed=0):
         )
     )
 
-    ok = True
-    for _ in range(20):
+    cases, failure = 20, None
+    for _ in range(cases):
         x, y = s3.random_element(rng), s3.random_element(rng)
         nx = tow.norm(s3, x)
-        ok &= s3.sigma(nx) == nx
-        ok &= tow.norm(s3, x * y) == nx * tow.norm(s3, y)
-    checks.append(CheckResult("norm is sigma-fixed and multiplicative", ok))
+        ok = s3.sigma(nx) == nx and tow.norm(s3, x * y) == nx * tow.norm(s3, y)
+        if not ok and failure is None:
+            failure = {"x": x, "y": y}
+    checks.append(case_check("norm is sigma-fixed and multiplicative", cases, failure))
 
     points = s3_spanning_points(s3)
-    ok = all(tow.point_is_valid(s3, tow.tau_hat(s3, pt)) for pt in points)
-    checks.append(CheckResult("tau-hat preserves norm sets", ok))
+    failure = next(
+        ({"x": pt.x, "k": pt.k} for pt in points
+         if not tow.point_is_valid(s3, tow.tau_hat(s3, pt))),
+        None,
+    )
+    checks.append(case_check("tau-hat preserves norm sets", len(points), failure))
 
-    ok = all(tow.tau_hat(s3, tow.tau_hat(s3, pt)).x == pt.x for pt in points)
-    checks.append(CheckResult("tau-hat squares to the identity", ok))
+    failure = next(
+        ({"x": pt.x, "k": pt.k} for pt in points
+         if tow.tau_hat(s3, tow.tau_hat(s3, pt)).x != pt.x),
+        None,
+    )
+    checks.append(case_check("tau-hat squares to the identity", len(points), failure))
 
-    tau = TauData(3, 2)
-    ok = True
+    cases, failure = 0, None
     for a in range(-2, 3):
         for w in range(-2, 3):
             element = GroupRingElement(3, (a, w, w))
@@ -438,21 +439,25 @@ def suite_tower(seed=0):
             for pt in points:
                 if any(e < 0 for e in element.coeffs) and not pt.x:
                     continue
+                cases += 1
                 lhs = tow.tau_hat(s3, tow.apply_monomial_point(s3, element, pt))
                 rhs = tow.apply_monomial_point(s3, element, tow.tau_hat(s3, pt))
-                ok &= lhs.x == rhs.x and lhs.k == rhs.k
-    checks.append(CheckResult("tau-hat commutes with fixed monomials", ok))
+                if (lhs.x != rhs.x or lhs.k != rhs.k) and failure is None:
+                    failure = {"element": element.coeffs, "x": pt.x, "k": pt.k}
+    checks.append(case_check("tau-hat commutes with fixed monomials", cases, failure))
 
-    ok = True
+    cases, failure = 0, None
     for k in range(-3, 4):
         for pt in points:
+            cases += 1
             lhs = tow.tau_hat(s3, tow.phi_k_apply(s3, pt, k))
             rhs = tow.phi_k_apply(s3, tow.tau_hat(s3, pt), k)
-            ok &= lhs.x == rhs.x and lhs.k == rhs.k
-    checks.append(CheckResult("phi_k commutes with tau-hat", ok))
+            if (lhs.x != rhs.x or lhs.k != rhs.k) and failure is None:
+                failure = {"shift": k, "x": pt.x, "k": pt.k}
+    checks.append(case_check("phi_k commutes with tau-hat", cases, failure))
 
-    ok = True
-    for _ in range(20):
+    cases, failure = 20, None
+    for _ in range(cases):
         element = GroupRingElement(3, [rng.randint(-2, 2) for _ in range(3)])
         k = rng.randint(-2, 2)
         pt = rng.choice(points)
@@ -462,22 +467,25 @@ def suite_tower(seed=0):
         via_monomial_first = tow.phi_k_apply(
             s3, tow.apply_monomial_point(s3, element, pt), element.augmentation() * k
         )
-        ok &= via_shift_first.x == via_monomial_first.x
-        ok &= via_shift_first.k == via_monomial_first.k
-        ok &= tow.norm(s3, tow.apply_monomial(s3, element, pt.x)) == s3.b ** (
-            pt.k * element.augmentation()
+        ok = (
+            via_shift_first.x == via_monomial_first.x
+            and via_shift_first.k == via_monomial_first.k
+            and tow.norm(s3, tow.apply_monomial(s3, element, pt.x))
+            == s3.b ** (pt.k * element.augmentation())
         )
-    checks.append(CheckResult("monomial/shift commutation and norm bookkeeping on points", ok))
+        if not ok and failure is None:
+            failure = {"element": element.coeffs, "shift": k, "x": pt.x, "k": pt.k}
+    checks.append(
+        case_check("monomial/shift commutation and norm bookkeeping on points", cases, failure)
+    )
 
     round_trip = tow.load_tower(tow.dump_tower(s3))
-    checks.append(
-        CheckResult(
-            "fixture round trip reproduces the tower",
-            round_trip.table == s3.table
-            and round_trip.sigma_matrix == s3.sigma_matrix
-            and round_trip.tau_matrix == s3.tau_matrix,
-        )
-    )
+    differs = [
+        part for part in ("table", "sigma_matrix", "tau_matrix")
+        if getattr(round_trip, part) != getattr(s3, part)
+    ]
+    failure = {"tower": "builtin_s3", "differs": differs} if differs else None
+    checks.append(case_check("fixture round trip reproduces the tower", 1, failure))
     return checks
 
 
@@ -485,22 +493,27 @@ def suite_crossed(seed=0):
     rng = random.Random(seed)
     checks = []
 
-    ok = True
-    trips = True
-    dims = True
-    for _ in range(20):
+    cases = 20
+    failures = {"chain": None, "trip": None, "dimension": None}
+    for _ in range(cases):
         q = rng.choice([3, 5])
         n = rng.choice([2, 3])
         algebra, chain, _ = cp.random_cyclic_instance(q, n, rng)
-        ok &= cp.is_splitting_chain(algebra, chain)
+        inputs = {"q": q, "n": n, "chain": chain.values}
+        if not cp.is_splitting_chain(algebra, chain) and failures["chain"] is None:
+            failures["chain"] = inputs
         ideal = cp.ideal_from_chain(algebra, chain)
-        dims &= ideal.dimension == n * n - n
+        if ideal.dimension != n * n - n and failures["dimension"] is None:
+            failures["dimension"] = dict(inputs, dimension=ideal.dimension)
         recovered = cp.chain_from_ideal(algebra, ideal)
-        trips &= recovered.values == chain.values
-        trips &= cp.ideal_from_chain(algebra, recovered) == ideal
-    checks.append(CheckResult("partial-norm chains satisfy delta z = c", ok))
-    checks.append(CheckResult("chain/ideal round trips are mutually inverse", trips))
-    checks.append(CheckResult("ideals have dimension n^2 - n", dims))
+        trip = recovered.values == chain.values and cp.ideal_from_chain(algebra, recovered) == ideal
+        if not trip and failures["trip"] is None:
+            failures["trip"] = dict(inputs, recovered=recovered.values)
+    checks.append(case_check("partial-norm chains satisfy delta z = c", cases, failures["chain"]))
+    checks.append(
+        case_check("chain/ideal round trips are mutually inverse", cases, failures["trip"])
+    )
+    checks.append(case_check("ideals have dimension n^2 - n", cases, failures["dimension"]))
 
     algebra, chain, _ = cp.random_cyclic_instance(3, 3, rng)
     corrupted = dict(algebra.cocycle)
@@ -514,36 +527,37 @@ def suite_crossed(seed=0):
         if broken.multiply(broken.multiply(x, y), z) != broken.multiply(x, broken.multiply(y, z)):
             associative = False
             break
-    checks.append(
-        CheckResult(
-            "corrupted cocycle breaks associativity",
-            (not associative) and not cp.cocycle_condition_holds(algebra.tower, corrupted),
-        )
-    )
+    holds = cp.cocycle_condition_holds(algebra.tower, corrupted)
+    failure = None
+    if associative or holds:
+        failure = {"q": 3, "n": 3, "entry": (1, 1), "associative": associative,
+                   "cocycle condition holds": holds}
+    checks.append(case_check("corrupted cocycle breaks associativity", 1, failure))
 
-    ok = True
-    for _ in range(5):
+    cases, failure = 5, None
+    for _ in range(cases):
         q = rng.choice([3, 5])
         n = rng.choice([2, 3])
         algebra, chain, _ = cp.random_cyclic_instance(q, n, rng)
         bad = cp.corrupt_chain(algebra, chain)
-        ok &= not cp.is_splitting_chain(algebra, bad)
+        ok = not cp.is_splitting_chain(algebra, bad)
         try:
             cp.ideal_from_chain(algebra, bad)
             ok = False
         except ValueError:
             pass
-    checks.append(CheckResult("corrupted chains are rejected", ok))
+        if not ok and failure is None:
+            failure = {"q": q, "n": n, "chain": bad.values}
+    checks.append(case_check("corrupted chains are rejected", cases, failure))
 
     algebra, _, _ = cp.random_cyclic_instance(5, 3, rng)
     spanning = algebra.tower.l_basis() + [algebra.tower.random_unit(rng) for _ in range(2)]
-    ok = all(
-        cp.norm_element_check(algebra, x, i).passed
-        for x in spanning
-        if x
-        for i in range(1, 2 * algebra.n + 1)
+    cases = [(x, i) for x in spanning if x for i in range(1, 2 * algebra.n + 1)]
+    failure = next(
+        ({"x": x, "i": i} for x, i in cases if not cp.norm_element_check(algebra, x, i).passed),
+        None,
     )
-    checks.append(CheckResult("norm-element identity on a spanning set", ok))
+    checks.append(case_check("norm-element identity on a spanning set", len(cases), failure))
 
     s3_algebra = cp.CrossedProduct(tow.builtin_s3())
     checks.extend(cp.tau_action_check(s3_algebra))

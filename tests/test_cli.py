@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -284,6 +285,26 @@ CASE_COUNTS = {
         "canonical and raw forms act identically on points": 25,
         "certificates verify for every covered residue": 16,
     },
+    "tower": {
+        "s3 construction self-checks": 8,
+        "norm is sigma-fixed and multiplicative": 20,
+        "tau-hat preserves norm sets": 12,
+        "tau-hat squares to the identity": 12,
+        "tau-hat commutes with fixed monomials": 288,
+        "phi_k commutes with tau-hat": 84,
+        "monomial/shift commutation and norm bookkeeping on points": 20,
+        "fixture round trip reproduces the tower": 1,
+    },
+    "crossed": {
+        "partial-norm chains satisfy delta z = c": 20,
+        "chain/ideal round trips are mutually inverse": 20,
+        "ideals have dimension n^2 - n": 20,
+        "corrupted cocycle breaks associativity": 1,
+        "corrupted chains are rejected": 5,
+        "norm-element identity on a spanning set": 30,
+        "tau^m fixes u": 1,
+        "v^n = b^l": 1,
+    },
 }
 
 
@@ -292,7 +313,8 @@ def test_seeded_checks_report_their_case_counts(suite):
     from sdpcert import suites
 
     details = {c.name: c.detail for c in suites.SUITES[suite]() if c.name in CASE_COUNTS[suite]}
-    assert details == {name: f"{count} cases" for name, count in CASE_COUNTS[suite].items()}
+    expected = {name: f"{count} case" + "s" * (count != 1) for name, count in CASE_COUNTS[suite].items()}
+    assert details == expected
 
 
 def test_group_ring_check_names_the_first_failure(monkeypatch):
@@ -327,3 +349,33 @@ def test_monomial_check_names_the_first_failure(monkeypatch):
     check = next(c for c in suites.suite_monomial() if c.name == name)
     assert not check.passed
     assert check.detail == "16 cases; first disagreement: {'n': 3, 'r': 1, 'l': 1}"
+
+
+def test_tower_check_names_the_first_failure(monkeypatch):
+    from sdpcert import suites, tower
+
+    # tau-hat followed by multiplication with the norm-1 unit zeta stays in the norm
+    # set but is not an involution
+    real = tower.tau_hat
+
+    def tau_hat_times_zeta(tw, pt):
+        image = real(tw, pt)
+        return dataclasses.replace(image, x=image.x * tw.basis_element(3))
+
+    monkeypatch.setattr(tower, "tau_hat", tau_hat_times_zeta)
+    check = next(c for c in suites.suite_tower() if c.name == "tau-hat squares to the identity")
+    assert not check.passed
+    assert check.detail == (
+        "12 cases; first disagreement: "
+        "{'x': TowerElement(['1', '0', '0', '0', '0', '0']), 'k': 0}"
+    )
+
+
+def test_crossed_check_names_the_first_failure(monkeypatch):
+    from sdpcert import crossed, suites
+
+    monkeypatch.setattr(crossed, "corrupt_chain", lambda algebra, chain: chain)
+    check = next(c for c in suites.suite_crossed() if c.name == "corrupted chains are rejected")
+    assert not check.passed
+    assert check.detail.startswith("5 cases; first disagreement: {'q': ")
+    assert "'chain': (ExtFieldElement(" in check.detail

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,18 @@ from sdpcert.coverage import (
 )
 from sdpcert.group_ring import GroupRingElement, TauData, partial_norm, partial_norm_product
 from sdpcert.linalg import resultant
-from sdpcert.quotient import SElement, eps_bar, is_unit, lift, reduce, tau_apply_s
+from sdpcert.quotient import (
+    SElement,
+    _evaluations,
+    _table,
+    eps_bar,
+    is_unit,
+    lift,
+    norm,
+    reduce,
+    tau_apply_s,
+)
+from sdpcert.suites import random_fixed_s
 
 
 def valid_r(n):
@@ -292,6 +304,103 @@ def test_exhaustive_finds_residue_five_at_13_4():
 def test_exhaustive_guard():
     with pytest.raises(SearchSpaceTooLargeError):
         exhaustive_fixed_units(40, 3, 2)
+
+
+def reference_exhaustive_fixed_units(n, r, bound=2):
+    """The whole box of orbit weights, filtered by the norm at every root w^1, ..., w^(n-1)."""
+    orbits = [orbit for orbit in TauData(n, r).orbits() if n - 1 not in orbit]
+    d = len(orbits)
+    weight_index = [d] * (n - 1)
+    for k, orbit in enumerate(orbits):
+        for e in orbit:
+            weight_index[e] = k
+    p, _, rows = _table(n)[0]
+    orbit_values = np.array(
+        [[sum(rows[j][e] for e in orbit) % p for j in range(1, n)] for orbit in orbits],
+        dtype=np.int64,
+    )
+    weights = range(-bound, bound + 1)
+    inner = d
+    while inner and len(weights) ** inner * (n - 1) > coverage._BLOCK_LIMIT:
+        inner -= 1
+    grid = np.indices((len(weights),) * inner, dtype=np.int64)
+    grid = grid.reshape(inner, len(weights) ** inner).T - bound
+    columns = np.ascontiguousarray((grid % p @ orbit_values[d - inner :] % p).T)
+    units = []
+    for prefix in itertools.product(weights, repeat=d - inner):
+        offset = np.array(prefix, dtype=np.int64) % p @ orbit_values[: d - inner] % p
+        norms = (columns[0] + offset[0]) % p
+        for column, shift in zip(columns[1:], offset[1:].tolist()):
+            norms = norms * (column + shift) % p
+        for idx in np.flatnonzero((norms == 1) | (norms == p - 1)).tolist():
+            vector = prefix + tuple(grid[idx].tolist()) + (0,)
+            s = SElement(n, [vector[k] for k in weight_index])
+            if is_unit(s):
+                units.append(s)
+    return sorted(units, key=lambda s: s.coeffs)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_exhaustive_matches_the_whole_box_enumeration(n):
+    for r in valid_r(n):
+        for bound in (0, 1, 2):
+            expected = reference_exhaustive_fixed_units(n, r, bound)
+            assert exhaustive_fixed_units(n, r, bound) == expected, (n, r, bound)
+
+
+@pytest.mark.parametrize("n, r", [(26, 3), (61, 3)])
+def test_exhaustive_matches_the_whole_box_enumeration_beyond_eleven(n, r):
+    # (26, 3): d = 9, so the box is split into an inner grid and outer prefixes
+    assert exhaustive_fixed_units(n, r, 2) == reference_exhaustive_fixed_units(n, r, 2)
+
+
+@pytest.mark.parametrize("n, r", [(3, 2), (7, 1), (10, 1), (13, 4), (26, 3), (61, 3)])
+def test_exhaustive_is_closed_under_negation(n, r):
+    units = exhaustive_fixed_units(n, r, 2)
+    assert units
+    assert sorted((-u for u in units), key=lambda s: s.coeffs) == units
+
+
+def test_orbit_sums_are_constant_on_the_orbits_of_j():
+    # modulo the kernel prime, sum over e in O of w^(je) takes one value on each <r>-orbit of j
+    for n in range(2, 27):
+        p, _, rows = _table(n)[0]
+        for r in valid_r(n):
+            orbits = TauData(n, r).orbits()
+            for orbit in orbits:
+                for roots in orbits:
+                    values = {sum(rows[j][e] for e in orbit) % p for j in roots}
+                    assert len(values) == 1, (n, r, orbit, roots)
+
+
+def test_block_norms_are_the_norm_mod_p():
+    # the filter's value is N(s) mod p itself, not only +-1 on the units: a wrong
+    # exponent still passes every unit, since each level's product is a unit norm
+    rng = random.Random(11)
+    for n in range(2, 27):
+        for r in valid_r(n):
+            orbits = [orbit for orbit in TauData(n, r).orbits() if n - 1 not in orbit]
+            p, groups, sums = coverage._orbit_sums_at_roots(n, r, orbits)
+            weights = np.array([[rng.randint(-3, 3) for _ in orbits] for _ in range(4)])
+            columns = np.ascontiguousarray((weights % p @ sums % p).T)
+            norms = coverage._block_norms(columns, [0] * len(columns), groups, p).tolist()
+            for row, value in zip(weights.tolist(), norms):
+                coeffs = [0] * (n - 1)
+                for weight, orbit in zip(row, orbits):
+                    for e in orbit:
+                        coeffs[e] = weight
+                assert value == norm(SElement(n, coeffs)) % p, (n, r, row)
+
+
+def test_fixed_elements_take_one_value_at_w_j_and_w_jr():
+    rng = random.Random(9)
+    for n in range(2, 27):
+        p, _, rows = _table(n)[0]
+        for r in valid_r(n):
+            s = random_fixed_s(rng, n, TauData(n, r))
+            values = _evaluations(s.coeffs, p, rows)  # at w^1, ..., w^(n-1)
+            for j in range(1, n):
+                assert values[j - 1] == values[j * r % n - 1], (n, r, s, j)
 
 
 @pytest.mark.parametrize("n", range(2, 10))

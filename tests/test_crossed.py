@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdpcert.crossed import (
     CrossedProduct,
@@ -121,6 +123,17 @@ def test_round_trips_are_mutually_inverse():
         recovered = chain_from_ideal(algebra, ideal)
         assert recovered.values == chain.values
         assert ideal_from_chain(algebra, recovered) == ideal
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from((3, 4, 5, 7)), st.sampled_from((2, 3)), st.integers(0, 2**32))
+def test_chain_ideal_chain_round_trip(q, n, seed):
+    algebra, chain, _ = random_cyclic_instance(q, n, random.Random(seed))
+    ideal = ideal_from_chain(algebra, chain)
+    assert ideal.dimension == n * n - n
+    recovered = chain_from_ideal(algebra, ideal)
+    assert recovered.values == chain.values
+    assert ideal_from_chain(algebra, recovered) == ideal
 
 
 def test_corrupted_chain_is_rejected():

@@ -3,6 +3,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdpcert.coverage import fixed_unit_generators
 from sdpcert.finitefield import PrimeField, _is_prime
@@ -328,3 +330,17 @@ def test_invert_matches_linear_solve_on_unit_products():
             inverse = invert(u)
             assert u * inverse == SElement.one(n)
             assert inverse == solve_inverse(u), (n, u)
+
+
+@st.composite
+def element_pairs(draw):
+    n = draw(st.integers(2, 15))
+    coeffs = st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1)
+    return SElement(n, draw(coeffs)), SElement(n, draw(coeffs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(element_pairs())
+def test_norm_is_multiplicative(pair):
+    a, b = pair
+    assert norm(a * b) == norm(a) * norm(b)
