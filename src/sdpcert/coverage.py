@@ -10,7 +10,16 @@ import numpy as np
 
 from .finitefield import _is_prime
 from .group_ring import GroupRingElement, TauData, partial_norm_product
-from .quotient import SElement, _table, eps_bar, is_unit, lift, reduce, tau_apply_s
+from .quotient import (
+    SElement,
+    _norm_threshold,
+    _table,
+    eps_bar,
+    is_unit,
+    lift,
+    reduce,
+    tau_apply_s,
+)
 
 _EXHAUSTIVE_GUARD = 10**8
 _BLOCK_LIMIT = 1 << 18
@@ -181,40 +190,93 @@ def _pow_mod(values, exponent, p):
         values = _reduce(values * values, p)
 
 
-def _orbit_sums_at_roots(n, r, orbits):
-    """The kernel prime p, the root columns grouped by orbit size, and the orbit sums at the roots.
+def _orbit_sums_at_roots(n, r, orbits, k=0):
+    """The k-th table prime q, the levels of the roots, and the orbit sums at the roots mod q.
 
-    One root w^j is taken per nonzero <r>-orbit J of Z/n, one column each;
-    groups pairs each size |J| with the columns of its orbits. Entry (k, i) of
-    the array is the sum of w^(je) over e in orbits[k], mod p, at root i.
+    One root w^j is taken per nonzero <r>-orbit J of Z/n, one column each.
+    Entry (e, i) of the array is the sum of w^(jx) over x in orbits[e], mod q,
+    at root i. A level (d, size, columns) holds the columns whose roots have
+    order d, for each divisor d > 1 of n; all its orbits have size ord_d(r).
+    The levels come fewest columns first.
     """
     roots = [orbit for orbit in TauData(n, r).orbits() if orbit[0]]
-    groups = [(size, [i for i, root in enumerate(roots) if len(root) == size])
-              for size in sorted({len(root) for root in roots})]
-    p, _, rows = _table(n)[0]
+    orders = [n // gcd(root[0], n) for root in roots]
+    levels = [(d, len(roots[orders.index(d)]), [i for i, order in enumerate(orders) if order == d])
+              for d in sorted(set(orders))]
+    levels.sort(key=lambda level: len(level[2]))
+    q, _, rows = _table(n)[k]
     sums = np.array(
-        [[sum(rows[root[0]][e] for e in orbit) % p for root in roots] for orbit in orbits],
+        [[sum(rows[root[0]][x] for x in orbit) % q for root in roots] for orbit in orbits],
         dtype=np.int64,
     )
-    return p, groups, sums
+    return q, levels, sums
 
 
-def _block_norms(columns, offset, groups, p):
-    """N(s) mod p for each vector of a block, from its values at one root per orbit.
+def _prime_count(n, spread):
+    """How many table primes decide N(s) = +-1 for every s of S_n with n*Q - F^2 <= spread.
 
-    columns[i] holds the block's values at root i (below p) and offset[i] the
-    prefix's (below p). The values at the roots of one group are multiplied
-    together, and the product is raised to the group's orbit size.
+    Q is the sum of the squared coefficients of s and F their sum: the first K
+    primes whose product M has M^2 > quotient._norm_threshold(n, spread) do.
+    On the box [-B, B]^(n-1), n*Q - F^2 <= n*(n-1)*B^2.
     """
-    norms = None
-    for size, group in groups:
-        product = _reduce(columns[group[0]] + offset[group[0]], p)
-        for i in group[1:]:
-            product *= columns[i] + offset[i]
-            _reduce(product, p)
-        product = _pow_mod(product, size, p)
-        norms = product if norms is None else _reduce(norms * product, p)
-    return norms
+    threshold = _norm_threshold(n, spread)
+    modulus = 1
+    for k in itertools.count(1):
+        modulus *= _table(n)[k - 1][0]
+        if modulus * modulus > threshold:
+            return k
+
+
+def _level_product(columns, offset, group, p, rows=slice(None)):
+    """P_d mod p at the given rows: the product over the level's columns of column + offset.
+
+    Every column entry and offset lies below p, so a factor lies below 2p,
+    and the first product, below 4p^2 < 2^54, needs no reduction before it.
+    """
+    product = columns[group[0], rows] + offset[group[0]]
+    for i in group[1:]:
+        product *= columns[i, rows] + offset[i]
+        _reduce(product, p)
+    return product if len(group) > 1 else _reduce(product, p)
+
+
+def _level_filter(columns, offset, levels, p):
+    """The rows of a block at which P_d = +-1 mod p at every level.
+
+    The first level is formed at every row, and each later one only at the
+    rows that passed the levels before it. A one-column level needs no
+    product: its column is compared with -offset +- 1.
+    """
+    rows = slice(None)
+    for _, _, group in levels:
+        if len(group) == 1:
+            values = columns[group[0], rows]
+            plus, minus = (1 - offset[group[0]]) % p, (-1 - offset[group[0]]) % p
+        else:
+            values = _level_product(columns, offset, group, p, rows)
+            plus, minus = 1, p - 1
+        kept = np.flatnonzero((values == plus) | (values == minus))
+        rows = kept if isinstance(rows, slice) else rows[kept]
+        if not len(rows):
+            break
+    return rows
+
+
+def _unit_mask(weights, levels, tables):
+    """Whether N(s) is +1 modulo every prime of tables or -1 modulo each, per row of orbit weights.
+
+    N(s) mod q is the product over the levels of P_d ** ord_d(r).
+    """
+    plus = minus = True
+    for q, _, sums in tables:
+        columns = sums.T @ weights.T % q
+        norms = 1
+        for _, size, group in levels:
+            level = _pow_mod(_level_product(columns, [0] * len(columns), group, q), size, q)
+            norms = _reduce(norms * level, q)
+        plus &= norms == 1
+        minus &= norms == q - 1
+    return plus | minus
 
 
 def exhaustive_fixed_units(n, r, bound=2):
@@ -224,29 +286,41 @@ def exhaustive_fixed_units(n, r, bound=2):
     fixed element is fixed, so the fixed elements are exactly the integer
     weight vectors on the d free <r>-orbits of Z/n (all but the orbit of n - 1,
     whose weight the canonical form makes 0): the coefficient of rho^i is the
-    weight of the orbit of i. A mod-p norm filter, p the first kernel prime,
-    which never discards a true unit, keeps the vectors with norm +-1, and each
-    is confirmed by the exact unit test. Two exact symmetries halve and shrink
-    the filter's work (Washington, Introduction to Cyclotomic Fields, ch. 8):
+    weight of the orbit of i. The norm factors by cyclotomic levels
+    (Washington, Introduction to Cyclotomic Fields, ch. 2 and 8):
 
-    - Negation. s is a unit if and only if -s is, so only the vectors whose
-      first nonzero weight is positive are filtered, and each confirmed s
-      brings -s with it. The zero vector is never a unit.
     - One root per orbit. Evaluation at w^j is a ring map S -> F_p and s is
-      tau-fixed, so s(w^(jr)) = s(w^j): the norm is the product, over the
-      nonzero <r>-orbits J of Z/n, of s(w^j) ** |J| at one j in J.
+      tau-fixed, so s(w^(jr)) = s(w^j), and s is evaluated at one root w^j
+      per nonzero <r>-orbit J of Z/n.
+    - Levels. For each divisor d > 1 of n, the product P_d of those values
+      over the orbits of roots of order d is the norm of s(zeta_d) from the
+      fixed field of <r> in Q(zeta_d), an integer, and N(s) is the product of
+      the P_d ** ord_d(r). So N(s) = +-1 exactly when every P_d = +-1.
+    - Negation. s is a unit if and only if -s is, so only the vectors whose
+      first nonzero weight is positive are tested, and each unit s brings -s
+      with it. The zero vector is never a unit.
+
+    The filter, modulo p the first kernel prime, keeps the vectors with
+    P_d = +-1 mod p, one level at a time, fewest columns first; most vectors
+    leave after one or two columns, and no unit is ever dropped. The box
+    bounds n*Q - F^2 by n*(n-1)*bound^2, which fixes the table primes that
+    decide N(s) = +-1 for every vector in it. When one prime does, as for
+    every n <= 10 at bound <= 2, the filter's survivors are the units.
+    Otherwise a block's survivors are units when their norm is +1 modulo
+    each of the primes their own largest n*Q - F^2 calls for, or -1 modulo
+    each, checked as arrays; a large n with a small box then builds no more
+    prime tables than its units need.
 
     The (2*bound+1)^d vectors are split into an inner grid, evaluated once at
-    those roots, and outer prefixes, each adding one constant offset per root.
-    In lexicographic order the zero vector sits in the middle of the box, so
-    only the prefixes after the middle are visited, and only the zero prefix
-    masks the inner grid to its rows after the middle. The values at roots with
-    orbits of one size are multiplied together and raised to that size once.
-    With p < 2^26 every reduced value lies below p and a factor (a grid value
-    plus an offset) below 2p, so each int64 product stays below 2^53; a sum of
-    d products below 2^52 cannot overflow while the guard holds (d <= 16
-    unless bound = 0). The grid holds at most _BLOCK_LIMIT values, whatever n;
-    the final order is canonical.
+    the roots, one orbit weight at a time, and outer prefixes, each adding one
+    constant offset per root. In lexicographic order the zero vector sits in
+    the middle of the box, so only the prefixes after the middle are visited,
+    and only the zero prefix masks the inner grid to its rows after the
+    middle. With p < 2^26 every reduced value lies below p and a factor (a
+    grid value plus an offset) below 2p, so each int64 product stays below
+    2^54; a sum of d weights times values below p stays below d*bound*2^26,
+    far from 2^63 while the guard holds. The grid holds at most _BLOCK_LIMIT
+    values, whatever n; the final order is canonical.
     """
     orbits = [orbit for orbit in TauData(n, r).orbits() if n - 1 not in orbit]
     d = len(orbits)
@@ -260,25 +334,40 @@ def exhaustive_fixed_units(n, r, bound=2):
     for k, orbit in enumerate(orbits):
         for e in orbit:
             weight_index[e] = k
-    p, groups, orbit_values = _orbit_sums_at_roots(n, r, orbits)
-    weights = range(-bound, bound + 1)
+    tables = [_orbit_sums_at_roots(n, r, orbits)]
+    p, levels, orbit_values = tables[0]
+    confirm = p * p <= _norm_threshold(n, n * (n - 1) * bound * bound)
+    sizes = np.array([len(orbit) for orbit in orbits], dtype=object)
+    weights = np.arange(-bound, bound + 1, dtype=np.int64)
     inner = d
-    while inner and len(weights) ** inner * orbit_values.shape[1] > _BLOCK_LIMIT:
+    while inner and len(weights) ** inner * len(orbit_values[0]) > _BLOCK_LIMIT:
         inner -= 1
-    grid = np.indices((len(weights),) * inner, dtype=np.int64)
-    grid = grid.reshape(inner, len(weights) ** inner).T - bound
-    columns = np.ascontiguousarray((grid % p @ orbit_values[d - inner :] % p).T)
-    outer = itertools.product(weights, repeat=d - inner)
+    columns = np.zeros((len(orbit_values[0]), 1), dtype=np.int64)
+    for values in orbit_values[d - inner :]:
+        step = np.multiply.outer(values, weights) % p
+        columns = _reduce((columns[:, :, None] + step[:, None, :]).reshape(len(columns), -1), p)
+    places = len(weights) ** np.arange(inner - 1, -1, -1)
+    outer = itertools.product(weights.tolist(), repeat=d - inner)
     units = []
     for prefix in itertools.islice(outer, (len(weights) ** (d - inner) - 1) // 2, None):
-        start = 0 if any(prefix) else (len(grid) + 1) // 2
-        offset = (np.array(prefix, dtype=np.int64) % p @ orbit_values[: d - inner] % p).tolist()
-        norms = _block_norms(columns[:, start:], offset, groups, p)
-        for idx in np.flatnonzero((norms == 1) | (norms == p - 1)).tolist():
-            vector = prefix + tuple(grid[start + idx].tolist()) + (0,)
-            s = SElement(n, [vector[k] for k in weight_index])
-            if is_unit(s):
-                units.extend((s, -s))
+        start = 0 if any(prefix) else (columns.shape[1] + 1) // 2
+        offset = (np.array(prefix, dtype=np.int64) @ orbit_values[: d - inner] % p).tolist()
+        rows = _level_filter(columns[:, start:], offset, levels, p) + start
+        if not len(rows):
+            continue
+        vectors = np.empty((len(rows), d + 1), dtype=np.int64)
+        vectors[:, : d - inner] = prefix
+        vectors[:, d - inner : d] = rows[:, None] // places % len(weights) - bound
+        vectors[:, d] = 0
+        if confirm:
+            block = vectors[:, :d]
+            exact = block.astype(object)
+            count = _prime_count(n, max(n * (exact * exact) @ sizes - (exact @ sizes) ** 2))
+            tables += [_orbit_sums_at_roots(n, r, orbits, k) for k in range(len(tables), count)]
+            vectors = vectors[_unit_mask(block, levels, tables[:count])]
+        for coeffs in vectors[:, weight_index].tolist():
+            units.append(SElement(n, coeffs))
+            units.append(SElement(n, [-c for c in coeffs]))
     return sorted(units, key=lambda s: s.coeffs)
 
 

@@ -177,21 +177,29 @@ def _evaluations(coeffs, p, rows):
     return [sum(map(mul, coeffs, rows[j])) % p for j in range(1, len(rows))]
 
 
-def _norm_residues(s):
-    """Yield (p, N(s) mod p) over the table's primes until their product M exceeds 2|N(s)|.
+def _norm_threshold(n, spread):
+    """T such that residues modulo any M with M^2 > T decide every norm N(s) with n*Q - F^2 <= spread.
 
     With Q the sum of squares and F the sum of the coefficients, Parseval over
     all n-th roots of unity gives |f(w^1)|^2 + ... + |f(w^(n-1))|^2 = n*Q - F^2,
     and AM-GM bounds their product: |N(s)|^2 <= ((n*Q - F^2) / (n-1))^(n-1).
     So M^2 * (n-1)^(n-1) > 4 * (n*Q - F^2)^(n-1) suffices for the symmetric
-    residue modulo M to be N(s). The bound never exceeds L^(n-1), L the sum of
-    the absolute coefficients. At least one prime is always yielded.
+    residue modulo M to be N(s); for an integer M^2 that is M^2 > T with
+    T = 4 * spread^(n-1) // (n-1)^(n-1).
+    """
+    return 4 * spread ** (n - 1) // (n - 1) ** (n - 1)
+
+
+def _norm_residues(s):
+    """Yield (p, N(s) mod p) over the table's primes until their product M decides N(s).
+
+    M is large enough once M^2 exceeds _norm_threshold. At least one prime is
+    always yielded.
     """
     n = s.n
     table = _table(n)
     f = sum(s.coeffs)
-    bound = 4 * (n * sum(c * c for c in s.coeffs) - f * f) ** (n - 1)
-    scale = (n - 1) ** (n - 1)
+    threshold = _norm_threshold(n, n * sum(c * c for c in s.coeffs) - f * f)
     modulus = 1
     for k in itertools.count():
         p, _, rows = table[k]
@@ -200,7 +208,7 @@ def _norm_residues(s):
             value = value * v % p
         yield p, value
         modulus *= p
-        if modulus * modulus * scale > bound:
+        if modulus * modulus > threshold:
             return
 
 

@@ -6,10 +6,11 @@ from math import gcd
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpcert import coverage
+from sdpcert import coverage, quotient
 from sdpcert.coverage import (
     CoverageReport,
     SearchSpaceTooLargeError,
@@ -272,10 +273,11 @@ def test_exhaustive_matches_the_coordinate_box_at_bound_one(n):
         assert [u.coeffs for u in exhaustive_fixed_units(n, r, 1)] == expected, (n, r)
 
 
-@pytest.mark.parametrize("n, r", [(101, 4), (61, 3)])
+@pytest.mark.parametrize("n, r", [(101, 4), (61, 3), (12, 1)])
 def test_exhaustive_at_large_n_within_block_memory(n, r):
     # (101, 4): r has order 50, so there are d = 2 free orbits. (61, 3): d = 6, and
-    # the 5^6 weight vectors at 60 values each would take 7.5 MB per array unsplit
+    # the 5^6 weight vectors at 60 values each would take 7.5 MB per array unsplit.
+    # (12, 1): d = 11, 5^11 weight vectors in 3 125 blocks of 5^6
     tau = TauData(n, r)
     tracemalloc.start()
     try:
@@ -348,9 +350,10 @@ def test_exhaustive_matches_the_whole_box_enumeration(n):
             assert exhaustive_fixed_units(n, r, bound) == expected, (n, r, bound)
 
 
-@pytest.mark.parametrize("n, r", [(26, 3), (61, 3)])
+@pytest.mark.parametrize("n, r", [(12, 5), (12, 7), (12, 11), (26, 3), (61, 3)])
 def test_exhaustive_matches_the_whole_box_enumeration_beyond_eleven(n, r):
-    # (26, 3): d = 9, so the box is split into an inner grid and outer prefixes
+    # (12, *): several levels, with two table primes deciding the box. (26, 3): d = 9,
+    # so the box is split into an inner grid and outer prefixes
     assert exhaustive_fixed_units(n, r, 2) == reference_exhaustive_fixed_units(n, r, 2)
 
 
@@ -373,23 +376,131 @@ def test_orbit_sums_are_constant_on_the_orbits_of_j():
                     assert len(values) == 1, (n, r, orbit, roots)
 
 
-def test_block_norms_are_the_norm_mod_p():
-    # the filter's value is N(s) mod p itself, not only +-1 on the units: a wrong
-    # exponent still passes every unit, since each level's product is a unit norm
+def multiplicative_order(r, d):
+    return next(k for k in itertools.count(1) if pow(r, k, d) == 1)
+
+
+def test_levels_are_the_cyclotomic_factors_of_the_norm():
+    # P_d ** ord_d(r) is the resultant of Phi_d with s, and the levels together give
+    # N(s) mod p: a wrong exponent would still pass every unit, since each P_d of a
+    # unit is +-1, so the value itself is checked on seeded fixed vectors
     rng = random.Random(11)
+    x = sympy.Symbol("x")
     for n in range(2, 27):
         for r in valid_r(n):
             orbits = [orbit for orbit in TauData(n, r).orbits() if n - 1 not in orbit]
-            p, groups, sums = coverage._orbit_sums_at_roots(n, r, orbits)
+            p, levels, sums = coverage._orbit_sums_at_roots(n, r, orbits)
+            roots = [orbit for orbit in TauData(n, r).orbits() if orbit[0]]
+            assert sorted(i for _, _, group in levels for i in group) == list(range(len(roots)))
+            assert sorted(d for d, _, _ in levels) == [d for d in range(2, n + 1) if n % d == 0]
             weights = np.array([[rng.randint(-3, 3) for _ in orbits] for _ in range(4)])
-            columns = np.ascontiguousarray((weights % p @ sums % p).T)
-            norms = coverage._block_norms(columns, [0] * len(columns), groups, p).tolist()
-            for row, value in zip(weights.tolist(), norms):
+            columns = weights % p @ sums % p
+            for row, values in zip(weights.tolist(), columns.tolist()):
                 coeffs = [0] * (n - 1)
                 for weight, orbit in zip(row, orbits):
                     for e in orbit:
                         coeffs[e] = weight
-                assert value == norm(SElement(n, coeffs)) % p, (n, r, row)
+                total = 1
+                for d, size, group in levels:
+                    assert size == multiplicative_order(r, d), (n, r, d)
+                    assert all(n // gcd(roots[i][0], n) == d for i in group), (n, r, d)
+                    level = coverage._level_product(np.array(values)[:, None], [0] * len(values), group, p)
+                    level = pow(int(level[0]), size, p)
+                    cyclotomic = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
+                    assert level == resultant([int(c) for c in cyclotomic], coeffs) % p, (n, r, d, row)
+                    total = total * level % p
+                assert total == norm(SElement(n, coeffs)) % p, (n, r, row)
+
+
+def fixed_weights(n, r, elements):
+    """The orbit weights of tau-fixed elements, one row each."""
+    orbits = [orbit for orbit in TauData(n, r).orbits() if n - 1 not in orbit]
+    for s in elements:
+        assert tau_apply_s(s, TauData(n, r)) == s, s
+    return orbits, np.array([[s.coeffs[orbit[0]] for orbit in orbits] for s in elements])
+
+
+def box_spread(n, bound):
+    return n * (n - 1) * bound * bound
+
+
+def spread(elements):
+    """The largest n*Q - F^2 over the elements, Q the sum of squared coefficients and F their sum."""
+    return max(s.n * sum(c * c for c in s.coeffs) - sum(s.coeffs) ** 2 for s in elements)
+
+
+def unit_mask(n, r, elements, primes=None):
+    orbits, weights = fixed_weights(n, r, elements)
+    primes = primes or coverage._prime_count(n, spread(elements))
+    tables = [coverage._orbit_sums_at_roots(n, r, orbits, k) for k in range(primes)]
+    return coverage._unit_mask(weights, tables[0][1], tables).tolist()
+
+
+def test_prime_count_decides_the_box():
+    for n in range(2, 11):
+        for bound in (0, 1, 2):
+            assert coverage._prime_count(n, box_spread(n, bound)) == 1, (n, bound)
+    for n in range(11, 41):
+        assert coverage._prime_count(n, box_spread(n, 2)) >= 2, n
+    for n, bound in ((11, 2), (23, 2), (12, 7), (40, 1)):
+        count = coverage._prime_count(n, box_spread(n, bound))
+        modulus = functools.reduce(lambda a, k: a * _table(n)[k][0], range(count), 1)
+        threshold = 4 * box_spread(n, bound) ** (n - 1) // (n - 1) ** (n - 1)
+        assert modulus * modulus > threshold >= (modulus // _table(n)[count - 1][0]) ** 2
+
+
+@pytest.mark.parametrize("n, r", [(3, 2), (5, 1), (8, 3), (11, 10), (12, 1), (13, 4)])
+def test_exact_confirmation_rejects_kernel_false_positives(n, r):
+    # p0 + 1 and p0 - 1 have norm (p0 +- 1)^(n-1) = +-1 modulo the kernel prime p0
+    # but are not units; the primes their bound calls for reject them
+    p0 = _table(n)[0][0]
+    constants = [SElement.constant(n, c) for c in (p0 + 1, p0 - 1)]
+    assert unit_mask(n, r, constants, 1) == [True, True]
+    assert coverage._prime_count(n, spread(constants)) >= 2
+    assert unit_mask(n, r, constants) == [False, False]
+
+
+@pytest.mark.parametrize("n, r", [(4, 3), (10, 1), (12, 5)])
+def test_exact_confirmation_needs_one_sign_at_every_prime(n, r):
+    # a constant c = 1 mod p0 and c = -1 mod p1 has norm +1 modulo p0 and (-1)^(n-1) = -1
+    # modulo p1 (n even): +-1 at each prime, but not one sign at both
+    p0, p1 = _table(n)[0][0], _table(n)[1][0]
+    mixed = 1 + p0 * ((-2 * pow(p0, -1, p1)) % p1)
+    assert mixed % p0 == 1 and mixed % p1 == p1 - 1
+    constants = [SElement.constant(n, c) for c in (mixed, -mixed, 1, -1, 2)]
+    assert unit_mask(n, r, constants, 2) == [False, False, True, True, False]
+
+
+@pytest.mark.parametrize("n, r", [(5, 1), (7, 1), (8, 1), (9, 2), (10, 3)])
+def test_exhaustive_confirms_the_survivors_of_a_small_kernel_prime(n, r, monkeypatch):
+    # with the primes 1 (mod n) taken upward from n + 1, the kernel prime passes many
+    # non-units, and the box calls for several primes to reject them
+    expected = reference_exhaustive_fixed_units(n, r, 2)
+    table = quotient._PrimeTable(n)
+    table._candidates = itertools.count(n + 1, n)
+    monkeypatch.setattr(coverage, "_table", lambda _: table)
+    assert coverage._prime_count(n, box_spread(n, 2)) >= 3
+    assert exhaustive_fixed_units(n, r, 2) == expected
+
+
+def test_exhaustive_builds_only_the_prime_tables_its_survivors_need(monkeypatch):
+    # the box [-2, 2]^100 calls for 17 primes at (101, 4), but its only units, +-1, need one
+    table = quotient._PrimeTable(101)
+    monkeypatch.setattr(coverage, "_table", lambda _: table)
+    assert exhaustive_fixed_units(101, 4, 2) == [SElement.constant(101, -1), SElement.one(101)]
+    assert len(table.entries) == 1
+    assert coverage._prime_count(101, box_spread(101, 2)) == 17
+
+
+@pytest.mark.parametrize("n", [5, 11, 12, 13, 21, 26])
+def test_exact_confirmation_accepts_the_cyclotomic_units(n):
+    for r in valid_r(n):
+        units = fixed_unit_generators(n, r)
+        units += [-u for u in units]
+        assert unit_mask(n, r, units) == [True] * len(units), (n, r)
+        non_units = [u + 1 for u in units if not is_unit_by_resultant(u + 1)]
+        non_units.append(SElement.constant(n, 2))
+        assert unit_mask(n, r, non_units) == [False] * len(non_units), (n, r)
 
 
 def test_fixed_elements_take_one_value_at_w_j_and_w_jr():
@@ -595,9 +706,9 @@ def oracle_subgroup(n, r):
 
 @pytest.mark.parametrize("n", range(2, 41))
 def test_oracle_finds_nothing_beyond_the_report(n):
-    # every coprime pair whose 5^d orbit weights have d <= 8
+    # every coprime pair whose 5^d orbit weights have d <= 9
     for r in valid_r(n):
-        if free_orbit_count(n, r) <= 8:
+        if free_orbit_count(n, r) <= 9:
             assert set(oracle_subgroup(n, r)) <= set(coverage_subgroup(n, r).subgroup), r
 
 
