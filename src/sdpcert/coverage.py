@@ -1,12 +1,13 @@
-"""Tau-fixed units of S, the residues they cover mod n, and a bounded exhaustive oracle."""
+"""Tau-fixed units of S, the residues they cover mod n, and a bounded exhaustive oracle.
+
+numpy is imported only inside the oracle's kernel, so only exhaustive_fixed_units loads it.
+"""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from math import gcd
-
-import numpy as np
 
 from .finitefield import _is_prime
 from .group_ring import GroupRingElement, TauData, partial_norm_product
@@ -112,6 +113,18 @@ def cyclotomic_unit(n, steps, a):
     return reduce(rotation * partial_norm_product(n, steps, a))
 
 
+def cyclotomic_unit_inverse(n, steps, a):
+    """The inverse of cyclotomic_unit(n, steps, a), in closed form.
+
+    With b = a^(-1) mod n, rho = (rho^a)^b, so (rho - 1) / (rho^a - 1) is
+    1 + rho^a + ... + rho^(a(b-1)) and xi_a^(-1) = rho^((a-1)/2) times that
+    sum. Normed over steps: partial_norm_product over the steps a*t, rotated
+    by rho^((a-1)/2 * sum(steps)), reduced once.
+    """
+    rotation = GroupRingElement.sigma_power(n, (a - 1) // 2 * sum(steps))
+    return reduce(rotation * partial_norm_product(n, [a * t % n for t in steps], pow(a, -1, n)))
+
+
 def _checked_unit(n, steps, a):
     """cyclotomic_unit(n, steps, a) with its unit status and residue a^e checked exactly."""
     unit = cyclotomic_unit(n, steps, a)
@@ -156,6 +169,19 @@ def coverage_subgroup(n, r):
     )
 
 
+def _witness_exponent(n, steps, residue):
+    """(a, sign) for the first odd a coprime to n with sign * a^e = residue mod n, e = len(steps).
+
+    None when there is no such a: {+-a^e} is the reported subgroup.
+    """
+    residue %= n
+    for a in range(1, n, 2):
+        power = pow(a, len(steps), n)
+        if gcd(a, n) == 1 and residue in (power, -power % n):
+            return a, 1 if residue == power else -1
+    return None
+
+
 def unit_witness(n, r, residue):
     """+-cyclotomic_unit(n, coset_steps(n, r), a) for the first odd a with +-a^e = residue mod n.
 
@@ -163,13 +189,24 @@ def unit_witness(n, r, residue):
     witness exists exactly for the residues coverage_subgroup reports.
     """
     steps = coset_steps(n, r)
-    residue %= n
-    for a in range(1, n, 2):
-        power = pow(a, len(steps), n)
-        if gcd(a, n) == 1 and residue in (power, -power % n):
-            unit = _checked_unit(n, steps, a)
-            return unit if residue == power else -unit
-    return None
+    found = _witness_exponent(n, steps, residue)
+    if found is None:
+        return None
+    a, sign = found
+    return sign * _checked_unit(n, steps, a)
+
+
+def witness_with_inverse(n, r, residue):
+    """(unit_witness(n, r, residue), its inverse from cyclotomic_unit_inverse), or None.
+
+    The inverse is not checked here; make_certificate checks the product.
+    """
+    steps = coset_steps(n, r)
+    found = _witness_exponent(n, steps, residue)
+    if found is None:
+        return None
+    a, sign = found
+    return sign * _checked_unit(n, steps, a), sign * cyclotomic_unit_inverse(n, steps, a)
 
 
 def _reduce(values, p):
@@ -199,6 +236,8 @@ def _orbit_sums_at_roots(n, r, orbits, k=0):
     order d, for each divisor d > 1 of n; all its orbits have size ord_d(r).
     The levels come fewest columns first.
     """
+    import numpy as np
+
     roots = [orbit for orbit in TauData(n, r).orbits() if orbit[0]]
     orders = [n // gcd(root[0], n) for root in roots]
     levels = [(d, len(roots[orders.index(d)]), [i for i, order in enumerate(orders) if order == d])
@@ -247,6 +286,8 @@ def _level_filter(columns, offset, levels, p):
     rows that passed the levels before it. A one-column level needs no
     product: its column is compared with -offset +- 1.
     """
+    import numpy as np
+
     rows = slice(None)
     for _, _, group in levels:
         if len(group) == 1:
@@ -322,6 +363,8 @@ def exhaustive_fixed_units(n, r, bound=2):
     far from 2^63 while the guard holds. The grid holds at most _BLOCK_LIMIT
     values, whatever n; the final order is canonical.
     """
+    import numpy as np
+
     orbits = [orbit for orbit in TauData(n, r).orbits() if n - 1 not in orbit]
     d = len(orbits)
     total = (2 * bound + 1) ** d
@@ -365,9 +408,10 @@ def exhaustive_fixed_units(n, r, bound=2):
             count = _prime_count(n, max(n * (exact * exact) @ sizes - (exact @ sizes) ** 2))
             tables += [_orbit_sums_at_roots(n, r, orbits, k) for k in range(len(tables), count)]
             vectors = vectors[_unit_mask(block, levels, tables[:count])]
-        for coeffs in vectors[:, weight_index].tolist():
-            units.append(SElement(n, coeffs))
-            units.append(SElement(n, [-c for c in coeffs]))
+        coeffs = vectors[:, weight_index]
+        for plus, minus in zip(coeffs.tolist(), (-coeffs).tolist()):
+            units.append(SElement._from_ints(n, tuple(plus)))
+            units.append(SElement._from_ints(n, tuple(minus)))
     return sorted(units, key=lambda s: s.coeffs)
 
 

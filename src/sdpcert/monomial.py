@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .checks import CheckResult, all_passed
-from .coverage import unit_witness
+from .coverage import witness_with_inverse
 from .group_ring import GroupRingElement, OrderMismatchError, TauData, full_norm
-from .quotient import SElement, invert, is_unit, lift, reduce
+from .quotient import SElement, is_unit, lift, reduce
 
 
 class ExponentMismatchError(ValueError):
@@ -127,19 +127,22 @@ class Certificate:
 def make_certificate(n, r, l):
     """Build a certificate for residue l from a single cyclotomic-unit witness.
 
-    The unit alpha with eps_bar(alpha) = l mod n comes from unit_witness,
-    which covers exactly the residues coverage_subgroup reports; beta is its
-    inverse in S; both are lifted canonically (the canonical lift of a
-    tau-fixed element is tau-fixed).
+    The unit alpha with eps_bar(alpha) = l mod n and its inverse beta in S
+    come from witness_with_inverse: alpha is unit_witness's, which covers
+    exactly the residues coverage_subgroup reports, and beta its closed-form
+    inverse, checked here by alpha * beta = 1. Both are lifted canonically
+    (the canonical lift of a tau-fixed element is tau-fixed).
     """
     if gcd(l, n) != 1:
         raise ValueError(f"l must be coprime to n: gcd({l}, {n}) != 1")
-    alpha = unit_witness(n, r, l)
-    if alpha is None:
+    pair = witness_with_inverse(n, r, l)
+    if pair is None:
         raise NotCoveredError(
             f"residue {l % n} is not covered by the fixed-unit generators for (n={n}, r={r})"
         )
-    beta = invert(alpha)
+    alpha, beta = pair
+    if alpha * beta != SElement.one(n):
+        raise RuntimeError("closed-form inverse of the witness failed verification")
     alpha_tilde = lift(alpha)
     beta_tilde = lift(beta)
     k, k_rem = divmod(alpha_tilde.augmentation() - l, n)

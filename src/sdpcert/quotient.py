@@ -35,6 +35,14 @@ class SElement(ExactElement):
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
+    def _from_ints(cls, n, coeffs):
+        """The element with these coefficients, taken as given: an int n and a tuple of n - 1 ints."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "n", n)
+        object.__setattr__(element, "coeffs", coeffs)
+        return element
+
+    @classmethod
     def zero(cls, n):
         return cls(n, (0,) * (n - 1))
 

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -379,3 +383,28 @@ def test_crossed_check_names_the_first_failure(monkeypatch):
     assert not check.passed
     assert check.detail.startswith("5 cases; first disagreement: {'q': ")
     assert "'chain': (ExtFieldElement(" in check.detail
+
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+import sdpcert, sdpcert.cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        sdpcert.cli.main(list(argv))
+    return "numpy" in sys.modules
+
+print(run("coverage", "--n", "21", "--r", "20"),
+      run("certificate", "--n", "13", "--r", "12", "--l", "5"),
+      run("coverage", "--n", "5", "--r", "4", "--exhaustive", "1"))
+"""
+
+
+def test_numpy_loads_only_when_the_oracle_runs():
+    # a fresh interpreter: the test session itself has numpy loaded already
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "True"]

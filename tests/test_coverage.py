@@ -17,6 +17,7 @@ from sdpcert.coverage import (
     coset_steps,
     coverage_subgroup,
     cyclotomic_unit,
+    cyclotomic_unit_inverse,
     dihedral_generators,
     exhaustive_fixed_units,
     fixed_unit_generators,
@@ -33,6 +34,7 @@ from sdpcert.quotient import (
     _evaluations,
     _table,
     eps_bar,
+    invert,
     is_unit,
     lift,
     norm,
@@ -290,6 +292,14 @@ def test_exhaustive_at_large_n_within_block_memory(n, r):
     for u in units:
         assert tau_apply_s(u, tau) == u, u
         assert is_unit_by_resultant(u), u
+
+
+def test_exhaustive_units_are_built_as_the_public_constructor_builds_them():
+    for n, r in ((7, 1), (8, 3), (13, 4)):
+        for u in exhaustive_fixed_units(n, r, 2):
+            assert type(u.coeffs) is tuple and all(type(c) is int for c in u.coeffs), u
+            twin = SElement(n, u.coeffs)
+            assert u == twin and hash(u) == hash(twin)
 
 
 def test_exhaustive_finds_residue_five_at_13_4():
@@ -667,6 +677,16 @@ def test_each_generator_adds_a_residue(n):
         assert residues[0] == n - 1
         for k in range(1, len(residues)):
             assert residues[k] not in subgroup_closure(residues[:k], n), (r, residues)
+
+
+@pytest.mark.parametrize("n", range(2, 26))
+def test_cyclotomic_unit_inverse_matches_invert(n):
+    for r in valid_r(n):
+        steps = coset_steps(n, r)
+        for a in range(1, n, 2):
+            if gcd(a, n) == 1:
+                unit = cyclotomic_unit(n, steps, a)
+                assert cyclotomic_unit_inverse(n, steps, a) == invert(unit), (r, a)
 
 
 def test_fixed_unit_generators_check_each_unit(monkeypatch):

@@ -180,6 +180,16 @@ def test_certificate_not_covered():
         make_certificate(7, 2, 3)
 
 
+def test_certificate_checks_the_closed_form_inverse(monkeypatch):
+    from sdpcert import coverage
+
+    cert = make_certificate(7, 6, 2)
+    assert reduce(cert.beta_tilde) == invert(reduce(cert.alpha_tilde))
+    monkeypatch.setattr(coverage, "cyclotomic_unit_inverse", lambda n, steps, a: SElement.one(n))
+    with pytest.raises(RuntimeError):
+        make_certificate(7, 6, 2)
+
+
 def test_corrupted_certificate_fails_named_checks():
     cert = make_certificate(3, 2, 2)
     off_k = dataclasses.replace(cert, k=cert.k + 1)
