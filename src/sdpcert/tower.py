@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from . import linalg
 from ._element import ExactElement
-from .finitefield import ExtField, ExtFieldElement, gf, smallest_irreducible
+from .finitefield import ExtFieldElement, _smallest_extension, gf
 from .group_ring import GroupRingElement
 
 
@@ -455,7 +455,7 @@ class FiniteTower:
             self.field = b.field
             b = b.coeffs[0]
         else:
-            self.field = ExtField(base, smallest_irreducible(base, n))
+            self.field = _smallest_extension(base, n)
         self.b = self.field.embed(b)
         if not self.b:
             raise ValueError("b must be nonzero")

@@ -1,13 +1,16 @@
-"""Finite fields on raw int values: coercion, the irreducible search, and an independent oracle."""
+"""Finite fields on raw int values: coercion, the irreducible search, log tables, and oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpcert.finitefield import ExtField, PrimeField, _is_irreducible, gf, smallest_irreducible
-from sdpcert.tower import builtin_finite
+from sdpcert.finitefield import (
+    _LOG_TABLE_MAX_ORDER, ExtField, PrimeField, _is_irreducible, gf, smallest_irreducible,
+)
+from sdpcert.tower import FiniteTower, builtin_finite
 
 # --- element() reduces plain-int coefficients into the base ---------------------
 
@@ -211,3 +214,123 @@ def test_nested_field_laws(data):
     assert x + (-x) == field.zero
     if x:
         assert x * x.inverse() == field.one
+
+
+# --- log tables against the polynomial route of the same modulus ------------------
+
+TABLED_FIELDS = {
+    "GF(4)": lambda: gf(4),
+    "GF(8)": lambda: gf(8),
+    "GF(9)": lambda: gf(9),
+    "GF(16)/GF(4)": lambda: builtin_finite(4, 2, 1).field,
+    "GF(25)": lambda: gf(25),
+    "GF(27)": lambda: gf(27),
+    "GF(49)": lambda: gf(49),
+    "GF(125)": lambda: gf(125),
+    "GF(343)": lambda: gf(343),
+}
+
+
+def _polynomial_twin(field):
+    """The same field built directly, so that it and a nested base use the polynomial route only."""
+    base = field.base
+    if isinstance(base, ExtField):
+        base = _polynomial_twin(base)
+    return ExtField(base, field.modulus)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@pytest.fixture(params=sorted(TABLED_FIELDS), scope="module")
+def two_routes(request):
+    field = TABLED_FIELDS[request.param]()
+    twin = _polynomial_twin(field)
+    assert field._log is not None and twin._log is None
+    assert getattr(twin.base, "_log", None) is None
+    assert twin == field
+    return field, twin
+
+
+def test_log_tables_cover_every_nonzero_value_once(two_routes):
+    field, _ = two_routes
+    nonzero = [v for v in field._values() if v != field._raw_zero]
+    assert len(field._exp) == len(field._log) == len(nonzero) == field.order - 1
+    assert sorted(field._log) == sorted(nonzero)
+    assert all(field._exp[k] == v for v, k in field._log.items())
+
+
+def test_table_products_match_polynomial_products(two_routes):
+    field, twin = two_routes
+    values = list(field._values())
+    if field.order <= 125:
+        pairs = itertools.product(values, repeat=2)
+    else:
+        rng = random.Random(field.order)
+        pairs = [(rng.choice(values), rng.choice(values)) for _ in range(20_000)]
+    for a, b in pairs:
+        assert field._mul(a, b) == twin._mul(a, b), (a, b)
+
+
+def test_table_inverses_match_extended_euclid(two_routes):
+    field, twin = two_routes
+    for a in field._values():
+        assert _outcome(lambda: field._inv(a)) == _outcome(lambda: twin._inv(a)), a
+
+
+def test_table_powers_match_square_and_multiply(two_routes):
+    field, twin = two_routes
+    q = field.base.order
+    exponents = [*range(-3, q + 2), field.order - 1, field.order]
+    for x, y in zip(field.elements(), twin.elements()):
+        for e in exponents:
+            assert _outcome(lambda: (x**e).coeffs) == _outcome(lambda: (y**e).coeffs), (x, e)
+    assert field.zero**0 == field.one and field.zero**2 == field.zero
+    with pytest.raises(ZeroDivisionError):
+        field.zero**-1
+
+
+def test_table_frobenius_is_the_q_fold_product(two_routes):
+    field, twin = two_routes
+    q = field.base.order
+    for x, y in zip(field.elements(), twin.elements()):
+        product = y
+        for _ in range(q - 1):
+            product = product * y
+        assert (x**q).coeffs == product.coeffs, x
+
+
+# --- which fields get tables ---------------------------------------------------
+
+
+def test_directly_built_fields_keep_the_polynomial_route():
+    reducible = ExtField(PrimeField(3), (2, 0, 1))  # y^2 - 1 = (y - 1)(y + 1)
+    assert reducible._log is None
+    with pytest.raises(ZeroDivisionError):
+        reducible.element((2, 1)).inverse()
+    assert reducible.element((2, 1)) * reducible.element((1, 1)) == reducible.zero
+    assert ExtField(PrimeField(3), (1, 0, 1))._log is None  # the modulus of gf(9)
+    assert gf(9)._log is not None
+
+
+def test_fields_above_the_order_bound_keep_the_polynomial_route():
+    assert gf(_LOG_TABLE_MAX_ORDER)._log is not None
+    big = gf(2 * _LOG_TABLE_MAX_ORDER)
+    assert big._log is None
+    x = big.generator() + big.one
+    assert x * x.inverse() == big.one
+    assert x ** (big.order - 1) == big.one and x**big.order == x
+
+
+def test_towers_built_twice_share_tables_and_mix():
+    t1, t2 = FiniteTower(5, 3, 2), FiniteTower(5, 3, 2)
+    assert t1.field is not t2.field and t1.field == t2.field
+    assert t1.field._exp is t2.field._exp and t1.field._log is t2.field._log
+    x, y = t1.field.generator(), t2.field.generator()
+    assert x == y and hash(x) == hash(y)
+    assert t1.sigma(x) == t2.sigma(y) == y**5
+    assert x * y == x**2 and (x / y) == t2.one
