@@ -7,147 +7,63 @@ exact identities realize birational maps between the Severi-Brauer varieties
 of a crossed-product algebra and its tensor powers. Concrete field-tower and
 crossed-product models validate the underlying identities with no floating
 point anywhere.
+
+Every public name below is imported from its module on first use, so
+`import sdpcert` loads no submodule and each command loads only the modules
+it runs.
 """
 
-from .checks import CheckResult, all_passed
-from .coverage import (
-    CoverageReport,
-    SearchSpaceTooLargeError,
-    coverage_subgroup,
-    dihedral_generators,
-    exhaustive_fixed_units,
-    fixed_unit_generators,
-    reduce_to_cyclic,
-    subgroup_closure,
-    tau_symmetrize,
-    unit_witness,
-)
-from .crossed import (
-    CrossedProduct,
-    LeftIdeal,
-    SplittingChain,
-    chain_from_ideal,
-    chain_from_unit,
-    cocycle_condition_holds,
-    ideal_from_chain,
-    is_splitting_chain,
-    norm_element_check,
-    random_cyclic_instance,
-    standard_cyclic_cocycle,
-    tau_action_check,
-    tensor_power_check,
-)
-from .group_ring import (
-    GroupRingElement,
-    OrderMismatchError,
-    TauData,
-    full_norm,
-    partial_norm,
-)
-from .monomial import (
-    Certificate,
-    ExponentMismatchError,
-    NormSetMap,
-    NotCoveredError,
-    VerificationRecord,
-    compose,
-    identity_map,
-    is_identity,
-    make_certificate,
-    monomial_map,
-    shift_map,
-    tau_conjugate,
-    verify_certificate,
-)
-from .quotient import (
-    NotInvertibleError,
-    SElement,
-    eps_bar,
-    invert,
-    is_unit,
-    lift,
-    reduce,
-    tau_apply_s,
-)
-from .tower import (
-    FiniteTower,
-    NormSetPoint,
-    NumberTower,
-    apply_monomial,
-    apply_monomial_point,
-    builtin_finite,
-    builtin_s3,
-    dump_tower,
-    load_tower,
-    make_norm_point,
-    norm,
-    phi_k_apply,
-    tau_hat,
-)
+import importlib
 
-__all__ = [
-    "CheckResult",
-    "CoverageReport",
-    "Certificate",
-    "CrossedProduct",
-    "ExponentMismatchError",
-    "FiniteTower",
-    "GroupRingElement",
-    "LeftIdeal",
-    "NormSetMap",
-    "NormSetPoint",
-    "NotCoveredError",
-    "NotInvertibleError",
-    "NumberTower",
-    "OrderMismatchError",
-    "SElement",
-    "SearchSpaceTooLargeError",
-    "SplittingChain",
-    "TauData",
-    "VerificationRecord",
-    "all_passed",
-    "apply_monomial",
-    "apply_monomial_point",
-    "builtin_finite",
-    "builtin_s3",
-    "chain_from_ideal",
-    "chain_from_unit",
-    "cocycle_condition_holds",
-    "compose",
-    "coverage_subgroup",
-    "dihedral_generators",
-    "dump_tower",
-    "eps_bar",
-    "exhaustive_fixed_units",
-    "fixed_unit_generators",
-    "full_norm",
-    "ideal_from_chain",
-    "identity_map",
-    "invert",
-    "is_identity",
-    "is_splitting_chain",
-    "is_unit",
-    "lift",
-    "load_tower",
-    "make_certificate",
-    "make_norm_point",
-    "monomial_map",
-    "norm",
-    "norm_element_check",
-    "partial_norm",
-    "phi_k_apply",
-    "random_cyclic_instance",
-    "reduce",
-    "reduce_to_cyclic",
-    "shift_map",
-    "standard_cyclic_cocycle",
-    "subgroup_closure",
-    "tau_action_check",
-    "tau_apply_s",
-    "tau_conjugate",
-    "tau_hat",
-    "tau_symmetrize",
-    "tensor_power_check",
-    "unit_witness",
-    "verify_certificate",
-]
+# module -> the public names it exports; sdpcert.norm is tower.norm
+_MODULE_EXPORTS = {
+    "checks": ("CheckResult", "all_passed"),
+    "coverage": (
+        "CoverageReport", "SearchSpaceTooLargeError", "coverage_subgroup",
+        "dihedral_generators", "exhaustive_fixed_units", "fixed_unit_generators",
+        "reduce_to_cyclic", "subgroup_closure", "tau_symmetrize", "unit_witness",
+    ),
+    "crossed": (
+        "CrossedProduct", "LeftIdeal", "SplittingChain", "chain_from_ideal",
+        "chain_from_unit", "cocycle_condition_holds", "ideal_from_chain",
+        "is_splitting_chain", "norm_element_check", "random_cyclic_instance",
+        "standard_cyclic_cocycle", "tau_action_check", "tensor_power_check",
+    ),
+    "group_ring": (
+        "GroupRingElement", "OrderMismatchError", "TauData", "full_norm",
+        "partial_norm",
+    ),
+    "monomial": (
+        "Certificate", "ExponentMismatchError", "NormSetMap", "NotCoveredError",
+        "VerificationRecord", "compose", "identity_map", "is_identity",
+        "make_certificate", "monomial_map", "shift_map", "tau_conjugate",
+        "verify_certificate",
+    ),
+    "quotient": (
+        "NotInvertibleError", "SElement", "eps_bar", "invert", "is_unit", "lift",
+        "reduce", "tau_apply_s",
+    ),
+    "tower": (
+        "FiniteTower", "NormSetPoint", "NumberTower", "apply_monomial",
+        "apply_monomial_point", "builtin_finite", "builtin_s3", "dump_tower",
+        "load_tower", "make_norm_point", "norm", "phi_k_apply", "tau_hat",
+    ),
+}
+
+_EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import a public name's module on first access and keep the name here (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

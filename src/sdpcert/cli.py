@@ -11,7 +11,10 @@ from . import coverage as cov
 from .checks import all_passed
 from .monomial import NotCoveredError, make_certificate, verify_certificate
 from .quotient import eps_bar
-from .suites import SUITES, run_suites
+
+# sorted(suites.SUITES), spelled out so that suites, and with it the model
+# layers, is imported only when verify runs
+SUITE_NAMES = ("coverage", "crossed", "group-ring", "monomial", "quotient", "tower")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -138,7 +141,9 @@ def cmd_certificate(args):
 
 
 def cmd_verify(args):
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    from .suites import run_suites
+
+    names = SUITE_NAMES if args.suite == "all" else [args.suite]
     outcome = run_suites(names, args.seed)
     passed = all(all_passed(checks) for checks in outcome.values())
     return {
@@ -223,7 +228,7 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run a module property suite")
     p_verify.add_argument(
         "--suite",
-        choices=sorted(SUITES) + ["all"],
+        choices=[*SUITE_NAMES, "all"],
         required=True,
     )
     p_verify.set_defaults(handler=cmd_verify)

@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .finitefield import _is_prime
+from ._primes import _is_prime
 from .group_ring import GroupRingElement, TauData, partial_norm_product
 from .quotient import (
     SElement,

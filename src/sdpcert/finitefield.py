@@ -30,6 +30,7 @@ import itertools
 import operator
 
 from ._element import ExactElement
+from ._primes import _is_prime, _prime_divisors
 
 
 class PrimeFieldElement(ExactElement):
@@ -249,7 +250,12 @@ def _poly_trim(coeffs, zero):
 
 
 def _poly_divmod(a, b, field):
-    """Quotient and remainder of raw-coefficient polynomials over the field."""
+    """Quotient and remainder of raw-coefficient polynomials over the field.
+
+    Each step must cancel the remainder's top coefficient. When it does not,
+    the field's _mul and _inv disagree, and the loop would never end, so
+    ArithmeticError is raised instead.
+    """
     zero = field._raw_zero
     rem = _poly_trim(list(a), zero)
     b = _poly_trim(list(b), zero)
@@ -262,6 +268,11 @@ def _poly_divmod(a, b, field):
         factor = field._mul(rem[-1], inv_lead)
         quotient[shift] = factor
         rem[shift:] = field._axpy(field._neg(factor), b, rem[shift:])
+        if rem[-1] != zero:
+            raise ArithmeticError(
+                f"{field!r}: a division step left the top coefficient {rem[-1]!r}; "
+                "its _mul and _inv disagree"
+            )
         _poly_trim(rem, zero)
     return quotient, rem
 
@@ -467,52 +478,6 @@ def _is_irreducible(coeffs, base):
         if len(a) != 1:
             return False
     return True
-
-
-# Miller-Rabin with these bases decides primality for every p below the limit
-# (Sorenson and Webster, 2015); the first twelve alone stop at 3.2 * 10^23.
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def _is_prime(p):
-    """Deterministic Miller-Rabin primality test, proven below 3.3 * 10^24."""
-    if p < 2:
-        return False
-    for q in _MILLER_RABIN_BASES:
-        if p % q == 0:
-            return p == q
-    if p >= _MILLER_RABIN_LIMIT:
-        raise ValueError(f"{p} is beyond the range of the deterministic primality test")
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def smallest_irreducible(base, degree):

@@ -5,9 +5,8 @@ from __future__ import annotations
 import itertools
 from operator import mul
 
-from . import linalg
 from ._element import ExactElement
-from .finitefield import _is_prime, _prime_divisors
+from ._primes import _is_prime, _prime_divisors
 from .group_ring import GroupRingElement, OrderMismatchError
 
 
@@ -318,8 +317,11 @@ def solve_inverse(s):
     Solves (multiplication by s) x = 1, which gives det and det * x; the
     inverse exists in S exactly when det is nonzero and divides every entry.
     Returns None otherwise. This is the oracle route, independent of the
-    modular norm kernel behind is_unit and invert.
+    modular norm kernel behind is_unit and invert. linalg is imported here,
+    so only the oracle route loads it.
     """
+    from . import linalg
+
     det, scaled = linalg.solve_integer(_multiplication_matrix(s), [1] + [0] * (s.n - 2))
     if det == 0 or any(c % det for c in scaled):
         return None

@@ -408,3 +408,101 @@ def test_numpy_loads_only_when_the_oracle_runs():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "False", "True"]
+
+
+MODULES_PROBE = """
+import contextlib, io, sys
+import sdpcert
+
+argv = sys.argv[1:]
+if argv:
+    import sdpcert.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        sdpcert.cli.main(argv)
+print(" ".join(sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("sdpcert."))))
+"""
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+COMMAND_MODULES = "_element _primes checks cli coverage group_ring monomial quotient"
+ALL_MODULES = " ".join(sorted(p.stem for p in (SRC / "sdpcert").glob("*.py")
+                              if p.stem not in ("__init__", "__main__")))
+
+
+@pytest.mark.parametrize("argv, modules", [
+    ([], ""),
+    (["coverage", "--n", "21", "--r", "20"], COMMAND_MODULES),
+    (["certificate", "--n", "13", "--r", "12", "--l", "5"], COMMAND_MODULES),
+    (["verify", "--suite", "all"], ALL_MODULES),
+], ids=["import", "coverage", "certificate", "verify"])
+def test_each_command_loads_only_its_modules(argv, modules):
+    # a fresh interpreter: the test session itself has every module loaded already
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == modules
+
+
+# The package's public names and the modules they come from, as its eager
+# imports bound them; norm is tower.norm, not quotient.norm.
+EXPORTED_FROM = {
+    "checks": "CheckResult all_passed",
+    "coverage": "CoverageReport SearchSpaceTooLargeError coverage_subgroup dihedral_generators "
+                "exhaustive_fixed_units fixed_unit_generators reduce_to_cyclic subgroup_closure "
+                "tau_symmetrize unit_witness",
+    "crossed": "CrossedProduct LeftIdeal SplittingChain chain_from_ideal chain_from_unit "
+               "cocycle_condition_holds ideal_from_chain is_splitting_chain norm_element_check "
+               "random_cyclic_instance standard_cyclic_cocycle tau_action_check tensor_power_check",
+    "group_ring": "GroupRingElement OrderMismatchError TauData full_norm partial_norm",
+    "monomial": "Certificate ExponentMismatchError NormSetMap NotCoveredError VerificationRecord "
+                "compose identity_map is_identity make_certificate monomial_map shift_map "
+                "tau_conjugate verify_certificate",
+    "quotient": "NotInvertibleError SElement eps_bar invert is_unit lift reduce tau_apply_s",
+    "tower": "FiniteTower NormSetPoint NumberTower apply_monomial apply_monomial_point "
+             "builtin_finite builtin_s3 dump_tower load_tower make_norm_point norm phi_k_apply "
+             "tau_hat",
+}
+EXPORTS = {name: module for module, names in EXPORTED_FROM.items() for name in names.split()}
+
+
+def test_every_export_is_the_object_of_its_module():
+    import importlib
+
+    import sdpcert
+    from sdpcert import quotient, tower
+
+    assert len(EXPORTS) == 64
+    assert sorted(sdpcert.__all__) == sorted(EXPORTS)
+    for name, module in EXPORTS.items():
+        expected = getattr(importlib.import_module(f"sdpcert.{module}"), name)
+        assert getattr(sdpcert, name) is expected, name
+    assert sdpcert.norm is tower.norm and sdpcert.norm is not quotient.norm
+
+
+def test_star_import_and_dir_list_every_export():
+    import sdpcert
+
+    namespace = {}
+    exec("from sdpcert import *", namespace)
+    assert set(EXPORTS) <= set(namespace)
+    assert all(namespace[name] is getattr(sdpcert, name) for name in EXPORTS)
+    assert set(EXPORTS) <= set(dir(sdpcert))
+
+
+def test_unknown_name_is_an_attribute_error():
+    import sdpcert
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sdpcert.no_such_name  # noqa: B018
+    assert not hasattr(sdpcert, "no_such_name")
+
+
+def test_suite_choices_are_the_suites():
+    import argparse
+
+    from sdpcert import cli, suites
+
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+    assert list(suite.choices) == sorted(suites.SUITES) + ["all"]

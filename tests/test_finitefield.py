@@ -1,14 +1,19 @@
 """Finite fields on raw int values: coercion, the irreducible search, log tables, and oracles."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpcert.finitefield import (
-    _LOG_TABLE_MAX_ORDER, ExtField, PrimeField, _is_irreducible, gf, smallest_irreducible,
+    _LOG_TABLE_MAX_ORDER, ExtField, PrimeField, _is_irreducible, _poly_divmod, gf,
+    smallest_irreducible,
 )
 from sdpcert.tower import FiniteTower, builtin_finite
 
@@ -334,3 +339,64 @@ def test_towers_built_twice_share_tables_and_mix():
     assert x == y and hash(x) == hash(y)
     assert t1.sigma(x) == t2.sigma(y) == y**5
     assert x * y == x**2 and (x / y) == t2.one
+
+
+# --- a field whose _mul and _inv disagree fails instead of hanging --------------
+
+# GF(4) on gf(4)'s tables, once with _inv the identity, once with _mul one
+# power of the primitive element too far: the remainder's top coefficient
+# never cancels, so the division would loop forever.
+INCONSISTENT_FIELD_PROBE = """
+from sdpcert.finitefield import ExtField, PrimeField, _poly_divmod, gf, smallest_irreducible
+
+def broken_gf4():
+    good = gf(4)
+    field = ExtField(PrimeField(2), good.modulus)
+    field._exp, field._log = good._exp, good._log
+    return field
+
+def outcome(call):
+    try:
+        call()
+    except ArithmeticError as exc:
+        return str(exc)
+    return "no error"
+
+wrong_inv = broken_gf4()
+wrong_inv._inv = lambda a: a
+print(outcome(lambda: _poly_divmod([(0, 0), (0, 0), (1, 0)], [(1, 0), (0, 1)], wrong_inv)))
+
+wrong_mul = broken_gf4()
+def off_by_one(a, b):
+    i, j = wrong_mul._log.get(a), wrong_mul._log.get(b)
+    if i is None or j is None:
+        return wrong_mul._raw_zero
+    return wrong_mul._exp[(i + j + 1) % wrong_mul._cycle]
+wrong_mul._mul = off_by_one
+print(outcome(lambda: smallest_irreducible(wrong_mul, 2)))
+"""
+
+
+def test_inconsistent_field_raises_instead_of_looping():
+    # a fresh interpreter, so a division that never ends fails on the timeout
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", INCONSISTENT_FIELD_PROBE], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert line.startswith("ExtField(order=4): a division step left the top coefficient"), line
+
+
+def test_division_by_a_non_monic_divisor_recombines():
+    field = gf(4)
+    zero, one, y = field._raw_zero, field._raw_one, field.generator().coeffs
+    dividend, divisor = [zero, one, y, one], [one, y]
+    quotient, rem = _poly_divmod(dividend, divisor, field)
+    assert len(rem) < len(divisor)
+    total = list(rem) + [zero] * (len(dividend) - len(rem))
+    for i, q in enumerate(quotient):
+        total[i:i + len(divisor)] = field._axpy(q, divisor, total[i:i + len(divisor)])
+    assert total == dividend
