@@ -9,7 +9,6 @@ an independent oracle.
 
 from sdpcert import (
     coverage_subgroup,
-    dihedral_generators,
     eps_bar,
     exhaustive_fixed_units,
     is_unit,
@@ -25,17 +24,18 @@ def main():
         print(f"n={n:>2}  covered subgroup {report.subgroup}  full={report.is_full}")
 
     print()
-    print("== Closed-form dihedral generators for n = 7 ==")
-    for g in dihedral_generators(7):
-        print(f"  coeffs {g.coeffs}  residue {eps_bar(g)}  unit={is_unit(g)}")
+    print("== Generators for n = 7, r = 6 ==")
+    for unit, residue in coverage_subgroup(7, 6).generators:
+        print(f"  coeffs {unit.coeffs}  residue {residue}  unit={is_unit(unit)}")
 
     print()
     print("== A small action: n = 7, r = 2 (order 3) ==")
     report = coverage_subgroup(7, 2)
     print(f"covered subgroup: {report.subgroup}")
-    print("witnesses by residue:")
+    print("witnesses and their inverses by residue:")
     for residue in report.subgroup:
-        print(f"  residue {residue}: {unit_witness(7, 2, residue).coeffs}")
+        unit, inverse = unit_witness(7, 2, residue)
+        print(f"  residue {residue}: {unit.coeffs}, inverse {inverse.coeffs}")
 
     print()
     print("== Exhaustive oracle with coefficient bound 2 ==")

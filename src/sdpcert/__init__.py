@@ -20,8 +20,8 @@ _MODULE_EXPORTS = {
     "checks": ("CheckResult", "all_passed"),
     "coverage": (
         "CoverageReport", "SearchSpaceTooLargeError", "coverage_subgroup",
-        "dihedral_generators", "exhaustive_fixed_units", "fixed_unit_generators",
-        "reduce_to_cyclic", "subgroup_closure", "tau_symmetrize", "unit_witness",
+        "exhaustive_fixed_units", "fixed_unit_generators", "reduce_to_cyclic",
+        "subgroup_closure", "tau_symmetrize", "unit_witness",
     ),
     "crossed": (
         "CrossedProduct", "LeftIdeal", "SplittingChain", "chain_from_ideal",
@@ -35,9 +35,8 @@ _MODULE_EXPORTS = {
     ),
     "monomial": (
         "Certificate", "ExponentMismatchError", "NormSetMap", "NotCoveredError",
-        "VerificationRecord", "compose", "identity_map", "is_identity",
-        "make_certificate", "monomial_map", "shift_map", "tau_conjugate",
-        "verify_certificate",
+        "VerificationRecord", "compose", "is_identity", "make_certificate",
+        "monomial_map", "shift_map", "tau_conjugate", "verify_certificate",
     ),
     "quotient": (
         "NotInvertibleError", "SElement", "eps_bar", "invert", "is_unit", "lift",

@@ -64,23 +64,6 @@ def subgroup_closure(residues, n):
     return tuple(sorted(known))
 
 
-def dihedral_generators(n):
-    """Closed-form tau-fixed generators for r = n-1, n odd.
-
-    Returns rho + rho^(-1) followed by the symmetric sums
-    rho^(-k) + ... + rho^k for 3 <= 2k+1 < n. Each is fixed under rho -> rho^(-1);
-    unit status is checked downstream, not assumed.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"dihedral generators require odd n >= 3, got {n}")
-    gens = [SElement.from_exponents(n, (1, n - 1))]
-    k = 1
-    while 2 * k + 1 < n:
-        gens.append(SElement.from_exponents(n, [e % n for e in range(-k, k + 1)]))
-        k += 1
-    return gens
-
-
 def tau_symmetrize(s, tau):
     """Product of s over its tau-orbit; always tau-fixed, and a unit if s is."""
     acc = s
@@ -126,11 +109,17 @@ def cyclotomic_unit_inverse(n, steps, a):
 
 
 def _checked_unit(n, steps, a):
-    """cyclotomic_unit(n, steps, a) with its unit status and residue a^e checked exactly."""
+    """(cyclotomic_unit(n, steps, a), cyclotomic_unit_inverse(n, steps, a)), checked exactly.
+
+    The exact product unit * inverse == 1 in S proves the unit with no norm
+    test, and is the alpha * beta = 1 a certificate needs. The residue is
+    checked against a^e, e = len(steps).
+    """
     unit = cyclotomic_unit(n, steps, a)
-    if not is_unit(unit) or eps_bar(unit) != pow(a, len(steps), n):
+    inverse = cyclotomic_unit_inverse(n, steps, a)
+    if unit * inverse != SElement.one(n) or eps_bar(unit) != pow(a, len(steps), n):
         raise RuntimeError(f"cyclotomic unit for a = {a} failed its check at n = {n}")
-    return unit
+    return unit, inverse
 
 
 def fixed_unit_generators(n, r):
@@ -147,9 +136,14 @@ def fixed_unit_generators(n, r):
     for a in range(3, n, 2):
         power = pow(a, len(steps), n)
         if gcd(a, n) == 1 and power not in covered:
-            units.append(_checked_unit(n, steps, a))
+            units.append(_checked_unit(n, steps, a)[0])
             covered = subgroup_closure(covered + (power,), n)
     return units
+
+
+def _units_mod(n):
+    """(Z/nZ)* as sorted residues, the value of a full CoverageReport.subgroup."""
+    return tuple(x for x in range(1, n) if gcd(x, n) == 1) or (1,)
 
 
 def coverage_subgroup(n, r):
@@ -157,56 +151,33 @@ def coverage_subgroup(n, r):
     units = fixed_unit_generators(n, r)
     generators = tuple((u, eps_bar(u)) for u in units)
     subgroup = subgroup_closure([res for _, res in generators], n)
-    units_mod_n = tuple(x for x in range(1, n) if gcd(x, n) == 1) or (1,)
     return CoverageReport(
         n=n,
         r=r,
         m=TauData(n, r).m,
         generators=generators,
         subgroup=subgroup,
-        is_full=subgroup == units_mod_n,
+        is_full=subgroup == _units_mod(n),
         strategy="generator-based",
     )
 
 
-def _witness_exponent(n, steps, residue):
-    """(a, sign) for the first odd a coprime to n with sign * a^e = residue mod n, e = len(steps).
-
-    None when there is no such a: {+-a^e} is the reported subgroup.
-    """
-    residue %= n
-    for a in range(1, n, 2):
-        power = pow(a, len(steps), n)
-        if gcd(a, n) == 1 and residue in (power, -power % n):
-            return a, 1 if residue == power else -1
-    return None
-
-
 def unit_witness(n, r, residue):
-    """+-cyclotomic_unit(n, coset_steps(n, r), a) for the first odd a with +-a^e = residue mod n.
+    """(+-u, +-u^(-1)), u = cyclotomic_unit(n, coset_steps(n, r), a), for the first odd a
+    coprime to n with +-a^e = residue mod n, e = len(coset_steps(n, r)).
 
     None when there is no such a: {+-a^e} is the reported subgroup, so a
     witness exists exactly for the residues coverage_subgroup reports.
     """
     steps = coset_steps(n, r)
-    found = _witness_exponent(n, steps, residue)
-    if found is None:
-        return None
-    a, sign = found
-    return sign * _checked_unit(n, steps, a)
-
-
-def witness_with_inverse(n, r, residue):
-    """(unit_witness(n, r, residue), its inverse from cyclotomic_unit_inverse), or None.
-
-    The inverse is not checked here; make_certificate checks the product.
-    """
-    steps = coset_steps(n, r)
-    found = _witness_exponent(n, steps, residue)
-    if found is None:
-        return None
-    a, sign = found
-    return sign * _checked_unit(n, steps, a), sign * cyclotomic_unit_inverse(n, steps, a)
+    residue %= n
+    for a in range(1, n, 2):
+        power = pow(a, len(steps), n)
+        if gcd(a, n) == 1 and residue in (power, -power % n):
+            sign = 1 if residue == power else -1
+            unit, inverse = _checked_unit(n, steps, a)
+            return sign * unit, sign * inverse
+    return None
 
 
 def _reduce(values, p):
@@ -432,15 +403,21 @@ def reduce_to_cyclic(p, action_images):
 
 
 def verify_report(report):
-    """Re-check the CoverageReport invariants; returns a list of violations."""
+    """Re-check the CoverageReport invariants; returns a list of violations.
+
+    Its is_unit is the one norm-kernel test of each generator, independent of
+    the exact product with the closed-form inverse that fixed_unit_generators
+    proves it by. The subgroup must be the closure of the generator residues,
+    is_full must say whether that is all of (Z/nZ)*, and m the order of r.
+    """
+    n = report.n
     problems = []
-    tau = TauData(report.n, report.r)
+    tau = TauData(n, report.r)
+    if report.m != tau.m:
+        problems.append(f"m = {report.m} is not the order {tau.m} of {report.r} mod {n}")
     for residue in report.subgroup:
-        if gcd(residue, report.n) != 1:
-            problems.append(f"residue {residue} is not a unit mod {report.n}")
-    closure = subgroup_closure(report.subgroup, report.n)
-    if closure != report.subgroup:
-        problems.append("subgroup is not multiplicatively closed")
+        if gcd(residue, n) != 1:
+            problems.append(f"residue {residue} is not a unit mod {n}")
     for unit, residue in report.generators:
         if eps_bar(unit) != residue:
             problems.append(f"generator residue mismatch for {unit!r}")
@@ -448,4 +425,9 @@ def verify_report(report):
             problems.append(f"generator {unit!r} fails the unit test")
         if not lift(unit).is_tau_fixed(tau):
             problems.append(f"generator {unit!r} is not tau-fixed after lifting")
+    residues = [residue for _, residue in report.generators if gcd(residue, n) == 1]
+    if subgroup_closure(residues, n) != report.subgroup:
+        problems.append("subgroup is not the closure of the generator residues")
+    if report.is_full != (report.subgroup == _units_mod(n)):
+        problems.append(f"is_full = {report.is_full} disagrees with the subgroup")
     return problems

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .checks import CheckResult, all_passed
-from .coverage import witness_with_inverse
+from .coverage import unit_witness
 from .group_ring import GroupRingElement, OrderMismatchError, TauData, full_norm
 from .quotient import SElement, is_unit, lift, reduce
 
@@ -64,10 +64,6 @@ class NormSetMap:
             f"NormSetMap(monomial={self.monomial.coeffs}, shift={self.shift}, "
             f"source_exp={self.source_exp})"
         )
-
-
-def identity_map(n, source_exp):
-    return NormSetMap(GroupRingElement.one(n), 0, source_exp)
 
 
 def monomial_map(element, source_exp):
@@ -128,23 +124,19 @@ def make_certificate(n, r, l):
     """Build a certificate for residue l from a single cyclotomic-unit witness.
 
     The unit alpha with eps_bar(alpha) = l mod n and its inverse beta in S
-    come from witness_with_inverse: alpha is unit_witness's, which covers
-    exactly the residues coverage_subgroup reports, and beta its closed-form
-    inverse, checked here by alpha * beta = 1. Both are lifted canonically
-    (the canonical lift of a tau-fixed element is tau-fixed).
+    are the pair unit_witness returns, which covers exactly the residues
+    coverage_subgroup reports and has alpha * beta = 1 checked exactly. Both
+    are lifted canonically (the canonical lift of a tau-fixed element is
+    tau-fixed).
     """
     if gcd(l, n) != 1:
         raise ValueError(f"l must be coprime to n: gcd({l}, {n}) != 1")
-    pair = witness_with_inverse(n, r, l)
+    pair = unit_witness(n, r, l)
     if pair is None:
         raise NotCoveredError(
             f"residue {l % n} is not covered by the fixed-unit generators for (n={n}, r={r})"
         )
-    alpha, beta = pair
-    if alpha * beta != SElement.one(n):
-        raise RuntimeError("closed-form inverse of the witness failed verification")
-    alpha_tilde = lift(alpha)
-    beta_tilde = lift(beta)
+    alpha_tilde, beta_tilde = (lift(x) for x in pair)
     k, k_rem = divmod(alpha_tilde.augmentation() - l, n)
     s, s_rem = divmod(beta_tilde.augmentation() * l - 1, n)
     if k_rem or s_rem:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -18,7 +19,6 @@ from sdpcert.coverage import (
     coverage_subgroup,
     cyclotomic_unit,
     cyclotomic_unit_inverse,
-    dihedral_generators,
     exhaustive_fixed_units,
     fixed_unit_generators,
     reduce_to_cyclic,
@@ -48,42 +48,17 @@ def valid_r(n):
     return [r for r in range(1, n) if gcd(r, n) == 1]
 
 
-def test_dihedral_generators_n3():
-    gens = dihedral_generators(3)
-    assert [g.coeffs for g in gens] == [(-1, 0)]
-    assert eps_bar(gens[0]) == 2
-
-
-def test_dihedral_generators_n5():
-    gens = dihedral_generators(5)
-    assert gens[0] == SElement.from_exponents(5, (1, 4))
-    assert gens[1] == SElement.from_exponents(5, (4, 0, 1))
-    assert [eps_bar(g) for g in gens] == [2, 3]
-
-
-def test_dihedral_generators_are_tau_fixed():
+def test_symmetric_sums_are_fixed_cyclotomic_units():
+    # rho^(-k) + ... + rho^k is xi_(2k+1) over the single step coset_steps(n, n - 1) == [1]
     for n in (3, 5, 7, 9, 11, 13, 15):
         tau = TauData(n, n - 1)
-        for g in dihedral_generators(n):
-            assert tau_apply_s(g, tau) == g
-
-
-def test_dihedral_generators_reject_even_n():
-    with pytest.raises(ValueError):
-        dihedral_generators(4)
-    with pytest.raises(ValueError):
-        dihedral_generators(2)
-
-
-def test_dihedral_list_may_contain_non_units():
-    # for n = 9 the symmetric sum of length 3 shares a factor with n
-    gens = dihedral_generators(9)
-    non_units = [g for g in gens if not is_unit(g)]
-    assert SElement.from_exponents(9, (8, 0, 1)) in non_units
-    # the unit pool filters them out
-    pool = fixed_unit_generators(9, 8)
-    assert all(is_unit(u) for u in pool)
-    assert SElement.from_exponents(9, (8, 0, 1)) not in pool
+        assert coset_steps(n, n - 1) == [1]
+        for a in range(1, n, 2):
+            if gcd(a, n) == 1:
+                k = (a - 1) // 2
+                unit = cyclotomic_unit(n, [1], a)
+                assert unit == SElement.from_exponents(n, [e % n for e in range(-k, k + 1)]), (n, a)
+                assert tau_apply_s(unit, tau) == unit
 
 
 def test_tau_symmetrize_fixed_input_gives_power():
@@ -203,7 +178,7 @@ def test_fixed_unit_generators_contains_dihedral_units_n5():
     # dihedral unit rho + rho^4 (eps_bar 2 = 3 * 4) is not needed
     pool = fixed_unit_generators(5, 4)
     assert pool == [SElement.constant(5, -1), SElement.from_exponents(5, (4, 0, 1))]
-    assert pool[1] in dihedral_generators(5)
+    assert pool[1] == cyclotomic_unit(5, [1], 3)
 
 
 def test_fixed_unit_generators_all_unit_and_fixed():
@@ -237,6 +212,23 @@ def test_coverage_report_invariants():
         assert verify_report(report) == []
         assert report.m == TauData(n, r).m
         assert report.strategy == "generator-based"
+
+
+def test_verify_report_rejects_forged_fields():
+    # the only generator residue of (7, 2) is 6, so its subgroup is (1, 6)
+    report = coverage_subgroup(7, 2)
+    assert [res for _, res in report.generators] == [6] and verify_report(report) == []
+    forged = [
+        dataclasses.replace(report, subgroup=(1, 2, 3, 4, 5, 6)),
+        dataclasses.replace(report, is_full=True),
+        dataclasses.replace(report, m=5),
+        dataclasses.replace(report, generators=report.generators + ((SElement.one(7), 1),),
+                            subgroup=(1, 2, 4, 6)),
+    ]
+    for bad in forged:
+        assert verify_report(bad), bad
+    full = coverage_subgroup(7, 6)
+    assert verify_report(dataclasses.replace(full, is_full=False))
 
 
 def test_exhaustive_n3_r2_bound1_is_exactly_plus_minus_one():
@@ -547,10 +539,13 @@ def test_unit_witnesses_cover_whole_subgroup():
         tau = TauData(n, r)
         covered = coverage_subgroup(n, r).subgroup
         for residue in range(-n, 2 * n):
-            unit = unit_witness(n, r, residue)
+            pair = unit_witness(n, r, residue)
             if residue % n not in covered:
-                assert unit is None, (n, r, residue)
+                assert pair is None, (n, r, residue)
                 continue
+            unit, inverse = pair
+            assert unit * inverse == SElement.one(n)
+            assert inverse == invert(unit)
             assert eps_bar(unit) == residue % n
             assert is_unit(unit)
             assert lift(unit).is_tau_fixed(tau)
@@ -690,12 +685,37 @@ def test_cyclotomic_unit_inverse_matches_invert(n):
 
 
 def test_fixed_unit_generators_check_each_unit(monkeypatch):
+    real = coverage.cyclotomic_unit_inverse
+    # off by 1 - rho, which keeps the augmentation and so the residue
+    monkeypatch.setattr(coverage, "cyclotomic_unit_inverse",
+                        lambda n, steps, a: real(n, steps, a) + 1 - SElement.rho_power(n, 1))
+    with pytest.raises(RuntimeError):
+        fixed_unit_generators(13, 4)
+    monkeypatch.setattr(coverage, "cyclotomic_unit_inverse", real)
     monkeypatch.setattr(coverage, "cyclotomic_unit", lambda n, steps, a: SElement.one(n))
     with pytest.raises(RuntimeError):
         fixed_unit_generators(13, 4)
     monkeypatch.setattr(coverage, "cyclotomic_unit", lambda n, steps, a: SElement.constant(n, 2))
     with pytest.raises(RuntimeError):
         unit_witness(13, 4, 5)
+
+
+def test_generators_need_no_norm_test(monkeypatch):
+    # the exact product with the closed-form inverse proves each generator a unit
+    def refuse(s):
+        raise AssertionError("is_unit called")
+
+    monkeypatch.setattr(coverage, "is_unit", refuse)
+    monkeypatch.setattr(quotient, "is_unit", refuse)
+    for n, r in ((13, 12), (13, 4), (16, 15), (25, 24)):
+        assert len(fixed_unit_generators(n, r)) > 1
+
+
+def test_coverage_builds_no_prime_table(monkeypatch):
+    # with no norm test, a large n costs no table of root powers
+    monkeypatch.setattr(quotient, "_TABLES", {})
+    assert coverage_subgroup(503, 502).is_full
+    assert 503 not in quotient._TABLES
 
 
 def test_coverage_is_plus_minus_the_e_th_powers():

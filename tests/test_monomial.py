@@ -12,7 +12,6 @@ from sdpcert.monomial import (
     NormSetMap,
     NotCoveredError,
     compose,
-    identity_map,
     is_identity,
     make_certificate,
     monomial_map,
@@ -52,8 +51,8 @@ def test_monomial_commutes_with_shift():
 def test_identity_composes_neutrally():
     rng = random.Random(1)
     f = random_map(rng, 5, 2)
-    assert compose(f, identity_map(5, 2)) == f
-    assert compose(identity_map(5, f.target_exp), f) == f
+    assert compose(f, shift_map(5, 0, 2)) == f
+    assert compose(shift_map(5, 0, f.target_exp), f) == f
 
 
 def test_compose_exponent_mismatch():
@@ -191,6 +190,21 @@ def test_certificate_checks_the_closed_form_inverse(monkeypatch):
                         lambda n, steps, a: real(n, steps, a) + 1 - SElement.rho_power(n, 1))
     with pytest.raises(RuntimeError):
         make_certificate(7, 6, 2)
+
+
+def test_certificate_needs_no_norm_test(monkeypatch):
+    # alpha * beta = 1, checked exactly, proves both units; only verify_certificate runs is_unit
+    from sdpcert import coverage, quotient
+
+    def refuse(s):
+        raise AssertionError("is_unit called")
+
+    monkeypatch.setattr(coverage, "is_unit", refuse)
+    monkeypatch.setattr(quotient, "is_unit", refuse)
+    for n, r in ((13, 12), (13, 4), (16, 15)):
+        for l in coverage_subgroup(n, r).subgroup:
+            cert = make_certificate(n, r, l)
+            assert reduce(cert.alpha_tilde) * reduce(cert.beta_tilde) == SElement.one(n), (n, r, l)
 
 
 def test_corrupted_certificate_fails_named_checks():
