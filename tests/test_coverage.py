@@ -48,6 +48,30 @@ def valid_r(n):
     return [r for r in range(1, n) if gcd(r, n) == 1]
 
 
+def test_dihedral_generators_n3():
+    # the dihedral generator rho + rho^(-1) is rho + rho^2 = -1 for n = 3
+    gen = SElement.from_exponents(3, (1, 2))
+    assert gen.coeffs == (-1, 0)
+    assert eps_bar(gen) == 2
+    assert gen in fixed_unit_generators(3, 2)
+
+
+def test_dihedral_generators_n5():
+    gens = [SElement.from_exponents(5, (1, 4)), cyclotomic_unit(5, [1], 3)]
+    assert gens[1] == SElement.from_exponents(5, (4, 0, 1))
+    assert [eps_bar(g) for g in gens] == [2, 3]
+
+
+def test_dihedral_generators_are_tau_fixed():
+    # rho + rho^(-1) and the symmetric sums rho^(-k) + ... + rho^k, 3 <= 2k+1 < n
+    for n in (3, 5, 7, 9, 11, 13, 15):
+        tau = TauData(n, n - 1)
+        gens = [SElement.from_exponents(n, (1, n - 1))]
+        gens += [SElement.from_exponents(n, [e % n for e in range(-k, k + 1)]) for k in range(1, (n - 1) // 2)]
+        for g in gens:
+            assert tau_apply_s(g, tau) == g
+
+
 def test_symmetric_sums_are_fixed_cyclotomic_units():
     # rho^(-k) + ... + rho^k is xi_(2k+1) over the single step coset_steps(n, n - 1) == [1]
     for n in (3, 5, 7, 9, 11, 13, 15):
