@@ -59,6 +59,12 @@ def cmd_coverage(args):
     _check_n_r(args)
     if args.exhaustive is not None and args.exhaustive < 0:
         raise UsageError("--exhaustive must be non-negative")
+    if args.exhaustive is not None:
+        # the oracle first, so that its size guard refuses before any coverage work
+        try:
+            units = cov.exhaustive_fixed_units(args.n, args.r, args.exhaustive)
+        except cov.SearchSpaceTooLargeError as exc:
+            raise UsageError(f"--exhaustive {args.exhaustive}: {exc}") from exc
     report = cov.coverage_subgroup(args.n, args.r)
     problems = cov.verify_report(report)
     results = {"coverage": _coverage_payload(report)}
@@ -66,10 +72,6 @@ def cmd_coverage(args):
     if problems:
         results["problems"] = sorted(problems)
     if args.exhaustive is not None:
-        try:
-            units = cov.exhaustive_fixed_units(args.n, args.r, args.exhaustive)
-        except cov.SearchSpaceTooLargeError as exc:
-            raise UsageError(f"--exhaustive {args.exhaustive}: {exc}") from exc
         residues = sorted({eps_bar(u) for u in units})
         oracle_subgroup = cov.subgroup_closure(residues, args.n)
         # the report is a verified lower bound: only a residue beyond it is a failure

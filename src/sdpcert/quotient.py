@@ -219,28 +219,19 @@ def _norm_residues(s):
             return
 
 
-def _crt(residues, modulus, new_residues, p):
-    """Combine residue vectors modulo coprime modulus and p into residues modulo their product."""
-    scale = pow(modulus, -1, p)
-    return [x + modulus * ((y - x) * scale % p) for x, y in zip(residues, new_residues)]
-
-
-def _symmetric(x, modulus):
-    return x - modulus if 2 * x > modulus else x
-
-
 def norm(s):
     """The norm of s from S to Z: the product of its values at the roots of 1 + ... + x^(n-1).
 
     Equals the resultant of the canonical representative with
     1 + x + ... + x^(n-1) up to sign; computed exactly from residues modulo
-    primes p = 1 (mod n).
+    primes p = 1 (mod n), joined one prime at a time by the Chinese remainder
+    theorem and read as the symmetric residue.
     """
     value, modulus = 0, 1
     for p, residue in _norm_residues(s):
-        (value,) = _crt([value], modulus, [residue], p)
+        value += modulus * ((residue - value) * pow(modulus, -1, p) % p)
         modulus *= p
-    return _symmetric(value, modulus)
+    return value - modulus if 2 * value > modulus else value
 
 
 def is_unit(s):
@@ -258,57 +249,20 @@ def is_unit(s):
     return all(residue == sign % q for q, residue in residues)
 
 
-def _inverse_bound(s):
-    """(2H)^2, where H bounds the absolute coefficients of the inverse of a unit s.
-
-    By Cramer's rule on the multiplication matrix, whose determinant is
-    N(s) = +-1, each coefficient is at most the product of the matrix's column
-    lengths (Hadamard). Column j is the canonical form of s * rho^j: the lift
-    shifted by j, minus its top entry t, of squared length Q - 2*t*F + n*t^2
-    with Q the sum of squares and F the sum of the coefficients; t runs over
-    0, c_1, ..., c_(n-2).
-    """
-    coeffs = s.coeffs
-    q = sum(c * c for c in coeffs)
-    f = sum(coeffs)
-    squared = 1
-    for t in (0,) + coeffs[1:]:
-        squared *= q - 2 * t * f + s.n * t * t
-    return 4 * squared
-
-
-def _modular_inverse(s):
-    """Inverse of a unit s, from its pointwise inverses mod each table prime, joined by CRT.
-
-    The inverse transform sets the value at the root 1 to 0; that choice only
-    adds a multiple of the norm element, which reduction to the canonical
-    form removes.
-    """
-    n = s.n
-    table = _table(n)
-    bound = _inverse_bound(s)
-    coeffs, modulus = [0] * (n - 1), 1
-    k = 0
-    while modulus * modulus <= bound:
-        p, _, rows = table[k]
-        inverses = [0] + [pow(v, -1, p) for v in _evaluations(s.coeffs, p, rows)]
-        full = [sum(map(mul, inverses, rows[-i % n])) for i in range(n)]
-        scale = pow(n, -1, p)
-        residues = [(t - full[-1]) * scale % p for t in full[:-1]]
-        coeffs = _crt(coeffs, modulus, residues, p)
-        modulus *= p
-        k += 1
-    return SElement(n, tuple(_symmetric(c, modulus) for c in coeffs))
-
-
 def _multiplication_matrix(s):
-    """Matrix of multiplication by s on the basis 1, rho, ..., rho^(n-2)."""
+    """Matrix of multiplication by s on the basis 1, rho, ..., rho^(n-2).
+
+    Column j is the canonical form of s * rho^j: the lift of s rotated by j,
+    minus its top entry.
+    """
     n = s.n
+    lifted = s.coeffs + (0,)
     cols = []
     for j in range(n - 1):
-        col = (s * SElement.rho_power(n, j)).coeffs
-        cols.append(col)
-    return [[cols[j][i] for j in range(n - 1)] for i in range(n - 1)]
+        rotated = lifted[n - j:] + lifted[:n - j]
+        top = rotated[-1]
+        cols.append([c - top for c in rotated[:-1]])
+    return list(zip(*cols))
 
 
 def solve_inverse(s):
@@ -316,9 +270,9 @@ def solve_inverse(s):
 
     Solves (multiplication by s) x = 1, which gives det and det * x; the
     inverse exists in S exactly when det is nonzero and divides every entry.
-    Returns None otherwise. This is the oracle route, independent of the
-    modular norm kernel behind is_unit and invert. linalg is imported here,
-    so only the oracle route loads it.
+    Returns None otherwise. This is the route behind invert, and the oracle
+    for is_unit: it shares nothing with the modular norm kernel. linalg is
+    imported here, so only inversion loads it.
     """
     from . import linalg
 
@@ -329,15 +283,15 @@ def solve_inverse(s):
 
 
 def invert(s):
-    """Inverse of a unit of S, from the modular norm kernel.
+    """Inverse of a unit of S, by the fraction-free linear solve of solve_inverse.
 
     Raises NotInvertibleError when s is not a unit. The result is checked
     exactly; a product other than 1 would be an internal inconsistency and
     raises RuntimeError.
     """
-    if not is_unit(s):
+    inverse = solve_inverse(s)
+    if inverse is None:
         raise NotInvertibleError(f"{s!r} is not a unit of S")
-    inverse = _modular_inverse(s)
     if s * inverse != SElement.one(s.n):
         raise RuntimeError("computed inverse failed verification")
     return inverse

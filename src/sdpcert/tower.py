@@ -568,20 +568,20 @@ def apply_monomial(tw, element, x):
     return result
 
 
-def apply_monomial_point(tw, element, pt, validate=True):
+def apply_monomial_point(tw, element, pt):
     """The image norm-set point under a monomial map: exponent scales by the augmentation."""
     image = NormSetPoint(apply_monomial(tw, element, pt.x), pt.k * element.augmentation())
-    if validate and not point_is_valid(tw, image):
+    if not point_is_valid(tw, image):
         raise RuntimeError("monomial image left the norm set")
     return image
 
 
-def tau_hat(tw, pt, validate=True):
+def tau_hat(tw, pt):
     """The induced tau-action on [N = b^k]: x -> tau(N_sigma^t(x)) / (lambda^(kt) b^(ks)).
 
-    The output is re-verified to satisfy the same norm invariant.
+    The input and the output are both checked against the norm invariant.
     """
-    if validate and not point_is_valid(tw, pt):
+    if not point_is_valid(tw, pt):
         raise ValueError("input does not satisfy its norm invariant")
     numerator = tw.tau(sigma_partial_product(tw, pt.x, tw.t))
     denominator = tw.lam ** (pt.k * tw.t) * tw.b ** (pt.k * tw.s)
@@ -591,10 +591,10 @@ def tau_hat(tw, pt, validate=True):
     return image
 
 
-def phi_k_apply(tw, pt, k, validate=True):
+def phi_k_apply(tw, pt, k):
     """The shift map: x -> x * b^k, moving exponent i to i + n*k."""
     image = NormSetPoint(pt.x * tw.b**k, pt.k + tw.n * k)
-    if validate and not point_is_valid(tw, image):
+    if not point_is_valid(tw, image):
         raise RuntimeError("shift image left the norm set")
     return image
 

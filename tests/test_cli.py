@@ -97,6 +97,19 @@ def test_exhaustive_guard_error_names_the_orbit_count(capsys):
     assert "(2*2+1)^12" in err and "d = 12 free <r>-orbits" in err
 
 
+def test_oversized_exhaustive_is_refused_before_any_coverage_work(capsys, monkeypatch):
+    from sdpcert import coverage
+
+    def no_coverage_work(n, r):
+        raise AssertionError("coverage_subgroup ran before the oracle's guard")
+
+    monkeypatch.setattr(coverage, "coverage_subgroup", no_coverage_work)
+    code, out, err = run_cli(capsys, "coverage", "--n", "1009", "--r", "1008", "--exhaustive", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: --exhaustive 2: ") and len(err.splitlines()) == 1
+
+
 def test_oracle_agreement_check_names_the_first_disagreement(monkeypatch):
     from sdpcert import coverage, suites
 
@@ -433,7 +446,8 @@ ALL_MODULES = " ".join(sorted(p.stem for p in (SRC / "sdpcert").glob("*.py")
     (["coverage", "--n", "21", "--r", "20"], COMMAND_MODULES),
     (["certificate", "--n", "13", "--r", "12", "--l", "5"], COMMAND_MODULES),
     (["verify", "--suite", "all"], ALL_MODULES),
-], ids=["import", "coverage", "certificate", "verify"])
+    (["verify", "--suite", "group-ring"], " ".join(sorted([*COMMAND_MODULES.split(), "suites"]))),
+], ids=["import", "coverage", "certificate", "verify", "verify-group-ring"])
 def test_each_command_loads_only_its_modules(argv, modules):
     # a fresh interpreter: the test session itself has every module loaded already
     env = dict(os.environ, PYTHONPATH=str(SRC))

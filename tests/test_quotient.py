@@ -6,13 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpcert.coverage import fixed_unit_generators
+from sdpcert import quotient
+from sdpcert.coverage import (
+    _checked_unit,
+    coset_steps,
+    cyclotomic_unit,
+    cyclotomic_unit_inverse,
+    fixed_unit_generators,
+)
 from sdpcert.finitefield import PrimeField, _is_prime
 from sdpcert.group_ring import GroupRingElement, TauData, full_norm
 from sdpcert.linalg import resultant
 from sdpcert.quotient import (
     NotInvertibleError,
     SElement,
+    _multiplication_matrix,
     _norm_residues,
     _table,
     eps_bar,
@@ -107,6 +115,28 @@ def test_invert_rejects_non_units():
         invert(SElement.zero(5))
     with pytest.raises(NotInvertibleError):
         invert(SElement.constant(7, 3))
+
+
+def test_multiplication_matrix_columns_are_the_products_with_rho_powers():
+    # reference: column j as the ring product s * rho^j, through the group ring
+    rng = random.Random(10)
+    for _ in range(300):
+        n = rng.randint(2, 15)
+        s = SElement(n, [rng.randint(-3, 3) for _ in range(n - 1)])
+        matrix = _multiplication_matrix(s)
+        assert len(matrix) == n - 1 and all(len(row) == n - 1 for row in matrix)
+        for j in range(n - 1):
+            column = tuple(row[j] for row in matrix)
+            assert column == (s * SElement.rho_power(n, j)).coeffs, (s, j)
+
+
+def test_invert_builds_no_prime_table(monkeypatch):
+    # the linear solve shares nothing with the modular norm kernel
+    monkeypatch.setattr(quotient, "_TABLES", {})
+    steps = coset_steps(211, 210)
+    unit = cyclotomic_unit(211, steps, 3)
+    assert invert(unit) == cyclotomic_unit_inverse(211, steps, 3)
+    assert 211 not in quotient._TABLES
 
 
 def test_unit_criterion_against_linear_solve_oracle():
@@ -319,17 +349,33 @@ def test_miller_rabin_against_trial_division():
         PrimeField(91)
 
 
-def test_invert_matches_linear_solve_on_unit_products():
+def unit_pairs(n, r):
+    """(-1, -1), then the (unit, closed-form inverse) pairs from _checked_unit behind
+    fixed_unit_generators(n, r), in its order."""
+    generators = fixed_unit_generators(n, r)
+    steps = coset_steps(n, r)
+    pairs = [(generators[0], generators[0])]
+    for a in range(3, n, 2):
+        if gcd(a, n) == 1:
+            pair = _checked_unit(n, steps, a)
+            if pair[0] in generators:
+                pairs.append(pair)
+    assert [unit for unit, _ in pairs] == generators
+    return pairs
+
+
+def test_invert_matches_closed_form_inverses_on_unit_products():
+    # the inverse of a product of cyclotomic units is the product of their closed-form
+    # inverses: a route independent of the linear solve behind invert
     rng = random.Random(9)
     for n in (2, 3, 6, 9, 14, 20):
-        base = fixed_unit_generators(n, n - 1) + fixed_unit_generators(n, 1)
+        base = unit_pairs(n, n - 1) + unit_pairs(n, 1)
         for _ in range(6):
-            u = SElement.one(n)
+            u = expected = SElement.one(n)
             for _ in range(rng.randint(1, 8)):
-                u = u * rng.choice(base)
-            inverse = invert(u)
-            assert u * inverse == SElement.one(n)
-            assert inverse == solve_inverse(u), (n, u)
+                unit, inverse = rng.choice(base)
+                u, expected = u * unit, expected * inverse
+            assert invert(u) == expected, (n, u)
 
 
 @st.composite
