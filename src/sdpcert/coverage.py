@@ -13,8 +13,9 @@ from ._primes import _is_prime
 from .group_ring import GroupRingElement, TauData, partial_norm_product
 from .quotient import (
     SElement,
-    _norm_threshold,
-    _table,
+    _levels,
+    _prime,
+    _prime_count,
     eps_bar,
     is_unit,
     lift,
@@ -186,55 +187,21 @@ def _reduce(values, p):
     return values
 
 
-def _pow_mod(values, exponent, p):
-    """values ** exponent mod p, elementwise by square-and-multiply in int64 (values < p < 2^26)."""
-    result = None
-    while True:
-        if exponent & 1:
-            result = values if result is None else _reduce(result * values, p)
-        exponent >>= 1
-        if not exponent:
-            return result
-        values = _reduce(values * values, p)
+def _orbit_sums_at_roots(n, levels, orbits, k=0):
+    """The k-th kernel prime q and the orbit sums mod q at the roots of the levels.
 
-
-def _orbit_sums_at_roots(n, r, orbits, k=0):
-    """The k-th table prime q, the levels of the roots, and the orbit sums at the roots mod q.
-
-    One root w^j is taken per nonzero <r>-orbit J of Z/n, one column each.
-    Entry (e, i) of the array is the sum of w^(jx) over x in orbits[e], mod q,
-    at root i. A level (d, size, columns) holds the columns whose roots have
-    order d, for each divisor d > 1 of n; all its orbits have size ord_d(r).
-    The levels come fewest columns first.
+    Column i is the root w^j for the i-th j of the levels' roots, in order.
+    Entry (e, i) is the sum of w^(jx) over x in orbits[e], mod q.
     """
     import numpy as np
 
-    roots = [orbit for orbit in TauData(n, r).orbits() if orbit[0]]
-    orders = [n // gcd(root[0], n) for root in roots]
-    levels = [(d, len(roots[orders.index(d)]), [i for i, order in enumerate(orders) if order == d])
-              for d in sorted(set(orders))]
-    levels.sort(key=lambda level: len(level[2]))
-    q, _, rows = _table(n)[k]
+    q, powers = _prime(n, k)
+    roots = [j for _, _, level_roots in levels for j in level_roots]
     sums = np.array(
-        [[sum(rows[root[0]][x] for x in orbit) % q for root in roots] for orbit in orbits],
+        [[sum(powers[j * x % n] for x in orbit) % q for j in roots] for orbit in orbits],
         dtype=np.int64,
     )
-    return q, levels, sums
-
-
-def _prime_count(n, spread):
-    """How many table primes decide N(s) = +-1 for every s of S_n with n*Q - F^2 <= spread.
-
-    Q is the sum of the squared coefficients of s and F their sum: the first K
-    primes whose product M has M^2 > quotient._norm_threshold(n, spread) do.
-    On the box [-B, B]^(n-1), n*Q - F^2 <= n*(n-1)*B^2.
-    """
-    threshold = _norm_threshold(n, spread)
-    modulus = 1
-    for k in itertools.count(1):
-        modulus *= _table(n)[k - 1][0]
-        if modulus * modulus > threshold:
-            return k
+    return q, sums
 
 
 def _level_product(columns, offset, group, p, rows=slice(None)):
@@ -250,7 +217,7 @@ def _level_product(columns, offset, group, p, rows=slice(None)):
     return product if len(group) > 1 else _reduce(product, p)
 
 
-def _level_filter(columns, offset, levels, p):
+def _level_filter(columns, offset, groups, p):
     """The rows of a block at which P_d = +-1 mod p at every level.
 
     The first level is formed at every row, and each later one only at the
@@ -260,7 +227,7 @@ def _level_filter(columns, offset, levels, p):
     import numpy as np
 
     rows = slice(None)
-    for _, _, group in levels:
+    for group in groups:
         if len(group) == 1:
             values = columns[group[0], rows]
             plus, minus = (1 - offset[group[0]]) % p, (-1 - offset[group[0]]) % p
@@ -274,21 +241,22 @@ def _level_filter(columns, offset, levels, p):
     return rows
 
 
-def _unit_mask(weights, levels, tables):
-    """Whether N(s) is +1 modulo every prime of tables or -1 modulo each, per row of orbit weights.
+def _unit_mask(weights, groups, tables):
+    """Whether every level's P_d is +1 modulo each prime of tables or -1 modulo each, per row of orbit weights.
 
-    N(s) mod q is the product over the levels of P_d ** ord_d(r).
+    The prime count decides each P_d, not their product N(s), so each level
+    keeps its own sign.
     """
-    plus = minus = True
-    for q, _, sums in tables:
-        columns = sums.T @ weights.T % q
-        norms = 1
-        for _, size, group in levels:
-            level = _pow_mod(_level_product(columns, [0] * len(columns), group, q), size, q)
-            norms = _reduce(norms * level, q)
-        plus &= norms == 1
-        minus &= norms == q - 1
-    return plus | minus
+    columns = [(q, sums.T @ weights.T % q) for q, sums in tables]
+    mask = True
+    for group in groups:
+        plus = minus = True
+        for q, values in columns:
+            level = _level_product(values, [0] * len(values), group, q)
+            plus &= level == 1
+            minus &= level == q - 1
+        mask &= plus | minus
+    return mask
 
 
 def exhaustive_fixed_units(n, r, bound=2):
@@ -298,16 +266,12 @@ def exhaustive_fixed_units(n, r, bound=2):
     fixed element is fixed, so the fixed elements are exactly the integer
     weight vectors on the d free <r>-orbits of Z/n (all but the orbit of n - 1,
     whose weight the canonical form makes 0): the coefficient of rho^i is the
-    weight of the orbit of i. The norm factors by cyclotomic levels
-    (Washington, Introduction to Cyclotomic Fields, ch. 2 and 8):
+    weight of the orbit of i. The unit test is by cyclotomic levels, as in
+    quotient.is_unit: s is a unit exactly when every P_d = +-1.
 
     - One root per orbit. Evaluation at w^j is a ring map S -> F_p and s is
       tau-fixed, so s(w^(jr)) = s(w^j), and s is evaluated at one root w^j
-      per nonzero <r>-orbit J of Z/n.
-    - Levels. For each divisor d > 1 of n, the product P_d of those values
-      over the orbits of roots of order d is the norm of s(zeta_d) from the
-      fixed field of <r> in Q(zeta_d), an integer, and N(s) is the product of
-      the P_d ** ord_d(r). So N(s) = +-1 exactly when every P_d = +-1.
+      per nonzero <r>-orbit J of Z/n (quotient._levels).
     - Negation. s is a unit if and only if -s is, so only the vectors whose
       first nonzero weight is positive are tested, and each unit s brings -s
       with it. The zero vector is never a unit.
@@ -315,13 +279,13 @@ def exhaustive_fixed_units(n, r, bound=2):
     The filter, modulo p the first kernel prime, keeps the vectors with
     P_d = +-1 mod p, one level at a time, fewest columns first; most vectors
     leave after one or two columns, and no unit is ever dropped. The box
-    bounds n*Q - F^2 by n*(n-1)*bound^2, which fixes the table primes that
-    decide N(s) = +-1 for every vector in it. When one prime does, as for
-    every n <= 10 at bound <= 2, the filter's survivors are the units.
-    Otherwise a block's survivors are units when their norm is +1 modulo
+    bounds n*Q - F^2 by n*(n-1)*bound^2, which fixes the primes that decide
+    every P_d for every vector in it (quotient._prime_count). When one prime
+    does, as for every n <= 10 at bound <= 2, the filter's survivors are the
+    units. Otherwise a block's survivors are units when each P_d is +1 modulo
     each of the primes their own largest n*Q - F^2 calls for, or -1 modulo
-    each, checked as arrays; a large n with a small box then builds no more
-    prime tables than its units need.
+    each, checked as arrays; a large n with a small box then evaluates its
+    orbit sums modulo no more primes than its units need.
 
     The (2*bound+1)^d vectors are split into an inner grid, evaluated once at
     the roots, one orbit weight at a time, and outer prefixes, each adding one
@@ -332,25 +296,28 @@ def exhaustive_fixed_units(n, r, bound=2):
     grid value plus an offset) below 2p, so each int64 product stays below
     2^54; a sum of d weights times values below p stays below d*bound*2^26,
     far from 2^63 while the guard holds. The grid holds at most _BLOCK_LIMIT
-    values, whatever n; the final order is canonical.
+    values, whatever n; the final order is canonical. numpy is imported
+    only once the guard has passed.
     """
-    import numpy as np
-
     orbits = [orbit for orbit in TauData(n, r).orbits() if n - 1 not in orbit]
     d = len(orbits)
-    total = (2 * bound + 1) ** d
-    if total > _EXHAUSTIVE_GUARD:
+    if (2 * bound + 1) ** d > _EXHAUSTIVE_GUARD:
         raise SearchSpaceTooLargeError(
-            f"(2*{bound}+1)^{d} = {total} weight vectors on the d = {d} free <r>-orbits "
-            f"exceeds the desk-scale guard of {_EXHAUSTIVE_GUARD}"
+            f"(2*{bound}+1)^{d} weight vectors on the d = {d} free <r>-orbits "
+            f"exceed the desk-scale guard of {_EXHAUSTIVE_GUARD}"
         )
+    import numpy as np
+
     weight_index = [d] * (n - 1)
     for k, orbit in enumerate(orbits):
         for e in orbit:
             weight_index[e] = k
-    tables = [_orbit_sums_at_roots(n, r, orbits)]
-    p, levels, orbit_values = tables[0]
-    confirm = p * p <= _norm_threshold(n, n * (n - 1) * bound * bound)
+    levels = _levels(n, r)
+    ends = list(itertools.accumulate((len(roots) for _, _, roots in levels), initial=0))
+    groups = [range(start, end) for start, end in zip(ends, ends[1:])]
+    tables = [_orbit_sums_at_roots(n, levels, orbits)]
+    p, orbit_values = tables[0]
+    confirm = _prime_count(n, levels, n * (n - 1) * bound * bound) > 1
     sizes = np.array([len(orbit) for orbit in orbits], dtype=object)
     weights = np.arange(-bound, bound + 1, dtype=np.int64)
     inner = d
@@ -366,7 +333,7 @@ def exhaustive_fixed_units(n, r, bound=2):
     for prefix in itertools.islice(outer, (len(weights) ** (d - inner) - 1) // 2, None):
         start = 0 if any(prefix) else (columns.shape[1] + 1) // 2
         offset = (np.array(prefix, dtype=np.int64) @ orbit_values[: d - inner] % p).tolist()
-        rows = _level_filter(columns[:, start:], offset, levels, p) + start
+        rows = _level_filter(columns[:, start:], offset, groups, p) + start
         if not len(rows):
             continue
         vectors = np.empty((len(rows), d + 1), dtype=np.int64)
@@ -376,9 +343,9 @@ def exhaustive_fixed_units(n, r, bound=2):
         if confirm:
             block = vectors[:, :d]
             exact = block.astype(object)
-            count = _prime_count(n, max(n * (exact * exact) @ sizes - (exact @ sizes) ** 2))
-            tables += [_orbit_sums_at_roots(n, r, orbits, k) for k in range(len(tables), count)]
-            vectors = vectors[_unit_mask(block, levels, tables[:count])]
+            count = _prime_count(n, levels, max(n * (exact * exact) @ sizes - (exact @ sizes) ** 2))
+            tables += [_orbit_sums_at_roots(n, levels, orbits, k) for k in range(len(tables), count)]
+            vectors = vectors[_unit_mask(block, groups, tables[:count])]
         coeffs = vectors[:, weight_index]
         for plus, minus in zip(coeffs.tolist(), (-coeffs).tolist()):
             units.append(SElement._from_ints(n, tuple(plus)))
@@ -407,7 +374,7 @@ def verify_report(report):
 
     Its is_unit is the one norm-kernel test of each generator, independent of
     the exact product with the closed-form inverse that fixed_unit_generators
-    proves it by. The subgroup must be the closure of the generator residues,
+    proves it by; it gets tau once the generator is found fixed. The subgroup must be the closure of the generator residues,
     is_full must say whether that is all of (Z/nZ)*, and m the order of r.
     """
     n = report.n
@@ -421,9 +388,10 @@ def verify_report(report):
     for unit, residue in report.generators:
         if eps_bar(unit) != residue:
             problems.append(f"generator residue mismatch for {unit!r}")
-        if not is_unit(unit):
+        fixed = lift(unit).is_tau_fixed(tau)
+        if not is_unit(unit, tau if fixed else None):
             problems.append(f"generator {unit!r} fails the unit test")
-        if not lift(unit).is_tau_fixed(tau):
+        if not fixed:
             problems.append(f"generator {unit!r} is not tau-fixed after lifting")
     residues = [residue for _, residue in report.generators if gcd(residue, n) == 1]
     if subgroup_closure(residues, n) != report.subgroup:

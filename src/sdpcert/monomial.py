@@ -167,10 +167,12 @@ def verify_certificate(cert):
 
     alpha_s = reduce(cert.alpha_tilde)
     beta_s = reduce(cert.beta_tilde)
-    checks.append(CheckResult("alpha-tau-fixed", cert.alpha_tilde.is_tau_fixed(tau)))
-    checks.append(CheckResult("beta-tau-fixed", cert.beta_tilde.is_tau_fixed(tau)))
-    checks.append(CheckResult("alpha-unit", is_unit(alpha_s)))
-    checks.append(CheckResult("beta-unit", is_unit(beta_s)))
+    alpha_fixed = cert.alpha_tilde.is_tau_fixed(tau)
+    beta_fixed = cert.beta_tilde.is_tau_fixed(tau)
+    checks.append(CheckResult("alpha-tau-fixed", alpha_fixed))
+    checks.append(CheckResult("beta-tau-fixed", beta_fixed))
+    checks.append(CheckResult("alpha-unit", is_unit(alpha_s, tau if alpha_fixed else None)))
+    checks.append(CheckResult("beta-unit", is_unit(beta_s, tau if beta_fixed else None)))
     checks.append(
         CheckResult(
             "mutually-inverse",

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from operator import mul
+from math import gcd
 
 from ._element import ExactElement
 from ._primes import _is_prime, _prime_divisors
-from .group_ring import GroupRingElement, OrderMismatchError
+from .group_ring import GroupRingElement, OrderMismatchError, TauData
 
 
 class NotInvertibleError(ArithmeticError):
@@ -130,35 +130,26 @@ def lift(s):
 # powers below p, n - 1 products summed) cannot overflow for n <= 2048.
 _PRIME_CEILING = 1 << 26
 
+_PRIMES = {}
 
-class _PrimeTable:
-    """Primes p = 1 (mod n), taken downward from 2^26, with the powers of a root of order n.
 
-    Entry k is (p, w, rows) where w has exact order n mod p and
-    rows[j][i] = w^(j*i) mod p for 0 <= i, j < n. Since p does not divide n,
+def _prime(n, k):
+    """The k-th kernel prime p = 1 (mod n), taken downward from 2^26, and powers[i] = w^i mod p.
+
+    w has exact order n mod p and 0 <= i < n. Since p does not divide n,
     1 + x + ... + x^(n-1) splits mod p with the distinct roots w^1, ..., w^(n-1),
     so S/pS is the product of the evaluations at those roots.
     """
-
-    def __init__(self, n):
-        self.n = n
-        self.entries = []
+    if n not in _PRIMES:
         top = (_PRIME_CEILING - 2) // n * n + 1
-        self._candidates = itertools.chain(range(top, n, -n), itertools.count(top + n, n))
-
-    def __getitem__(self, k):
-        while len(self.entries) <= k:
-            p = next(c for c in self._candidates if _is_prime(c))
-            w = _root_of_exact_order(self.n, p)
-            rows = []
-            for j in range(self.n):
-                step, acc, row = pow(w, j, p), 1, []
-                for _ in range(self.n):
-                    row.append(acc)
-                    acc = acc * step % p
-                rows.append(row)
-            self.entries.append((p, w, rows))
-        return self.entries[k]
+        candidates = itertools.chain(range(top, n, -n), itertools.count(top + n, n))
+        _PRIMES[n] = ([], (c for c in candidates if _is_prime(c)))
+    entries, primes = _PRIMES[n]
+    while len(entries) <= k:
+        p = next(primes)
+        w = _root_of_exact_order(n, p)
+        entries.append((p, [pow(w, i, p) for i in range(n)]))
+    return entries[k]
 
 
 def _root_of_exact_order(n, p):
@@ -170,83 +161,107 @@ def _root_of_exact_order(n, p):
             return w
 
 
-_TABLES = {}
+def _levels(n, r):
+    """The cyclotomic levels of S under rho -> rho^r: [(d, size, roots)], fewest roots first.
+
+    roots holds one j per <r>-orbit of the j in Z/n of order d, for each
+    divisor d > 1 of n; every such orbit has size ord_d(r), so the level's
+    c_d = len(roots) orbits hold its phi(d) = c_d * size roots of unity. A
+    tau-fixed s takes one value on each orbit, and the product P_d of its
+    values at w^j over roots is the norm of s(zeta_d) from the fixed field of
+    <r> in Q(zeta_d), an integer. N(s) is the product of the P_d ** size
+    (Washington, Introduction to Cyclotomic Fields, ch. 2 and 8).
+    """
+    levels = {}
+    for orbit in TauData(n, r).orbits()[1:]:
+        d = n // gcd(orbit[0], n)
+        levels.setdefault(d, (d, len(orbit), []))[2].append(orbit[0])
+    return sorted((levels[d] for d in sorted(levels)), key=lambda level: len(level[2]))
 
 
-def _table(n):
-    if n not in _TABLES:
-        _TABLES[n] = _PrimeTable(n)
-    return _TABLES[n]
-
-
-def _evaluations(coeffs, p, rows):
-    """The canonical representative evaluated at w^1, ..., w^(n-1), mod p."""
-    return [sum(map(mul, coeffs, rows[j])) % p for j in range(1, len(rows))]
-
-
-def _norm_threshold(n, spread):
-    """T such that residues modulo any M with M^2 > T decide every norm N(s) with n*Q - F^2 <= spread.
+def _prime_count(n, levels, spread):
+    """How many kernel primes decide every P_d of levels for every fixed s with n*Q - F^2 <= spread.
 
     With Q the sum of squares and F the sum of the coefficients, Parseval over
-    all n-th roots of unity gives |f(w^1)|^2 + ... + |f(w^(n-1))|^2 = n*Q - F^2,
-    and AM-GM bounds their product: |N(s)|^2 <= ((n*Q - F^2) / (n-1))^(n-1).
-    So M^2 * (n-1)^(n-1) > 4 * (n*Q - F^2)^(n-1) suffices for the symmetric
-    residue modulo M to be N(s); for an integer M^2 that is M^2 > T with
-    T = 4 * spread^(n-1) // (n-1)^(n-1).
+    all n-th roots of unity gives |s(w^1)|^2 + ... + |s(w^(n-1))|^2 = n*Q - F^2.
+    s takes one value on each orbit of a level, so AM-GM over the level's
+    phi(d) = c_d * size roots bounds |P_d|^2 <= ((n*Q - F^2) / phi(d))^c_d.
+    The symmetric residue modulo M is P_d once M^2 * phi(d)^c_d > 4 * spread^c_d;
+    the first K primes whose product M does so at every level decide them
+    all. K is at least 1.
     """
-    return 4 * spread ** (n - 1) // (n - 1) ** (n - 1)
-
-
-def _norm_residues(s):
-    """Yield (p, N(s) mod p) over the table's primes until their product M decides N(s).
-
-    M is large enough once M^2 exceeds _norm_threshold. At least one prime is
-    always yielded.
-    """
-    n = s.n
-    table = _table(n)
-    f = sum(s.coeffs)
-    threshold = _norm_threshold(n, n * sum(c * c for c in s.coeffs) - f * f)
+    threshold = max(4 * spread ** len(roots) // (len(roots) * size) ** len(roots)
+                    for _, size, roots in levels)
     modulus = 1
-    for k in itertools.count():
-        p, _, rows = table[k]
-        value = 1
-        for v in _evaluations(s.coeffs, p, rows):
-            value = value * v % p
-        yield p, value
-        modulus *= p
+    for k in itertools.count(1):
+        modulus *= _prime(n, k - 1)[0]
         if modulus * modulus > threshold:
-            return
+            return k
+
+
+def _level_residues(s, levels):
+    """Yield (p, residues) over the primes _prime_count calls for: residues yields P_d mod p, level by level."""
+    n, coeffs = s.n, s.coeffs[::-1]
+    f = sum(coeffs)
+    for k in range(_prime_count(n, levels, n * sum(c * c for c in coeffs) - f * f)):
+        p, powers = _prime(n, k)
+        yield p, _level_values(coeffs, levels, p, powers)
+
+
+def _level_values(reversed_coeffs, levels, p, powers):
+    """Yield P_d mod p for each level: the product of the values at w^j, j in roots, by Horner's rule."""
+    for _, _, roots in levels:
+        product = 1
+        for j in roots:
+            x, value = powers[j], 0
+            for c in reversed_coeffs:
+                value = (value * x + c) % p
+            product = product * value % p
+        yield product
 
 
 def norm(s):
     """The norm of s from S to Z: the product of its values at the roots of 1 + ... + x^(n-1).
 
     Equals the resultant of the canonical representative with
-    1 + x + ... + x^(n-1) up to sign; computed exactly from residues modulo
-    primes p = 1 (mod n), joined one prime at a time by the Chinese remainder
+    1 + x + ... + x^(n-1) up to sign. It is the product of the P_d of the
+    levels of rho -> rho, each computed exactly from residues modulo primes
+    p = 1 (mod n), joined one prime at a time by the Chinese remainder
     theorem and read as the symmetric residue.
     """
-    value, modulus = 0, 1
-    for p, residue in _norm_residues(s):
-        value += modulus * ((residue - value) * pow(modulus, -1, p) % p)
+    levels = _levels(s.n, 1)
+    values, modulus = [0] * len(levels), 1
+    for p, residues in _level_residues(s, levels):
+        inverse = pow(modulus, -1, p)
+        values = [value + modulus * ((residue - value) * inverse % p)
+                  for value, residue in zip(values, residues)]
         modulus *= p
-    return value - modulus if 2 * value > modulus else value
+    product = 1
+    for value in values:
+        product *= value - modulus if 2 * value > modulus else value
+    return product
 
 
-def is_unit(s):
-    """Whether s is invertible in S, i.e. whether its norm is +-1.
+def is_unit(s, tau=None):
+    """Whether s is invertible in S, i.e. whether every P_d of its levels is +-1.
 
-    With the primes norm(s) would use, N(s) = +1 exactly when it is 1 modulo
-    every one of them, and -1 exactly when it is -1 modulo each. The first
-    prime that breaks the pattern rejects s; most non-units fail at the first.
+    tau is a TauData that fixes s, checked in O(n) (ValueError if it does
+    not); None stands for rho -> rho, which fixes every s. With tau, s is
+    evaluated at one root per <r>-orbit, and each level's prime count has
+    exponent c_d, the number of its orbits. P_d = +1 exactly when it is 1
+    modulo every prime _prime_count calls for, and -1 exactly when it is -1
+    modulo each. The first prime that breaks the pattern rejects s; most
+    non-units fail at the first.
     """
-    residues = _norm_residues(s)
-    p, first = next(residues)
-    if first != 1 and first != p - 1:
-        return False
-    sign = 1 if first == 1 else -1
-    return all(residue == sign % q for q, residue in residues)
+    if tau is not None and tau_apply_s(s, tau) != s:
+        raise ValueError(f"{s!r} is not fixed by rho -> rho^{tau.r}")
+    signs = {}
+    for p, residues in _level_residues(s, _levels(s.n, 1 if tau is None else tau.r)):
+        for level, residue in enumerate(residues):
+            sign = 1 if residue == 1 else -1 if residue == p - 1 else 0
+            if not sign or signs.setdefault(level, sign) != sign:
+                return False
+    return True
 
 
 def _multiplication_matrix(s):

@@ -98,16 +98,20 @@ def test_exhaustive_guard_error_names_the_orbit_count(capsys):
 
 
 def test_oversized_exhaustive_is_refused_before_any_coverage_work(capsys, monkeypatch):
+    # (6200, 1): 5^6199 has more decimal digits than int-to-str conversion allows,
+    # so the message gives the orbit count and not the total
     from sdpcert import coverage
 
     def no_coverage_work(n, r):
         raise AssertionError("coverage_subgroup ran before the oracle's guard")
 
     monkeypatch.setattr(coverage, "coverage_subgroup", no_coverage_work)
-    code, out, err = run_cli(capsys, "coverage", "--n", "1009", "--r", "1008", "--exhaustive", "2")
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err.startswith("error: --exhaustive 2: ") and len(err.splitlines()) == 1
+    for n, r in ((1009, 1008), (6200, 1)):
+        code, out, err = run_cli(capsys, "coverage", "--n", str(n), "--r", str(r), "--exhaustive", "2")
+        assert code == EXIT_USAGE, (n, r)
+        assert out == ""
+        assert err.startswith("error: --exhaustive 2: ") and len(err.splitlines()) == 1
+        assert len(err) < 200, err
 
 
 def test_oracle_agreement_check_names_the_first_disagreement(monkeypatch):
@@ -409,6 +413,7 @@ def run(*argv):
 
 print(run("coverage", "--n", "21", "--r", "20"),
       run("certificate", "--n", "13", "--r", "12", "--l", "5"),
+      run("coverage", "--n", "1009", "--r", "1008", "--exhaustive", "2"),
       run("coverage", "--n", "5", "--r", "4", "--exhaustive", "1"))
 """
 
@@ -420,7 +425,38 @@ def test_numpy_loads_only_when_the_oracle_runs():
     done = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False", "True"]
+    # the refused oracle, third, stops at its guard before numpy is imported
+    assert done.stdout.split() == ["False", "False", "False", "True"]
+
+
+TRACE_PROBE = """
+import contextlib, io
+import sdpcert.cli
+from perfbench.tracer import profile_counts
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        sdpcert.cli.main(list(argv))
+
+for argv in (("coverage", "--n", "25", "--r", "24"),
+             ("certificate", "--n", "13", "--r", "12", "--l", "5"),
+             ("coverage", "--n", "7", "--r", "1", "--exhaustive", "2")):
+    first = profile_counts(lambda: run(*argv))
+    second = profile_counts(lambda: run(*argv))
+    print(bool(first) and first == second)
+"""
+
+
+def test_a_command_makes_the_same_traced_calls_cold_and_warm():
+    # a traced benchmark run requires equal per-layer call counts in every round; a
+    # cache whose miss path calls a traced function makes the cold first round differ.
+    # A fresh interpreter, so that every cache starts cold
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    done = subprocess.run([sys.executable, "-c", TRACE_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True", "True"]
 
 
 MODULES_PROBE = """

@@ -31,8 +31,10 @@ from sdpcert.group_ring import GroupRingElement, TauData, partial_norm, partial_
 from sdpcert.linalg import resultant
 from sdpcert.quotient import (
     SElement,
-    _evaluations,
-    _table,
+    _level_residues,
+    _levels,
+    _prime,
+    _prime_count,
     eps_bar,
     invert,
     is_unit,
@@ -251,6 +253,10 @@ def test_verify_report_rejects_forged_fields():
     ]
     for bad in forged:
         assert verify_report(bad), bad
+    # rho is a unit that <2> does not fix: the report names it, and the unit test,
+    # given no tau for it, still passes
+    unfixed = dataclasses.replace(report, generators=report.generators + ((SElement.rho_power(7, 1), 1),))
+    assert verify_report(unfixed) == [f"generator {SElement.rho_power(7, 1)!r} is not tau-fixed after lifting"]
     full = coverage_subgroup(7, 6)
     assert verify_report(dataclasses.replace(full, is_full=False))
 
@@ -342,9 +348,9 @@ def reference_exhaustive_fixed_units(n, r, bound=2):
     for k, orbit in enumerate(orbits):
         for e in orbit:
             weight_index[e] = k
-    p, _, rows = _table(n)[0]
+    p, powers = _prime(n, 0)
     orbit_values = np.array(
-        [[sum(rows[j][e] for e in orbit) % p for j in range(1, n)] for orbit in orbits],
+        [[sum(powers[j * e % n] for e in orbit) % p for j in range(1, n)] for orbit in orbits],
         dtype=np.int64,
     )
     weights = range(-bound, bound + 1)
@@ -393,13 +399,22 @@ def test_exhaustive_is_closed_under_negation(n, r):
 def test_orbit_sums_are_constant_on_the_orbits_of_j():
     # modulo the kernel prime, sum over e in O of w^(je) takes one value on each <r>-orbit of j
     for n in range(2, 27):
-        p, _, rows = _table(n)[0]
+        p, powers = _prime(n, 0)
         for r in valid_r(n):
             orbits = TauData(n, r).orbits()
             for orbit in orbits:
                 for roots in orbits:
-                    values = {sum(rows[j][e] for e in orbit) % p for j in roots}
+                    values = {sum(powers[j * e % n] for e in orbit) % p for j in roots}
                     assert len(values) == 1, (n, r, orbit, roots)
+
+
+def column_groups(levels):
+    """The columns of each level in the arrays of _orbit_sums_at_roots, in the oracle's order."""
+    groups, start = [], 0
+    for _, _, roots in levels:
+        groups.append(range(start, start + len(roots)))
+        start += len(roots)
+    return groups
 
 
 def multiplicative_order(r, d):
@@ -409,16 +424,22 @@ def multiplicative_order(r, d):
 def test_levels_are_the_cyclotomic_factors_of_the_norm():
     # P_d ** ord_d(r) is the resultant of Phi_d with s, and the levels together give
     # N(s) mod p: a wrong exponent would still pass every unit, since each P_d of a
-    # unit is +-1, so the value itself is checked on seeded fixed vectors
+    # unit is +-1, so the value itself is checked on seeded fixed vectors. The oracle's
+    # orbit sums and the unit test's residues give the same P_d
     rng = random.Random(11)
     x = sympy.Symbol("x")
     for n in range(2, 27):
         for r in valid_r(n):
-            orbits = [orbit for orbit in TauData(n, r).orbits() if n - 1 not in orbit]
-            p, levels, sums = coverage._orbit_sums_at_roots(n, r, orbits)
-            roots = [orbit for orbit in TauData(n, r).orbits() if orbit[0]]
-            assert sorted(i for _, _, group in levels for i in group) == list(range(len(roots)))
+            tau = TauData(n, r)
+            orbits = [orbit for orbit in tau.orbits() if n - 1 not in orbit]
+            levels = _levels(n, r)
+            groups = column_groups(levels)
+            p, sums = coverage._orbit_sums_at_roots(n, levels, orbits)
+            roots = [j for _, _, level_roots in levels for j in level_roots]
+            assert sorted(roots) == [orbit[0] for orbit in tau.orbits() if orbit[0]]
             assert sorted(d for d, _, _ in levels) == [d for d in range(2, n + 1) if n % d == 0]
+            assert [len(level_roots) for _, _, level_roots in levels] == sorted(
+                len(level_roots) for _, _, level_roots in levels)
             weights = np.array([[rng.randint(-3, 3) for _ in orbits] for _ in range(4)])
             columns = weights % p @ sums % p
             for row, values in zip(weights.tolist(), columns.tolist()):
@@ -426,11 +447,15 @@ def test_levels_are_the_cyclotomic_factors_of_the_norm():
                 for weight, orbit in zip(row, orbits):
                     for e in orbit:
                         coeffs[e] = weight
+                kernel_prime, residues = next(_level_residues(SElement(n, coeffs), levels))
+                assert kernel_prime == p
                 total = 1
-                for d, size, group in levels:
+                for (d, size, level_roots), group, residue in zip(levels, groups, residues):
                     assert size == multiplicative_order(r, d), (n, r, d)
-                    assert all(n // gcd(roots[i][0], n) == d for i in group), (n, r, d)
+                    assert all(n // gcd(j, n) == d for j in level_roots), (n, r, d)
+                    assert [roots[i] for i in group] == level_roots, (n, r, d)
                     level = coverage._level_product(np.array(values)[:, None], [0] * len(values), group, p)
+                    assert int(level[0]) == residue, (n, r, d, row)
                     level = pow(int(level[0]), size, p)
                     cyclotomic = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
                     assert level == resultant([int(c) for c in cyclotomic], coeffs) % p, (n, r, d, row)
@@ -457,65 +482,113 @@ def spread(elements):
 
 def unit_mask(n, r, elements, primes=None):
     orbits, weights = fixed_weights(n, r, elements)
-    primes = primes or coverage._prime_count(n, spread(elements))
-    tables = [coverage._orbit_sums_at_roots(n, r, orbits, k) for k in range(primes)]
-    return coverage._unit_mask(weights, tables[0][1], tables).tolist()
+    levels = _levels(n, r)
+    primes = primes or _prime_count(n, levels, spread(elements))
+    tables = [coverage._orbit_sums_at_roots(n, levels, orbits, k) for k in range(primes)]
+    return coverage._unit_mask(weights, column_groups(levels), tables).tolist()
+
+
+def level_threshold(n, r, spread):
+    """The largest 4 * (spread / phi(d))^(c_d) over the divisors d > 1 of n, rounded down,
+    with phi(d) from sympy and c_d = phi(d) / ord_d(r)."""
+    levels = []
+    for d in range(2, n + 1):
+        if n % d == 0:
+            phi = int(sympy.totient(d))
+            levels.append((phi, phi // multiplicative_order(r, d)))
+    return max(4 * spread**c // phi**c for phi, c in levels)
 
 
 def test_prime_count_decides_the_box():
     for n in range(2, 11):
-        for bound in (0, 1, 2):
-            assert coverage._prime_count(n, box_spread(n, bound)) == 1, (n, bound)
+        for r in valid_r(n):
+            for bound in (0, 1, 2):
+                assert _prime_count(n, _levels(n, r), box_spread(n, bound)) == 1, (n, r, bound)
+    # for prime n and r = 1 the one level is the whole norm, with exponent n - 1
     for n in range(11, 41):
-        assert coverage._prime_count(n, box_spread(n, 2)) >= 2, n
-    for n, bound in ((11, 2), (23, 2), (12, 7), (40, 1)):
-        count = coverage._prime_count(n, box_spread(n, bound))
-        modulus = functools.reduce(lambda a, k: a * _table(n)[k][0], range(count), 1)
-        threshold = 4 * box_spread(n, bound) ** (n - 1) // (n - 1) ** (n - 1)
-        assert modulus * modulus > threshold >= (modulus // _table(n)[count - 1][0]) ** 2
+        if sympy.isprime(n):
+            assert _prime_count(n, _levels(n, 1), box_spread(n, 2)) >= 2, n
+    for n in range(2, 41):
+        for r, bound in itertools.product((1, n - 1), (1, 2, 7)):
+            count = _prime_count(n, _levels(n, r), box_spread(n, bound))
+            modulus = functools.reduce(lambda a, k: a * _prime(n, k)[0], range(count), 1)
+            threshold = level_threshold(n, r, box_spread(n, bound))
+            assert modulus * modulus > threshold, (n, r, bound)
+            assert count == 1 or threshold >= (modulus // _prime(n, count - 1)[0]) ** 2, (n, r, bound)
 
 
 @pytest.mark.parametrize("n, r", [(3, 2), (5, 1), (8, 3), (11, 10), (12, 1), (13, 4)])
 def test_exact_confirmation_rejects_kernel_false_positives(n, r):
     # p0 + 1 and p0 - 1 have norm (p0 +- 1)^(n-1) = +-1 modulo the kernel prime p0
     # but are not units; the primes their bound calls for reject them
-    p0 = _table(n)[0][0]
+    p0 = _prime(n, 0)[0]
     constants = [SElement.constant(n, c) for c in (p0 + 1, p0 - 1)]
     assert unit_mask(n, r, constants, 1) == [True, True]
-    assert coverage._prime_count(n, spread(constants)) >= 2
+    assert _prime_count(n, _levels(n, r), spread(constants)) >= 2
     assert unit_mask(n, r, constants) == [False, False]
 
 
-@pytest.mark.parametrize("n, r", [(4, 3), (10, 1), (12, 5)])
+@pytest.mark.parametrize("n, r", [(4, 3), (10, 1), (12, 5), (5, 2), (7, 3), (9, 2)])
 def test_exact_confirmation_needs_one_sign_at_every_prime(n, r):
-    # a constant c = 1 mod p0 and c = -1 mod p1 has norm +1 modulo p0 and (-1)^(n-1) = -1
-    # modulo p1 (n even): +-1 at each prime, but not one sign at both
-    p0, p1 = _table(n)[0][0], _table(n)[1][0]
+    # a constant c = 1 mod p0 and c = -1 mod p1 has P_d = c^(c_d): +-1 at each prime,
+    # but not one sign at both where c_d is odd. For odd n the norm c^(n-1) is +1 at
+    # both, so only a sign per level rejects c
+    assert any(len(roots) % 2 for _, _, roots in _levels(n, r))
+    p0, p1 = _prime(n, 0)[0], _prime(n, 1)[0]
     mixed = 1 + p0 * ((-2 * pow(p0, -1, p1)) % p1)
     assert mixed % p0 == 1 and mixed % p1 == p1 - 1
     constants = [SElement.constant(n, c) for c in (mixed, -mixed, 1, -1, 2)]
     assert unit_mask(n, r, constants, 2) == [False, False, True, True, False]
 
 
+def small_primes(n):
+    """A stand-in for quotient._prime: the primes 1 (mod n) taken upward from n + 1."""
+    candidates = (p for p in itertools.count(n + 1, n) if sympy.isprime(p))
+    entries = []
+
+    def prime(m, k):
+        assert m == n
+        while len(entries) <= k:
+            p = next(candidates)
+            w = quotient._root_of_exact_order(n, p)
+            entries.append((p, [pow(w, i, p) for i in range(n)]))
+        return entries[k]
+
+    return prime
+
+
 @pytest.mark.parametrize("n, r", [(5, 1), (7, 1), (8, 1), (9, 2), (10, 3)])
 def test_exhaustive_confirms_the_survivors_of_a_small_kernel_prime(n, r, monkeypatch):
     # with the primes 1 (mod n) taken upward from n + 1, the kernel prime passes many
-    # non-units, and the box calls for several primes to reject them
+    # non-units, and the box calls for several primes to reject them: the survivors
+    # go through the confirmation
     expected = reference_exhaustive_fixed_units(n, r, 2)
-    table = quotient._PrimeTable(n)
-    table._candidates = itertools.count(n + 1, n)
-    monkeypatch.setattr(coverage, "_table", lambda _: table)
-    assert coverage._prime_count(n, box_spread(n, 2)) >= 3
+    prime = small_primes(n)
+    monkeypatch.setattr(quotient, "_prime", prime)
+    monkeypatch.setattr(coverage, "_prime", prime)
+    count = {(5, 1): 3, (7, 1): 3, (8, 1): 3, (9, 2): 2, (10, 3): 2}[n, r]
+    assert _prime_count(n, _levels(n, r), box_spread(n, 2)) == count
+    masks = []
+    real_mask = coverage._unit_mask
+    monkeypatch.setattr(coverage, "_unit_mask",
+                        lambda *args: masks.append(real_mask(*args)) or masks[-1])
     assert exhaustive_fixed_units(n, r, 2) == expected
+    assert masks, (n, r)
 
 
 def test_exhaustive_builds_only_the_prime_tables_its_survivors_need(monkeypatch):
-    # the box [-2, 2]^100 calls for 17 primes at (101, 4), but its only units, +-1, need one
-    table = quotient._PrimeTable(101)
-    monkeypatch.setattr(coverage, "_table", lambda _: table)
-    assert exhaustive_fixed_units(101, 4, 2) == [SElement.constant(101, -1), SElement.one(101)]
-    assert len(table.entries) == 1
-    assert coverage._prime_count(101, box_spread(101, 2)) == 17
+    # at (103, 8) the box [-2, 2]^102 calls for two primes, but its only units, +-1,
+    # need one; at (97, 8) its 38 units need one. At (101, 4) one prime decides the box
+    built = []
+    real = coverage._orbit_sums_at_roots
+    monkeypatch.setattr(coverage, "_orbit_sums_at_roots",
+                        lambda n, levels, orbits, k=0: built.append(k) or real(n, levels, orbits, k))
+    for n, r, count, units in ((101, 4, 1, 2), (103, 8, 2, 2), (97, 8, 2, 38)):
+        built.clear()
+        found = exhaustive_fixed_units(n, r, 2)
+        assert len(found) == units and {SElement.constant(n, -1), SElement.one(n)} <= set(found)
+        assert built == [0], (n, r)
+        assert _prime_count(n, _levels(n, r), box_spread(n, 2)) == count, (n, r)
 
 
 @pytest.mark.parametrize("n", [5, 11, 12, 13, 21, 26])
@@ -532,10 +605,12 @@ def test_exact_confirmation_accepts_the_cyclotomic_units(n):
 def test_fixed_elements_take_one_value_at_w_j_and_w_jr():
     rng = random.Random(9)
     for n in range(2, 27):
-        p, _, rows = _table(n)[0]
+        p, powers = _prime(n, 0)
         for r in valid_r(n):
             s = random_fixed_s(rng, n, TauData(n, r))
-            values = _evaluations(s.coeffs, p, rows)  # at w^1, ..., w^(n-1)
+            # at w^1, ..., w^(n-1)
+            values = [sum(c * powers[i * j % n] for i, c in enumerate(s.coeffs)) % p
+                      for j in range(1, n)]
             for j in range(1, n):
                 assert values[j - 1] == values[j * r % n - 1], (n, r, s, j)
 
@@ -737,9 +812,9 @@ def test_generators_need_no_norm_test(monkeypatch):
 
 def test_coverage_builds_no_prime_table(monkeypatch):
     # with no norm test, a large n costs no table of root powers
-    monkeypatch.setattr(quotient, "_TABLES", {})
+    monkeypatch.setattr(quotient, "_PRIMES", {})
     assert coverage_subgroup(503, 502).is_full
-    assert 503 not in quotient._TABLES
+    assert 503 not in quotient._PRIMES
 
 
 def test_coverage_is_plus_minus_the_e_th_powers():

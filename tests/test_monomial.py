@@ -217,6 +217,12 @@ def test_corrupted_certificate_fails_named_checks():
     off_beta = dataclasses.replace(cert, beta_tilde=cert.beta_tilde + full_norm(3))
     record = verify_certificate(off_beta)
     assert not record.passed
+    # a rotated alpha is still a unit but not tau-fixed: the unit test runs without tau
+    cert = make_certificate(7, 6, 3)
+    rotated = dataclasses.replace(cert, alpha_tilde=cert.alpha_tilde * GroupRingElement.sigma_power(7, 1))
+    record = verify_certificate(rotated)
+    assert not record.named("alpha-tau-fixed").passed and record.named("alpha-unit").passed
+    assert record.named("beta-tau-fixed").passed and record.named("beta-unit").passed
 
 
 def test_certificates_for_all_covered_residues_up_to_nine():

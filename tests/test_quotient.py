@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -10,9 +12,11 @@ from sdpcert import quotient
 from sdpcert.coverage import (
     _checked_unit,
     coset_steps,
+    coverage_subgroup,
     cyclotomic_unit,
     cyclotomic_unit_inverse,
     fixed_unit_generators,
+    verify_report,
 )
 from sdpcert.finitefield import PrimeField, _is_prime
 from sdpcert.group_ring import GroupRingElement, TauData, full_norm
@@ -20,9 +24,11 @@ from sdpcert.linalg import resultant
 from sdpcert.quotient import (
     NotInvertibleError,
     SElement,
+    _level_residues,
+    _levels,
     _multiplication_matrix,
-    _norm_residues,
-    _table,
+    _prime,
+    _prime_count,
     eps_bar,
     invert,
     is_unit,
@@ -132,11 +138,11 @@ def test_multiplication_matrix_columns_are_the_products_with_rho_powers():
 
 def test_invert_builds_no_prime_table(monkeypatch):
     # the linear solve shares nothing with the modular norm kernel
-    monkeypatch.setattr(quotient, "_TABLES", {})
+    monkeypatch.setattr(quotient, "_PRIMES", {})
     steps = coset_steps(211, 210)
     unit = cyclotomic_unit(211, steps, 3)
     assert invert(unit) == cyclotomic_unit_inverse(211, steps, 3)
-    assert 211 not in quotient._TABLES
+    assert 211 not in quotient._PRIMES
 
 
 def test_unit_criterion_against_linear_solve_oracle():
@@ -310,12 +316,13 @@ def test_norm_at_the_crt_bound():
 
 
 def test_parseval_bound_needs_fewer_primes_than_the_triangle_bound():
-    # L = 50 and n = 11: the triangle bound 2 * 50^10 takes three table primes, the
-    # Parseval/AM-GM bound 2 * 275^5 two; |N(s)| exceeds one prime, so CRT still joins
+    # L = 50 and n = 11: the triangle bound 2 * 50^10 takes three kernel primes, the
+    # Parseval/AM-GM bound 2 * 275^5 two; |N(s)| exceeds one prime, so CRT still joins.
+    # n = 11 is prime, so at r = 1 its one level is the whole norm
     s = SElement(11, (5, -5) * 5)
-    primes = [_table(11)[k][0] for k in range(3)]
+    primes = [_prime(11, k)[0] for k in range(3)]
     assert primes[0] * primes[1] <= 2 * 50**10 < primes[0] * primes[1] * primes[2]
-    assert [p for p, _ in _norm_residues(s)] == primes[:2]
+    assert [p for p, _ in _level_residues(s, _levels(11, 1))] == primes[:2]
     expected = resultant(list(s.coeffs), [1] * 11)
     assert norm(s) == (-1) ** (trimmed_degree(s.coeffs) * 10) * expected
     assert abs(norm(s)) > primes[0]
@@ -323,16 +330,16 @@ def test_parseval_bound_needs_fewer_primes_than_the_triangle_bound():
 
 def test_kernel_tables_hold_primes_with_roots_of_exact_order():
     for n in (2, 3, 12, 30, 61):
-        table = _table(n)
         primes = []
         for k in range(4):
-            p, w, rows = table[k]
+            p, powers = _prime(n, k)
+            w = powers[1]
             primes.append(p)
             assert p % n == 1 and n < p < 2**26
             assert all(p % q for q in range(2, int(p**0.5) + 1)), p
             assert pow(w, n, p) == 1
             assert all(pow(w, d, p) != 1 for d in range(1, n) if n % d == 0), (n, p)
-            assert rows == [[pow(w, i * j, p) for i in range(n)] for j in range(n)]
+            assert powers == [pow(w, i, p) for i in range(n)]
         assert primes == sorted(set(primes), reverse=True)
 
 
@@ -390,3 +397,84 @@ def element_pairs(draw):
 def test_norm_is_multiplicative(pair):
     a, b = pair
     assert norm(a * b) == norm(a) * norm(b)
+
+
+def fixed_unit_test_cases(rng, n, tau):
+    """Seeded tau-fixed elements, units and not: random orbit sums, the fixed-unit
+    generators with their negatives and products, and those plus 1 or 2."""
+    generators = fixed_unit_generators(n, tau.r)
+    units = generators + [-u for u in generators]
+    units += [rng.choice(units) * rng.choice(units) for _ in range(3)]
+    cases = [random_fixed_s(rng, n, tau, span) for span in (1, 1, 2, 9)]
+    return cases + units + [u + c for u in units for c in (1, 2)]
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_is_unit_with_tau_agrees_with_the_linear_solve(n):
+    rng = random.Random(n)
+    for r in range(1, n):
+        if gcd(r, n) == 1:
+            tau = TauData(n, r)
+            for s in fixed_unit_test_cases(rng, n, tau):
+                assert is_unit(s, tau) == (solve_inverse(s) is not None), (n, r, s)
+
+
+def test_is_unit_with_tau_refuses_an_element_tau_does_not_fix():
+    rng = random.Random(12)
+    assert is_unit(SElement.rho_power(7, 1))
+    with pytest.raises(ValueError):
+        is_unit(SElement.rho_power(7, 1), TauData(7, 6))
+    for n in (5, 12, 21):
+        for r in range(2, n):
+            if gcd(r, n) == 1:
+                s = SElement(n, [rng.randint(-3, 3) for _ in range(n - 1)])
+                while tau_apply_s(s, TauData(n, r)) == s:
+                    s = SElement(n, [rng.randint(-3, 3) for _ in range(n - 1)])
+                with pytest.raises(ValueError):
+                    is_unit(s, TauData(n, r))
+    assert is_unit(SElement.constant(12, -1), TauData(12, 5))
+
+
+def crt_constant(primes, signs):
+    """The symmetric residue x modulo the product of primes with x = signs[k] mod primes[k]."""
+    modulus = functools.reduce(lambda a, b: a * b, primes)
+    x = sum(sign * (modulus // p) * pow(modulus // p, -1, p) for p, sign in zip(primes, signs))
+    x %= modulus
+    return x - modulus if 2 * x > modulus else x
+
+
+@pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (5, 2), (7, 3), (9, 2), (13, 2)])
+def test_is_unit_needs_one_sign_per_level_at_every_prime(n, r):
+    # a constant c = +-1 modulo each of the primes its own bound calls for, with both
+    # signs among them: every P_d = c^(c_d) is +-1 at each prime, and a level with odd
+    # c_d is +1 at some and -1 at others, so c is not a unit
+    tau, levels = TauData(n, r), _levels(n, r)
+    assert any(len(roots) % 2 for _, _, roots in levels)
+    decided = 0
+    for count in (2, 3):
+        primes = [_prime(n, k)[0] for k in range(count)]
+        for signs in itertools.product((1, -1), repeat=count):
+            c = crt_constant(primes, signs)
+            if len(set(signs)) == 1 or _prime_count(n, levels, (n - 1) * c * c) != count:
+                continue
+            decided += 1
+            s = SElement.constant(n, c)
+            for p, residues in _level_residues(s, levels):
+                assert all(residue in (1, p - 1) for residue in residues), (n, r, c, p)
+            assert not is_unit(s, tau) and not is_unit(s), (n, r, c)
+            assert solve_inverse(s) is None
+    assert decided >= 2, (n, r)
+
+
+def test_unit_test_of_a_report_stays_small():
+    # (211, 14): each kernel prime keeps n root powers, and the levels of <14> need
+    # one root per orbit, so the report and its unit tests stay within a few MiB
+    tracemalloc.start()
+    try:
+        report = coverage_subgroup(211, 14)
+        problems = verify_report(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problems == [] and len(report.generators) > 1
+    assert peak < 8 * 2**20, peak
