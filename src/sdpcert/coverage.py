@@ -51,17 +51,25 @@ class CoverageReport:
 
 
 def subgroup_closure(residues, n):
-    """Multiplicative closure in (Z/nZ)* of the given unit residues."""
+    """Multiplicative closure in (Z/nZ)* of the given unit residues.
+
+    A walk from 1 that multiplies by the given residues only: in a finite
+    group the products of generators are the whole subgroup, so the walk
+    costs one product per element and generator.
+    """
     for x in residues:
         if gcd(x, n) != 1:
             raise ValueError(f"{x} is not a unit mod {n}")
+    generators = {x % n for x in residues}
     known = {1}
-    frontier = [x % n for x in residues]
+    frontier = [1]
     while frontier:
         x = frontier.pop()
-        if x not in known:
-            known.add(x)
-            frontier.extend(x * y % n for y in list(known))
+        for g in generators:
+            y = x * g % n
+            if y not in known:
+                known.add(y)
+                frontier.append(y)
     return tuple(sorted(known))
 
 
@@ -133,12 +141,14 @@ def fixed_unit_generators(n, r):
     """
     steps = coset_steps(n, r)
     units = [SElement.constant(n, -1)]
-    covered = subgroup_closure([n - 1], n)
+    residues = [n - 1]
+    covered = set(subgroup_closure(residues, n))
     for a in range(3, n, 2):
         power = pow(a, len(steps), n)
         if gcd(a, n) == 1 and power not in covered:
             units.append(_checked_unit(n, steps, a)[0])
-            covered = subgroup_closure(covered + (power,), n)
+            residues.append(power)
+            covered = set(subgroup_closure(residues, n))
     return units
 
 

@@ -118,26 +118,6 @@ class GroupRingElement(ExactElement):
     def __repr__(self):
         return f"GroupRingElement(n={self.n}, coeffs={self.coeffs})"
 
-    def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(f"s^{i}" if i > 1 else "s")
-            elif c == -1:
-                terms.append(f"-s^{i}" if i > 1 else "-s")
-            else:
-                terms.append(f"{c}*s^{i}" if i > 1 else f"{c}*s")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
-
 
 def partial_norm(n, g, j):
     """The j'th partial norm of sigma^g: 1 + sigma^g + ... + sigma^(g(j-1)).

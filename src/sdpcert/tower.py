@@ -182,11 +182,12 @@ class NumberTower:
     automorphism matrices are kept as integer matrices over a common
     denominator. The table, the automorphism matrices and the distinguished
     elements are all validated at construction; a failed check raises, so a
-    constructed tower always satisfies its invariants.
+    constructed tower always satisfies its invariants. The E-over-L basis and
+    its coordinate maps are derived there too, once per tower.
     """
 
     def __init__(self, labels, table, sigma_matrix, tau_matrix, n, m, r, t, s,
-                 b_coords, lam_coords, flatten_pairs=None):
+                 b_coords, lam_coords):
         self.dim = len(labels)
         self.labels = tuple(labels)
         self._table = _Matrix.from_rational([cell for row in table for cell in row])
@@ -201,14 +202,13 @@ class NumberTower:
         self.zero = _element(self, [0] * self.dim, 1)
         self.b = TowerElement(self, b_coords)
         self.lam = TowerElement(self, lam_coords)
-        self._flatten_pairs = flatten_pairs
-        self._l_structure = None
         sigma_powers = _matrix_powers(self._sigma, n)
         tau_powers = _matrix_powers(self._tau, m)
         self._conjugation_matrices = tuple(
             ps @ pt for ps in sigma_powers[:-1] for pt in tau_powers[:-1]
         )
         self._self_check(sigma_powers, tau_powers)
+        self._l_basis, self._projections = self._l_coordinates()
 
     @property
     def table(self):
@@ -262,14 +262,16 @@ class NumberTower:
             raise ZeroDivisionError("norm to the base field vanished")
         return conjugate_product * self.scalar(1 / denom)
 
-    def _ensure_l_structure(self):
-        """Derive the E-over-L basis e and the Q-basis of products g*e when not given.
+    def _l_coordinates(self):
+        """The E-over-L basis e_0 ... e_(n-1) and, per i, the matrix of x -> x_i.
 
-        L is the sigma-fixed subspace; an E-over-L basis is picked greedily
-        among the power-product basis elements. Everything stays rational.
+        L is the sigma-fixed subspace with a basis g_0 ... g_(m-1); the e_i are
+        picked greedily among the power-product basis elements. Writing
+        x = sum_(i,j) a_ij g_j e_i, one rref of [spanned^T | I] gives the
+        inverse of spanned^T, whose rows i*m ... i*m + m - 1 map x to the
+        a_ij; then x_i = sum_j a_ij g_j. Each map is stored as an integer
+        matrix over one denominator, like sigma and tau.
         """
-        if self._l_structure is not None:
-            return
         if self.dim != self.n * self.m:
             raise RuntimeError("total degree is not n*m; no E-over-L structure exists")
         sigma = self.sigma_matrix
@@ -289,36 +291,22 @@ class NumberTower:
                     break
         if len(chosen) != self.n:
             raise RuntimeError("no basis of E over L among the power products")
-        self._l_structure = (chosen, l_elements, spanned)
+        augmented = [[row[k] for row in spanned] + [Fraction(int(k == j)) for j in range(self.dim)]
+                     for k in range(self.dim)]
+        inverse = [row[self.dim:] for row in linalg.rref(augmented, Fraction(0))[0]]
+        l_columns = _Matrix.from_rational(zip(*(g.coords for g in l_elements)))
+        projections = tuple(
+            l_columns @ _Matrix.from_rational(inverse[i * self.m:(i + 1) * self.m])
+            for i in range(self.n)
+        )
+        return tuple(chosen), projections
 
     def flatten(self, x):
-        """Coordinates of x over the designated basis of E over L, as elements of L."""
-        if self._flatten_pairs is not None:
-            out = []
-            for pairs in self._flatten_pairs:
-                num = [0] * self.dim
-                for src, dst in pairs:
-                    num[dst] = x.num[src]
-                out.append(_element(self, num, x.den))
-            return out
-        self._ensure_l_structure()
-        _, l_elements, spanned = self._l_structure
-        solution = linalg.solve_combination(spanned, x.coords, Fraction(0))
-        if solution is None:
-            raise RuntimeError("E-over-L basis is not a basis")  # unreachable
-        out = []
-        for i in range(self.n):
-            coeff = self.zero
-            for j in range(self.m):
-                coeff = coeff + solution[i * self.m + j] * l_elements[j]
-            out.append(coeff)
-        return out
+        """Coordinates of x over the E-over-L basis of l_basis(), as elements of L."""
+        return [self._apply(projection, x) for projection in self._projections]
 
     def l_basis(self):
-        if self._flatten_pairs is not None:
-            return [self.basis_element(pairs[0][0]) for pairs in self._flatten_pairs]
-        self._ensure_l_structure()
-        return list(self._l_structure[0])
+        return list(self._l_basis)
 
     def random_element(self, rng, span=5):
         return _element(self, [rng.randint(-span, span) for _ in range(self.dim)], 1)
@@ -419,9 +407,6 @@ def builtin_s3():
             tau_cols.append(vec)
     sigma_matrix = [[sigma_cols[j][i] for j in range(dim)] for i in range(dim)]
     tau_matrix = [[tau_cols[j][i] for j in range(dim)] for i in range(dim)]
-    flatten_pairs = tuple(
-        ((_s3_index(0, e), 0), (_s3_index(1, e), _s3_index(1, 0))) for e in range(3)
-    )
     return NumberTower(
         labels=labels,
         table=table,
@@ -434,7 +419,6 @@ def builtin_s3():
         s=1,
         b_coords=(-1, 0, 0, 0, 0, 0),
         lam_coords=(-1, 0, 0, 0, 0, 0),
-        flatten_pairs=flatten_pairs,
     )
 
 
@@ -631,9 +615,10 @@ def dump_tower(tw):
 def load_tower(text):
     """Parse the fixture format of dump_tower and build a validated NumberTower.
 
-    Loaded towers support every tower-level operation; crossed products
-    additionally need an E-over-L basis, which the fixture format does not
-    carry.
+    Loaded towers support every tower-level operation and carry crossed
+    products: like every NumberTower, they derive their E-over-L basis and
+    coordinate maps at construction, which refuses a fixture whose dim is
+    not n*m.
     """
     header = None
     labels = {}

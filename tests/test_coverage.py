@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import random
+import time
 import tracemalloc
 from math import gcd
 
@@ -683,6 +684,32 @@ def test_reduce_to_cyclic_properties():
 def test_subgroup_closure_rejects_non_units():
     with pytest.raises(ValueError):
         subgroup_closure([2], 4)
+
+
+def brute_force_closure(residues, n):
+    """Every product of two known elements, repeated until nothing new appears."""
+    known = {1} | {x % n for x in residues}
+    while True:
+        grown = known | {x * y % n for x in known for y in known}
+        if grown == known:
+            return tuple(sorted(known))
+        known = grown
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_subgroup_closure_agrees_with_brute_force(n):
+    rng = random.Random(n)
+    units = [x for x in range(-n, 2 * n) if gcd(x, n) == 1]
+    samples = [[], [1], [n - 1]] + [rng.choices(units, k=rng.randint(1, 4)) for _ in range(8)]
+    for residues in samples:
+        assert subgroup_closure(residues, n) == brute_force_closure(residues, n), residues
+
+
+def test_subgroup_closure_walks_a_large_cyclic_group_quickly():
+    start = time.perf_counter()
+    closure = subgroup_closure([2], 5003)  # 2 is a primitive root mod the prime 5003
+    assert time.perf_counter() - start < 0.5
+    assert closure == tuple(range(1, 5003))
 
 
 @pytest.mark.parametrize("n", range(2, 26))

@@ -250,15 +250,33 @@ def test_fixture_round_trip(s3):
     assert norm(loaded, x).coords == norm(s3, y).coords
 
 
+def s3_coordinates(tw, x):
+    """The E-over-L coordinates of x in an x^3 - 2 tower: x_e + x_(3+e) * zeta on c^e."""
+    return [tw.element([x.coords[e], 0, 0, x.coords[3 + e], 0, 0]) for e in range(3)]
+
+
 def test_loaded_tower_flatten_agrees_with_builtin(s3):
     loaded = load_tower(dump_tower(s3))
     rng = random.Random(7)
     for _ in range(10):
         x = s3.random_element(rng, span=3)
-        via_pairs = [e.coords for e in s3.flatten(x)]
-        via_generic = [e.coords for e in loaded.flatten(loaded.element(x.coords))]
-        assert via_pairs == via_generic
+        assert s3.flatten(x) == s3_coordinates(s3, x)
+        assert loaded.flatten(loaded.element(x.coords)) == s3_coordinates(loaded, x)
     assert [e.coords for e in loaded.l_basis()] == [e.coords for e in s3.l_basis()]
+
+
+@pytest.mark.parametrize("source", ["builtin", "loaded"])
+def test_flatten_gives_sigma_fixed_coordinates_over_the_l_basis(s3, source):
+    tw = s3 if source == "builtin" else load_tower(dump_tower(s3))
+    rng = random.Random(8)
+    basis = tw.l_basis()
+    assert len(basis) == tw.n
+    for _ in range(25):
+        x = tw.random_element(rng, span=4) * Fraction(rng.randint(1, 5), rng.randint(1, 7))
+        coordinates = tw.flatten(x)
+        assert len(coordinates) == tw.n
+        assert all(tw.sigma(c) == c for c in coordinates)
+        assert sum((c * e for c, e in zip(coordinates, basis)), tw.zero) == x
 
 
 def test_fixture_rejects_malformed_input():
@@ -273,3 +291,13 @@ def test_construction_rejects_broken_parameters(s3):
                                   "tower dim=6 n=3 m=2 r=2 t=2 s=2")
     with pytest.raises(RuntimeError):
         load_tower(text)
+
+
+def test_construction_rejects_a_degree_other_than_n_times_m(s3):
+    # every other invariant holds: tau is the identity of order m = 1, lambda = 1
+    lines = [line for line in dump_tower(s3).splitlines()
+             if not line.startswith(("tower ", "tau ", "elem lambda "))]
+    lines.insert(0, "tower dim=6 n=3 m=1 r=1 t=1 s=0")
+    lines += [f"tau {i} {i} 1" for i in range(6)] + ["elem lambda 0 1"]
+    with pytest.raises(RuntimeError, match="not n\\*m"):
+        load_tower("\n".join(lines) + "\n")

@@ -103,6 +103,18 @@ def test_rescaled_tower_is_isomorphic_to_the_builtin(x, y):
     assert_lowest_terms(to_rescaled(x) * to_rescaled(y))
 
 
+@PROPERTY
+@given(element)
+def test_rescaled_flatten_gives_sigma_fixed_coordinates_over_the_l_basis(x):
+    y = to_rescaled(x)
+    coordinates = RESCALED.flatten(y)
+    assert len(coordinates) == len(RESCALED.l_basis()) == RESCALED.n
+    assert all(RESCALED.sigma(c) == c for c in coordinates)
+    assert sum((c * e for c, e in zip(coordinates, RESCALED.l_basis())), RESCALED.zero) == y
+    # the rescaled basis is f_e = SCALE[e] * c^e, so its coordinates are the builtin's / SCALE[e]
+    assert [to_rescaled(c) * (1 / SCALE[e]) for e, c in enumerate(S3.flatten(x))] == coordinates
+
+
 def test_constructor_checks_length():
     with pytest.raises(ValueError, match="expected 6 coordinates"):
         TowerElement(S3, (1, 2))

@@ -1,0 +1,80 @@
+"""One SHA-256 digest over the outputs of the sdpcert command and the demos.
+
+A change meant to keep every output byte-identical must print the same count
+and digest as its parent. Run from anywhere:
+
+    python tools/cli_digest.py
+
+The commands run in this process, through cli.main; each record is the
+argument list, the exit code and the stdout. The four demos then run in fresh
+processes. Help texts are rendered at a fixed width of 80 columns.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+from math import gcd
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ("coverage_tour.py", "certificate_tour.py", "tower_tour.py", "crossed_product_tour.py")
+
+
+def coprime_pairs(top):
+    return [(n, r) for n in range(2, top + 1) for r in range(1, n) if gcd(n, r) == 1]
+
+
+def invocations():
+    for n, r in coprime_pairs(33):
+        yield ["coverage", "--n", str(n), "--r", str(r), "--format", "json"]
+    for n, r in coprime_pairs(10):
+        yield ["coverage", "--n", str(n), "--r", str(r), "--exhaustive", "2", "--format", "json"]
+    for n, r in coprime_pairs(21):
+        for l in range(1, n):
+            yield ["certificate", "--n", str(n), "--r", str(r), "--l", str(l), "--format", "json"]
+    for seed in (0, 1, 7):
+        for fmt in ("text", "json"):
+            yield ["verify", "--suite", "all", "--seed", str(seed), "--format", fmt]
+    yield ["--help"]
+    for command in ("coverage", "certificate", "verify"):
+        yield [command, "--help"]
+
+
+def run_cli(main, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse ends --help this way
+            code = exc.code
+    return code, out.getvalue()
+
+
+def run_demo(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout
+
+
+def main():
+    os.environ["COLUMNS"] = "80"
+    sys.path.insert(0, str(ROOT / "src"))
+    from sdpcert.cli import main as cli_main
+
+    records = [(argv, *run_cli(cli_main, argv)) for argv in invocations()]
+    records += [(["demos/" + name], *run_demo(name)) for name in DEMOS]
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(json.dumps(record).encode() + b"\n")
+    print(f"{len(records)} outputs, sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
