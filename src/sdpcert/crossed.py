@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .checks import CheckResult, case_check
-from .tower import FiniteTower, sigma_partial_product
+from .tower import FiniteTower, norm, sigma_partial_product
 
 _TENSOR_GUARD_N = 3
 _TENSOR_GUARD_L = 2
@@ -166,8 +166,18 @@ def is_splitting_chain(algebra, chain):
     return True
 
 
+def _ideal_coordinates(algebra, x):
+    """L-coordinates with the field part last: the blocks of u_1 ... u_(n-1), then u_0."""
+    return algebra.flatten(x[1:] + x[:1])
+
+
 class LeftIdeal:
-    """A left ideal as a reduced row-echelon basis over L (canonical row space)."""
+    """A left ideal as a reduced row-echelon basis over L (canonical row space).
+
+    The rows are in _ideal_coordinates, the field part last, so an ideal
+    complementary to the field part has the first n^2 - n columns as pivots:
+    its rows are the graph of the L-linear map u_j -> z_j.
+    """
 
     def __init__(self, algebra, rows, pivots):
         self.algebra = algebra
@@ -180,7 +190,8 @@ class LeftIdeal:
 
     def contains(self, element):
         residue = linalg.reduce_against(
-            self.algebra.flatten(element), self.rows, self.pivots, self.algebra.tower.zero
+            _ideal_coordinates(self.algebra, element), self.rows, self.pivots,
+            self.algebra.tower.zero,
         )
         return all(c == self.algebra.tower.zero for c in residue)
 
@@ -197,67 +208,52 @@ class LeftIdeal:
 def ideal_from_chain(algebra, chain):
     """The left ideal spanned by E*(z_j - u_j) over all group elements.
 
-    Requires delta z = c; the resulting subspace is verified to be a left
-    ideal of dimension n^2 - n complementary to the field part.
+    Requires delta z = c. The generator e_b*(z_j - u_j) is -1 on its own
+    column of the first n^2 - n and e_b*z_j on the field part, so its pivots
+    being exactly those columns checks both the dimension n^2 - n and the
+    complement to the field part; closure under left multiplication by u is
+    checked on the generators.
     """
     if not is_splitting_chain(algebra, chain):
         raise ValueError("chain does not satisfy delta z = c")
     tw = algebra.tower
-    generators = []
-    for j in range(1, algebra.n):
-        difference = algebra.sub(algebra.from_field(chain.values[j]), algebra.u(j))
-        for e_b in tw.l_basis():
-            generators.append(algebra.flatten(algebra.scale(e_b, difference)))
-    rows, pivots = linalg.rref(generators, tw.zero)
-    ideal = LeftIdeal(algebra, rows, pivots)
-    expected = algebra.n * algebra.n - algebra.n
-    if ideal.dimension != expected:
-        raise RuntimeError(f"ideal dimension {ideal.dimension} != {expected}")
-    for row in rows:
-        element = _unflatten(algebra, row)
-        if not ideal.contains(algebra.multiply(algebra.u(1), element)):
-            raise RuntimeError("span is not closed under left multiplication by u")
-    field_rows = [algebra.flatten(algebra.from_field(e_b)) for e_b in tw.l_basis()]
-    full_rows, _ = linalg.rref(list(rows) + field_rows, tw.zero)
-    if len(full_rows) != algebra.n * algebra.n:
-        raise RuntimeError("ideal is not complementary to the field part")
-    return ideal
-
-
-def _unflatten(algebra, coords):
-    tw = algebra.tower
-    basis = tw.l_basis()
     n = algebra.n
-    out = []
-    for j in range(n):
-        coeff = tw.zero
-        for b in range(n):
-            coeff = coeff + coords[j * n + b] * basis[b]
-        out.append(coeff)
-    return tuple(out)
+    generators = [
+        algebra.scale(e_b, algebra.sub(algebra.from_field(chain.values[j]), algebra.u(j)))
+        for j in range(1, n)
+        for e_b in tw.l_basis()
+    ]
+    rows, pivots = linalg.rref([_ideal_coordinates(algebra, g) for g in generators], tw.zero)
+    if pivots != tuple(range(n * n - n)):
+        raise RuntimeError("span is not an (n^2 - n)-dimensional complement of the field part")
+    ideal = LeftIdeal(algebra, rows, pivots)
+    u = algebra.u(1)
+    if not all(ideal.contains(algebra.multiply(u, g)) for g in generators):
+        raise RuntimeError("span is not closed under left multiplication by u")
+    return ideal
 
 
 def chain_from_ideal(algebra, ideal):
     """Recover the splitting chain: z_j is the unique field part with z_j - u_j in the ideal.
 
-    Solves the direct-sum decomposition A = I + field-part for each symbol
-    u_j; a missing or non-unique solution means the ideal lies outside the
-    open locus where the correspondence is defined.
+    An ideal complementary to the field part has pivots on the first n^2 - n
+    columns, and reducing u_j against its rows leaves z_j on the field part.
+    Other pivots, or a zero z_j, mean the ideal lies outside the open locus
+    where the correspondence is defined.
     """
+    n = algebra.n
+    if ideal.pivots != tuple(range(n * n - n)):
+        raise ValueError("ideal is not complementary to the field part")
     tw = algebra.tower
-    combined = [list(row) for row in ideal.rows]
     field_basis = tw.l_basis()
-    for e_b in field_basis:
-        combined.append(algebra.flatten(algebra.from_field(e_b)))
     values = []
-    for j in range(algebra.n):
-        target = algebra.flatten(algebra.u(j))
-        coefficients = linalg.solve_combination(combined, target, tw.zero)
-        if coefficients is None:
-            raise ValueError("ideal is not complementary to the field part")
+    for j in range(n):
+        residue = linalg.reduce_against(
+            _ideal_coordinates(algebra, algebra.u(j)), ideal.rows, ideal.pivots, tw.zero
+        )
         z_j = tw.zero
-        for b in range(algebra.n):
-            z_j = z_j + coefficients[ideal.dimension + b] * field_basis[b]
+        for coordinate, e_b in zip(residue[-n:], field_basis):
+            z_j = z_j + coordinate * e_b
         if not z_j:
             raise ValueError("recovered chain value is zero; ideal is outside the open locus")
         values.append(z_j)
@@ -270,25 +266,28 @@ def chain_from_ideal(algebra, ideal):
 def corrupt_chain(algebra, chain):
     """Scale one chain value so that delta z = c provably fails (negative-control input).
 
-    Scaling z_1 by an element of norm 1 would produce another valid chain, so
+    Scaling z_1 by an element of norm 1 gives another valid chain, so
     candidates are scanned until the delta condition actually breaks: the
     field's elements for a finite tower, the integers 2, 3, ... for a number
-    tower.
+    tower, where 2 always breaks it. Where every nonzero element has norm 1,
+    as in GF(4) over GF(2), z_0 is scaled instead: delta z = c forces z_0 = 1.
     """
     tw = algebra.tower
     if isinstance(tw, FiniteTower):
         candidates = tw.field.elements()
     else:
         candidates = map(tw.scalar, itertools.count(2))
-    for candidate in candidates:
-        if not candidate or candidate == tw.one:
-            continue
-        values = list(chain.values)
-        values[1] = values[1] * candidate
-        bad = SplittingChain(tuple(values))
-        if not is_splitting_chain(algebra, bad):
-            return bad
-    raise RuntimeError("every scaling produced a valid chain")  # impossible: the norm map is nontrivial
+    for index in (1, 0):
+        for candidate in candidates:
+            if not candidate or candidate == tw.one:
+                continue
+            values = list(chain.values)
+            values[index] = values[index] * candidate
+            bad = SplittingChain(tuple(values))
+            if not is_splitting_chain(algebra, bad):
+                return bad
+    # unreachable: every finite tower has at least 4 elements, so one lies outside {0, 1}
+    raise RuntimeError("every scaling produced a valid chain")
 
 
 def norm_element_check(algebra, x, i):
@@ -480,7 +479,6 @@ def tensor_power_check(algebra, l):
 
 def random_cyclic_instance(q, n, rng):
     """A seeded random instance: a unit y, the tower with b = N(y), and the chain from y."""
-    from .tower import FiniteTower, norm
 
     scaffold = FiniteTower(q, n, 1)
     while True:

@@ -2,7 +2,7 @@
 
 Fraction-free (Bareiss) elimination on integer matrices gives determinants,
 resultants and integer solves; rref reduces over any exact field and serves
-ranks, kernels, spans and linear combinations.
+ranks, kernels and spans.
 """
 
 from __future__ import annotations
@@ -181,25 +181,3 @@ def reduce_against(vector, rows, pivots, zero):
                     vec[j] = vec[j] - factor * entry
     return vec
 
-
-def solve_combination(vectors, target, zero):
-    """Express target as a linear combination of independent vectors.
-
-    Returns the coefficient list, or None when the target is outside the
-    span or the vectors are dependent (no unique answer).
-    """
-    if not vectors:
-        return None
-    ncols = len(vectors[0])
-    nvec = len(vectors)
-    # augmented system: columns are the vectors, last column the target
-    aug = [[vectors[j][i] for j in range(nvec)] + [target[i]] for i in range(ncols)]
-    rows, pivots = rref(aug, zero)
-    if nvec in pivots:
-        return None  # inconsistent
-    if len(pivots) != nvec:
-        return None  # dependent vectors
-    coeffs = [zero] * nvec
-    for row, piv in zip(rows, pivots):
-        coeffs[piv] = row[nvec]
-    return coeffs

@@ -25,7 +25,8 @@ class TowerElement(ExactElement):
 
     The coordinate on basis element i is num[i] / den, with den > 0 and
     gcd(num[0], ..., num[dim-1], den) == 1, so equal elements have equal
-    (num, den).
+    (num, den). Elements of different towers never mix: == between them is
+    False, and arithmetic raises ValueError.
     """
 
     __slots__ = ("tower", "num", "den")
@@ -46,6 +47,8 @@ class TowerElement(ExactElement):
 
     def _coerce(self, other):
         if isinstance(other, TowerElement):
+            if other.tower is not self.tower:
+                raise ValueError("elements belong to different towers")
             return other
         if isinstance(other, (int, Fraction)):
             return self.tower.scalar(other)
@@ -90,6 +93,8 @@ class TowerElement(ExactElement):
         return self.tower.inverse(self)
 
     def __eq__(self, other):
+        if isinstance(other, TowerElement):
+            return other.tower is self.tower and self.num == other.num and self.den == other.den
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -612,64 +617,76 @@ def dump_tower(tw):
     return "\n".join(lines) + "\n"
 
 
+_HEADER_KEYS = ("dim", "n", "m", "r", "t", "s")
+_FIELD_COUNTS = {"label": 2, "mul": 4, "sigma": 3, "tau": 3, "elem": 3}
+
+
+def _fixture_index(field, dim):
+    index = int(field)
+    if not 0 <= index < dim:
+        raise ValueError(f"index {index} is outside 0 ... {dim - 1}")
+    return index
+
+
 def load_tower(text):
     """Parse the fixture format of dump_tower and build a validated NumberTower.
 
-    Loaded towers support every tower-level operation and carry crossed
-    products: like every NumberTower, they derive their E-over-L basis and
-    coordinate maps at construction, which refuses a fixture whose dim is
-    not n*m.
+    A malformed line (an unknown keyword, a wrong field count, a value that
+    does not parse, an index outside 0 ... dim-1, a header without one of
+    dim, n, m, r, t, s) raises ValueError naming the line. Loaded towers
+    support every tower-level operation and carry crossed products: like
+    every NumberTower, they derive their E-over-L basis and coordinate maps
+    at construction, which refuses a fixture whose dim is not n*m.
     """
     header = None
-    labels = {}
-    mul_entries = []
-    matrix_entries = {"sigma": [], "tau": []}
-    elem_entries = {"b": [], "lambda": []}
+    entries = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "tower":
-            header = dict(item.split("=") for item in parts[1:])
-        elif parts[0] == "label":
-            labels[int(parts[1])] = parts[2]
-        elif parts[0] == "mul":
-            mul_entries.append((int(parts[1]), int(parts[2]), int(parts[3]), Fraction(parts[4])))
-        elif parts[0] in matrix_entries:
-            matrix_entries[parts[0]].append((int(parts[1]), int(parts[2]), Fraction(parts[3])))
-        elif parts[0] == "elem":
-            elem_entries[parts[1]].append((int(parts[2]), Fraction(parts[3])))
-        else:
-            raise ValueError(f"unrecognized fixture line: {raw!r}")
+        keyword, *fields = line.split()
+        try:
+            if keyword == "tower":
+                items = dict(field.split("=", 1) for field in fields)
+                missing = [key for key in _HEADER_KEYS if key not in items]
+                if missing:
+                    raise ValueError(f"the header lacks {', '.join(missing)}")
+                header = {key: int(items[key]) for key in _HEADER_KEYS}
+            elif _FIELD_COUNTS.get(keyword) == len(fields):
+                entries.append((raw, keyword, fields))
+            else:
+                raise ValueError("unknown keyword or wrong field count")
+        except ValueError as exc:
+            raise ValueError(f"malformed fixture line {raw!r}: {exc}") from None
     if header is None:
         raise ValueError("fixture is missing the tower header line")
-    dim = int(header["dim"])
+    dim = header["dim"]
+    labels = {}
     table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, value in mul_entries:
-        table[i][j][k] = value
-    matrices = {}
-    for name, entries in matrix_entries.items():
-        matrix = [[Fraction(0)] * dim for _ in range(dim)]
-        for i, j, value in entries:
-            matrix[i][j] = value
-        matrices[name] = matrix
-    elements = {}
-    for name, entries in elem_entries.items():
-        coords = [Fraction(0)] * dim
-        for k, value in entries:
-            coords[k] = value
-        elements[name] = coords
+    matrices = {name: [[Fraction(0)] * dim for _ in range(dim)] for name in ("sigma", "tau")}
+    elements = {name: [Fraction(0)] * dim for name in ("b", "lambda")}
+    for raw, keyword, fields in entries:
+        try:
+            if keyword == "label":
+                labels[_fixture_index(fields[0], dim)] = fields[1]
+            elif keyword == "mul":
+                i, j, k = (_fixture_index(field, dim) for field in fields[:3])
+                table[i][j][k] = Fraction(fields[3])
+            elif keyword == "elem":
+                if fields[0] not in elements:
+                    raise ValueError(f"unknown element {fields[0]!r}")
+                elements[fields[0]][_fixture_index(fields[1], dim)] = Fraction(fields[2])
+            else:
+                i, j = (_fixture_index(field, dim) for field in fields[:2])
+                matrices[keyword][i][j] = Fraction(fields[2])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed fixture line {raw!r}: {exc}") from None
     return NumberTower(
         labels=[labels.get(i, f"e{i}") for i in range(dim)],
         table=table,
         sigma_matrix=matrices["sigma"],
         tau_matrix=matrices["tau"],
-        n=int(header["n"]),
-        m=int(header["m"]),
-        r=int(header["r"]),
-        t=int(header["t"]),
-        s=int(header["s"]),
+        **{key: header[key] for key in _HEADER_KEYS[1:]},
         b_coords=elements["b"],
         lam_coords=elements["lambda"],
     )

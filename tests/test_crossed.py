@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from sdpcert.crossed import (
     CrossedProduct,
+    LeftIdeal,
     SplittingChain,
+    _ideal_coordinates,
     chain_from_ideal,
     chain_from_unit,
     cocycle_condition_holds,
@@ -175,7 +177,7 @@ def test_ideal_containing_field_part_is_rejected():
     rng = random.Random(8)
     algebra, chain, _ = random_cyclic_instance(3, 2, rng)
     tw = algebra.tower
-    field_rows = [algebra.flatten(algebra.from_field(e_b)) for e_b in tw.l_basis()]
+    field_rows = [_ideal_coordinates(algebra, algebra.from_field(e_b)) for e_b in tw.l_basis()]
     rows, pivots = rref(field_rows, tw.zero)
 
     class FakeIdeal:
@@ -185,8 +187,102 @@ def test_ideal_containing_field_part_is_rejected():
     fake.rows = rows
     fake.pivots = pivots
     fake.dimension = len(rows)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="complementary"):
         chain_from_ideal(algebra, fake)
+
+
+def test_ideal_of_the_right_dimension_meeting_the_field_part_is_rejected():
+    # at n = 3: the field block plus the u_1 block, 6 = n^2 - n rows
+    algebra, _, _ = random_cyclic_instance(5, 3, random.Random(15))
+    tw = algebra.tower
+    spanning = [algebra.scale(e_b, algebra.u(j)) for j in (0, 1) for e_b in tw.l_basis()]
+    rows, pivots = rref([_ideal_coordinates(algebra, x) for x in spanning], tw.zero)
+    fake = LeftIdeal(algebra, rows, pivots)
+    assert fake.dimension == 6
+    with pytest.raises(ValueError, match="complementary"):
+        chain_from_ideal(algebra, fake)
+
+
+def standard_rows(algebra, chain):
+    """The rref of the generators e_b*(z_j - u_j) in flatten coordinates, field part first."""
+    tw = algebra.tower
+    generators = [
+        algebra.flatten(
+            algebra.scale(e_b, algebra.sub(algebra.from_field(chain.values[j]), algebra.u(j)))
+        )
+        for j in range(1, algebra.n)
+        for e_b in tw.l_basis()
+    ]
+    return rref(generators, tw.zero)[0]
+
+
+def reference_chain(algebra, rows):
+    """Solve rows + field rows = u_j in flatten coordinates, one rref per j."""
+    tw = algebra.tower
+    basis = tw.l_basis()
+    vectors = list(rows) + [algebra.flatten(algebra.from_field(e_b)) for e_b in basis]
+    values = []
+    for j in range(algebra.n):
+        target = algebra.flatten(algebra.u(j))
+        augmented = [[v[i] for v in vectors] + [target[i]] for i in range(len(target))]
+        reduced, pivots = rref(augmented, tw.zero)
+        assert pivots == tuple(range(len(vectors)))  # a unique solution
+        z_j = tw.zero
+        for b in range(algebra.n):
+            z_j = z_j + reduced[len(rows) + b][-1] * basis[b]
+        values.append(z_j)
+    return tuple(values)
+
+
+def assert_graph_route_matches_solve_route(algebra, chain):
+    n = algebra.n
+    ideal = ideal_from_chain(algebra, chain)
+    rows = standard_rows(algebra, chain)
+    rotated_back = [row[-n:] + row[:-n] for row in ideal.rows]
+    assert rref(rotated_back, algebra.tower.zero)[0] == rows
+    assert chain_from_ideal(algebra, ideal).values == reference_chain(algebra, rows)
+
+
+REFERENCE_CASES = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (2, 3, 4) if q**n <= 4096]
+
+
+@pytest.mark.parametrize("q, n", REFERENCE_CASES)
+def test_graph_route_matches_the_solve_route(q, n):
+    for seed in range(2):
+        algebra, chain, _ = random_cyclic_instance(q, n, random.Random(seed))
+        assert_graph_route_matches_solve_route(algebra, chain)
+
+
+def test_graph_route_matches_the_solve_route_on_s3(s3_algebra):
+    # N(-1) = b, and x / sigma(x) has norm 1 (Hilbert 90)
+    tw = s3_algebra.tower
+    x = tw.basis_element(1) + tw.one
+    for y in (tw.scalar(-1), -x / tw.sigma(x)):
+        chain = chain_from_unit(s3_algebra, y)
+        assert is_splitting_chain(s3_algebra, chain)
+        assert_graph_route_matches_solve_route(s3_algebra, chain)
+
+
+def test_ideal_rows_put_the_field_part_last():
+    algebra, chain, _ = random_cyclic_instance(3, 3, random.Random(16))
+    ideal = ideal_from_chain(algebra, chain)
+    assert ideal.pivots == tuple(range(6))
+    for j in range(1, 3):
+        assert ideal.contains(algebra.sub(algebra.from_field(chain.values[j]), algebra.u(j)))
+    assert not ideal.contains(algebra.u(1))
+    assert not ideal.contains(algebra.one)
+
+
+def test_corrupted_chain_over_gf4_is_rejected():
+    # N: GF(4)* -> GF(2)* is trivial, so no scaling of z_1 breaks delta z = c
+    for seed in range(4):
+        algebra, chain, _ = random_cyclic_instance(2, 2, random.Random(seed))
+        bad = corrupt_chain(algebra, chain)
+        assert not is_splitting_chain(algebra, bad)
+        assert bad.values[1] == chain.values[1]
+        assert bad.values[0] not in (algebra.tower.zero, algebra.tower.one)
+        with pytest.raises(ValueError):
+            ideal_from_chain(algebra, bad)
 
 
 def test_norm_element_identity_trivial_case():

@@ -286,6 +286,40 @@ def test_fixture_rejects_malformed_input():
         load_tower("nonsense 1 2 3\n")
 
 
+@pytest.mark.parametrize("bad_line, edit", [
+    ("tower dim=6 m=2 r=2 t=2 s=1", "header without n"),
+    ("tower dim=6 n=3 m=2 r=2 t=two s=1", "header value not an integer"),
+    ("tower dim6 n=3 m=2 r=2 t=2 s=1", "header item without ="),
+    ("tower dim=6 n=3 m=2 r=2 t=2", "header without s"),
+    ("mul 0 1", "short mul line"),
+    ("mul 0 1 2 3 4", "long mul line"),
+    ("label 2", "short label line"),
+    ("sigma 0 0", "short sigma line"),
+    ("elem b 0", "short elem line"),
+    ("mul 6 0 0 1", "mul index past dim"),
+    ("mul 0 0 6 1", "mul target past dim"),
+    ("label 6 x", "label index past dim"),
+    ("tau 0 6 1", "tau index past dim"),
+    ("elem b 6 1", "elem index past dim"),
+    ("elem mu 0 1", "unknown element"),
+    ("mul -6 0 0 1", "negative mul index"),
+    ("sigma -6 -6 1", "negative sigma indices"),
+    ("elem lambda -1 1", "negative elem index"),
+    ("mul 0 0 0 x", "value not a rational"),
+    ("tau 0 0 1/0", "zero denominator"),
+    ("mul a 0 0 1", "index not an integer"),
+])
+def test_fixture_rejects_each_malformed_line(s3, bad_line, edit):
+    lines = dump_tower(s3).splitlines()
+    if bad_line.startswith("tower"):
+        lines[0] = bad_line
+    else:
+        lines.append(bad_line)
+    with pytest.raises(ValueError, match="malformed fixture line") as info:
+        load_tower("\n".join(lines) + "\n")
+    assert repr(bad_line) in str(info.value), edit
+
+
 def test_construction_rejects_broken_parameters(s3):
     text = dump_tower(s3).replace("tower dim=6 n=3 m=2 r=2 t=2 s=1",
                                   "tower dim=6 n=3 m=2 r=2 t=2 s=2")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpcert.tower import TowerElement, builtin_s3, dump_tower, load_tower, norm
+from sdpcert.tower import NumberTower, TowerElement, builtin_s3, dump_tower, load_tower, norm
 
 S3 = builtin_s3()
 FIXTURE = Path(__file__).parent / "fixtures" / "s3_rescaled.tower"
@@ -118,3 +118,40 @@ def test_rescaled_flatten_gives_sigma_fixed_coordinates_over_the_l_basis(x):
 def test_constructor_checks_length():
     with pytest.raises(ValueError, match="expected 6 coordinates"):
         TowerElement(S3, (1, 2))
+
+
+def gaussian_tower():
+    """Q(i) over Q: n = 2, m = 1, sigma = diag(1, -1), b = -1."""
+    return NumberTower(
+        labels=["1", "i"],
+        table=[[(1, 0), (0, 1)], [(0, 1), (-1, 0)]],
+        sigma_matrix=[[1, 0], [0, -1]],
+        tau_matrix=[[1, 0], [0, 1]],
+        n=2, m=1, r=1, t=1, s=0,
+        b_coords=(-1, 0),
+        lam_coords=(1, 0),
+    )
+
+
+def test_elements_of_equal_towers_are_not_equal():
+    loaded = load_tower(dump_tower(S3))
+    x, y = S3.basis_element(1), loaded.basis_element(1)
+    assert x != y
+    assert not x == y
+    assert len({x, y}) == 2
+    assert x == S3.basis_element(1)
+    with pytest.raises(ValueError, match="different towers"):
+        x + y
+
+
+def test_elements_of_different_towers_do_not_mix():
+    gaussian = gaussian_tower()
+    x, i = S3.basis_element(1), gaussian.basis_element(1)
+    assert i * i == gaussian.scalar(-1)
+    assert x != i
+    for operation in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a - b,
+                      lambda a, b: a / b):
+        with pytest.raises(ValueError, match="different towers"):
+            operation(x, i)
+        with pytest.raises(ValueError, match="different towers"):
+            operation(i, x)
