@@ -219,13 +219,11 @@ def build_parser():
         metavar="B",
         help="also run the exhaustive oracle with coefficient bound B",
     )
-    p_cov.set_defaults(handler=cmd_coverage)
 
     p_cert = sub.add_parser("certificate", help="build and verify a certificate for residue l")
     p_cert.add_argument("--n", type=int, required=True)
     p_cert.add_argument("--r", type=int, required=True)
     p_cert.add_argument("--l", type=int, required=True, help="target residue, coprime to n")
-    p_cert.set_defaults(handler=cmd_certificate)
 
     p_verify = sub.add_parser("verify", help="run a module property suite")
     p_verify.add_argument(
@@ -233,7 +231,6 @@ def build_parser():
         choices=[*SUITE_NAMES, "all"],
         required=True,
     )
-    p_verify.set_defaults(handler=cmd_verify)
 
     for p in (p_cov, p_cert, p_verify):
         p.add_argument("--seed", type=int, default=0, help="seed for all randomized checks")
@@ -241,11 +238,17 @@ def build_parser():
     return parser
 
 
+# built once, eagerly at import: no call of main pays for it, and every call
+# makes the same traced calls
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # looked up per call, so that a rebound cli.cmd_* is the one that runs
+    handler = {"certificate": cmd_certificate, "coverage": cmd_coverage, "verify": cmd_verify}
     try:
-        report = args.handler(args)
+        report = handler[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

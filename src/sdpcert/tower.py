@@ -633,7 +633,9 @@ def load_tower(text):
 
     A malformed line (an unknown keyword, a wrong field count, a value that
     does not parse, an index outside 0 ... dim-1, a header without one of
-    dim, n, m, r, t, s) raises ValueError naming the line. Loaded towers
+    dim, n, m, r, t, s or with a key repeated or not among them, a second
+    header, a line that repeats an earlier line's keyword and indices) raises
+    ValueError naming the line. Loaded towers
     support every tower-level operation and carry crossed products: like
     every NumberTower, they derive their E-over-L basis and coordinate maps
     at construction, which refuses a fixture whose dim is not n*m.
@@ -647,7 +649,14 @@ def load_tower(text):
         keyword, *fields = line.split()
         try:
             if keyword == "tower":
+                if header is not None:
+                    raise ValueError("a second tower header")
                 items = dict(field.split("=", 1) for field in fields)
+                if len(items) < len(fields):
+                    raise ValueError("the header repeats a key")
+                unknown = sorted(set(items) - set(_HEADER_KEYS))
+                if unknown:
+                    raise ValueError(f"the header has unknown keys {', '.join(unknown)}")
                 missing = [key for key in _HEADER_KEYS if key not in items]
                 if missing:
                     raise ValueError(f"the header lacks {', '.join(missing)}")
@@ -665,19 +674,28 @@ def load_tower(text):
     table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     matrices = {name: [[Fraction(0)] * dim for _ in range(dim)] for name in ("sigma", "tau")}
     elements = {name: [Fraction(0)] * dim for name in ("b", "lambda")}
+    seen = set()
     for raw, keyword, fields in entries:
         try:
-            if keyword == "label":
-                labels[_fixture_index(fields[0], dim)] = fields[1]
-            elif keyword == "mul":
-                i, j, k = (_fixture_index(field, dim) for field in fields[:3])
-                table[i][j][k] = Fraction(fields[3])
-            elif keyword == "elem":
+            # the slot a line sets: its element name, if any, and its indices
+            if keyword == "elem":
                 if fields[0] not in elements:
                     raise ValueError(f"unknown element {fields[0]!r}")
-                elements[fields[0]][_fixture_index(fields[1], dim)] = Fraction(fields[2])
+                slot = (fields[0], _fixture_index(fields[1], dim))
             else:
-                i, j = (_fixture_index(field, dim) for field in fields[:2])
+                slot = tuple(_fixture_index(field, dim) for field in fields[:-1])
+            if (keyword, *slot) in seen:
+                raise ValueError(f"it sets {keyword} {' '.join(map(str, slot))} again")
+            seen.add((keyword, *slot))
+            if keyword == "label":
+                labels[slot[0]] = fields[1]
+            elif keyword == "mul":
+                i, j, k = slot
+                table[i][j][k] = Fraction(fields[3])
+            elif keyword == "elem":
+                elements[slot[0]][slot[1]] = Fraction(fields[2])
+            else:
+                i, j = slot
                 matrices[keyword][i][j] = Fraction(fields[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed fixture line {raw!r}: {exc}") from None

@@ -285,6 +285,59 @@ def test_unknown_suite_rejected(capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+def test_main_builds_no_parser(capsys, monkeypatch):
+    # the parser is built once, at import
+    from sdpcert import cli
+
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    assert run_cli(capsys, "coverage", "--n", "7", "--r", "6")[0] == EXIT_OK
+    assert run_cli(capsys, "certificate", "--n", "5", "--r", "4", "--l", "2")[0] == EXIT_OK
+
+
+def test_main_runs_the_command_bound_in_the_module_now(capsys, monkeypatch):
+    # a tracer rebinds cli.cmd_*; a handler bound into the parser at import would bypass it
+    from sdpcert import cli
+
+    calls = []
+    original = cli.cmd_coverage
+
+    def counting(args):
+        calls.append(args.command)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_coverage", counting)
+    code, out, _ = run_cli(capsys, "coverage", "--n", "7", "--r", "6", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["command"] == "coverage"
+    assert calls == ["coverage"]
+
+
+def test_the_shared_parser_keeps_no_options_of_an_earlier_call(capsys):
+    assert run_cli(capsys, "coverage", "--n", "7", "--r", "2", "--exhaustive", "1",
+                   "--seed", "5")[0] == EXIT_OK
+    code, out, _ = run_cli(capsys, "coverage", "--n", "7", "--r", "2", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["inputs"] == {"exhaustive": None, "n": 7, "r": 2, "seed": 0}
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_it_was(capsys):
+    from sdpcert.cli import build_parser
+
+    valid = ["coverage", "--n", "7", "--r", "2", "--format", "json"]
+    before = run_cli(capsys, *valid)
+    errors = []
+    for parse in (main, build_parser().parse_args, main):
+        with pytest.raises(SystemExit) as exc:
+            parse(["coverage", "--n", "5"])
+        assert exc.value.code == EXIT_USAGE
+        errors.append(capsys.readouterr())
+    assert errors[0] == errors[1] == errors[2]
+    assert errors[0].out == "" and "required: --r" in errors[0].err
+    assert run_cli(capsys, *valid) == before
+
+
 CASE_COUNTS = {
     "group-ring": {
         "ring laws on random triples": 60,

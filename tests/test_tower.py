@@ -308,6 +308,16 @@ def test_fixture_rejects_malformed_input():
     ("mul 0 0 0 x", "value not a rational"),
     ("tau 0 0 1/0", "zero denominator"),
     ("mul a 0 0 1", "index not an integer"),
+    ("tower dim=6 n=3 m=2 r=2 t=2 s=1 dim=6", "header key repeated, same value"),
+    ("tower dim=6 n=3 m=2 r=2 t=2 s=1 s=2", "header key repeated, another value"),
+    ("tower dim=6 n=3 m=2 r=2 t=2 s=1 colour=red", "unknown header key"),
+    ("label 1 other", "a second label 1"),
+    ("mul 1 1 2 1", "a repeated mul line"),
+    ("mul 1 1 2 5", "a second mul 1 1 2"),
+    ("sigma 1 4 1", "a second sigma 1 4"),
+    ("tau 0 3 1", "a second tau 0 3"),
+    ("elem b 0 2", "a second elem b 0"),
+    ("elem lambda 0 -1", "a repeated elem lambda line"),
 ])
 def test_fixture_rejects_each_malformed_line(s3, bad_line, edit):
     lines = dump_tower(s3).splitlines()
@@ -318,6 +328,13 @@ def test_fixture_rejects_each_malformed_line(s3, bad_line, edit):
     with pytest.raises(ValueError, match="malformed fixture line") as info:
         load_tower("\n".join(lines) + "\n")
     assert repr(bad_line) in str(info.value), edit
+
+
+def test_fixture_rejects_a_second_header(s3):
+    header = dump_tower(s3).splitlines()[0]
+    with pytest.raises(ValueError, match="malformed fixture line") as info:
+        load_tower(dump_tower(s3) + header + "\n")
+    assert repr(header) in str(info.value)
 
 
 def test_construction_rejects_broken_parameters(s3):

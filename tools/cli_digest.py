@@ -6,8 +6,11 @@ and digest as its parent. Run from anywhere:
     python tools/cli_digest.py
 
 The commands run in this process, through cli.main; each record is the
-argument list, the exit code and the stdout. The four demos then run in fresh
-processes. Help texts are rendered at a fixed width of 80 columns.
+argument list, the exit code, the stdout and the stderr. Besides the valid
+commands and the help texts they include usage errors, argparse's and the
+program's own, so that a change in what the parser reports shows. The four
+demos then run in fresh processes. Help texts are rendered at a fixed width
+of 80 columns.
 """
 
 from __future__ import annotations
@@ -24,6 +27,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("coverage_tour.py", "certificate_tour.py", "tower_tour.py", "crossed_product_tour.py")
+# one of each: argparse's errors (no command, a missing or unparsable option, a
+# bad choice) and the program's own (UsageError)
+USAGE_ERRORS = (
+    [],
+    ["coverage", "--n", "5"],
+    ["coverage", "--n", "x", "--r", "1"],
+    ["coverage", "--n", "1", "--r", "1"],
+    ["coverage", "--n", "7", "--r", "2", "--exhaustive", "-1"],
+    ["certificate", "--n", "13", "--r", "12", "--l", "13"],
+    ["verify", "--suite", "nope"],
+)
 
 
 def coprime_pairs(top):
@@ -44,23 +58,25 @@ def invocations():
     yield ["--help"]
     for command in ("coverage", "certificate", "verify"):
         yield [command, "--help"]
+    yield from USAGE_ERRORS
+
 
 
 def run_cli(main, argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse ends --help this way
+        except SystemExit as exc:  # argparse ends --help and its usage errors this way
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_demo(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT, env=env,
                           capture_output=True, text=True, check=False)
-    return done.returncode, done.stdout
+    return done.returncode, done.stdout, done.stderr
 
 
 def main():
