@@ -1,9 +1,56 @@
-"""The arithmetic every exact element class shares, written once."""
+"""Immutable values, and the arithmetic every exact element class shares, written once.
+
+_Immutable._new builds every immutable value from slot values already
+checked; no other code in the package calls object.__new__ or
+object.__setattr__. Outside input is checked only by a public constructor,
+a class's __new__, which ends in _new; every computed result goes to _new
+directly. ExactElement gives the five exact element classes subtraction,
+division and powers. GroupRingElement (Z[C_n]) and SElement (S) take the
+order check, int coercion, +, negation, integer scaling, ==, hash and repr
+from group_ring._IntegralElement and add their coefficient count, named
+constructors, __mul__ and inverse. PrimeFieldElement, ExtFieldElement and
+TowerElement write their own arithmetic on their own representations.
+"""
 
 from __future__ import annotations
 
 
-class ExactElement:
+class _Immutable:
+    """A value whose slots are set once, by _new; assigning an attribute raises AttributeError.
+
+    A subclass lists every slot of its instances in its own __slots__.
+    _new(slot values, in __slots__ order) builds an instance from values
+    already checked.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            cls._new = classmethod(_compile_new(cls.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _compile_new(names):
+    """def _new(cls, v0, v1, ...): an instance of cls with slot names[i] set to vi.
+
+    Compiled per class, as dataclasses compile __init__: a loop over the
+    slots doubles the cost of building the tower and finite-field elements
+    every product returns.
+    """
+    lines = [f"def _new(cls, {', '.join(f'v{i}' for i in range(len(names)))}):",
+             "    instance = object_new(cls)"]
+    lines += [f"    object_setattr(instance, {name!r}, v{i})" for i, name in enumerate(names)]
+    lines.append("    return instance")
+    namespace = {"object_new": object.__new__, "object_setattr": object.__setattr__}
+    exec("\n".join(lines), namespace)
+    return namespace["_new"]
+
+
+class ExactElement(_Immutable):
     """Immutable ring element: subtraction, division and powers from the class's own ring.
 
     A subclass defines __add__, __neg__, __mul__, __eq__ and __hash__, an
@@ -12,9 +59,6 @@ class ExactElement:
     """
 
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -32,6 +76,9 @@ class ExactElement:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self.inverse() * other
 
     def __pow__(self, exponent):

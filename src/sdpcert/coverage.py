@@ -358,8 +358,8 @@ def exhaustive_fixed_units(n, r, bound=2):
             vectors = vectors[_unit_mask(block, groups, tables[:count])]
         coeffs = vectors[:, weight_index]
         for plus, minus in zip(coeffs.tolist(), (-coeffs).tolist()):
-            units.append(SElement._from_ints(n, tuple(plus)))
-            units.append(SElement._from_ints(n, tuple(minus)))
+            units.append(SElement._new(n, tuple(plus)))
+            units.append(SElement._new(n, tuple(minus)))
     return sorted(units, key=lambda s: s.coeffs)
 
 

@@ -36,9 +36,8 @@ from ._primes import _is_prime, _prime_divisors
 class PrimeFieldElement(ExactElement):
     __slots__ = ("field", "value")
 
-    def __init__(self, field, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value % field.p)
+    def __new__(cls, field, value):
+        return cls._new(field, value % field.p)
 
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElement):
@@ -175,12 +174,11 @@ class ExtFieldElement(ExactElement):
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field, coeffs):
+    def __new__(cls, field, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != field.degree:
             raise ValueError(f"expected {field.degree} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", field._raw(coeffs))
+        return cls._new(field, field._raw(coeffs))
 
     def _coerce(self, other):
         if isinstance(other, ExtFieldElement):
@@ -361,10 +359,7 @@ class ExtField:
         return (self.base._raw(value),) + self._raw_zero[1:]
 
     def _wrap(self, coeffs):
-        element = object.__new__(ExtFieldElement)
-        object.__setattr__(element, "field", self)
-        object.__setattr__(element, "coeffs", coeffs)
-        return element
+        return ExtFieldElement._new(self, coeffs)
 
     def _values(self):
         return itertools.product(self.base._values(), repeat=self.degree)

@@ -4,16 +4,71 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import gcd
-from operator import sub
+from operator import add, sub
 
-from ._element import ExactElement
+from ._element import ExactElement, _Immutable
 
 
 class OrderMismatchError(ValueError):
     """Raised when elements over different group orders are combined."""
 
 
-class GroupRingElement(ExactElement):
+class _IntegralElement(ExactElement):
+    """What Z[C_n] and S share: integer coefficients over a cyclic group of order n.
+
+    Elements of the two rings never mix: between them + and * raise
+    TypeError and == is False. Results are built by _new from exact ints.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _checked(cls, n, coeffs, count):
+        """The element from outside input: count coefficients, each converted by int()."""
+        coeffs = tuple(int(c) for c in coeffs)
+        if len(coeffs) != count:
+            raise ValueError(f"expected {count} coefficients, got {len(coeffs)}")
+        return cls._new(n, coeffs)
+
+    def _require_same_order(self, other):
+        if self.n != other.n:
+            raise OrderMismatchError(f"group orders differ: {self.n} != {other.n}")
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return self._new(self.n, (int(other),) + (0,) * (len(self.coeffs) - 1))
+        return other if type(other) is type(self) else NotImplemented
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        self._require_same_order(other)
+        return self._new(self.n, tuple(map(add, self.coeffs, other.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(self.n, tuple(-a for a in self.coeffs))
+
+    def _scaled(self, other):
+        """self * other for an int other, NotImplemented for anything else."""
+        if isinstance(other, int):
+            return self._new(self.n, tuple(other * a for a in self.coeffs))
+        return NotImplemented
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.n == other.n and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.n, self.coeffs))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, coeffs={self.coeffs})"
+
+
+class GroupRingElement(_IntegralElement):
     """Element of the group ring Z<sigma>, sigma of order n.
 
     coeffs[i] is the integer coefficient of sigma^i. Coefficients are
@@ -22,15 +77,11 @@ class GroupRingElement(ExactElement):
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n, coeffs):
+    def __new__(cls, n, coeffs):
         n = int(n)
         if n < 1:
             raise ValueError(f"group order must be positive, got {n}")
-        coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) != n:
-            raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
+        return cls._checked(n, coeffs, n)
 
     @classmethod
     def zero(cls, n):
@@ -47,33 +98,9 @@ class GroupRingElement(ExactElement):
         coeffs[exponent % n] = coefficient
         return cls(n, coeffs)
 
-    def _require_same_order(self, other):
-        if self.n != other.n:
-            raise OrderMismatchError(f"group orders differ: {self.n} != {other.n}")
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return GroupRingElement.sigma_power(self.n, 0, other)
-        return other if isinstance(other, GroupRingElement) else NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, GroupRingElement):
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        self._require_same_order(other)
-        return GroupRingElement(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GroupRingElement(self.n, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other):
-        if not isinstance(other, GroupRingElement):
-            if isinstance(other, int):
-                return GroupRingElement(self.n, tuple(other * a for a in self.coeffs))
-            return NotImplemented
+        if type(other) is not GroupRingElement:
+            return self._scaled(other)
         self._require_same_order(other)
         n = self.n
         out = [0] * n
@@ -82,7 +109,7 @@ class GroupRingElement(ExactElement):
                 for j, b in enumerate(other.coeffs):
                     if b:
                         out[(i + j) % n] += a * b
-        return GroupRingElement(n, out)
+        return GroupRingElement._new(n, tuple(out))
 
     __rmul__ = __mul__
 
@@ -95,28 +122,14 @@ class GroupRingElement(ExactElement):
 
     def tau_apply(self, tau):
         """Image under the ring automorphism sigma -> sigma^r."""
-        if self.n != tau.n:
-            raise OrderMismatchError(f"group orders differ: {self.n} != {tau.n}")
+        self._require_same_order(tau)
         out = [0] * self.n
         for i, a in enumerate(self.coeffs):
             out[(i * tau.r) % self.n] = a
-        return GroupRingElement(self.n, out)
+        return GroupRingElement._new(self.n, tuple(out))
 
     def is_tau_fixed(self, tau):
         return self.tau_apply(tau) == self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingElement)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.coeffs))
-
-    def __repr__(self):
-        return f"GroupRingElement(n={self.n}, coeffs={self.coeffs})"
 
 
 def partial_norm(n, g, j):
@@ -164,7 +177,7 @@ def partial_norm_product(n, steps, j):
     coeffs = [0] * n
     for k, value in enumerate(values):
         coeffs[k * prev % n] = value
-    return GroupRingElement(n, coeffs)
+    return GroupRingElement._new(n, tuple(coeffs))
 
 
 def full_norm(n):
@@ -172,7 +185,7 @@ def full_norm(n):
     return partial_norm(n, 1, n)
 
 
-class TauData:
+class TauData(_Immutable):
     """The conjugation datum: tau sigma tau^-1 = sigma^r on a cyclic group of order n.
 
     m is the multiplicative order of r mod n.
@@ -180,7 +193,7 @@ class TauData:
 
     __slots__ = ("n", "r", "m")
 
-    def __init__(self, n, r):
+    def __new__(cls, n, r):
         n = int(n)
         r = int(r)
         if n < 2:
@@ -194,12 +207,7 @@ class TauData:
         while power != 1:
             power = (power * r) % n
             m += 1
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TauData is immutable")
+        return cls._new(n, r, m)
 
     def orbits(self):
         """The <r>-orbits of Z/n, each listed from its least element, by that element."""

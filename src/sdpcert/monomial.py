@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from ._element import _Immutable
 from .checks import CheckResult, all_passed
 from .coverage import unit_witness
-from .group_ring import GroupRingElement, OrderMismatchError, TauData, full_norm
+from .group_ring import GroupRingElement, TauData, full_norm
 from .quotient import SElement, is_unit, lift, reduce
 
 
@@ -19,7 +20,7 @@ class NotCoveredError(LookupError):
     """Raised when no tau-fixed unit reaching the requested residue was found."""
 
 
-class NormSetMap:
+class NormSetMap(_Immutable):
     """The map x -> P(x) * b^shift from [N = b^i] to [N = b^(i*eps(P) + n*shift)].
 
     Stored in canonical form: the coefficient of sigma^(n-1) in the monomial
@@ -30,18 +31,12 @@ class NormSetMap:
 
     __slots__ = ("n", "monomial", "shift", "source_exp")
 
-    def __init__(self, monomial, shift, source_exp):
+    def __new__(cls, monomial, shift, source_exp):
         top = monomial.coeffs[-1]
         if top:
             monomial = monomial - top * full_norm(monomial.n)
             shift = shift + source_exp * top
-        object.__setattr__(self, "n", monomial.n)
-        object.__setattr__(self, "monomial", monomial)
-        object.__setattr__(self, "shift", int(shift))
-        object.__setattr__(self, "source_exp", int(source_exp))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NormSetMap is immutable")
+        return cls._new(monomial.n, monomial, int(shift), int(source_exp))
 
     @property
     def target_exp(self):
@@ -82,8 +77,7 @@ def compose(f, g):
     Normalization moves the shift of g past the monomial of f: a shift by k
     commutes with a monomial P at the cost of multiplying k by eps(P).
     """
-    if f.n != g.n:
-        raise OrderMismatchError(f"group orders differ: {f.n} != {g.n}")
+    f.monomial._require_same_order(g.monomial)
     if f.source_exp != g.target_exp:
         raise ExponentMismatchError(
             f"cannot chain: source exponent {f.source_exp} != target exponent {g.target_exp}"

@@ -5,16 +5,15 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from ._element import ExactElement
 from ._primes import _is_prime, _prime_divisors
-from .group_ring import GroupRingElement, OrderMismatchError, TauData
+from .group_ring import GroupRingElement, TauData, _IntegralElement
 
 
 class NotInvertibleError(ArithmeticError):
     """Raised when inversion is requested for a non-unit of S."""
 
 
-class SElement(ExactElement):
+class SElement(_IntegralElement):
     """Canonical residue in S: the unique representative of degree <= n-2.
 
     coeffs[i] is the coefficient of rho^i; len(coeffs) == n - 1. Equality and
@@ -23,23 +22,11 @@ class SElement(ExactElement):
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n, coeffs):
+    def __new__(cls, n, coeffs):
         n = int(n)
         if n < 2:
             raise ValueError(f"quotient ring needs n >= 2, got {n}")
-        coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) != n - 1:
-            raise ValueError(f"expected {n - 1} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def _from_ints(cls, n, coeffs):
-        """The element with these coefficients, taken as given: an int n and a tuple of n - 1 ints."""
-        element = object.__new__(cls)
-        object.__setattr__(element, "n", n)
-        object.__setattr__(element, "coeffs", coeffs)
-        return element
+        return cls._checked(n, coeffs, n - 1)
 
     @classmethod
     def zero(cls, n):
@@ -66,33 +53,9 @@ class SElement(ExactElement):
             coeffs[e % n] += 1
         return reduce(GroupRingElement(n, coeffs))
 
-    def _require_same_order(self, other):
-        if self.n != other.n:
-            raise OrderMismatchError(f"quotient orders differ: {self.n} != {other.n}")
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return SElement.constant(self.n, other)
-        return other if isinstance(other, SElement) else NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, SElement):
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        self._require_same_order(other)
-        return SElement(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SElement(self.n, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other):
-        if not isinstance(other, SElement):
-            if isinstance(other, int):
-                return SElement(self.n, tuple(other * a for a in self.coeffs))
-            return NotImplemented
+        if type(other) is not SElement:
+            return self._scaled(other)
         self._require_same_order(other)
         return reduce(lift(self) * lift(other))
 
@@ -100,15 +63,6 @@ class SElement(ExactElement):
 
     def inverse(self):
         return invert(self)
-
-    def __eq__(self, other):
-        return isinstance(other, SElement) and self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("S", self.n, self.coeffs))
-
-    def __repr__(self):
-        return f"SElement(n={self.n}, coeffs={self.coeffs})"
 
 
 def reduce(element):
@@ -118,12 +72,12 @@ def reduce(element):
     ring homomorphism whose kernel is the integer multiples of the norm element.
     """
     top = element.coeffs[-1]
-    return SElement(element.n, tuple(c - top for c in element.coeffs[:-1]))
+    return SElement._new(element.n, tuple(c - top for c in element.coeffs[:-1]))
 
 
 def lift(s):
     """The canonical preimage in the group ring (top coefficient padded with 0)."""
-    return GroupRingElement(s.n, s.coeffs + (0,))
+    return GroupRingElement._new(s.n, s.coeffs + (0,))
 
 
 # Kernel primes lie below 2^26, so that evaluation in int64 (coefficients and
@@ -294,7 +248,7 @@ def solve_inverse(s):
     det, scaled = linalg.solve_integer(_multiplication_matrix(s), [1] + [0] * (s.n - 2))
     if det == 0 or any(c % det for c in scaled):
         return None
-    return SElement(s.n, tuple(c // det for c in scaled))
+    return SElement._new(s.n, tuple(c // det for c in scaled))
 
 
 def invert(s):

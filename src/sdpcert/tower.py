@@ -31,14 +31,12 @@ class TowerElement(ExactElement):
 
     __slots__ = ("tower", "num", "den")
 
-    def __init__(self, tower, coords):
+    def __new__(cls, tower, coords):
         coords = [Fraction(c) for c in coords]
         if len(coords) != tower.dim:
             raise ValueError(f"expected {tower.dim} coordinates, got {len(coords)}")
         den = lcm(*(c.denominator for c in coords))
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator) for c in coords))
-        object.__setattr__(self, "den", den)
+        return cls._new(tower, tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
     @property
     def coords(self):
@@ -123,11 +121,7 @@ def _element(tower, num, den):
         if g != 1:
             num = [a // g for a in num]
             den //= g
-    element = object.__new__(TowerElement)
-    object.__setattr__(element, "tower", tower)
-    object.__setattr__(element, "num", tuple(num))
-    object.__setattr__(element, "den", den)
-    return element
+    return TowerElement._new(tower, tuple(num), den)
 
 
 class _Matrix:

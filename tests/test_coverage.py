@@ -317,14 +317,6 @@ def test_exhaustive_at_large_n_within_block_memory(n, r):
         assert is_unit_by_resultant(u), u
 
 
-def test_exhaustive_units_are_built_as_the_public_constructor_builds_them():
-    for n, r in ((7, 1), (8, 3), (13, 4)):
-        for u in exhaustive_fixed_units(n, r, 2):
-            assert type(u.coeffs) is tuple and all(type(c) is int for c in u.coeffs), u
-            twin = SElement(n, u.coeffs)
-            assert u == twin and hash(u) == hash(twin)
-
-
 def test_exhaustive_finds_residue_five_at_13_4():
     # the oracle's own unit of residue 5; the report reaches its class through -1 and 5^3 = 8
     tau = TauData(13, 4)

@@ -1,13 +1,17 @@
 """Laws the shared element base supplies to all five exact element classes."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sdpcert.finitefield import PrimeField, gf
-from sdpcert.group_ring import GroupRingElement
-from sdpcert.quotient import SElement, invert
-from sdpcert.tower import builtin_s3
+from sdpcert.coverage import cyclotomic_unit, cyclotomic_unit_inverse, exhaustive_fixed_units
+from sdpcert.finitefield import ExtFieldElement, PrimeField, gf
+from sdpcert.group_ring import GroupRingElement, TauData, partial_norm_product
+from sdpcert.quotient import SElement, invert, lift, reduce, tau_apply_s
+from sdpcert.tower import TowerElement, builtin_s3
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sdpcert"
 
 
 def _group_ring():
@@ -81,10 +85,23 @@ def test_element_laws(name):
         x.anything = 0
 
 
+def _other_integral_ring(x):
+    """x's coefficients in the other one of Z[C_n] and S; for a field element, an element of S."""
+    if isinstance(x, GroupRingElement):
+        return SElement(len(x.coeffs) + 1, x.coeffs)
+    if isinstance(x, SElement):
+        return GroupRingElement(len(x.coeffs), x.coeffs)
+    return _quotient()[0]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-@pytest.mark.parametrize("foreign", ["a", 0.5, None])
+@pytest.mark.parametrize(
+    "foreign", ["a", 0.5, None, pytest.param(_other_integral_ring, id="other_ring")]
+)
 def test_foreign_operands_raise_type_error(name, foreign):
     x, _ = CASES[name]()
+    if callable(foreign):
+        foreign = foreign(x)
     for operation in (
         lambda: x + foreign,
         lambda: foreign + x,
@@ -92,9 +109,19 @@ def test_foreign_operands_raise_type_error(name, foreign):
         lambda: foreign * x,
         lambda: x - foreign,
         lambda: foreign - x,
+        lambda: x / foreign,
+        lambda: foreign / x,
     ):
         with pytest.raises(TypeError):
             operation()
+    assert x != foreign and foreign != x
+
+
+@pytest.mark.parametrize("name", ["group_ring", "quotient"])
+def test_integral_hash_is_a_function_of_order_and_coefficients(name):
+    # no str in the key, so the order of a set of elements is the same in every process
+    for x in CASES[name]():
+        assert hash(x) == hash((x.n, x.coeffs))
 
 
 @pytest.mark.parametrize("name", ["group_ring", "quotient"])
@@ -104,3 +131,69 @@ def test_fraction_operand_is_foreign_to_the_integral_rings(name):
         x * Fraction(1, 2)
     with pytest.raises(TypeError):
         x + Fraction(1, 2)
+
+
+def _tau_fixed_units(x, y):
+    return [u for n, r in ((7, 1), (8, 3), (13, 4)) for u in exhaustive_fixed_units(n, r, 2)]
+
+
+def _field_arithmetic(case):
+    def results(x, y):
+        a, b = case()
+        return [a + b, a - 2, -a, a * b, a / b, b.inverse(), a ** 5]
+
+    return results
+
+
+# Every site that builds an element by _new, without the public constructor's
+# checks, applied to the group-ring pair x, y
+COMPUTED = {
+    "group_ring_add": lambda x, y: [x + y, x + 3, 3 + x, x + True],
+    "group_ring_neg_sub": lambda x, y: [-x, x - y, x - 2, 2 - x],
+    "group_ring_scale": lambda x, y: [3 * x, x * -2, x * True],
+    "group_ring_mul": lambda x, y: [x * y, y * x, x ** 3],
+    "tau_apply": lambda x, y: [x.tau_apply(TauData(5, 2)), y.tau_apply(TauData(5, 4))],
+    "partial_norm_product": lambda x, y: [partial_norm_product(7, [1, 3], 4),
+                                          partial_norm_product(9, [2, 4], 11)],
+    "reduce": lambda x, y: [reduce(x), reduce(y)],
+    "lift": lambda x, y: [lift(reduce(x)), lift(SElement(5, (2, -1, 0, 3)))],
+    "quotient_add": lambda x, y: [reduce(x) + reduce(y), reduce(x) + 3, 3 + reduce(y)],
+    "quotient_neg_sub": lambda x, y: [-reduce(x), reduce(x) - reduce(y), 2 - reduce(y)],
+    "quotient_scale": lambda x, y: [3 * reduce(x), reduce(y) * -2],
+    "quotient_mul": lambda x, y: [reduce(x) * reduce(y), reduce(x) ** 2],
+    "quotient_inverse": lambda x, y: [invert(SElement(5, (1, 1, 0, 0)))],
+    "tau_apply_s": lambda x, y: [tau_apply_s(reduce(x), TauData(5, 2))],
+    "cyclotomic_unit": lambda x, y: [cyclotomic_unit(13, [1, 4, 3], 5),
+                                     cyclotomic_unit_inverse(13, [1, 4, 3], 5)],
+    "oracle_units": _tau_fixed_units,
+    "tower": _field_arithmetic(_tower),
+    "extension_field": _field_arithmetic(_extension_field),
+}
+
+
+def _exact_ints_and_twin(value):
+    """The tuple of ints a computed value holds, and the value rebuilt by its public constructor."""
+    if isinstance(value, TowerElement):
+        assert type(value.den) is int
+        return value.num, TowerElement(value.tower, value.coords)
+    if isinstance(value, ExtFieldElement):
+        return value.coeffs, ExtFieldElement(value.field, value.coeffs)
+    return value.coeffs, type(value)(value.n, value.coeffs)
+
+
+@pytest.mark.parametrize("site", sorted(COMPUTED))
+def test_computed_elements_are_built_as_the_public_constructor_builds_them(site):
+    values = COMPUTED[site](*_group_ring())
+    assert values
+    for value in values:
+        ints, twin = _exact_ints_and_twin(value)
+        assert type(ints) is tuple and all(type(c) is int for c in ints), value
+        assert value == twin and hash(value) == hash(twin), value
+
+
+def test_only_the_element_base_builds_objects_by_hand():
+    # _Immutable._new is the one constructor that skips the checks of a public one
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "_element.py":
+            text = path.read_text()
+            assert "object.__setattr__" not in text and "object.__new__" not in text, path.name
