@@ -4,12 +4,21 @@ _Immutable._new builds every immutable value from slot values already
 checked; no other code in the package calls object.__new__ or
 object.__setattr__. Outside input is checked only by a public constructor,
 a class's __new__, which ends in _new; every computed result goes to _new
-directly. ExactElement gives the five exact element classes subtraction,
-division and powers. GroupRingElement (Z[C_n]) and SElement (S) take the
-order check, int coercion, +, negation, integer scaling, ==, hash and repr
-from group_ring._IntegralElement and add their coefficient count, named
-constructors, __mul__ and inverse. PrimeFieldElement, ExtFieldElement and
-TowerElement write their own arithmetic on their own representations.
+directly. Public constructors take integers, converted by operator.index,
+so a float, a Fraction or a string raises TypeError instead of being
+truncated. Every immutable value copies, deep-copies and pickles through
+_new as well.
+
+ExactElement gives the five exact element classes subtraction, division
+and powers. GroupRingElement (Z[C_n]) and SElement (S) take the order
+check, int coercion, +, negation, integer scaling, ==, hash and repr from
+group_ring._IntegralElement and add their coefficient count, named
+constructors, __mul__ and inverse. PrimeFieldElement (GF(p)) and
+ExtFieldElement (GF(p^k)) take coercion, +, negation, inverse, powers, ==,
+hash and bool from finitefield._FieldElement, each one raw operation of
+the field, and add their public constructor, __mul__ and repr.
+TowerElement writes its own arithmetic on numerators over one common
+denominator.
 """
 
 from __future__ import annotations
@@ -18,9 +27,9 @@ from __future__ import annotations
 class _Immutable:
     """A value whose slots are set once, by _new; assigning an attribute raises AttributeError.
 
-    A subclass lists every slot of its instances in its own __slots__.
-    _new(slot values, in __slots__ order) builds an instance from values
-    already checked.
+    One class lists every slot of its instances in its __slots__; its
+    subclasses declare empty __slots__. _new(slot values, in __slots__
+    order) builds an instance from values already checked.
     """
 
     __slots__ = ()
@@ -29,9 +38,14 @@ class _Immutable:
         super().__init_subclass__(**kwargs)
         if cls.__slots__:
             cls._new = classmethod(_compile_new(cls.__slots__))
+            cls._slot_names = cls.__slots__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        """Rebuild by _new from the slot values, for copy, deepcopy and pickle."""
+        return type(self)._new, tuple(getattr(self, name) for name in self._slot_names)
 
 
 def _compile_new(names):

@@ -6,11 +6,17 @@ first. An extension reaches its base only through the base's raw
 operations, so a nested base such as GF(4) under GF(16) runs through the
 same code as GF(p). Element objects wrap raw values at the surface.
 
-Both field classes provide the raw operations _add, _neg, _mul, _inv and
-_axpy (ys + c * xs on sequences of raw values), the constants _raw_zero
+Both field classes provide the raw operations _add, _neg, _mul, _inv, _pow
+and _axpy (ys + c * xs on sequences of raw values), the constants _raw_zero
 and _raw_one, and _raw (an int, an element or, for an extension, a
 coefficient sequence, to a raw value), _wrap (raw value to element),
-_values (every raw value, in canonical order) and _random.
+_values (every raw value, in canonical order) and _random. The base _Field
+builds element (alias from_int), elements and random_element on them. The
+element base _FieldElement writes coercion, +, negation, inverse, powers,
+==, hash and bool once, each as one raw operation and _wrap; the public
+PrimeFieldElement and ExtFieldElement add only their constructor, __mul__
+and repr. Constructors take ints, never floats or strings: operator.index
+rejects those with TypeError.
 
 An extension multiplies and inverts by the polynomial route: products
 reduced by the modulus, and the extended Euclid algorithm. The fields this
@@ -33,97 +39,114 @@ from ._element import ExactElement
 from ._primes import _is_prime, _prime_divisors
 
 
-class PrimeFieldElement(ExactElement):
-    __slots__ = ("field", "value")
+class _FieldElement(ExactElement):
+    """What elements of GF(p) and of its extensions share, each operation one raw operation.
 
-    def __new__(cls, field, value):
-        return cls._new(field, value % field.p)
+    field is the element's field and _value its raw value, which each
+    subclass also exposes under a public name. Elements of two fields mix
+    exactly when the fields are equal; ints are coerced by field.from_int.
+    The hash is a function of the field's order and the raw value only.
+    """
+
+    __slots__ = ("field", "_value")
 
     def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.field is not self.field and other.field.p != self.field.p:
-                raise ValueError("elements belong to different prime fields")
+        if type(other) is type(self):
+            if other.field is not self.field and other.field != self.field:
+                raise ValueError("elements belong to different fields")
             return other
         if isinstance(other, int):
-            return PrimeFieldElement(self.field, other)
+            return self.field.from_int(other)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return PrimeFieldElement(self.field, self.value + other.value)
+        field = self.field
+        return field._wrap(field._add(self._value, other._value))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PrimeFieldElement(self.field, -self.value)
+        field = self.field
+        return field._wrap(field._neg(self._value))
 
-    def __sub__(self, other):
+    def inverse(self):
+        field = self.field
+        return field._wrap(field._inv(self._value))
+
+    def __pow__(self, exponent):
+        field = self.field
+        return field._wrap(field._pow(self._value, exponent))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._value == other._value and self.field == other.field
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return PrimeFieldElement(self.field, self.value - other.value)
+        return self._value == other._value
+
+    def __hash__(self):
+        return hash((self.field.order, self._value))
+
+    def __bool__(self):
+        return self._value != self.field._raw_zero
+
+
+class PrimeFieldElement(_FieldElement):
+    """Element of GF(p): value is its raw value, an int in range(p)."""
+
+    __slots__ = ()
+    value = _FieldElement._value  # the raw-value slot under its public name
+
+    def __new__(cls, field, value):
+        return cls._new(field, field._raw(value))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return PrimeFieldElement(self.field, self.value * other.value)
+        field = self.field
+        return field._wrap(field._mul(self._value, other._value))
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        return PrimeFieldElement(self.field, self.field._inv(self.value))
-
-    def __pow__(self, exponent):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return PrimeFieldElement(self.field, pow(self.value, exponent, self.field.p))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return (
-            isinstance(other, PrimeFieldElement)
-            and self.field.p == other.field.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash(("GFp", self.field.p, self.value))
-
-    def __bool__(self):
-        return self.value != 0
 
     def __repr__(self):
         return f"{self.value}"
 
 
-class PrimeField:
+class _Field:
+    """What GF(p) and its extensions share: elements built from _raw, _wrap, _values and _random."""
+
+    def element(self, value):
+        """The element with the given value (or coefficients); ints are reduced into GF(p)."""
+        return self._wrap(self._raw(value))
+
+    from_int = element
+
+    def elements(self):
+        return [self._wrap(v) for v in self._values()]
+
+    def random_element(self, rng):
+        return self._wrap(self._random(rng))
+
+
+class PrimeField(_Field):
     """The field Z/pZ for p prime; its raw values are the ints in range(p)."""
 
     _raw_zero = 0
     _raw_one = 1
 
     def __init__(self, p):
+        p = operator.index(p)
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.order = p
-        self.zero = PrimeFieldElement(self, 0)
-        self.one = PrimeFieldElement(self, 1)
-
-    def element(self, value):
-        return PrimeFieldElement(self, self._raw(value))
-
-    from_int = element
-
-    def elements(self):
-        return [PrimeFieldElement(self, v) for v in range(self.p)]
-
-    def random_element(self, rng):
-        return PrimeFieldElement(self, self._random(rng))
+        self.zero = self._wrap(0)
+        self.one = self._wrap(1)
 
     def _raw(self, value):
         if isinstance(value, PrimeFieldElement):
@@ -133,7 +156,7 @@ class PrimeField:
         return operator.index(value) % self.p
 
     def _wrap(self, value):
-        return PrimeFieldElement(self, value)
+        return PrimeFieldElement._new(self, value)
 
     def _values(self):
         return range(self.p)
@@ -155,6 +178,11 @@ class PrimeField:
             raise ZeroDivisionError("0 has no inverse")
         return pow(a, -1, self.p)
 
+    def _pow(self, a, exponent):
+        if exponent < 0:
+            a, exponent = self._inv(a), -exponent
+        return pow(a, exponent, self.p)
+
     def _axpy(self, c, xs, ys):
         p = self.p
         return [(y + c * x) % p for x, y in zip(xs, ys)]
@@ -169,10 +197,11 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-class ExtFieldElement(ExactElement):
-    """Element of base[y]/(modulus): coeffs holds the base's raw values, lowest degree first."""
+class ExtFieldElement(_FieldElement):
+    """Element of base[y]/(modulus): coeffs, its raw value, holds base raw values, lowest degree first."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
+    coeffs = _FieldElement._value  # the raw-value slot under its public name
 
     def __new__(cls, field, coeffs):
         coeffs = tuple(coeffs)
@@ -180,61 +209,14 @@ class ExtFieldElement(ExactElement):
             raise ValueError(f"expected {field.degree} coefficients, got {len(coeffs)}")
         return cls._new(field, field._raw(coeffs))
 
-    def _coerce(self, other):
-        if isinstance(other, ExtFieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("elements belong to different fields")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        field = self.field
-        return field._wrap(field._add(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        field = self.field
-        return field._wrap(field._neg(self.coeffs))
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         field = self.field
-        return field._wrap(field._mul(self.coeffs, other.coeffs))
+        return field._wrap(field._mul(self._value, other._value))
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        field = self.field
-        return field._wrap(field._inv(self.coeffs))
-
-    def __pow__(self, exponent):
-        """One table lookup where the field has log tables; square-and-multiply otherwise."""
-        field = self.field
-        if field._log is None:
-            return super().__pow__(exponent)
-        return field._wrap(field._pow(self.coeffs, exponent))
-
-    def __eq__(self, other):
-        if isinstance(other, ExtFieldElement):
-            return self.coeffs == other.coeffs and self.field == other.field
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("GFext", self.field.order, self.coeffs))
-
-    def __bool__(self):
-        return self.coeffs != self.field._raw_zero
 
     def __repr__(self):
         return f"ExtFieldElement({[self.field.base._wrap(c) for c in self.coeffs]})"
@@ -296,7 +278,7 @@ def _poly_inverse(a, modulus, field):
     return [field._mul(c, scale) for c in _poly_trim(s0, zero)]
 
 
-class ExtField:
+class ExtField(_Field):
     """base[y]/(modulus) for a monic modulus over the base field.
 
     The modulus must be irreducible for this to be a field; _is_irreducible
@@ -327,12 +309,6 @@ class ExtField:
         self.zero = self._wrap(self._raw_zero)
         self.one = self._wrap(self._raw_one)
 
-    def element(self, value):
-        """The element with the given coefficients (or int); ints are reduced into the base."""
-        return self._wrap(self._raw(value))
-
-    from_int = element
-
     def embed(self, base_value):
         return self._wrap((self.base._raw(base_value),) + self._raw_zero[1:])
 
@@ -340,12 +316,6 @@ class ExtField:
         """The class of y."""
         base = self.base
         return self._wrap((base._raw_zero, base._raw_one) + self._raw_zero[2:])
-
-    def elements(self):
-        return [self._wrap(v) for v in self._values()]
-
-    def random_element(self, rng):
-        return self._wrap(self._random(rng))
 
     def _raw(self, value):
         if isinstance(value, ExtFieldElement):
@@ -392,13 +362,25 @@ class ExtField:
         return self._exp[-self._log[a] % self._cycle]
 
     def _pow(self, a, exponent):
-        """a ** exponent by the log tables, which the field must have."""
-        k = self._log.get(a)
-        if k is None:
-            if exponent < 0:
-                raise ZeroDivisionError("0 has no inverse")
-            return self._raw_one if exponent == 0 else a
-        return self._exp[k * exponent % self._cycle]
+        """a ** exponent: one lookup in the log tables, or square-and-multiply without them.
+
+        Neither the identity nor the square past the top bit is multiplied in.
+        """
+        if exponent < 0:
+            a, exponent = self._inv(a), -exponent
+        if self._log is not None:
+            k = self._log.get(a)  # only zero has no logarithm
+            if k is None:
+                return self._raw_one if exponent == 0 else a
+            return self._exp[k * exponent % self._cycle]
+        result = None
+        while exponent:
+            if exponent & 1:
+                result = a if result is None else self._mul(result, a)
+            exponent >>= 1
+            if exponent:
+                a = self._mul(a, a)
+        return self._raw_one if result is None else result
 
     def _poly_mul(self, a, b):
         """Sum of a_i * (y^i * b), each y^i * b reduced by the monic modulus as it is made."""
@@ -508,22 +490,12 @@ def _log_tables(field):
     N is the field's order and its modulus must be irreducible, so the
     nonzero values form a cyclic group of order N - 1; g is primitive when
     g^((N-1)/l) != 1 for each prime l dividing N - 1. Only the polynomial
-    route is used.
+    route is used: the field has no tables yet.
     """
     mul, one, cycle = field._poly_mul, field._raw_one, field.order - 1
-
-    def power(a, exponent):
-        result = one
-        while exponent:
-            if exponent & 1:
-                result = mul(result, a)
-            a = mul(a, a)
-            exponent >>= 1
-        return result
-
     cofactors = [cycle // prime for prime in _prime_divisors(cycle)]
     for g in field._values():
-        if g != field._raw_zero and all(power(g, e) != one for e in cofactors):
+        if g != field._raw_zero and all(field._pow(g, e) != one for e in cofactors):
             break
     exp = [one]
     for _ in range(cycle - 1):
@@ -544,6 +516,7 @@ def _smallest_extension(base, degree):
 
 def gf(q):
     """The field with q elements, q a prime power; prime-power bases are nested extensions."""
+    q = operator.index(q)
     factors = _prime_divisors(q)
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")

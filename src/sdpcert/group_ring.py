@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import gcd
-from operator import add, sub
+from operator import add, index, sub
 
 from ._element import ExactElement, _Immutable
 
@@ -24,8 +24,8 @@ class _IntegralElement(ExactElement):
 
     @classmethod
     def _checked(cls, n, coeffs, count):
-        """The element from outside input: count coefficients, each converted by int()."""
-        coeffs = tuple(int(c) for c in coeffs)
+        """The element from outside input: count coefficients, each converted by operator.index."""
+        coeffs = tuple(map(index, coeffs))
         if len(coeffs) != count:
             raise ValueError(f"expected {count} coefficients, got {len(coeffs)}")
         return cls._new(n, coeffs)
@@ -78,7 +78,7 @@ class GroupRingElement(_IntegralElement):
     __slots__ = ("n", "coeffs")
 
     def __new__(cls, n, coeffs):
-        n = int(n)
+        n = index(n)
         if n < 1:
             raise ValueError(f"group order must be positive, got {n}")
         return cls._checked(n, coeffs, n)
@@ -194,8 +194,8 @@ class TauData(_Immutable):
     __slots__ = ("n", "r", "m")
 
     def __new__(cls, n, r):
-        n = int(n)
-        r = int(r)
+        n = index(n)
+        r = index(r)
         if n < 2:
             raise ValueError(f"group order must be at least 2, got {n}")
         if not 1 <= r <= n - 1:

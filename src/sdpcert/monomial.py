@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -36,7 +37,7 @@ class NormSetMap(_Immutable):
         if top:
             monomial = monomial - top * full_norm(monomial.n)
             shift = shift + source_exp * top
-        return cls._new(monomial.n, monomial, int(shift), int(source_exp))
+        return cls._new(monomial.n, monomial, operator.index(shift), operator.index(source_exp))
 
     @property
     def target_exp(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from math import gcd
 
 from ._primes import _is_prime, _prime_divisors
@@ -23,7 +24,7 @@ class SElement(_IntegralElement):
     __slots__ = ("n", "coeffs")
 
     def __new__(cls, n, coeffs):
-        n = int(n)
+        n = operator.index(n)
         if n < 2:
             raise ValueError(f"quotient ring needs n >= 2, got {n}")
         return cls._checked(n, coeffs, n - 1)

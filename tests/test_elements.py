@@ -1,13 +1,18 @@
 """Laws the shared element base supplies to all five exact element classes."""
 
+import copy
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sdpcert._element import _Immutable
 from sdpcert.coverage import cyclotomic_unit, cyclotomic_unit_inverse, exhaustive_fixed_units
-from sdpcert.finitefield import ExtFieldElement, PrimeField, gf
+from sdpcert.finitefield import ExtFieldElement, PrimeField, PrimeFieldElement, gf
 from sdpcert.group_ring import GroupRingElement, TauData, partial_norm_product
+from sdpcert.monomial import NormSetMap
 from sdpcert.quotient import SElement, invert, lift, reduce, tau_apply_s
 from sdpcert.tower import TowerElement, builtin_s3
 
@@ -124,6 +129,35 @@ def test_integral_hash_is_a_function_of_order_and_coefficients(name):
         assert hash(x) == hash((x.n, x.coeffs))
 
 
+@pytest.mark.parametrize("name", ["prime_field", "extension_field"])
+def test_field_hash_is_a_function_of_order_and_raw_value(name):
+    for x in CASES[name]():
+        raw = x.value if name == "prime_field" else x.coeffs
+        assert hash(x) == hash((x.field.order, raw))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: GroupRingElement(3, [1.5, 0, 0]), id="float_coefficient"),
+    pytest.param(lambda: SElement(3, [Fraction(1, 2), 2]), id="fraction_coefficient"),
+    pytest.param(lambda: GroupRingElement(3, ["7", 0, 0]), id="str_coefficient"),
+    pytest.param(lambda: GroupRingElement(3.9, [0, 0, 0]), id="float_order"),
+    pytest.param(lambda: SElement(Fraction(3), [0, 0]), id="fraction_order"),
+    pytest.param(lambda: TauData(5.0, 2), id="float_tau"),
+    pytest.param(lambda: NormSetMap(GroupRingElement.one(3), 2.5, 1), id="float_shift"),
+])
+def test_integral_constructors_reject_non_integers(build):
+    # operator.index, not int(): nothing is truncated or parsed
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_integral_constructors_take_bools_and_numpy_integers():
+    x = GroupRingElement(np.int64(3), [True, np.int32(-2), 0])
+    assert x == GroupRingElement(3, (1, -2, 0))
+    assert type(x.n) is int and all(type(c) is int for c in x.coeffs)
+    assert TauData(np.int64(7), np.int64(2)) == TauData(7, 2)
+
+
 @pytest.mark.parametrize("name", ["group_ring", "quotient"])
 def test_fraction_operand_is_foreign_to_the_integral_rings(name):
     x, _ = CASES[name]()
@@ -167,6 +201,7 @@ COMPUTED = {
                                      cyclotomic_unit_inverse(13, [1, 4, 3], 5)],
     "oracle_units": _tau_fixed_units,
     "tower": _field_arithmetic(_tower),
+    "prime_field": _field_arithmetic(_prime_field),
     "extension_field": _field_arithmetic(_extension_field),
 }
 
@@ -178,6 +213,9 @@ def _exact_ints_and_twin(value):
         return value.num, TowerElement(value.tower, value.coords)
     if isinstance(value, ExtFieldElement):
         return value.coeffs, ExtFieldElement(value.field, value.coeffs)
+    if isinstance(value, PrimeFieldElement):
+        assert value.value in range(value.field.p), value
+        return (value.value,), PrimeFieldElement(value.field, value.value)
     return value.coeffs, type(value)(value.n, value.coeffs)
 
 
@@ -197,3 +235,40 @@ def test_only_the_element_base_builds_objects_by_hand():
         if path.name != "_element.py":
             text = path.read_text()
             assert "object.__setattr__" not in text and "object.__new__" not in text, path.name
+
+
+def _leaf_classes(cls):
+    subclasses = cls.__subclasses__()
+    return set().union(*map(_leaf_classes, subclasses)) if subclasses else {cls}
+
+
+# one value of every concrete immutable class
+IMMUTABLE = {
+    GroupRingElement: lambda: _group_ring()[0],
+    SElement: lambda: _quotient()[0],
+    PrimeFieldElement: lambda: _prime_field()[0],
+    ExtFieldElement: lambda: _extension_field()[0],
+    TowerElement: lambda: _tower()[0],
+    TauData: lambda: TauData(5, 2),
+    NormSetMap: lambda: NormSetMap(GroupRingElement(5, (1, 0, 2, 0, 1)), 3, 2),
+}
+
+
+def test_every_immutable_class_has_a_copy_case():
+    assert _leaf_classes(_Immutable) == set(IMMUTABLE)
+
+
+@pytest.mark.parametrize("cls", sorted(IMMUTABLE, key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_immutable_values_copy_and_pickle(cls):
+    x = IMMUTABLE[cls]()
+    shallow, deep, pickled = copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))
+    for value in (shallow, deep, pickled):
+        assert type(value) is cls
+    assert shallow == x and hash(shallow) == hash(x)
+    for value in (deep, pickled):
+        if cls is TowerElement:
+            # the copy carries a copied tower, and elements of two towers never mix
+            assert value.coords == x.coords and value.tower is not x.tower and value != x
+        else:
+            assert value == x and hash(value) == hash(x)

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpcert.finitefield import (
-    _LOG_TABLE_MAX_ORDER, ExtField, PrimeField, _is_irreducible, _poly_divmod, gf,
-    smallest_irreducible,
+    _LOG_TABLE_MAX_ORDER, ExtField, PrimeField, PrimeFieldElement, _is_irreducible, _poly_divmod,
+    gf, smallest_irreducible,
 )
 from sdpcert.tower import FiniteTower, builtin_finite
 
@@ -59,6 +59,17 @@ def test_element_accepts_base_elements_and_rejects_foreign_ones():
         field.element((1, 2, 0))
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: PrimeFieldElement(PrimeField(5), 2.5), id="prime_element"),
+    pytest.param(lambda: PrimeField(3.0), id="prime_field"),
+    pytest.param(lambda: gf(3.0), id="gf_prime"),
+    pytest.param(lambda: gf(9.0), id="gf_prime_power"),
+])
+def test_floats_raise_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 # --- which fields mix: the same object, or equal bases with the same modulus ----
 
 
@@ -101,6 +112,8 @@ def test_same_order_over_another_base_does_not_mix():
 def test_prime_fields_and_ints_mix_as_before():
     assert PrimeField(5) == PrimeField(5) and PrimeField(5) != PrimeField(7)
     assert PrimeField(5).element(3) * PrimeField(5).element(2) == 1
+    with pytest.raises(ValueError):
+        PrimeField(5).element(1) + PrimeField(7).element(1)
     field = gf(9)
     assert field.generator() * 2 == 2 * field.generator() == field.element((0, 2))
     assert field.generator() != PrimeField(3).element(0)
