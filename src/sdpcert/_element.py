@@ -6,7 +6,8 @@ object.__setattr__. Outside input is checked only by a public constructor,
 a class's __new__, which ends in _new; every computed result goes to _new
 directly. Public constructors take integers, converted by operator.index,
 so a float, a Fraction or a string raises TypeError instead of being
-truncated. Every immutable value copies, deep-copies and pickles through
+truncated; TowerElement takes numbers.Rational and raises TypeError for
+anything else. Every immutable value copies, deep-copies and pickles through
 _new as well.
 
 ExactElement gives the five exact element classes subtraction, division

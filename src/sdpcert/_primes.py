@@ -1,5 +1,7 @@
 """Deterministic primality and trial-division prime factors of small integers."""
 
+import operator
+
 # Miller-Rabin with these bases decides primality for every p below the limit
 # (Sorenson and Webster, 2015); the first twelve alone stop at 3.2 * 10^23.
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -8,6 +10,7 @@ _MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
 
 def _is_prime(p):
     """Deterministic Miller-Rabin primality test, proven below 3.3 * 10^24."""
+    p = operator.index(p)
     if p < 2:
         return False
     for q in _MILLER_RABIN_BASES:
@@ -34,6 +37,7 @@ def _is_prime(p):
 
 def _prime_divisors(n):
     """The distinct prime divisors of n, ascending, by trial division."""
+    n = operator.index(n)
     out = []
     d = 2
     while d * d <= n:

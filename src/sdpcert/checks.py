@@ -15,11 +15,25 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-def case_check(name, cases, failure):
-    """The check passes when no case failed; its detail names the first failing input."""
-    detail = f"{cases} case" if cases == 1 else f"{cases} cases"
+def case_check(name, cases):
+    """Run a check over cases, an iterable of (holds, inputs) pairs.
+
+    The check passes when every case holds; its detail counts the cases and
+    names the inputs of the first that does not. A case that raises ends the
+    check as failed, and the detail names that case and its error.
+    """
+    count, failure = 0, None
+    try:
+        for holds, inputs in cases:
+            count += 1
+            if not holds and failure is None:
+                failure = repr(inputs)
+    except Exception as error:
+        count += 1
+        failure = failure or f"case {count} raised {error!r}"
+    detail = f"{count} case" if count == 1 else f"{count} cases"
     if failure is not None:
-        detail += f"; first disagreement: {failure!r}"
+        detail += f"; first disagreement: {failure}"
     return CheckResult(name, failure is None, detail)
 
 

@@ -339,43 +339,33 @@ def tau_action_check(algebra):
     """
     tw = algebra.tower
     tau_map, w = _tau_on_algebra(algebra)
-    checks = []
-
-    spanning = [tw.basis_element(i) for i in range(tw.dim)]
-    relation = all(
-        algebra.multiply(w, algebra.from_field(tw.tau(x)))
-        == algebra.multiply(algebra.from_field(tw.tau(tw.sigma(x))), w)
-        for x in spanning
-    )
-    checks.append(
-        CheckResult("tau(u)*tau(x) = tau(sigma(x))*tau(u)", relation, "checked on a spanning set")
-    )
-
-    u_n = algebra.power(w, algebra.n)
-    checks.append(
-        CheckResult(
-            "tau(u^n) = tau(b)",
-            u_n == algebra.from_field(tw.tau(tw.b)),
-            "lambda^n * b^r must equal tau(b) inside the algebra",
-        )
-    )
-
     basis = algebra.basis_elements()
-    multiplicative = all(
-        tau_map(algebra.multiply(p, q)) == algebra.multiply(tau_map(p), tau_map(q))
-        for p in basis
-        for q in basis
-    )
-    checks.append(
-        CheckResult("tau is multiplicative on the algebra", multiplicative, "all basis pairs")
-    )
+
+    def relation():
+        for x in map(tw.basis_element, range(tw.dim)):
+            yield algebra.multiply(w, algebra.from_field(tw.tau(x))) == algebra.multiply(
+                algebra.from_field(tw.tau(tw.sigma(x))), w
+            ), {"x": x}
+
+    def multiplicative():
+        for i, p in enumerate(basis):
+            for j, q in enumerate(basis):
+                holds = tau_map(algebra.multiply(p, q)) == algebra.multiply(tau_map(p), tau_map(q))
+                yield holds, {"basis pair": (i, j)}
 
     iterate = algebra.u(1)
     for _ in range(tw.m):
         iterate = tau_map(iterate)
-    failure = None if iterate == algebra.u(1) else {"m": tw.m, "image": iterate}
-    checks.append(case_check("tau^m fixes u", 1, failure))
-    return checks
+    return [
+        case_check("tau(u)*tau(x) = tau(sigma(x))*tau(u)", relation()),
+        CheckResult(
+            "tau(u^n) = tau(b)",
+            algebra.power(w, algebra.n) == algebra.from_field(tw.tau(tw.b)),
+            "lambda^n * b^r must equal tau(b) inside the algebra",
+        ),
+        case_check("tau is multiplicative on the algebra", multiplicative()),
+        case_check("tau^m fixes u", [(iterate == algebra.u(1), {"m": tw.m, "image": iterate})]),
+    ]
 
 
 def _tensor_normalize(data, zero):
@@ -439,22 +429,24 @@ def tensor_power_check(algebra, l):
         identity_tail = ((0, 0),) * (l - 1)
         return {(pair,) + identity_tail: coeff for pair, coeff in expansion.items()}
 
-    checks = []
     identity = ((0, 0),) * l
     v = {((0, 1),) * l: tw.one}
     v_powers = [{identity: tw.one}]
     for _ in range(n):
         v_powers.append(tensor_mul(v_powers[-1], v))
-    failure = None
-    if v_powers[n] != _tensor_normalize({identity: tw.b**l}, tw.zero):
-        failure = {"n": n, "l": l, "v^n": v_powers[n]}
-    checks.append(case_check("v^n = b^l", 1, failure))
-
-    commutes = all(
-        tensor_mul(v, tensor_from_field(x)) == tensor_mul(tensor_from_field(tw.sigma(x)), v)
-        for x in tw.l_basis()
-    )
-    checks.append(CheckResult("v*x = sigma(x)*v", commutes, "checked on the E-over-L basis"))
+    checks = [
+        case_check(
+            "v^n = b^l",
+            [(v_powers[n] == _tensor_normalize({identity: tw.b**l}, tw.zero),
+              {"n": n, "l": l, "v^n": v_powers[n]})],
+        ),
+        case_check(
+            "v*x = sigma(x)*v",
+            ((tensor_mul(v, tensor_from_field(x)) == tensor_mul(tensor_from_field(tw.sigma(x)), v),
+              {"x": x})
+             for x in tw.l_basis()),
+        ),
+    ]
 
     full_basis = sorted(itertools.product(pair_basis, repeat=l))
     index = {key: i for i, key in enumerate(full_basis)}

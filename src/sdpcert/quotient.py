@@ -7,7 +7,7 @@ import operator
 from math import gcd
 
 from ._primes import _is_prime, _prime_divisors
-from .group_ring import GroupRingElement, TauData, _IntegralElement
+from .group_ring import GroupRingElement, _IntegralElement
 
 
 class NotInvertibleError(ArithmeticError):
@@ -119,19 +119,28 @@ def _root_of_exact_order(n, p):
 def _levels(n, r):
     """The cyclotomic levels of S under rho -> rho^r: [(d, size, roots)], fewest roots first.
 
-    roots holds one j per <r>-orbit of the j in Z/n of order d, for each
-    divisor d > 1 of n; every such orbit has size ord_d(r), so the level's
-    c_d = len(roots) orbits hold its phi(d) = c_d * size roots of unity. A
-    tau-fixed s takes one value on each orbit, and the product P_d of its
-    values at w^j over roots is the norm of s(zeta_d) from the fixed field of
-    <r> in Q(zeta_d), an integer. N(s) is the product of the P_d ** size
-    (Washington, Introduction to Cyclotomic Fields, ch. 2 and 8).
+    Levels with as many roots are ordered by d. roots holds one j per
+    <r>-orbit of the j in Z/n of order d, for each divisor d > 1 of n, found
+    by one walk j -> j*r over 1 ... n-1; every such orbit has size ord_d(r),
+    so the level's c_d = len(roots) orbits hold its phi(d) = c_d * size
+    roots of unity. A tau-fixed s takes one value on each orbit, and the
+    product P_d of its values at w^j over roots is the norm of s(zeta_d) from
+    the fixed field of <r> in Q(zeta_d), an integer. N(s) is the product of
+    the P_d ** size (Washington, Introduction to Cyclotomic Fields, ch. 2 and 8).
     """
     levels = {}
-    for orbit in TauData(n, r).orbits()[1:]:
-        d = n // gcd(orbit[0], n)
-        levels.setdefault(d, (d, len(orbit), []))[2].append(orbit[0])
-    return sorted((levels[d] for d in sorted(levels)), key=lambda level: len(level[2]))
+    seen = bytearray(n)
+    for j in range(1, n):
+        if seen[j]:
+            continue
+        size, k = 0, j
+        while not seen[k]:
+            seen[k] = 1
+            size += 1
+            k = k * r % n
+        d = n // gcd(j, n)
+        levels.setdefault(d, (d, size, []))[2].append(j)
+    return sorted(levels.values(), key=lambda level: (len(level[2]), level[0]))
 
 
 def _prime_count(n, levels, spread):

@@ -9,6 +9,7 @@ tau-action on norm-set points are implemented on top of that surface.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,11 +33,11 @@ class TowerElement(ExactElement):
     __slots__ = ("tower", "num", "den")
 
     def __new__(cls, tower, coords):
-        coords = [Fraction(c) for c in coords]
+        coords = [_rational(c) for c in coords]
         if len(coords) != tower.dim:
             raise ValueError(f"expected {tower.dim} coordinates, got {len(coords)}")
-        den = lcm(*(c.denominator for c in coords))
-        return cls._new(tower, tuple(c.numerator * (den // c.denominator) for c in coords), den)
+        den = lcm(*(d for _, d in coords))
+        return cls._new(tower, tuple(a * (den // d) for a, d in coords), den)
 
     @property
     def coords(self):
@@ -112,6 +113,16 @@ class TowerElement(ExactElement):
 
     def __repr__(self):
         return f"TowerElement({[str(c) for c in self.coords]})"
+
+
+def _rational(value):
+    """(numerator, denominator) of value as ints, in lowest terms as numbers.Rational requires.
+
+    A float or a string raises TypeError, as in the integral element classes.
+    """
+    if not isinstance(value, numbers.Rational):
+        raise TypeError(f"tower coordinates must be rational, not {type(value).__name__}")
+    return operator.index(value.numerator), operator.index(value.denominator)
 
 
 def _element(tower, num, den):
@@ -227,8 +238,8 @@ class NumberTower:
         return _element(self, [int(i == index) for i in range(self.dim)], 1)
 
     def scalar(self, value):
-        value = Fraction(value)
-        return _element(self, [value.numerator] + [0] * (self.dim - 1), value.denominator)
+        numerator, denominator = _rational(value)
+        return _element(self, [numerator] + [0] * (self.dim - 1), denominator)
 
     def element(self, coords):
         return TowerElement(self, coords)

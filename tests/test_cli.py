@@ -348,8 +348,16 @@ CASE_COUNTS = {
     "quotient": {
         "reduction kernel is exactly the norm line": 40,
         "eps-bar commutes with reduction mod n": 60,
+        "unit criterion matches the linear-solve oracle": 150,
         "canonical lifts of fixed elements are fixed": 100,
         "tau preserves units and eps-bar": 40,
+        "modular norm equals the Bareiss resultant up to sign": 60,
+    },
+    "coverage": {
+        "dihedral coverage is the full unit group for odd n <= 15": 7,
+        "tau-symmetrization lands in the fixed ring": 25,
+        "generator coverage agrees with the bounded oracle": 10,
+        "prime-case reduction returns a generator of the action image": 20,
     },
     "monomial": {
         "composition of norm-set maps is associative": 40,
@@ -376,10 +384,23 @@ CASE_COUNTS = {
         "corrupted cocycle breaks associativity": 1,
         "corrupted chains are rejected": 5,
         "norm-element identity on a spanning set": 30,
+        "tau(u)*tau(x) = tau(sigma(x))*tau(u)": 6,
+        "tau is multiplicative on the algebra": 81,
         "tau^m fixes u": 1,
         "v^n = b^l": 1,
+        "v*x = sigma(x)*v": 2,
     },
 }
+# one fact each, whose detail states the compared values
+PROSE_CHECKS = {
+    "tau(u^n) = tau(b)",
+    "subalgebra has dimension n^2",
+    "fixed subfields have degrees m and n",
+}
+
+
+def counted_details(suite):
+    return {name: f"{count} case" + "s" * (count != 1) for name, count in CASE_COUNTS[suite].items()}
 
 
 @pytest.mark.parametrize("suite", sorted(CASE_COUNTS))
@@ -387,8 +408,104 @@ def test_seeded_checks_report_their_case_counts(suite):
     from sdpcert import suites
 
     details = {c.name: c.detail for c in suites.SUITES[suite]() if c.name in CASE_COUNTS[suite]}
-    expected = {name: f"{count} case" + "s" * (count != 1) for name, count in CASE_COUNTS[suite].items()}
-    assert details == expected
+    assert details == counted_details(suite)
+
+
+def test_every_check_but_three_reports_a_case_count():
+    from sdpcert import suites
+
+    outcome = suites.run_suites(sorted(suites.SUITES))
+    assert sorted(outcome) == sorted(CASE_COUNTS)
+    prose = {c.name for suite, checks in outcome.items() for c in checks
+             if c.name not in CASE_COUNTS[suite]}
+    assert prose == PROSE_CHECKS
+    assert sum(map(len, outcome.values())) == 42
+
+
+def off_by_one_inverse(n, steps, a):
+    """coverage.cyclotomic_unit_inverse with one term too many in its partial norm."""
+    from sdpcert.group_ring import GroupRingElement, partial_norm_product
+    from sdpcert.quotient import reduce
+
+    rotation = GroupRingElement.sigma_power(n, (a - 1) // 2 * sum(steps))
+    return reduce(rotation * partial_norm_product(n, [a * t % n for t in steps], pow(a, -1, n) + 1))
+
+
+def test_verify_reports_a_check_that_raises(capsys, monkeypatch):
+    from sdpcert import coverage, suites
+
+    monkeypatch.setattr(coverage, "cyclotomic_unit_inverse", off_by_one_inverse)
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--format", "json")
+    assert code == EXIT_CHECK_FAILURE and err == ""
+    reported = json.loads(out)["results"]["suites"]
+    assert sorted(reported) == sorted(suites.SUITES)
+    failed = {c["name"]: c["detail"]
+              for checks in reported.values() for c in checks if not c["passed"]}
+    assert sorted(failed) == [
+        "certificates verify for every covered residue",
+        "dihedral coverage is the full unit group for odd n <= 15",
+        "generator coverage agrees with the bounded oracle",
+    ]
+    assert failed["dihedral coverage is the full unit group for odd n <= 15"] == (
+        "2 cases; first disagreement: case 2 raised "
+        "RuntimeError('cyclotomic unit for a = 3 failed its check at n = 5')"
+    )
+    for detail in failed.values():
+        count = detail.split(" ")[0]
+        assert f"; first disagreement: case {count} raised RuntimeError('cyclotomic unit" in detail
+
+
+def test_verify_reports_a_suite_that_raises_outside_its_cases(capsys, monkeypatch):
+    from sdpcert import tower
+
+    def no_tower():
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(tower, "builtin_s3", no_tower)
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--format", "json")
+    assert code == EXIT_CHECK_FAILURE and err == ""
+    reported = json.loads(out)["results"]["suites"]
+    assert reported["tower"] == [
+        {"name": "tower suite", "passed": False, "detail": "raised RuntimeError('injected')"}
+    ]
+    # the crossed suite builds the same tower for its tau-action checks
+    assert [c["name"] for c in reported["crossed"]] == ["crossed suite"]
+    for suite in ("group-ring", "quotient", "coverage", "monomial"):
+        assert {c["name"]: c["detail"] for c in reported[suite]} == counted_details(suite), suite
+
+
+def test_crossed_tau_action_checks_name_the_first_failure(monkeypatch):
+    from sdpcert import crossed, tower
+
+    s3 = tower.builtin_s3()
+    algebra = crossed.CrossedProduct(s3)
+    # lambda = 1 breaks tau(u)^3 = tau(b), first in u * u^2 = b
+    monkeypatch.setattr(s3, "lam", s3.one)
+    checks = {c.name: c for c in crossed.tau_action_check(algebra)}
+    check = checks["tau is multiplicative on the algebra"]
+    assert not check.passed
+    assert check.detail == "81 cases; first disagreement: {'basis pair': (3, 6)}"
+    assert checks["tau(u)*tau(x) = tau(sigma(x))*tau(u)"].detail == "6 cases"
+
+
+def test_crossed_checks_of_u_x_name_the_first_failure(monkeypatch):
+    import random
+
+    from sdpcert import crossed, tower
+
+    s3_algebra = crossed.CrossedProduct(tower.builtin_s3())
+    small, _, _ = crossed.random_cyclic_instance(3, 2, random.Random(0))
+    # u x = x u in place of u x = sigma(x) u fails at the first x outside the base field
+    monkeypatch.setattr(crossed, "_sigma_pow", lambda tw, x, power: x)
+    check = next(c for c in crossed.tau_action_check(s3_algebra)
+                 if c.name == "tau(u)*tau(x) = tau(sigma(x))*tau(u)")
+    assert not check.passed
+    assert check.detail == (
+        "6 cases; first disagreement: {'x': TowerElement(['0', '1', '0', '0', '0', '0'])}"
+    )
+    check = next(c for c in crossed.tensor_power_check(small, 2) if c.name == "v*x = sigma(x)*v")
+    assert not check.passed
+    assert check.detail == "2 cases; first disagreement: {'x': ExtFieldElement([0, 1])}"
 
 
 def test_group_ring_check_names_the_first_failure(monkeypatch):

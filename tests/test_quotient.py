@@ -18,6 +18,7 @@ from sdpcert.coverage import (
     fixed_unit_generators,
     verify_report,
 )
+from sdpcert._primes import _prime_divisors
 from sdpcert.finitefield import PrimeField, _is_prime
 from sdpcert.group_ring import GroupRingElement, TauData, full_norm
 from sdpcert.linalg import resultant
@@ -354,6 +355,11 @@ def test_miller_rabin_against_trial_division():
         _is_prime(2**127 - 1)
     with pytest.raises(ValueError):
         PrimeField(91)
+    for not_an_integer in (3.0, 7.0, 4.5, "7"):
+        with pytest.raises(TypeError):
+            _is_prime(not_an_integer)
+        with pytest.raises(TypeError):
+            _prime_divisors(not_an_integer)
 
 
 def unit_pairs(n, r):

@@ -250,6 +250,31 @@ def test_fixture_round_trip(s3):
     assert norm(loaded, x).coords == norm(s3, y).coords
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tw: tw.element((0.1, 0, 0, 0, 0, 0)),
+        lambda tw: tw.element(("1/3", 0, 0, 0, 0, 0)),
+        lambda tw: tw.element((0, 0, 0, 0, 0, 2.0)),
+        lambda tw: tw.scalar(0.5),
+        lambda tw: tw.scalar("2"),
+    ],
+    ids=["float coordinate", "string coordinate", "integral float", "float scalar", "string scalar"],
+)
+def test_tower_takes_rationals_only(s3, make):
+    with pytest.raises(TypeError):
+        make(s3)
+
+
+def test_tower_takes_ints_bools_fractions_and_numpy_integers(s3):
+    import numpy as np
+
+    x = s3.element((np.int64(3), True, Fraction(-1, 2), 0, 0, 0))
+    assert x == s3.element((3, 1, Fraction(-1, 2), 0, 0, 0))
+    assert all(type(a) is int for a in x.num) and type(x.den) is int
+    assert s3.scalar(np.int32(-1)) == s3.b
+
+
 def s3_coordinates(tw, x):
     """The E-over-L coordinates of x in an x^3 - 2 tower: x_e + x_(3+e) * zeta on c^e."""
     return [tw.element([x.coords[e], 0, 0, x.coords[3 + e], 0, 0]) for e in range(3)]
