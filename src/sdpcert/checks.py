@@ -37,5 +37,17 @@ def case_check(name, cases):
     return CheckResult(name, failure is None, detail)
 
 
+def fact_check(name, fact):
+    """Run a check of one fact: fact() returns (holds, detail).
+
+    A fact that raises fails the check, and the detail names the error.
+    """
+    try:
+        holds, detail = fact()
+    except Exception as error:
+        return CheckResult(name, False, f"raised {error!r}")
+    return CheckResult(name, holds, detail)
+
+
 def all_passed(checks):
     return all(c.passed for c in checks)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .checks import CheckResult, case_check
+from .checks import CheckResult, case_check, fact_check
 from .tower import FiniteTower, norm, sigma_partial_product
 
 _TENSOR_GUARD_N = 3
@@ -60,6 +61,7 @@ class CrossedProduct:
 
     Elements are length-n tuples of E-coefficients indexed by group elements,
     representing sum_j x_j u_j with u x = sigma(x) u and u_i u_j = c(i,j) u_(i+j).
+    multiply twists by c(i,j) only where the entry is not one.
     """
 
     def __init__(self, tower, cocycle=None, validate=True):
@@ -68,6 +70,7 @@ class CrossedProduct:
         self.cocycle = cocycle if cocycle is not None else standard_cyclic_cocycle(tower)
         if validate and not cocycle_condition_holds(tower, self.cocycle):
             raise ValueError("table is not a normalized 2-cocycle")
+        self._twists = {key: c for key, c in self.cocycle.items() if c != tower.one}
         self.zero = (tower.zero,) * self.n
         self.one = self.from_field(tower.one)
 
@@ -98,7 +101,11 @@ class CrossedProduct:
                 if not yj:
                     continue
                 idx = (i + j) % self.n
-                out[idx] = out[idx] + xi * _sigma_pow(self.tower, yj, i) * self.cocycle[(i, j)]
+                term = xi * _sigma_pow(self.tower, yj, i)
+                twist = self._twists.get((i, j))
+                if twist is not None:
+                    term = term * twist
+                out[idx] = out[idx] + term
         return tuple(out)
 
     def power(self, x, exponent):
@@ -291,18 +298,28 @@ def corrupt_chain(algebra, chain):
 
 
 def norm_element_check(algebra, x, i):
-    """Exact check that a * (x - u) = N_sigma^i(x) - u^i for the displayed element a."""
+    """Exact check that a * (x - u) = N_sigma^i(x) - u^i for the displayed element a.
+
+    a = sum_k (sigma^(i-1)(x) ... sigma^(i-k)(x)) u^(i-k-1), k = 0 ... i-1; the
+    conjugates sigma^0(x) ... sigma^(i-1)(x) and the powers u^0 ... u^i are
+    built once, and each coefficient grows from the one before it.
+    """
     tw = algebra.tower
+    conjugates = [x]
+    for _ in range(i - 1):
+        conjugates.append(tw.sigma(conjugates[-1]))
+    u = algebra.u(1)
+    u_powers = [algebra.one]
+    for _ in range(i):
+        u_powers.append(algebra.multiply(u_powers[-1], u))
     a = algebra.zero
+    coefficient = tw.one
     for k in range(i):
-        coefficient = tw.one
-        for j in range(1, k + 1):
-            coefficient = coefficient * _sigma_pow(tw, x, i - j)
-        a = algebra.add(a, algebra.scale(coefficient, algebra.u_power(i - k - 1)))
-    lhs = algebra.multiply(a, algebra.sub(algebra.from_field(x), algebra.u(1)))
-    rhs = algebra.sub(
-        algebra.from_field(sigma_partial_product(tw, x, i)), algebra.u_power(i)
-    )
+        if k:
+            coefficient = coefficient * conjugates[i - k]
+        a = algebra.add(a, algebra.scale(coefficient, u_powers[i - k - 1]))
+    lhs = algebra.multiply(a, algebra.sub(algebra.from_field(x), u))
+    rhs = algebra.sub(algebra.from_field(sigma_partial_product(tw, x, i)), u_powers[i])
     return CheckResult(
         name=f"norm-element identity (i={i})",
         passed=lhs == rhs,
@@ -335,36 +352,51 @@ def tau_action_check(algebra):
 
     Checks the defining relation against every basis element, the image of
     u^n, multiplicativity on the full algebra basis, and that the m-fold
-    iterate fixes u.
+    iterate fixes u. algebra is a CrossedProduct, or a function of no
+    arguments that builds one. The build and the setup run once per call,
+    inside the checks: if they raise, each check fails and names the error.
     """
-    tw = algebra.tower
-    tau_map, w = _tau_on_algebra(algebra)
-    basis = algebra.basis_elements()
+    build = algebra if callable(algebra) else lambda: algebra
+
+    @functools.cache
+    def setup():
+        algebra = build()
+        tau_map, w = _tau_on_algebra(algebra)
+        return algebra, algebra.tower, tau_map, w
 
     def relation():
+        algebra, tw, _, w = setup()
         for x in map(tw.basis_element, range(tw.dim)):
             yield algebra.multiply(w, algebra.from_field(tw.tau(x))) == algebra.multiply(
                 algebra.from_field(tw.tau(tw.sigma(x))), w
             ), {"x": x}
 
+    def u_power():
+        algebra, tw, _, w = setup()
+        return (algebra.power(w, algebra.n) == algebra.from_field(tw.tau(tw.b)),
+                "lambda^n * b^r must equal tau(b) inside the algebra")
+
     def multiplicative():
+        algebra, _, tau_map, _ = setup()
+        basis = algebra.basis_elements()
+        images = [tau_map(p) for p in basis]
         for i, p in enumerate(basis):
             for j, q in enumerate(basis):
-                holds = tau_map(algebra.multiply(p, q)) == algebra.multiply(tau_map(p), tau_map(q))
+                holds = tau_map(algebra.multiply(p, q)) == algebra.multiply(images[i], images[j])
                 yield holds, {"basis pair": (i, j)}
 
-    iterate = algebra.u(1)
-    for _ in range(tw.m):
-        iterate = tau_map(iterate)
+    def iterate():
+        algebra, tw, tau_map, _ = setup()
+        image = algebra.u(1)
+        for _ in range(tw.m):
+            image = tau_map(image)
+        yield image == algebra.u(1), {"m": tw.m, "image": image}
+
     return [
         case_check("tau(u)*tau(x) = tau(sigma(x))*tau(u)", relation()),
-        CheckResult(
-            "tau(u^n) = tau(b)",
-            algebra.power(w, algebra.n) == algebra.from_field(tw.tau(tw.b)),
-            "lambda^n * b^r must equal tau(b) inside the algebra",
-        ),
+        fact_check("tau(u^n) = tau(b)", u_power),
         case_check("tau is multiplicative on the algebra", multiplicative()),
-        case_check("tau^m fixes u", [(iterate == algebra.u(1), {"m": tw.m, "image": iterate})]),
+        case_check("tau^m fixes u", iterate()),
     ]
 
 
@@ -431,42 +463,44 @@ def tensor_power_check(algebra, l):
 
     identity = ((0, 0),) * l
     v = {((0, 1),) * l: tw.one}
-    v_powers = [{identity: tw.one}]
-    for _ in range(n):
-        v_powers.append(tensor_mul(v_powers[-1], v))
-    checks = [
-        case_check(
-            "v^n = b^l",
-            [(v_powers[n] == _tensor_normalize({identity: tw.b**l}, tw.zero),
-              {"n": n, "l": l, "v^n": v_powers[n]})],
-        ),
-        case_check(
-            "v*x = sigma(x)*v",
-            ((tensor_mul(v, tensor_from_field(x)) == tensor_mul(tensor_from_field(tw.sigma(x)), v),
-              {"x": x})
-             for x in tw.l_basis()),
-        ),
-    ]
 
-    full_basis = sorted(itertools.product(pair_basis, repeat=l))
-    index = {key: i for i, key in enumerate(full_basis)}
-    rows = []
-    for e_b in tw.l_basis():
-        for i in range(n):
-            element = tensor_mul(tensor_from_field(e_b), v_powers[i])
-            vector = [tw.zero] * len(full_basis)
-            for key, coeff in element.items():
-                vector[index[key]] = coeff
-            rows.append(vector)
-    reduced, _ = linalg.rref(rows, tw.zero)
-    checks.append(
-        CheckResult(
-            "subalgebra has dimension n^2",
-            len(reduced) == n * n,
-            f"rank {len(reduced)} inside the {len(full_basis)}-dimensional tensor power",
-        )
-    )
-    return checks
+    @functools.cache
+    def v_powers():
+        powers = [{identity: tw.one}]
+        for _ in range(n):
+            powers.append(tensor_mul(powers[-1], v))
+        return powers
+
+    def v_power_n():
+        power = v_powers()[n]
+        expected = _tensor_normalize({identity: tw.b**l}, tw.zero)
+        yield power == expected, {"n": n, "l": l, "v^n": power}
+
+    def commutation():
+        for x in tw.l_basis():
+            left = tensor_mul(v, tensor_from_field(x))
+            yield left == tensor_mul(tensor_from_field(tw.sigma(x)), v), {"x": x}
+
+    def dimension():
+        full_basis = sorted(itertools.product(pair_basis, repeat=l))
+        index = {key: i for i, key in enumerate(full_basis)}
+        rows = []
+        for e_b in tw.l_basis():
+            for i in range(n):
+                element = tensor_mul(tensor_from_field(e_b), v_powers()[i])
+                vector = [tw.zero] * len(full_basis)
+                for key, coeff in element.items():
+                    vector[index[key]] = coeff
+                rows.append(vector)
+        reduced, _ = linalg.rref(rows, tw.zero)
+        return (len(reduced) == n * n,
+                f"rank {len(reduced)} inside the {len(full_basis)}-dimensional tensor power")
+
+    return [
+        case_check("v^n = b^l", v_power_n()),
+        case_check("v*x = sigma(x)*v", commutation()),
+        fact_check("subalgebra has dimension n^2", dimension),
+    ]
 
 
 def random_cyclic_instance(q, n, rng):

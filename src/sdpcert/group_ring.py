@@ -78,25 +78,34 @@ class GroupRingElement(_IntegralElement):
     __slots__ = ("n", "coeffs")
 
     def __new__(cls, n, coeffs):
+        n = cls._order(n)
+        return cls._checked(n, coeffs, n)
+
+    @staticmethod
+    def _order(n):
+        """n as an int, checked to be a group order."""
         n = index(n)
         if n < 1:
             raise ValueError(f"group order must be positive, got {n}")
-        return cls._checked(n, coeffs, n)
+        return n
 
     @classmethod
     def zero(cls, n):
-        return cls(n, (0,) * n)
+        n = cls._order(n)
+        return cls._new(n, (0,) * n)
 
     @classmethod
     def one(cls, n):
-        return cls(n, (1,) + (0,) * (n - 1))
+        n = cls._order(n)
+        return cls._new(n, (1,) + (0,) * (n - 1))
 
     @classmethod
     def sigma_power(cls, n, exponent, coefficient=1):
         """coefficient * sigma^exponent, with the exponent reduced mod n."""
+        n = cls._order(n)
         coeffs = [0] * n
-        coeffs[exponent % n] = coefficient
-        return cls(n, coeffs)
+        coeffs[index(exponent) % n] = index(coefficient)
+        return cls._new(n, tuple(coeffs))
 
     def __mul__(self, other):
         if type(other) is not GroupRingElement:
@@ -139,10 +148,11 @@ def partial_norm(n, g, j):
     """
     if j < 0:
         raise ValueError("partial norm length must be nonnegative")
+    n = GroupRingElement._order(n)
     coeffs = [0] * n
     for a in range(j):
         coeffs[(g * a) % n] += 1
-    return GroupRingElement(n, coeffs)
+    return GroupRingElement._new(n, tuple(coeffs))
 
 
 def partial_norm_product(n, steps, j):

@@ -24,22 +24,31 @@ class SElement(_IntegralElement):
     __slots__ = ("n", "coeffs")
 
     def __new__(cls, n, coeffs):
+        n = cls._order(n)
+        return cls._checked(n, coeffs, n - 1)
+
+    @staticmethod
+    def _order(n):
+        """n as an int, checked to be the order of a quotient ring."""
         n = operator.index(n)
         if n < 2:
             raise ValueError(f"quotient ring needs n >= 2, got {n}")
-        return cls._checked(n, coeffs, n - 1)
+        return n
 
     @classmethod
     def zero(cls, n):
-        return cls(n, (0,) * (n - 1))
+        n = cls._order(n)
+        return cls._new(n, (0,) * (n - 1))
 
     @classmethod
     def one(cls, n):
-        return cls(n, (1,) + (0,) * (n - 2))
+        n = cls._order(n)
+        return cls._new(n, (1,) + (0,) * (n - 2))
 
     @classmethod
     def constant(cls, n, value):
-        return cls(n, (value,) + (0,) * (n - 2))
+        n = cls._order(n)
+        return cls._new(n, (operator.index(value),) + (0,) * (n - 2))
 
     @classmethod
     def rho_power(cls, n, exponent):

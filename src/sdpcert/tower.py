@@ -177,6 +177,15 @@ class _Matrix:
     __hash__ = None
 
 
+def _conjugate_product(apply, x, count, one):
+    """apply(x) * apply^2(x) * ... * apply^count(x); one when count is 0."""
+    product = one
+    for k in range(count):
+        x = apply(x)
+        product = x if k == 0 else product * x
+    return product
+
+
 def _matrix_powers(matrix, top):
     """[matrix^0, matrix^1, ..., matrix^top]."""
     powers = [_Matrix.identity(len(matrix.rows))]
@@ -191,8 +200,9 @@ class NumberTower:
     The multiplication table (one row per pair of basis elements) and the
     automorphism matrices are kept as integer matrices over a common
     denominator. The table, the automorphism matrices and the distinguished
-    elements are all validated at construction; a failed check raises, so a
-    constructed tower always satisfies its invariants. The E-over-L basis and
+    elements are all validated at construction, the nm maps sigma^i tau^j
+    being distinct; a failed check raises, so a constructed tower always
+    satisfies its invariants. The E-over-L basis and
     its coordinate maps are derived there too, once per tower.
     """
 
@@ -212,12 +222,7 @@ class NumberTower:
         self.zero = _element(self, [0] * self.dim, 1)
         self.b = TowerElement(self, b_coords)
         self.lam = TowerElement(self, lam_coords)
-        sigma_powers = _matrix_powers(self._sigma, n)
-        tau_powers = _matrix_powers(self._tau, m)
-        self._conjugation_matrices = tuple(
-            ps @ pt for ps in sigma_powers[:-1] for pt in tau_powers[:-1]
-        )
-        self._self_check(sigma_powers, tau_powers)
+        self._self_check()
         self._l_basis, self._projections = self._l_coordinates()
 
     @property
@@ -257,20 +262,22 @@ class NumberTower:
         return self._apply(self._tau, x)
 
     def inverse(self, x):
-        """Inverse via the product of all nontrivial conjugates.
+        """Inverse by the norm tower N_E/Q = N_L/Q o N_E/L.
 
-        The full product over the automorphism group is the norm down to Q, a
-        rational scalar, so division reduces to one rational division.
+        sc = sigma(x) ... sigma^(n-1)(x) makes y = x * sc the norm of x down to
+        L, and tc = tau(y) ... tau^(m-1)(y) makes N = y * tc its norm down to Q,
+        a rational scalar; so 1/x = sc * tc / N. tau generates Gal(L/Q), since
+        no tau^j with 0 < j < m lies in <sigma> (checked at construction).
         """
         if not x:
             raise ZeroDivisionError("0 has no inverse")
-        conjugate_product = self.one
-        for matrix in self._conjugation_matrices[1:]:
-            conjugate_product = conjugate_product * self._apply(matrix, x)
-        denom = (x * conjugate_product).rational_part()
+        sc = _conjugate_product(self.sigma, x, self.n - 1, self.one)
+        y = x * sc
+        tc = _conjugate_product(self.tau, y, self.m - 1, self.one)
+        denom = (y * tc).rational_part()
         if denom == 0:
             raise ZeroDivisionError("norm to the base field vanished")
-        return conjugate_product * self.scalar(1 / denom)
+        return sc * tc * self.scalar(1 / denom)
 
     def _l_coordinates(self):
         """The E-over-L basis e_0 ... e_(n-1) and, per i, the matrix of x -> x_i.
@@ -332,8 +339,8 @@ class NumberTower:
                     return False
         return True
 
-    def _self_check(self, sigma_powers, tau_powers):
-        """Validate the tower; the powers run from exponent 0 to n (sigma) and m (tau)."""
+    def _self_check(self):
+        """Validate the tower; a failed check raises RuntimeError naming it."""
         basis = [self.basis_element(i) for i in range(self.dim)]
         for j in range(self.dim):
             if basis[0] * basis[j] != basis[j]:
@@ -350,12 +357,17 @@ class NumberTower:
         for name, matrix in (("sigma", self._sigma), ("tau", self._tau)):
             if not self._is_ring_automorphism(matrix):
                 raise RuntimeError(f"{name} is not a ring automorphism")
+        sigma_powers = _matrix_powers(self._sigma, self.n)
+        tau_powers = _matrix_powers(self._tau, self.m)
         identity = sigma_powers[0]
         for name, powers, order in (("sigma", sigma_powers, "n"), ("tau", tau_powers, "m")):
             if identity in powers[1:-1]:
                 raise RuntimeError(f"{name} has order smaller than {order}")
             if powers[-1] != identity:
                 raise RuntimeError(f"{name} does not have order {order}")
+        # the nm maps sigma^i tau^j are distinct exactly when no tau^j, 0 < j < m, is a sigma^i
+        if any(power in sigma_powers for power in tau_powers[1:-1]):
+            raise RuntimeError("a power tau^j with 0 < j < m lies in <sigma>")
         tau_inverse = tau_powers[-2]
         if self._tau @ (self._sigma @ tau_inverse) != sigma_powers[self.r % self.n]:
             raise RuntimeError("tau sigma tau^-1 != sigma^r")

@@ -461,6 +461,8 @@ def test_verify_reports_a_suite_that_raises_outside_its_cases(capsys, monkeypatc
     def no_tower():
         raise RuntimeError("injected")
 
+    _, out, _ = run_cli(capsys, "verify", "--suite", "crossed", "--format", "json")
+    unfaulted = json.loads(out)["results"]["suites"]["crossed"]
     monkeypatch.setattr(tower, "builtin_s3", no_tower)
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--format", "json")
     assert code == EXIT_CHECK_FAILURE and err == ""
@@ -468,8 +470,18 @@ def test_verify_reports_a_suite_that_raises_outside_its_cases(capsys, monkeypatc
     assert reported["tower"] == [
         {"name": "tower suite", "passed": False, "detail": "raised RuntimeError('injected')"}
     ]
-    # the crossed suite builds the same tower for its tau-action checks
-    assert [c["name"] for c in reported["crossed"]] == ["crossed suite"]
+    # the crossed suite builds the same tower inside the cases of its four tau-action
+    # checks: those fail and name the error, and its other nine checks are as without the fault
+    raised = "raised RuntimeError('injected')"
+    counted = f"1 case; first disagreement: case 1 {raised}"
+    failed = {"tau(u)*tau(x) = tau(sigma(x))*tau(u)": counted, "tau(u^n) = tau(b)": raised,
+              "tau is multiplicative on the algebra": counted, "tau^m fixes u": counted}
+    assert reported["crossed"] == [
+        {"name": c["name"], "passed": False, "detail": failed[c["name"]]}
+        if c["name"] in failed else c
+        for c in unfaulted
+    ]
+    assert len(unfaulted) == 13 and all(c["passed"] for c in unfaulted)
     for suite in ("group-ring", "quotient", "coverage", "monomial"):
         assert {c["name"]: c["detail"] for c in reported[suite]} == counted_details(suite), suite
 

@@ -370,3 +370,66 @@ def test_crossed_product_over_loaded_fixture_tower():
     c = loaded.basis_element(1)
     for i in range(1, 7):
         assert norm_element_check(algebra, c, i).passed
+
+
+def multiply_by_every_entry(algebra, x, y):
+    """The crossed product with c(i, j) multiplied in at every pair, entries equal to one included.
+
+    The route that twists by each cocycle entry, kept as the oracle of
+    CrossedProduct.multiply.
+    """
+    tw = algebra.tower
+    out = [tw.zero] * algebra.n
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out[(i + j) % algebra.n] += xi * _sigma_power(tw, yj, i) * algebra.cocycle[(i, j)]
+    return tuple(out)
+
+
+def _three_tables(tower, rng, unit):
+    """The standard cocycle, one cohomologous to it, and the standard with c(1, 1) doubled."""
+    standard = standard_cyclic_cocycle(tower)
+    n = tower.n
+    a = [tower.one] + [unit() for _ in range(n - 1)]
+    cohomologous = {
+        (i, j): c * a[i] * _sigma_power(tower, a[j], i) / a[(i + j) % n]
+        for (i, j), c in standard.items()
+    }
+    corrupted = dict(standard)
+    corrupted[(1, 1)] = corrupted[(1, 1)] * tower.scalar(2)
+    return [CrossedProduct(tower, standard), CrossedProduct(tower, cohomologous),
+            CrossedProduct(tower, corrupted, validate=False)]
+
+
+def _sigma_power(tower, x, power):
+    for _ in range(power):
+        x = tower.sigma(x)
+    return x
+
+
+def _nonzero(random_element):
+    while True:
+        x = random_element()
+        if x:
+            return x
+
+
+@pytest.mark.parametrize("q, n", [(None, 3), (3, 3), (5, 3), (7, 3)])
+def test_multiply_agrees_with_twisting_by_every_entry(q, n):
+    rng = random.Random(20 + n + (q or 0))
+    tower = builtin_s3() if q is None else builtin_finite(q, n, 2)
+
+    def draw():
+        return tower.random_element(rng, 3) if q is None else tower.random_element(rng)
+
+    algebras = _three_tables(tower, rng, lambda: _nonzero(draw))
+    assert not cocycle_condition_holds(tower, algebras[2].cocycle)
+    assert any(c != tower.one for key, c in algebras[1].cocycle.items() if key != (0, 0))
+    for algebra in algebras:
+        elements = [algebra.u(j) for j in range(n)] + [
+            tuple(draw() if rng.random() < 0.7 else tower.zero for _ in range(n))
+            for _ in range(6)
+        ]
+        for x in elements:
+            for y in elements:
+                assert algebra.multiply(x, y) == multiply_by_every_entry(algebra, x, y), (x, y)

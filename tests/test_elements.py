@@ -11,7 +11,7 @@ import pytest
 from sdpcert._element import _Immutable
 from sdpcert.coverage import cyclotomic_unit, cyclotomic_unit_inverse, exhaustive_fixed_units
 from sdpcert.finitefield import ExtFieldElement, PrimeField, PrimeFieldElement, gf
-from sdpcert.group_ring import GroupRingElement, TauData, partial_norm_product
+from sdpcert.group_ring import GroupRingElement, TauData, partial_norm, partial_norm_product
 from sdpcert.monomial import NormSetMap
 from sdpcert.quotient import SElement, invert, lift, reduce, tau_apply_s
 from sdpcert.tower import TowerElement, builtin_s3
@@ -187,6 +187,11 @@ COMPUTED = {
     "group_ring_scale": lambda x, y: [3 * x, x * -2, x * True],
     "group_ring_mul": lambda x, y: [x * y, y * x, x ** 3],
     "tau_apply": lambda x, y: [x.tau_apply(TauData(5, 2)), y.tau_apply(TauData(5, 4))],
+    "group_ring_named": lambda x, y: [GroupRingElement.zero(4), GroupRingElement.one(np.int64(5)),
+                                      GroupRingElement.sigma_power(6, -7, np.int32(-3)),
+                                      partial_norm(6, 2, 5), partial_norm(1, 3, 2)],
+    "quotient_named": lambda x, y: [SElement.zero(2), SElement.one(np.int64(5)),
+                                    SElement.constant(4, True), SElement.constant(3, -7)],
     "partial_norm_product": lambda x, y: [partial_norm_product(7, [1, 3], 4),
                                           partial_norm_product(9, [2, 4], 11)],
     "reduce": lambda x, y: [reduce(x), reduce(y)],
@@ -227,6 +232,45 @@ def test_computed_elements_are_built_as_the_public_constructor_builds_them(site)
         ints, twin = _exact_ints_and_twin(value)
         assert type(ints) is tuple and all(type(c) is int for c in ints), value
         assert value == twin and hash(value) == hash(twin), value
+
+
+# Each named constructor of Z[C_n] and S, as a function of the order n alone
+NAMED = {
+    "GroupRingElement.zero": (GroupRingElement, GroupRingElement.zero),
+    "GroupRingElement.one": (GroupRingElement, GroupRingElement.one),
+    "GroupRingElement.sigma_power": (GroupRingElement,
+                                     lambda n: GroupRingElement.sigma_power(n, 1, 2)),
+    "partial_norm": (GroupRingElement, lambda n: partial_norm(n, 1, 2)),
+    "SElement.zero": (SElement, SElement.zero),
+    "SElement.one": (SElement, SElement.one),
+    "SElement.constant": (SElement, lambda n: SElement.constant(n, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_named_constructors_check_the_order_as_the_public_constructor_does(name):
+    cls, build = NAMED[name]
+    for n in (0, -1, 1):
+        if cls is SElement or n < 1:
+            with pytest.raises(ValueError) as public:
+                cls(n, ())
+            with pytest.raises(ValueError) as named:
+                build(n)
+            assert str(named.value) == str(public.value), n
+    for n in (3.0, Fraction(3), "3", None):
+        with pytest.raises(TypeError):
+            build(n)
+
+
+def test_named_constructors_check_their_other_arguments():
+    for build in (lambda: GroupRingElement.sigma_power(5, 1, 1.5),
+                  lambda: GroupRingElement.sigma_power(5, 1.0),
+                  lambda: SElement.constant(5, Fraction(1, 2)),
+                  lambda: SElement.constant(5, "7")):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(ValueError, match="nonnegative"):
+        partial_norm(0, 1, -1)
 
 
 def test_only_the_element_base_builds_objects_by_hand():

@@ -155,3 +155,81 @@ def test_elements_of_different_towers_do_not_mix():
             operation(x, i)
         with pytest.raises(ValueError, match="different towers"):
             operation(i, x)
+
+
+# --- inverse by the norm tower ------------------------------------------------------
+
+
+def inverse_by_every_conjugate(tower, x):
+    """1/x from the product of the nm - 1 maps sigma^i tau^j other than the identity.
+
+    The product with x itself is the norm down to Q; this is the route of one
+    conjugate per group element, kept as the oracle of NumberTower.inverse.
+    """
+    product = tower.one
+    for i in range(tower.n):
+        for j in range(tower.m):
+            if i or j:
+                conjugate = x
+                for _ in range(j):
+                    conjugate = tower.tau(conjugate)
+                for _ in range(i):
+                    conjugate = tower.sigma(conjugate)
+                product = product * conjugate
+    return product * (1 / (x * product).rational_part())
+
+
+@PROPERTY
+@given(element, coordinate)
+def test_inverse_agrees_with_the_product_over_every_conjugate(x, q):
+    for tower, y in ((S3, x), (RESCALED, to_rescaled(x))):
+        # y in E, its norm and its coordinates over the E-over-L basis in L, and a rational
+        for z in (y, norm(tower, y), *tower.flatten(y), tower.scalar(q)):
+            if z:
+                assert z.inverse() == inverse_by_every_conjugate(tower, z), (tower, z)
+
+
+def test_inverse_agrees_on_basis_elements_and_the_gaussian_tower():
+    gaussian = gaussian_tower()
+    for tower in (S3, RESCALED, gaussian, biquadratic_tower(BIQUADRATIC_TAU)):
+        for i in range(tower.dim):
+            e = tower.basis_element(i)
+            assert e.inverse() == inverse_by_every_conjugate(tower, e)
+            assert e * e.inverse() == tower.one
+    assert gaussian.element((1, 1)).inverse() == gaussian.element((Fraction(1, 2), Fraction(-1, 2)))
+
+
+BIQUADRATIC_SIGMA = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
+BIQUADRATIC_TAU = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+
+
+def biquadratic_tower(tau_matrix):
+    """Q(sqrt 2, sqrt 3) on the basis 1, a = sqrt 2, c = sqrt 3, ac, with sigma: a -> -a.
+
+    n = m = 2, r = t = 1, s = 0 and b = lambda = 1, so every parameter check
+    holds whatever the involution tau_matrix.
+    """
+    products = {(1, 1): (2, 0, 0, 0), (1, 2): (0, 0, 0, 1), (1, 3): (0, 0, 2, 0),
+                (2, 2): (3, 0, 0, 0), (2, 3): (0, 3, 0, 0), (3, 3): (6, 0, 0, 0)}
+    table = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            if not i or not j:
+                table[i][j] = tuple(int(k == i + j) for k in range(4))
+            else:
+                table[i][j] = products[min(i, j), max(i, j)]
+    return NumberTower(
+        labels=["1", "a", "c", "ac"], table=table, sigma_matrix=BIQUADRATIC_SIGMA,
+        tau_matrix=tau_matrix, n=2, m=2, r=1, t=1, s=0, b_coords=(1, 0, 0, 0),
+        lam_coords=(1, 0, 0, 0),
+    )
+
+
+def test_construction_rejects_a_tau_power_inside_sigma():
+    # tau = sigma fixes sqrt 3 as sigma does: the maps sigma^i tau^j are two, not four,
+    # and inverting 1 + sqrt 3 through them would leave a norm that is not rational
+    with pytest.raises(RuntimeError, match="tau\\^j with 0 < j < m lies in <sigma>"):
+        biquadratic_tower(BIQUADRATIC_SIGMA)
+    tower = biquadratic_tower(BIQUADRATIC_TAU)
+    x = tower.element((1, 0, 1, 0))
+    assert x.inverse() == tower.element((Fraction(-1, 2), 0, Fraction(1, 2), 0))
