@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from ._element import ExactElement
+from ._element import ExactElement, _Immutable
 from .finitefield import ExtFieldElement, _smallest_extension, gf
 from .group_ring import GroupRingElement
 
@@ -90,6 +90,19 @@ class TowerElement(ExactElement):
 
     def inverse(self):
         return self.tower.inverse(self)
+
+    def __pow__(self, exponent):
+        """A rational element is powered on its one coordinate; any other by square-and-multiply.
+
+        The exponent is converted by operator.index, so a float raises TypeError.
+        """
+        exponent = operator.index(exponent)
+        if any(self.num[1:]):
+            return super().__pow__(exponent)
+        x = self.inverse() if exponent < 0 else self
+        exponent = abs(exponent)
+        # num[0] and den are coprime, and so are their powers
+        return TowerElement._new(self.tower, (x.num[0]**exponent,) + x.num[1:], x.den**exponent)
 
     def __eq__(self, other):
         if isinstance(other, TowerElement):
@@ -262,15 +275,21 @@ class NumberTower:
         return self._apply(self._tau, x)
 
     def inverse(self, x):
-        """Inverse by the norm tower N_E/Q = N_L/Q o N_E/L.
+        """The reciprocal of a rational x; of any other x, the inverse by the norm tower.
 
-        sc = sigma(x) ... sigma^(n-1)(x) makes y = x * sc the norm of x down to
-        L, and tc = tau(y) ... tau^(m-1)(y) makes N = y * tc its norm down to Q,
-        a rational scalar; so 1/x = sc * tc / N. tau generates Gal(L/Q), since
-        no tau^j with 0 < j < m lies in <sigma> (checked at construction).
+        A rational x (nonzero only on basis element 1) is a/d with gcd(a, d) == 1,
+        so its inverse is d/a with the sign moved to the numerator. Otherwise
+        N_E/Q = N_L/Q o N_E/L: sc = sigma(x) ... sigma^(n-1)(x) makes y = x * sc
+        the norm of x down to L, and tc = tau(y) ... tau^(m-1)(y) makes
+        N = y * tc its norm down to Q, a rational scalar; so 1/x = sc * tc / N.
+        tau generates Gal(L/Q), since no tau^j with 0 < j < m lies in <sigma>
+        (checked at construction).
         """
         if not x:
             raise ZeroDivisionError("0 has no inverse")
+        if not any(x.num[1:]):
+            a, d = x.num[0], x.den
+            return TowerElement._new(self, (d if a > 0 else -d,) + x.num[1:], abs(a))
         sc = _conjugate_product(self.sigma, x, self.n - 1, self.one)
         y = x * sc
         tc = _conjugate_product(self.tau, y, self.m - 1, self.one)
@@ -375,6 +394,8 @@ class NumberTower:
             raise RuntimeError("b and lambda must be sigma-fixed")
         if self.tau(self.b) != (self.lam**self.n) * (self.b**self.r):
             raise RuntimeError("tau(b) != lambda^n * b^r")
+        if self.t < 0:
+            raise RuntimeError(f"t = {self.t} is negative; tau-hat takes a partial norm of length t")
         if self.r * self.t != self.s * self.n + 1:
             raise RuntimeError("r*t != s*n + 1")
 
@@ -518,16 +539,26 @@ def builtin_finite(q, n, b):
     return FiniteTower(q, n, b)
 
 
-@dataclass(frozen=True)
-class NormSetPoint:
-    """A field element x together with its claimed norm exponent: N(x) = b^k."""
+@dataclass(frozen=True, init=False)
+class NormSetPoint(_Immutable):
+    """A field element x together with its claimed norm exponent: N(x) = b^k.
 
+    k is converted by operator.index, so a float, a Fraction or a string
+    raises TypeError. A dataclass without __init__: __new__ builds it.
+    """
+
+    __slots__ = ("x", "k")
     x: object
     k: int
 
+    def __new__(cls, x, k):
+        return cls._new(x, operator.index(k))
+
 
 def sigma_partial_product(tw, x, length):
-    """x * sigma(x) * ... * sigma^(length-1)(x)."""
+    """x * sigma(x) * ... * sigma^(length-1)(x); a negative length raises ValueError."""
+    if length < 0:
+        raise ValueError("partial norm length must be nonnegative")
     if length == 0:
         return tw.one
     acc = x
@@ -545,9 +576,10 @@ def norm(tw, x):
 
 def make_norm_point(tw, x, k):
     """A verified norm-set point; raises when N(x) != b^k."""
-    if norm(tw, x) != tw.b**k:
-        raise ValueError(f"norm of element is not b^{k}")
-    return NormSetPoint(x, k)
+    point = NormSetPoint(x, k)
+    if not point_is_valid(tw, point):
+        raise ValueError(f"norm of element is not b^{point.k}")
+    return point
 
 
 def point_is_valid(tw, pt):
@@ -558,20 +590,29 @@ def apply_monomial(tw, element, x):
     """Evaluate the monomial action of a group-ring element: prod_i sigma^i(x^(e_i)).
 
     Negative exponents require x invertible, which every norm-set point is.
+    x is inverted once, and sigma is stepped on the inverse alongside x:
+    sigma is a ring automorphism, so sigma^i(x)^-1 = sigma^i(x^-1). No
+    identity is multiplied in.
     """
     if not isinstance(element, GroupRingElement):
         raise TypeError("monomial part must be a GroupRingElement")
     if element.n != tw.n:
         raise ValueError(f"monomial order {element.n} does not match tower degree {tw.n}")
-    if any(e < 0 for e in element.coeffs) and not x:
-        raise ZeroDivisionError("negative exponent applied to a non-invertible element")
-    result = tw.one
-    cur = x
-    for e in element.coeffs:
+    inverse = None
+    if any(e < 0 for e in element.coeffs):
+        if not x:
+            raise ZeroDivisionError("negative exponent applied to a non-invertible element")
+        inverse = x.inverse()
+    result = None
+    for i, e in enumerate(element.coeffs):
+        if i:
+            x = tw.sigma(x)
+            if inverse is not None:
+                inverse = tw.sigma(inverse)
         if e:
-            result = result * cur**e
-        cur = tw.sigma(cur)
-    return result
+            term = x**e if e > 0 else inverse ** -e
+            result = term if result is None else result * term
+    return tw.one if result is None else result
 
 
 def apply_monomial_point(tw, element, pt):

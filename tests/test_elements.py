@@ -14,7 +14,7 @@ from sdpcert.finitefield import ExtFieldElement, PrimeField, PrimeFieldElement, 
 from sdpcert.group_ring import GroupRingElement, TauData, partial_norm, partial_norm_product
 from sdpcert.monomial import NormSetMap
 from sdpcert.quotient import SElement, invert, lift, reduce, tau_apply_s
-from sdpcert.tower import TowerElement, builtin_s3
+from sdpcert.tower import NormSetPoint, TowerElement, builtin_s3
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sdpcert"
 
@@ -295,6 +295,7 @@ IMMUTABLE = {
     TowerElement: lambda: _tower()[0],
     TauData: lambda: TauData(5, 2),
     NormSetMap: lambda: NormSetMap(GroupRingElement(5, (1, 0, 2, 0, 1)), 3, 2),
+    NormSetPoint: lambda: NormSetPoint(_extension_field()[0], 2),
 }
 
 

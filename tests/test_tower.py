@@ -7,6 +7,7 @@ from sdpcert.group_ring import GroupRingElement, full_norm, partial_norm
 from sdpcert.linalg import rank_rational
 from sdpcert.tower import (
     NormSetPoint,
+    NumberTower,
     apply_monomial,
     apply_monomial_point,
     builtin_finite,
@@ -17,6 +18,7 @@ from sdpcert.tower import (
     norm,
     phi_k_apply,
     point_is_valid,
+    sigma_partial_product,
     tau_hat,
 )
 from sdpcert.suites import s3_spanning_points as spanning_points
@@ -230,10 +232,32 @@ def test_make_norm_point_validates():
 def test_partial_norm_monomial_matches_product(s3):
     # evaluating the j'th partial norm as a monomial is the sigma-product
     x = s3.basis_element(1) - s3.one
-    from sdpcert.tower import sigma_partial_product
-
     for j in range(4):
         assert apply_monomial(s3, partial_norm(3, 1, j), x) == sigma_partial_product(s3, x, j)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sigma_partial_product(s3, x, -1)
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, Fraction(1), Fraction(1, 2), "1"])
+def test_norm_set_points_take_integer_exponents_only(s3, k):
+    with pytest.raises(TypeError):
+        NormSetPoint(s3.one, k)
+    with pytest.raises(TypeError):
+        make_norm_point(s3, s3.one, k)
+    with pytest.raises(TypeError):
+        phi_k_apply(s3, make_norm_point(s3, s3.one, 0), k)
+
+
+def test_norm_set_points_convert_integers():
+    import numpy as np
+
+    tw = builtin_finite(3, 2, 2)
+    pt = NormSetPoint(tw.one, np.int64(0))
+    assert type(pt.k) is int
+    assert pt == NormSetPoint(tw.one, False) == make_norm_point(tw, tw.one, 0)
+    assert hash(pt) == hash(NormSetPoint(tw.one, 0))
+    assert pt != NormSetPoint(tw.one, 1)
+    assert repr(pt) == f"NormSetPoint(x={tw.one!r}, k=0)"
 
 
 def test_fixture_round_trip(s3):
@@ -367,6 +391,19 @@ def test_construction_rejects_broken_parameters(s3):
                                   "tower dim=6 n=3 m=2 r=2 t=2 s=2")
     with pytest.raises(RuntimeError):
         load_tower(text)
+
+
+def test_construction_rejects_a_negative_t(s3):
+    # r*t = s*n + 1 holds with t = s = -1, but tau-hat takes a partial norm of length t
+    text = dump_tower(s3).replace("r=2 t=2 s=1", "r=2 t=-1 s=-1")
+    with pytest.raises(RuntimeError, match="t = -1 is negative"):
+        load_tower(text)
+    parameters = dict(labels=s3.labels, table=s3.table, sigma_matrix=s3.sigma_matrix,
+                      tau_matrix=s3.tau_matrix, n=3, m=2, r=2, b_coords=s3.b.coords,
+                      lam_coords=s3.lam.coords)
+    with pytest.raises(RuntimeError, match="t = -1 is negative"):
+        NumberTower(**parameters, t=-1, s=-1)
+    assert NumberTower(**parameters, t=2, s=1).t == 2
 
 
 def test_construction_rejects_a_degree_other_than_n_times_m(s3):

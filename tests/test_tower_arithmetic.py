@@ -1,14 +1,29 @@
-"""Tower elements as integer numerators over one denominator: laws, invariants, fixture I/O."""
+"""Tower elements as integer numerators over one denominator: laws, invariants, fixture I/O.
 
+Inverses, powers and the monomial action are each checked against a general route kept here.
+"""
+
+import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdpcert.tower import NumberTower, TowerElement, builtin_s3, dump_tower, load_tower, norm
+from sdpcert._element import ExactElement
+from sdpcert.group_ring import GroupRingElement
+from sdpcert.tower import (
+    NumberTower,
+    TowerElement,
+    apply_monomial,
+    builtin_finite,
+    builtin_s3,
+    dump_tower,
+    load_tower,
+    norm,
+)
 
 S3 = builtin_s3()
 FIXTURE = Path(__file__).parent / "fixtures" / "s3_rescaled.tower"
@@ -233,3 +248,122 @@ def test_construction_rejects_a_tau_power_inside_sigma():
     tower = biquadratic_tower(BIQUADRATIC_TAU)
     x = tower.element((1, 0, 1, 0))
     assert x.inverse() == tower.element((Fraction(-1, 2), 0, Fraction(1, 2), 0))
+
+
+# --- rational elements, and the monomial action with one inverse -------------------
+
+
+def power_by_squaring(x, exponent):
+    """x ** exponent by the general route: square-and-multiply, the inverse by every conjugate."""
+    base = inverse_by_every_conjugate(x.tower, x) if exponent < 0 else x
+    return ExactElement.__pow__(base, abs(exponent))
+
+
+exponent = st.integers(min_value=-4, max_value=4)
+
+
+@PROPERTY
+@given(coordinate, exponent)
+def test_rational_reciprocal_and_powers_agree_with_the_general_route(q, e):
+    for tower in (S3, RESCALED):
+        x = tower.scalar(q)
+        if not q:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            if e < 0:
+                with pytest.raises(ZeroDivisionError):
+                    x**e
+                continue
+        else:
+            reciprocal = x.inverse()
+            assert reciprocal == tower.scalar(1 / q) == inverse_by_every_conjugate(tower, x)
+            assert_lowest_terms(reciprocal)
+        power = x**e
+        assert power == tower.scalar(q**e) == power_by_squaring(x, e), (tower, q, e)
+        assert_lowest_terms(power)
+        assert all(type(a) is int for a in power.num) and type(power.den) is int
+
+
+@PROPERTY
+@given(element, exponent)
+def test_powers_of_other_elements_agree_with_the_general_route(x, e):
+    for tower, y in ((S3, x), (RESCALED, to_rescaled(x))):
+        # the basis elements other than 1 are zero on basis element 1 and are not rational
+        for z in (y, *(tower.basis_element(i) for i in range(1, tower.dim))):
+            if z or e >= 0:
+                assert z**e == power_by_squaring(z, e), (tower, z, e)
+
+
+@pytest.mark.parametrize("x", [S3.scalar(2), S3.basis_element(1), S3.zero])
+@pytest.mark.parametrize("e", [2.0, Fraction(2), "2"])
+def test_powers_take_integer_exponents_only(x, e):
+    with pytest.raises(TypeError):
+        x**e
+
+
+def test_rational_elements_are_powered_and_inverted_without_a_product(monkeypatch):
+    spy = []
+    monkeypatch.setattr(TowerElement, "__mul__", lambda self, other: spy.append(other))
+    for q in (Fraction(-3, 4), Fraction(5, 2), Fraction(-1)):
+        assert S3.scalar(q).inverse() == S3.scalar(1 / q)
+        assert S3.scalar(q) ** -3 == S3.scalar(q**-3)
+        assert S3.scalar(q) ** 5 == S3.scalar(q**5)
+    assert spy == []
+
+
+def monomial_by_each_conjugate(tower, coeffs, x):
+    """prod_i sigma^i(x)^(e_i) with each power, and each inverse, taken by the general route."""
+    result = tower.one
+    for e in coeffs:
+        if isinstance(x, TowerElement):
+            result = result * power_by_squaring(x, e)
+        else:
+            result = result * (x.inverse() ** -e if e < 0 else x**e)
+        x = tower.sigma(x)
+    return result
+
+
+monomial = st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3)
+
+
+@PROPERTY
+@given(element, monomial)
+# negative exponents on sigma and sigma^2 of c - 1, which sigma does not fix
+@example(S3.basis_element(1) - S3.one, [0, -1, 0])
+@example(S3.basis_element(1) - S3.one, [1, -1, -2])
+def test_apply_monomial_agrees_with_the_product_of_conjugate_powers(x, coeffs):
+    element = GroupRingElement(3, coeffs)
+    for tower, y in ((S3, x), (RESCALED, to_rescaled(x))):
+        for z in (y, tower.scalar(-2), tower.basis_element(4)):
+            if z or min(coeffs) >= 0:
+                assert apply_monomial(tower, element, z) == monomial_by_each_conjugate(
+                    tower, coeffs, z), (tower, z, coeffs)
+
+
+FINITE_TOWERS = [builtin_finite(q, n, 1) for q, n in ((3, 2), (5, 3), (4, 2))]
+
+
+@PROPERTY
+@given(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2**32), monomial)
+def test_apply_monomial_agrees_on_finite_towers(which, seed, coeffs):
+    tower = FINITE_TOWERS[which]
+    coeffs = coeffs[:tower.n]
+    x = tower.random_unit(random.Random(seed))
+    assert apply_monomial(tower, GroupRingElement(tower.n, coeffs), x) == \
+        monomial_by_each_conjugate(tower, coeffs, x)
+
+
+@pytest.mark.parametrize("coeffs, inversions", [
+    ((-1, -2, -1), 1), ((2, -1, -3), 1), ((-1, 0, 0), 1), ((1, 2, 0), 0), ((0, 0, 0), 0)])
+def test_apply_monomial_inverts_the_point_at_most_once(monkeypatch, coeffs, inversions):
+    calls = []
+    for tower, x in ((S3, S3.basis_element(1) - S3.one),
+                     (FINITE_TOWERS[1], FINITE_TOWERS[1].field.generator())):
+        expected = monomial_by_each_conjugate(tower, coeffs, x)
+        cls = NumberTower if tower is S3 else type(x)
+        inverse = cls.inverse
+        monkeypatch.setattr(cls, "inverse", lambda *args: calls.append(args) or inverse(*args))
+        assert apply_monomial(tower, GroupRingElement(3, coeffs), x) == expected
+        assert len(calls) == inversions, (tower, coeffs)
+        monkeypatch.undo()
+        calls.clear()
