@@ -7,8 +7,8 @@ a class's __new__, which ends in _new; every computed result goes to _new
 directly. Public constructors take integers, converted by operator.index,
 so a float, a Fraction or a string raises TypeError instead of being
 truncated; TowerElement takes numbers.Rational and raises TypeError for
-anything else. Every immutable value copies, deep-copies and pickles through
-_new as well.
+anything else. Every power converts its exponent by operator.index too.
+Every immutable value copies, deep-copies and pickles through _new as well.
 
 ExactElement gives the five exact element classes subtraction, division
 and powers. GroupRingElement (Z[C_n]) and SElement (S) take the order
@@ -23,6 +23,8 @@ denominator.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class _Immutable:
@@ -100,7 +102,10 @@ class ExactElement(_Immutable):
         """Square-and-multiply; a negative exponent powers the inverse.
 
         Neither the identity nor the square past the top bit is multiplied in.
+        The exponent is converted by operator.index, so a float, a Fraction or
+        a string raises TypeError.
         """
+        exponent = operator.index(exponent)
         base = self.inverse() if exponent < 0 else self
         exponent = abs(exponent)
         result = None

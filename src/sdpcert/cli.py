@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from . import coverage as cov
@@ -193,9 +193,64 @@ def render_text(value, indent=0):
     return lines
 
 
+def _write_json(value, pad, out):
+    """Append value as JSON to the list of strings out, its lines after the first indented by pad.
+
+    The text is json.dumps(value, sort_keys=True, indent=2): strings go
+    through json's own C escaper, and keys are written sorted. Only dicts
+    with str keys, lists, str, int, True, False and None are written; any
+    other value, a float or a tuple included, raises TypeError.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        separator = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            out.append(separator)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(value[key], inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        # exact ints only: a bool is an int, but is written true or false
+        if all(type(item) is int for item in value):
+            out.append("[\n" + inner + (",\n" + inner).join(map(int.__repr__, value)) + "\n" + pad + "]")
+            return
+        separator = "[\n" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
 def render(report, fmt):
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        out = []
+        _write_json(report, "", out)
+        out.append("\n")
+        return "".join(out)
     return "\n".join(render_text(report)) + "\n"
 
 

@@ -78,7 +78,7 @@ class _FieldElement(ExactElement):
 
     def __pow__(self, exponent):
         field = self.field
-        return field._wrap(field._pow(self._value, exponent))
+        return field._wrap(field._pow(self._value, operator.index(exponent)))
 
     def __eq__(self, other):
         if type(other) is type(self):

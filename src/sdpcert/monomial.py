@@ -9,7 +9,7 @@ from math import gcd
 from ._element import _Immutable
 from .checks import CheckResult, all_passed
 from .coverage import unit_witness
-from .group_ring import GroupRingElement, TauData, full_norm
+from .group_ring import GroupRingElement, TauData
 from .quotient import SElement, is_unit, lift, reduce
 
 
@@ -35,7 +35,8 @@ class NormSetMap(_Immutable):
     def __new__(cls, monomial, shift, source_exp):
         top = monomial.coeffs[-1]
         if top:
-            monomial = monomial - top * full_norm(monomial.n)
+            # monomial - top * N, where N has every coefficient 1
+            monomial = GroupRingElement._new(monomial.n, tuple(c - top for c in monomial.coeffs))
             shift = shift + source_exp * top
         return cls._new(monomial.n, monomial, operator.index(shift), operator.index(source_exp))
 
@@ -168,15 +169,17 @@ def verify_certificate(cert):
     checks.append(CheckResult("beta-tau-fixed", beta_fixed))
     checks.append(CheckResult("alpha-unit", is_unit(alpha_s, tau if alpha_fixed else None)))
     checks.append(CheckResult("beta-unit", is_unit(beta_s, tau if beta_fixed else None)))
+    # reduce is a ring homomorphism with kernel Z*N, so reduce(alpha)*reduce(beta)
+    # is reduce(beta*alpha): one product decides both checks below
+    product = cert.beta_tilde * cert.alpha_tilde
     checks.append(
         CheckResult(
             "mutually-inverse",
-            alpha_s * beta_s == SElement.one(n),
+            reduce(product) == SElement.one(n),
             "reduce(alpha)*reduce(beta) must be 1 in S",
         )
     )
 
-    product = cert.beta_tilde * cert.alpha_tilde
     deviation = product - GroupRingElement.one(n)
     levels = set(deviation.coeffs)
     if len(levels) == 1:

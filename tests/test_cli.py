@@ -6,8 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdpcert.cli import EXIT_CHECK_FAILURE, EXIT_NOT_COVERED, EXIT_OK, EXIT_USAGE, main
+from sdpcert.cli import EXIT_CHECK_FAILURE, EXIT_NOT_COVERED, EXIT_OK, EXIT_USAGE, main, render
 
 
 def run_cli(capsys, *argv):
@@ -283,6 +285,55 @@ def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
     assert exc.value.code == EXIT_USAGE
+
+
+def dumps(value):
+    """The JSON text render must write, from json's own encoder."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII and astral code points
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600') | st.characters(),
+                    max_size=8)
+JSON_INTS = st.integers() | st.integers(min_value=-2**200, max_value=2**200)
+JSON_SCALARS = st.none() | st.booleans() | JSON_INTS | JSON_TEXT
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(JSON_INTS, max_size=4)
+                   # an int list with true, false or null among its items
+                   | st.lists(JSON_INTS | st.booleans() | st.none(), max_size=5)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_is_what_json_dumps_writes(value):
+    assert render(value, "json") == dumps(value)
+
+
+def test_json_of_the_edge_cases_is_what_json_dumps_writes():
+    value = {
+        "z": [], "a": {}, "m": [[], {}, [[]], {"e": {}}],
+        "ints": [0, -1, 2**100, -2**100],
+        "mixed": [1, True, 0, False, None, -3],
+        "text": "\"quoted\" back\\slash \x00\x1f \u00e9 \U0001f600",
+        "\u00e9\n": None,
+    }
+    assert render(value, "json") == dumps(value)
+    assert render([True, False], "json") == "[\n  true,\n  false\n]\n"
+    assert render({"b": {}, "a": []}, "json") == '{\n  "a": [],\n  "b": {}\n}\n'
+
+
+@pytest.mark.parametrize("value", [
+    1.0, float("nan"), (1, 2), {1, 2}, frozenset(), {1: "a"}, {None: 1}, {("a",): 1},
+    [1, 2.5], [1, (2,)], {"a": [{"b": 0.5}]}, {"a": 1, 2: "b"}, b"bytes",
+], ids=repr)
+def test_json_refuses_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        render(value, "json")
 
 
 def test_main_builds_no_parser(capsys, monkeypatch):

@@ -122,6 +122,23 @@ def test_foreign_operands_raise_type_error(name, foreign):
     assert x != foreign and foreign != x
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("exponent", [0.0, 2.0, -1.0, Fraction(0), Fraction(2), "2"],
+                         ids=repr)
+def test_powers_reject_non_integer_exponents(name, exponent):
+    # operator.index, so the error is about the exponent, and 0.0 is not the identity
+    x, _ = CASES[name]()
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        x ** exponent
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_powers_take_bools_and_numpy_integers(name):
+    x, _ = CASES[name]()
+    assert x ** np.int64(2) == x * x
+    assert x ** True == x and x ** False == x ** 0
+
+
 @pytest.mark.parametrize("name", ["group_ring", "quotient"])
 def test_integral_hash_is_a_function_of_order_and_coefficients(name):
     # no str in the key, so the order of a set of elements is the same in every process

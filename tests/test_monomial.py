@@ -88,6 +88,18 @@ def test_canonicalization_absorbs_norm_multiples():
         assert with_norm.target_exp == plain.target_exp
 
 
+def test_canonical_form_subtracts_the_top_coefficient_times_the_norm():
+    rng = random.Random(5)
+    for _ in range(100):
+        n = rng.randint(1, 9)
+        monomial = GroupRingElement(n, [rng.randint(-4, 4) for _ in range(n)])
+        shift, source_exp = rng.randint(-3, 3), rng.randint(-3, 3)
+        top = monomial.coeffs[-1]
+        mp = NormSetMap(monomial, shift, source_exp)
+        assert mp.monomial == monomial - top * full_norm(n)
+        assert mp.shift == shift + source_exp * top
+
+
 def test_composition_associative():
     rng = random.Random(3)
     for _ in range(60):
@@ -223,6 +235,56 @@ def test_corrupted_certificate_fails_named_checks():
     record = verify_certificate(rotated)
     assert not record.named("alpha-tau-fixed").passed and record.named("alpha-unit").passed
     assert record.named("beta-tau-fixed").passed and record.named("beta-unit").passed
+
+
+def two_product_checks(cert):
+    """mutually-inverse and product-is-one-plus-rN as (passed, detail), by two products.
+
+    The reference for verify_certificate's one product: reduce(alpha)*reduce(beta)
+    in S, and beta*alpha in the group ring.
+    """
+    n = cert.n
+    mutual = reduce(cert.alpha_tilde) * reduce(cert.beta_tilde) == SElement.one(n)
+    levels = set((cert.beta_tilde * cert.alpha_tilde - GroupRingElement.one(n)).coeffs)
+    if len(levels) == 1:
+        product = (True, f"beta*alpha = 1 + {levels.pop()}*N")
+    else:
+        product = (False, "beta*alpha - 1 is not a multiple of N")
+    return {"mutually-inverse": (mutual, "reduce(alpha)*reduce(beta) must be 1 in S"),
+            "product-is-one-plus-rN": product}
+
+
+def certificates_to_check():
+    """Valid certificates, the corrupted ones above, and lifts with a nonzero top coefficient."""
+    cert = make_certificate(3, 2, 2)
+    yield cert
+    yield dataclasses.replace(cert, k=cert.k + 1)
+    yield dataclasses.replace(cert, beta_tilde=cert.beta_tilde + full_norm(3))
+    cert = make_certificate(7, 6, 3)
+    yield cert
+    yield dataclasses.replace(cert, alpha_tilde=cert.alpha_tilde * GroupRingElement.sigma_power(7, 1))
+    # the same unit of S by another lift, and a lift of another element
+    yield dataclasses.replace(cert, alpha_tilde=cert.alpha_tilde + 2 * full_norm(7))
+    yield dataclasses.replace(cert, alpha_tilde=cert.alpha_tilde + GroupRingElement.sigma_power(7, 6))
+    for l in coverage_subgroup(13, 12).subgroup:
+        yield make_certificate(13, 12, l)
+    rng = random.Random(8)
+    for _ in range(20):
+        n = rng.randint(2, 9)
+        alpha, beta = (GroupRingElement(n, [rng.randint(-2, 2) for _ in range(n)]) for _ in "ab")
+        yield dataclasses.replace(cert, n=n, r=1, alpha_tilde=alpha, beta_tilde=beta)
+
+
+def test_one_product_decides_both_product_checks_as_two_did():
+    outcomes = set()
+    for cert in certificates_to_check():
+        record = verify_certificate(cert)
+        for name, expected in two_product_checks(cert).items():
+            check = record.named(name)
+            assert (check.passed, check.detail) == expected, (name, cert)
+            outcomes.add((name, check.passed))
+    # each check both passes and fails on these certificates
+    assert len(outcomes) == 4
 
 
 def test_certificates_for_all_covered_residues_up_to_nine():

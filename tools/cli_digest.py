@@ -11,6 +11,11 @@ commands and the help texts they include usage errors, argparse's and the
 program's own, so that a change in what the parser reports shows. The four
 demos then run in fresh processes. Help texts are rendered at a fixed width
 of 80 columns.
+
+Every JSON stdout is also read back and must equal
+json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n", the text
+the CLI's own writer is meant to reproduce; if one does not, the script
+names its argument list and exits 1 without printing the digest.
 """
 
 from __future__ import annotations
@@ -79,12 +84,25 @@ def run_demo(name):
     return done.returncode, done.stdout, done.stderr
 
 
+def json_dumps_of(out):
+    """json.dumps of what out parses to, or None if out is not JSON."""
+    try:
+        value = json.loads(out)
+    except ValueError:
+        return None
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
 def main():
     os.environ["COLUMNS"] = "80"
     sys.path.insert(0, str(ROOT / "src"))
     from sdpcert.cli import main as cli_main
 
     records = [(argv, *run_cli(cli_main, argv)) for argv in invocations()]
+    for argv, _, out, _ in records:
+        # a usage error writes nothing to stdout
+        if "json" in argv and out and out != json_dumps_of(out):
+            sys.exit(f"JSON output differs from json.dumps: {argv}")
     records += [(["demos/" + name], *run_demo(name)) for name in DEMOS]
     digest = hashlib.sha256()
     for record in records:
