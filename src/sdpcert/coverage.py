@@ -8,9 +8,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from ._primes import _is_prime
-from .group_ring import GroupRingElement, TauData, partial_norm_product
+from .group_ring import GroupRingElement, TauData, _orbits, partial_norm_product
 from .quotient import (
     SElement,
     _levels,
@@ -51,26 +52,20 @@ class CoverageReport:
 
 
 def subgroup_closure(residues, n):
-    """Multiplicative closure in (Z/nZ)* of the given unit residues.
+    """Multiplicative closure in (Z/nZ)* of the given unit residues, sorted; n is at least 2.
 
-    A walk from 1 that multiplies by the given residues only: in a finite
+    The orbit of 1 under the residues (group_ring._orbits): in a finite
     group the products of generators are the whole subgroup, so the walk
     costs one product per element and generator.
     """
+    n = index(n)
+    if n < 2:
+        raise ValueError(f"modulus must be at least 2, got {n}")
+    residues = tuple(residues)
     for x in residues:
         if gcd(x, n) != 1:
             raise ValueError(f"{x} is not a unit mod {n}")
-    generators = {x % n for x in residues}
-    known = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = x * g % n
-            if y not in known:
-                known.add(y)
-                frontier.append(y)
-    return tuple(sorted(known))
+    return tuple(sorted(_orbits(n, residues, (1,))[0]))
 
 
 def tau_symmetrize(s, tau):
@@ -84,8 +79,9 @@ def tau_symmetrize(s, tau):
 
 
 def coset_steps(n, r):
-    """Coset representatives r^k of <r>/{+-1}: the first m/2 if r^(m/2) = -1, else all m."""
-    steps = [pow(r, k, n) for k in range(TauData(n, r).m)]
+    """Coset representatives r^k of <r>/{+-1}, the orbit of 1: its first m/2 if r^(m/2) = -1, else all m."""
+    TauData(n, r)  # checks n and r
+    steps = _orbits(n, (r,), (1,))[0]
     if n > 2 and n - 1 in steps:
         steps = steps[: len(steps) // 2]
     return steps
@@ -270,7 +266,7 @@ def _unit_mask(weights, groups, tables):
 
 
 def exhaustive_fixed_units(n, r, bound=2):
-    """Every tau-fixed unit whose canonical coefficients all lie in [-bound, bound].
+    """Every tau-fixed unit whose canonical coefficients all lie in [-bound, bound], for an int bound >= 0.
 
     Independent oracle for the generator strategy. The canonical lift of a
     fixed element is fixed, so the fixed elements are exactly the integer
@@ -309,6 +305,9 @@ def exhaustive_fixed_units(n, r, bound=2):
     values, whatever n; the final order is canonical. numpy is imported
     only once the guard has passed.
     """
+    bound = index(bound)
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     orbits = [orbit for orbit in TauData(n, r).orbits() if n - 1 not in orbit]
     d = len(orbits)
     if (2 * bound + 1) ** d > _EXHAUSTIVE_GUARD:

@@ -195,6 +195,30 @@ def full_norm(n):
     return partial_norm(n, 1, n)
 
 
+def _orbits(n, generators, starts=None):
+    """One orbit of Z/n per start not yet reached (default 0 ... n-1) under x -> x*g mod n.
+
+    Each lists its start, then the points a breadth-first walk over every
+    generator g finds: j, j*r, j*r^2, ... for one r. A non-unit g may lead
+    into an earlier orbit, whose points are not listed again.
+    """
+    seen = bytearray(n)
+    out = []
+    for start in range(n) if starts is None else starts:
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        for x in orbit:
+            for g in generators:
+                y = x * g % n
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        out.append(orbit)
+    return out
+
+
 class TauData(_Immutable):
     """The conjugation datum: tau sigma tau^-1 = sigma^r on a cyclic group of order n.
 
@@ -221,17 +245,7 @@ class TauData(_Immutable):
 
     def orbits(self):
         """The <r>-orbits of Z/n, each listed from its least element, by that element."""
-        seen = set()
-        out = []
-        for start in range(self.n):
-            orbit = []
-            while start not in seen:
-                seen.add(start)
-                orbit.append(start)
-                start = start * self.r % self.n
-            if orbit:
-                out.append(orbit)
-        return out
+        return _orbits(self.n, (self.r,))
 
     def __eq__(self, other):
         return isinstance(other, TauData) and (self.n, self.r) == (other.n, other.r)

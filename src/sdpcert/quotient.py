@@ -7,7 +7,7 @@ import operator
 from math import gcd
 
 from ._primes import _is_prime, _prime_divisors
-from .group_ring import GroupRingElement, _IntegralElement
+from .group_ring import GroupRingElement, _IntegralElement, _orbits
 
 
 class NotInvertibleError(ArithmeticError):
@@ -128,9 +128,9 @@ def _root_of_exact_order(n, p):
 def _levels(n, r):
     """The cyclotomic levels of S under rho -> rho^r: [(d, size, roots)], fewest roots first.
 
-    Levels with as many roots are ordered by d. roots holds one j per
-    <r>-orbit of the j in Z/n of order d, for each divisor d > 1 of n, found
-    by one walk j -> j*r over 1 ... n-1; every such orbit has size ord_d(r),
+    Levels with as many roots are ordered by d. roots holds the least j of
+    each <r>-orbit (group_ring._orbits) of the j in Z/n of order d, for each
+    divisor d > 1 of n; every such orbit has size ord_d(r),
     so the level's c_d = len(roots) orbits hold its phi(d) = c_d * size
     roots of unity. A tau-fixed s takes one value on each orbit, and the
     product P_d of its values at w^j over roots is the norm of s(zeta_d) from
@@ -138,17 +138,9 @@ def _levels(n, r):
     the P_d ** size (Washington, Introduction to Cyclotomic Fields, ch. 2 and 8).
     """
     levels = {}
-    seen = bytearray(n)
-    for j in range(1, n):
-        if seen[j]:
-            continue
-        size, k = 0, j
-        while not seen[k]:
-            seen[k] = 1
-            size += 1
-            k = k * r % n
-        d = n // gcd(j, n)
-        levels.setdefault(d, (d, size, []))[2].append(j)
+    for orbit in _orbits(n, (r,))[1:]:
+        d = n // gcd(orbit[0], n)
+        levels.setdefault(d, (d, len(orbit), []))[2].append(orbit[0])
     return sorted(levels.values(), key=lambda level: (len(level[2]), level[0]))
 
 

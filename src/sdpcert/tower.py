@@ -190,12 +190,14 @@ class _Matrix:
     __hash__ = None
 
 
-def _conjugate_product(apply, x, count, one):
-    """apply(x) * apply^2(x) * ... * apply^count(x); one when count is 0."""
-    product = one
-    for k in range(count):
+def _conjugate_product(apply, x, length, one):
+    """x * apply(x) * ... * apply^(length-1)(x); one when length is 0, ValueError when negative."""
+    if length < 0:
+        raise ValueError("partial norm length must be nonnegative")
+    product = x if length else one
+    for _ in range(length - 1):
         x = apply(x)
-        product = x if k == 0 else product * x
+        product = product * x
     return product
 
 
@@ -290,9 +292,9 @@ class NumberTower:
         if not any(x.num[1:]):
             a, d = x.num[0], x.den
             return TowerElement._new(self, (d if a > 0 else -d,) + x.num[1:], abs(a))
-        sc = _conjugate_product(self.sigma, x, self.n - 1, self.one)
+        sc = _conjugate_product(self.sigma, self.sigma(x), self.n - 1, self.one)
         y = x * sc
-        tc = _conjugate_product(self.tau, y, self.m - 1, self.one)
+        tc = self.one if self.m == 1 else _conjugate_product(self.tau, self.tau(y), self.m - 1, self.one)
         denom = (y * tc).rational_part()
         if denom == 0:
             raise ZeroDivisionError("norm to the base field vanished")
@@ -557,16 +559,7 @@ class NormSetPoint(_Immutable):
 
 def sigma_partial_product(tw, x, length):
     """x * sigma(x) * ... * sigma^(length-1)(x); a negative length raises ValueError."""
-    if length < 0:
-        raise ValueError("partial norm length must be nonnegative")
-    if length == 0:
-        return tw.one
-    acc = x
-    cur = x
-    for _ in range(length - 1):
-        cur = tw.sigma(cur)
-        acc = acc * cur
-    return acc
+    return _conjugate_product(tw.sigma, x, length, tw.one)
 
 
 def norm(tw, x):

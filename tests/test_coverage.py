@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -333,6 +334,18 @@ def test_exhaustive_guard():
         exhaustive_fixed_units(40, 3, 2)
 
 
+def test_exhaustive_takes_a_nonnegative_integer_bound():
+    assert len(exhaustive_fixed_units(7, 6, 1)) == 22
+    assert len(exhaustive_fixed_units(7, 6, 2)) == 48
+    assert exhaustive_fixed_units(7, 6, np.int64(1)) == exhaustive_fixed_units(7, 6, 1)
+    assert exhaustive_fixed_units(7, 6, 0) == []
+    for bound in (1.5, 2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError):
+            exhaustive_fixed_units(7, 6, bound)
+    with pytest.raises(ValueError, match="nonnegative"):
+        exhaustive_fixed_units(7, 6, -1)
+
+
 def reference_exhaustive_fixed_units(n, r, bound=2):
     """The whole box of orbit weights, filtered by the norm at every root w^1, ..., w^(n-1)."""
     orbits = [orbit for orbit in TauData(n, r).orbits() if n - 1 not in orbit]
@@ -414,22 +427,33 @@ def multiplicative_order(r, d):
     return next(k for k in itertools.count(1) if pow(r, k, d) == 1)
 
 
+def orbits_by_powers(n, r):
+    """The <r>-orbits of Z/n as [j * r^k mod n], k < ord_n(r), repeats dropped, by least element."""
+    powers = [pow(r, k, n) for k in range(multiplicative_order(r, n))]
+    orbits = {}
+    for j in range(n):
+        orbit = list(dict.fromkeys(j * power % n for power in powers))
+        orbits.setdefault(min(orbit), orbit)
+    return [orbits[j] for j in sorted(orbits)]
+
+
 def test_levels_are_the_cyclotomic_factors_of_the_norm():
     # P_d ** ord_d(r) is the resultant of Phi_d with s, and the levels together give
     # N(s) mod p: a wrong exponent would still pass every unit, since each P_d of a
     # unit is +-1, so the value itself is checked on seeded fixed vectors. The oracle's
-    # orbit sums and the unit test's residues give the same P_d
+    # orbit sums and the unit test's residues give the same P_d. The orbits are built
+    # from pow, not from the walk that _levels and TauData.orbits share
     rng = random.Random(11)
     x = sympy.Symbol("x")
     for n in range(2, 27):
         for r in valid_r(n):
-            tau = TauData(n, r)
-            orbits = [orbit for orbit in tau.orbits() if n - 1 not in orbit]
+            all_orbits = orbits_by_powers(n, r)
+            orbits = [orbit for orbit in all_orbits if n - 1 not in orbit]
             levels = _levels(n, r)
             groups = column_groups(levels)
             p, sums = coverage._orbit_sums_at_roots(n, levels, orbits)
             roots = [j for _, _, level_roots in levels for j in level_roots]
-            assert sorted(roots) == [orbit[0] for orbit in tau.orbits() if orbit[0]]
+            assert sorted(roots) == [orbit[0] for orbit in all_orbits if orbit[0]]
             assert sorted(d for d, _, _ in levels) == [d for d in range(2, n + 1) if n % d == 0]
             assert [len(level_roots) for _, _, level_roots in levels] == sorted(
                 len(level_roots) for _, _, level_roots in levels)
@@ -676,6 +700,19 @@ def test_reduce_to_cyclic_properties():
 def test_subgroup_closure_rejects_non_units():
     with pytest.raises(ValueError):
         subgroup_closure([2], 4)
+
+
+def test_subgroup_closure_takes_a_modulus_of_at_least_two():
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            subgroup_closure([1], n)
+    for n in (5.0, Fraction(5), "5"):
+        with pytest.raises(TypeError):
+            subgroup_closure([2], n)
+    assert subgroup_closure([1], 2) == subgroup_closure([], 2) == (1,)
+    assert subgroup_closure([2], np.int64(5)) == (1, 2, 3, 4)
+    # residues are read once, so an iterator gives the closure too
+    assert subgroup_closure(iter([2]), 5) == (1, 2, 3, 4)
 
 
 def brute_force_closure(residues, n):

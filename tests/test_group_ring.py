@@ -2,11 +2,14 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdpcert.group_ring import (
     GroupRingElement,
     OrderMismatchError,
     TauData,
+    _orbits,
     full_norm,
     partial_norm,
 )
@@ -153,6 +156,66 @@ def test_tau_data_validation():
     assert TauData(5, 2).m == 4
     assert TauData(7, 6).m == 2
     assert TauData(9, 1).m == 1
+
+
+modulus_and_generators = st.integers(min_value=2, max_value=200).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(-n, 2 * n), min_size=1, max_size=3))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(modulus_and_generators)
+@example((12, [5, 5]))  # a duplicate generator
+@example((12, [2, 3]))  # two non-units
+@example((15, [2, 4, 11]))  # a non-cyclic group generated by 2 and 11
+@example((200, [3, 0, 199]))  # zero among units
+def test_orbits_partition_z_mod_n_and_are_closed_under_every_generator(case):
+    n, generators = case
+    orbits = _orbits(n, generators)
+    assert sorted(x for orbit in orbits for x in orbit) == list(range(n))
+    units = all(gcd(g, n) == 1 for g in generators)
+    reached = set()
+    for orbit in orbits:
+        # each orbit is listed from its start, the least point not yet reached
+        assert orbit[0] == min(set(range(n)) - reached), (n, generators, orbit)
+        reached.update(orbit)
+        for x in orbit:
+            for g in generators:
+                # closed under every generator; a non-unit may lead into an earlier orbit
+                assert x * g % n in (orbit if units else reached), (n, generators, orbit, x, g)
+        if len(generators) == 1:
+            r = generators[0]
+            assert orbit == [orbit[0] * pow(r, k, n) % n for k in range(len(orbit))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(modulus_and_generators, st.lists(st.integers(0, 199), max_size=6))
+def test_orbits_walk_from_the_given_starts_in_order(case, starts):
+    n, generators = case
+    starts = [j % n for j in starts]
+    orbits = _orbits(n, generators, starts)
+    whole = {x: set(orbit) for orbit in _orbits(n, generators) for x in orbit}
+    units = all(gcd(g, n) == 1 for g in generators)
+    reached, k = set(), 0
+    for j in starts:
+        if j in reached:
+            continue
+        # one orbit per start not yet reached, listed from that start
+        assert orbits[k][0] == j, (n, generators, starts)
+        assert not reached & set(orbits[k])
+        if units:
+            assert set(orbits[k]) == whole[j]
+        reached.update(orbits[k])
+        k += 1
+    assert k == len(orbits)
+
+
+def test_orbits_of_tau_data():
+    assert TauData(7, 2).orbits() == [[0], [1, 2, 4], [3, 6, 5]]
+    assert TauData(8, 3).orbits() == [[0], [1, 3], [2, 6], [4], [5, 7]]
+    assert TauData(5, 1).orbits() == [[0], [1], [2], [3], [4]]
+    assert _orbits(13, (4,), (1,)) == [[1, 4, 3, 12, 9, 10]]
+    assert _orbits(13, (), (1, 1, 5)) == [[1], [5]]
 
 
 def test_exponents_reduced_at_construction():

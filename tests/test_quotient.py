@@ -449,6 +449,30 @@ def crt_constant(primes, signs):
     return x - modulus if 2 * x > modulus else x
 
 
+def levels_by_one_bytearray_walk(n, r):
+    """_levels as it walked j -> j*r itself, over 1 ... n-1 with one bytearray; the reference."""
+    levels = {}
+    seen = bytearray(n)
+    for j in range(1, n):
+        if seen[j]:
+            continue
+        size, k = 0, j
+        while not seen[k]:
+            seen[k] = 1
+            size += 1
+            k = k * r % n
+        d = n // gcd(j, n)
+        levels.setdefault(d, (d, size, []))[2].append(j)
+    return sorted(levels.values(), key=lambda level: (len(level[2]), level[0]))
+
+
+def test_levels_agree_with_one_bytearray_walk():
+    pairs = [(n, r) for n in range(2, 80) for r in range(1, n) if gcd(r, n) == 1]
+    assert len(pairs) > 1900
+    for n, r in pairs:
+        assert _levels(n, r) == levels_by_one_bytearray_walk(n, r), (n, r)
+
+
 @pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (5, 2), (7, 3), (9, 2), (13, 2)])
 def test_is_unit_needs_one_sign_per_level_at_every_prime(n, r):
     # a constant c = +-1 modulo each of the primes its own bound calls for, with both

@@ -214,6 +214,22 @@ def test_inverse_agrees_on_basis_elements_and_the_gaussian_tower():
     assert gaussian.element((1, 1)).inverse() == gaussian.element((Fraction(1, 2), Fraction(-1, 2)))
 
 
+def test_inverse_applies_sigma_n_minus_1_times_and_tau_m_minus_1_times(monkeypatch):
+    # the Gaussian tower has m = 1: no tau at all
+    calls = []
+    for name in ("sigma", "tau"):
+        original = getattr(NumberTower, name)
+        monkeypatch.setattr(NumberTower, name, lambda self, x, name=name, original=original: (
+            calls.append(name), original(self, x))[1])
+    gaussian = gaussian_tower()
+    for tower, x in ((S3, S3.basis_element(1) - S3.one), (RESCALED, RESCALED.basis_element(4)),
+                     (gaussian, gaussian.element((1, 1)))):
+        calls.clear()
+        inverse = x.inverse()
+        assert calls == ["sigma"] * (tower.n - 1) + ["tau"] * (tower.m - 1), tower
+        assert x * inverse == tower.one
+
+
 BIQUADRATIC_SIGMA = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
 BIQUADRATIC_TAU = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
 
