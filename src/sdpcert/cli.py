@@ -255,6 +255,11 @@ def render(report, fmt):
 
 
 def build_parser():
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The sdpcert parser, and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="sdpcert",
         description=(
@@ -290,16 +295,33 @@ def build_parser():
     for p in (p_cov, p_cert, p_verify):
         p.add_argument("--seed", type=int, default=0, help="seed for all randomized checks")
         p.add_argument("--format", choices=["json", "text"], default="text")
-    return parser
+    return parser, sub.choices
 
 
 # built once, eagerly at import: no call of main pays for it, and every call
 # makes the same traced calls
-_PARSER = build_parser()
+_PARSER, _COMMANDS = _build_parsers()
+
+
+def _parse(argv):
+    """The namespace _PARSER.parse_args(argv) returns, parsed by the command's own subparser.
+
+    When argv[0] names a command, argparse's top-level pass would hand every
+    later argument to that command's subparser and only report what it left
+    over. Anything else (--help, no command, an unknown one) takes that pass.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return _PARSER.parse_args(argv)
+    args, extras = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        # the top-level parser reports leftovers, under its own usage line
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     # looked up per call, so that a rebound cli.cmd_* is the one that runs
     handler = {"certificate": cmd_certificate, "coverage": cmd_coverage, "verify": cmd_verify}
     try:

@@ -137,14 +137,13 @@ def fixed_unit_generators(n, r):
     """
     steps = coset_steps(n, r)
     units = [SElement.constant(n, -1)]
-    residues = [n - 1]
-    covered = set(subgroup_closure(residues, n))
+    covered = {1, n - 1}
     for a in range(3, n, 2):
         power = pow(a, len(steps), n)
         if gcd(a, n) == 1 and power not in covered:
             units.append(_checked_unit(n, steps, a)[0])
-            residues.append(power)
-            covered = set(subgroup_closure(residues, n))
+            # the <power>-orbits of a subgroup's elements make up the subgroup it and power generate
+            covered.update(itertools.chain.from_iterable(_orbits(n, (power,), covered)))
     return units
 
 
@@ -301,9 +300,11 @@ def exhaustive_fixed_units(n, r, bound=2):
     middle. With p < 2^26 every reduced value lies below p and a factor (a
     grid value plus an offset) below 2p, so each int64 product stays below
     2^54; a sum of d weights times values below p stays below d*bound*2^26,
-    far from 2^63 while the guard holds. The grid holds at most _BLOCK_LIMIT
-    values, whatever n; the final order is canonical. numpy is imported
-    only once the guard has passed.
+    far from 2^63 while the guard holds. The grid adds one reduced value per
+    inner orbit and is reduced once, at the end: its sums of inner values
+    below p stay below inner*2^26 < n*2^26, as far from 2^63. The grid holds
+    at most _BLOCK_LIMIT values, whatever n; the final order is canonical.
+    numpy is imported only once the guard has passed.
     """
     bound = index(bound)
     if bound < 0:
@@ -332,10 +333,13 @@ def exhaustive_fixed_units(n, r, bound=2):
     inner = d
     while inner and len(weights) ** inner * len(orbit_values[0]) > _BLOCK_LIMIT:
         inner -= 1
+    # the last inner orbit first, each later one prepended as the most significant axis,
+    # so that the long axis of the broadcast is innermost
     columns = np.zeros((len(orbit_values[0]), 1), dtype=np.int64)
-    for values in orbit_values[d - inner :]:
+    for values in orbit_values[d - inner :][::-1]:
         step = np.multiply.outer(values, weights) % p
-        columns = _reduce((columns[:, :, None] + step[:, None, :]).reshape(len(columns), -1), p)
+        columns = (step[:, :, None] + columns[:, None, :]).reshape(len(columns), -1)
+    columns = _reduce(columns, p)
     places = len(weights) ** np.arange(inner - 1, -1, -1)
     outer = itertools.product(weights.tolist(), repeat=d - inner)
     units = []

@@ -138,7 +138,18 @@ class GroupRingElement(_IntegralElement):
         return GroupRingElement._new(self.n, tuple(out))
 
     def is_tau_fixed(self, tau):
-        return self.tau_apply(tau) == self
+        self._require_same_order(tau)
+        return _is_fixed(self.coeffs, tau.r)
+
+
+def _is_fixed(coeffs, r):
+    """Whether the group-ring element with these n coefficients is fixed by sigma -> sigma^r.
+
+    The image has coefficient c[i] at sigma^(i*r mod n), so it equals the
+    element exactly when c[i*r mod n] == c[i] for every i; no image is built.
+    """
+    n = len(coeffs)
+    return all(coeffs[i * r % n] == c for i, c in enumerate(coeffs))
 
 
 def partial_norm(n, g, j):

@@ -7,7 +7,7 @@ import operator
 from math import gcd
 
 from ._primes import _is_prime, _prime_divisors
-from .group_ring import GroupRingElement, _IntegralElement, _orbits
+from .group_ring import GroupRingElement, _IntegralElement, _is_fixed, _orbits
 
 
 class NotInvertibleError(ArithmeticError):
@@ -125,8 +125,11 @@ def _root_of_exact_order(n, p):
             return w
 
 
+_LEVELS = {}
+
+
 def _levels(n, r):
-    """The cyclotomic levels of S under rho -> rho^r: [(d, size, roots)], fewest roots first.
+    """The cyclotomic levels of S under rho -> rho^r: ((d, size, roots), ...), fewest roots first.
 
     Levels with as many roots are ordered by d. roots holds the least j of
     each <r>-orbit (group_ring._orbits) of the j in Z/n of order d, for each
@@ -136,12 +139,19 @@ def _levels(n, r):
     product P_d of its values at w^j over roots is the norm of s(zeta_d) from
     the fixed field of <r> in Q(zeta_d), an integer. N(s) is the product of
     the P_d ** size (Washington, Introduction to Cyclotomic Fields, ch. 2 and 8).
+
+    Kept per (n, r), as _prime keeps its primes per n; all tuples, so that no
+    caller can change a kept value.
     """
-    levels = {}
-    for orbit in _orbits(n, (r,))[1:]:
-        d = n // gcd(orbit[0], n)
-        levels.setdefault(d, (d, len(orbit), []))[2].append(orbit[0])
-    return sorted(levels.values(), key=lambda level: (len(level[2]), level[0]))
+    key = (n, r)
+    if key not in _LEVELS:
+        levels = {}
+        for orbit in _orbits(n, (r,))[1:]:
+            d = n // gcd(orbit[0], n)
+            levels.setdefault(d, (d, len(orbit), []))[2].append(orbit[0])
+        _LEVELS[key] = tuple(sorted(((d, size, tuple(roots)) for d, size, roots in levels.values()),
+                                    key=lambda level: (len(level[2]), level[0])))
+    return _LEVELS[key]
 
 
 def _prime_count(n, levels, spread):
@@ -211,15 +221,20 @@ def is_unit(s, tau=None):
     """Whether s is invertible in S, i.e. whether every P_d of its levels is +-1.
 
     tau is a TauData that fixes s, checked in O(n) (ValueError if it does
-    not); None stands for rho -> rho, which fixes every s. With tau, s is
+    not); None stands for rho -> rho, which fixes every s. The check is on
+    the canonical lift: a permuted lift has the lift's coefficient sum, so it
+    differs from the lift by a multiple k*N of the norm element only for
+    k = 0, and s is fixed exactly when its lift is. With tau, s is
     evaluated at one root per <r>-orbit, and each level's prime count has
     exponent c_d, the number of its orbits. P_d = +1 exactly when it is 1
     modulo every prime _prime_count calls for, and -1 exactly when it is -1
     modulo each. The first prime that breaks the pattern rejects s; most
     non-units fail at the first.
     """
-    if tau is not None and tau_apply_s(s, tau) != s:
-        raise ValueError(f"{s!r} is not fixed by rho -> rho^{tau.r}")
+    if tau is not None:
+        s._require_same_order(tau)
+        if not _is_fixed(s.coeffs + (0,), tau.r):
+            raise ValueError(f"{s!r} is not fixed by rho -> rho^{tau.r}")
     signs = {}
     for p, residues in _level_residues(s, _levels(s.n, 1 if tau is None else tau.r)):
         for level, residue in enumerate(residues):

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -344,6 +346,7 @@ def test_main_builds_no_parser(capsys, monkeypatch):
         raise AssertionError("main built a parser")
 
     monkeypatch.setattr(cli, "build_parser", no_parser)
+    monkeypatch.setattr(cli, "_build_parsers", no_parser)
     assert run_cli(capsys, "coverage", "--n", "7", "--r", "6")[0] == EXIT_OK
     assert run_cli(capsys, "certificate", "--n", "5", "--r", "4", "--l", "2")[0] == EXIT_OK
 
@@ -387,6 +390,89 @@ def test_a_usage_error_leaves_the_shared_parser_as_it_was(capsys):
     assert errors[0] == errors[1] == errors[2]
     assert errors[0].out == "" and "required: --r" in errors[0].err
     assert run_cli(capsys, *valid) == before
+
+
+def load_cli_digest():
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# beyond the digest's argument lists: leftovers, "--" tails, an attached value, an
+# abbreviated option, help after a command, options before the command, no command
+PARSE_EXTRAS = (
+    ["coverage", "--n", "5", "--r", "1", "extra"],
+    ["verify", "--suite", "all", "extra", "more"],
+    ["coverage", "extra", "--n", "5", "--r", "1"],
+    ["certificate", "--n", "5", "--r", "4", "--l", "2", "--", "--x"],
+    ["coverage", "--n", "5", "--r", "1", "--"],
+    ["coverage", "--", "--n", "5", "--r", "1"],
+    ["coverage", "--n=5", "--r=1"],
+    ["coverage", "--n", "5", "--r", "1", "--form", "json"],
+    ["coverage", "--n", "5", "--r", "1", "--ex", "1", "--se", "3"],
+    ["coverage", "--n", "5", "--r", "1", "--n", "7"],
+    ["coverage", "--n", "5", "--r", "1", "--format", "xml"],
+    ["coverage", "--n", "5", "--r", "1", "--seed"],
+    ["coverage", "--n", "5", "--r", "1", "--bogus", "1"],
+    ["certificate", "-h"],
+    ["verify", "--suite", "all", "--help"],
+    ["coverage", "--he"],
+    ["--n", "5", "coverage", "--r", "1"],
+    ["--format", "json", "verify", "--suite", "all"],
+    ["-h", "coverage"],
+    ["--", "coverage", "--n", "5", "--r", "1"],
+    ["nope", "--n", "5"],
+    ["coverage"],
+    [],
+)
+
+
+def parse_outcome(parse, argv):
+    """(vars of the namespace or None, exit code or None, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    namespace = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parse(list(argv)))
+        except SystemExit as exc:
+            code = exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+def test_a_command_is_parsed_as_the_top_level_parser_parses_it(monkeypatch):
+    # the command's own subparser, then the top-level report of leftovers, must give
+    # what argparse's two nested passes give, help texts and usage errors included
+    from sdpcert import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [*load_cli_digest().invocations(), *PARSE_EXTRAS]
+    assert len(argvs) > 2200
+    exits = 0
+    for argv in argvs:
+        expected = parse_outcome(cli._PARSER.parse_args, argv)
+        assert parse_outcome(cli._parse, argv) == expected, argv
+        exits += expected[1] is not None
+    assert exits >= 25
+
+
+def test_leftovers_after_a_command_are_reported_under_the_top_level_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certificate", "--n", "5", "--r", "4", "--l", "2", "--", "--x"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sdpcert [-h] {coverage,certificate,verify} ...\n")
+    assert err.endswith("sdpcert: error: unrecognized arguments: -- --x\n")
+
+
+def test_the_commands_are_the_subparsers_of_the_parser():
+    from sdpcert import cli
+
+    assert list(cli._COMMANDS) == ["coverage", "certificate", "verify"]
+    assert all(parser.prog == f"sdpcert {name}" for name, parser in cli._COMMANDS.items())
 
 
 CASE_COUNTS = {

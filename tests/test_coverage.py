@@ -197,6 +197,25 @@ def test_fixed_unit_generators_match_the_tau_symmetrize_loop(n):
         assert set(subgroup_closure(former, n)) <= set(coverage_subgroup(n, r).subgroup), r
 
 
+def generator_residues_by_reclosing(n, r):
+    """The residues fixed_unit_generators keeps, the subgroup re-closed after each; the reference."""
+    e = len(coset_steps(n, r))
+    residues = [n - 1]
+    for a in range(3, n, 2):
+        power = pow(a, e, n)
+        if gcd(a, n) == 1 and power not in subgroup_closure(residues, n):
+            residues.append(power)
+    return residues
+
+
+def test_fixed_unit_generators_grow_the_covered_subgroup_from_each_new_residue():
+    pairs = [(n, r) for n in range(2, 80) for r in valid_r(n)]
+    assert len(pairs) > 1900
+    for n, r in pairs:
+        residues = [eps_bar(u) for u in fixed_unit_generators(n, r)]
+        assert residues == generator_residues_by_reclosing(n, r), (n, r)
+
+
 def test_fixed_unit_generators_contains_minus_one():
     assert SElement.constant(3, -1) in fixed_unit_generators(3, 2)
 
@@ -470,7 +489,7 @@ def test_levels_are_the_cyclotomic_factors_of_the_norm():
                 for (d, size, level_roots), group, residue in zip(levels, groups, residues):
                     assert size == multiplicative_order(r, d), (n, r, d)
                     assert all(n // gcd(j, n) == d for j in level_roots), (n, r, d)
-                    assert [roots[i] for i in group] == level_roots, (n, r, d)
+                    assert tuple(roots[i] for i in group) == level_roots, (n, r, d)
                     level = coverage._level_product(np.array(values)[:, None], [0] * len(values), group, p)
                     assert int(level[0]) == residue, (n, r, d, row)
                     level = pow(int(level[0]), size, p)

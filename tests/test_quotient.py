@@ -16,11 +16,12 @@ from sdpcert.coverage import (
     cyclotomic_unit,
     cyclotomic_unit_inverse,
     fixed_unit_generators,
+    tau_symmetrize,
     verify_report,
 )
 from sdpcert._primes import _prime_divisors
 from sdpcert.finitefield import PrimeField, _is_prime
-from sdpcert.group_ring import GroupRingElement, TauData, full_norm
+from sdpcert.group_ring import GroupRingElement, OrderMismatchError, TauData, _is_fixed, full_norm
 from sdpcert.linalg import resultant
 from sdpcert.quotient import (
     NotInvertibleError,
@@ -450,7 +451,10 @@ def crt_constant(primes, signs):
 
 
 def levels_by_one_bytearray_walk(n, r):
-    """_levels as it walked j -> j*r itself, over 1 ... n-1 with one bytearray; the reference."""
+    """_levels as it walked j -> j*r itself, over 1 ... n-1 with one bytearray; the reference.
+
+    Tuples all the way down, as _levels keeps them.
+    """
     levels = {}
     seen = bytearray(n)
     for j in range(1, n):
@@ -463,7 +467,8 @@ def levels_by_one_bytearray_walk(n, r):
             k = k * r % n
         d = n // gcd(j, n)
         levels.setdefault(d, (d, size, []))[2].append(j)
-    return sorted(levels.values(), key=lambda level: (len(level[2]), level[0]))
+    levels = sorted(levels.values(), key=lambda level: (len(level[2]), level[0]))
+    return tuple((d, size, tuple(roots)) for d, size, roots in levels)
 
 
 def test_levels_agree_with_one_bytearray_walk():
@@ -471,6 +476,73 @@ def test_levels_agree_with_one_bytearray_walk():
     assert len(pairs) > 1900
     for n, r in pairs:
         assert _levels(n, r) == levels_by_one_bytearray_walk(n, r), (n, r)
+
+
+@st.composite
+def coprime_pairs(draw, top=60):
+    n = draw(st.integers(2, top))
+    return n, draw(st.sampled_from([r for r in range(1, n) if gcd(r, n) == 1]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(coprime_pairs())
+def test_levels_are_kept_per_pair_as_tuples(pair):
+    n, r = pair
+    quotient._LEVELS.pop((n, r), None)
+    cold = _levels(n, r)
+    assert cold == levels_by_one_bytearray_walk(n, r), (n, r)
+    # a hit returns the kept object, which no caller can change
+    assert _levels(n, r) is cold
+    assert type(cold) is tuple
+    assert all(type(level) is tuple and type(level[2]) is tuple for level in cold)
+
+
+def test_a_cold_levels_cache_gives_what_a_warm_one_does(monkeypatch):
+    warm = [_levels(n, r) for n, r in [(12, 5), (21, 4), (33, 32), (7, 1)]]
+    monkeypatch.setattr(quotient, "_LEVELS", {})
+    cold = [_levels(n, r) for n, r in [(12, 5), (21, 4), (33, 32), (7, 1)]]
+    assert cold == warm
+    assert sorted(quotient._LEVELS) == [(7, 1), (12, 5), (21, 4), (33, 32)]
+
+
+def tau_fixed_by_image(g, tau):
+    """GroupRingElement.is_tau_fixed as it built the image and compared; the reference."""
+    return g.tau_apply(tau) == g
+
+
+@st.composite
+def elements_and_tau(draw):
+    n, r = draw(coprime_pairs())
+    tau = TauData(n, r)
+    s = SElement(n, draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1)))
+    if draw(st.booleans()):
+        # fixed, with coefficients that grow with the order of r
+        s = tau_symmetrize(SElement(n, [draw(st.integers(-1, 1)) for _ in range(n - 1)]), tau)
+    return s, tau
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(elements_and_tau())
+def test_the_fixedness_test_reads_the_coefficients_alone(case):
+    s, tau = case
+    fixed = tau_apply_s(s, tau) == s
+    assert _is_fixed(s.coeffs + (0,), tau.r) == fixed
+    assert lift(s).is_tau_fixed(tau) == tau_fixed_by_image(lift(s), tau) == fixed
+    g = lift(s) + GroupRingElement.sigma_power(s.n, 1)
+    assert g.is_tau_fixed(tau) == tau_fixed_by_image(g, tau) == _is_fixed(g.coeffs, tau.r)
+    if fixed:
+        assert is_unit(s, tau) == is_unit(s)
+    else:
+        with pytest.raises(ValueError) as caught:
+            is_unit(s, tau)
+        assert str(caught.value) == f"{s!r} is not fixed by rho -> rho^{tau.r}"
+
+
+def test_is_unit_refuses_a_tau_of_another_order():
+    with pytest.raises(OrderMismatchError):
+        is_unit(SElement.one(5), TauData(7, 1))
+    with pytest.raises(OrderMismatchError):
+        GroupRingElement.one(5).is_tau_fixed(TauData(7, 1))
 
 
 @pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (5, 2), (7, 3), (9, 2), (13, 2)])

@@ -33,7 +33,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("coverage_tour.py", "certificate_tour.py", "tower_tour.py", "crossed_product_tour.py")
 # one of each: argparse's errors (no command, a missing or unparsable option, a
-# bad choice) and the program's own (UsageError)
+# bad choice, arguments left over after a command, a "--" tail among them) and
+# the program's own (UsageError)
 USAGE_ERRORS = (
     [],
     ["coverage", "--n", "5"],
@@ -42,6 +43,8 @@ USAGE_ERRORS = (
     ["coverage", "--n", "7", "--r", "2", "--exhaustive", "-1"],
     ["certificate", "--n", "13", "--r", "12", "--l", "13"],
     ["verify", "--suite", "nope"],
+    ["coverage", "--n", "5", "--r", "1", "extra"],
+    ["certificate", "--n", "5", "--r", "4", "--l", "2", "--", "--x"],
 )
 
 
