@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from math import gcd
@@ -12,6 +13,10 @@ from .group_ring import GroupRingElement, _IntegralElement, _is_fixed, _orbits
 
 class NotInvertibleError(ArithmeticError):
     """Raised when inversion is requested for a non-unit of S."""
+
+
+class _NotFixedError(ValueError):
+    """Raised by is_unit when its tau does not fix s."""
 
 
 class SElement(_IntegralElement):
@@ -94,7 +99,15 @@ def lift(s):
 # powers below p, n - 1 products summed) cannot overflow for n <= 2048.
 _PRIME_CEILING = 1 << 26
 
-_PRIMES = {}
+_CACHE_SIZE = 128  # the most recently used n keep their kernel primes, and (n, r) their levels
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _prime_table(n):
+    """The kernel primes of n found so far, as (p, powers) entries, and the iterator of the rest."""
+    top = (_PRIME_CEILING - 2) // n * n + 1
+    candidates = itertools.chain(range(top, n, -n), itertools.count(top + n, n))
+    return [], (c for c in candidates if _is_prime(c))
 
 
 def _prime(n, k):
@@ -104,11 +117,7 @@ def _prime(n, k):
     1 + x + ... + x^(n-1) splits mod p with the distinct roots w^1, ..., w^(n-1),
     so S/pS is the product of the evaluations at those roots.
     """
-    if n not in _PRIMES:
-        top = (_PRIME_CEILING - 2) // n * n + 1
-        candidates = itertools.chain(range(top, n, -n), itertools.count(top + n, n))
-        _PRIMES[n] = ([], (c for c in candidates if _is_prime(c)))
-    entries, primes = _PRIMES[n]
+    entries, primes = _prime_table(n)
     while len(entries) <= k:
         p = next(primes)
         w = _root_of_exact_order(n, p)
@@ -125,9 +134,7 @@ def _root_of_exact_order(n, p):
             return w
 
 
-_LEVELS = {}
-
-
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _levels(n, r):
     """The cyclotomic levels of S under rho -> rho^r: ((d, size, roots), ...), fewest roots first.
 
@@ -143,15 +150,12 @@ def _levels(n, r):
     Kept per (n, r), as _prime keeps its primes per n; all tuples, so that no
     caller can change a kept value.
     """
-    key = (n, r)
-    if key not in _LEVELS:
-        levels = {}
-        for orbit in _orbits(n, (r,))[1:]:
-            d = n // gcd(orbit[0], n)
-            levels.setdefault(d, (d, len(orbit), []))[2].append(orbit[0])
-        _LEVELS[key] = tuple(sorted(((d, size, tuple(roots)) for d, size, roots in levels.values()),
-                                    key=lambda level: (len(level[2]), level[0])))
-    return _LEVELS[key]
+    levels = {}
+    for orbit in _orbits(n, (r,))[1:]:
+        d = n // gcd(orbit[0], n)
+        levels.setdefault(d, (d, len(orbit), []))[2].append(orbit[0])
+    return tuple(sorted(((d, size, tuple(roots)) for d, size, roots in levels.values()),
+                        key=lambda level: (len(level[2]), level[0])))
 
 
 def _prime_count(n, levels, spread):
@@ -234,7 +238,7 @@ def is_unit(s, tau=None):
     if tau is not None:
         s._require_same_order(tau)
         if not _is_fixed(s.coeffs + (0,), tau.r):
-            raise ValueError(f"{s!r} is not fixed by rho -> rho^{tau.r}")
+            raise _NotFixedError(f"{s!r} is not fixed by rho -> rho^{tau.r}")
     signs = {}
     for p, residues in _level_residues(s, _levels(s.n, 1 if tau is None else tau.r)):
         for level, residue in enumerate(residues):
@@ -242,6 +246,14 @@ def is_unit(s, tau=None):
             if not sign or signs.setdefault(level, sign) != sign:
                 return False
     return True
+
+
+def _fixed_and_unit(s, tau):
+    """(tau fixes s, s is a unit) by is_unit with tau, or without it when is_unit finds s not fixed."""
+    try:
+        return True, is_unit(s, tau)
+    except _NotFixedError:
+        return False, is_unit(s)
 
 
 def _multiplication_matrix(s):

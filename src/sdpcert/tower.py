@@ -1,4 +1,4 @@
-"""Exact Galois tower models: a degree-6 number-field tower and finite cyclic towers.
+"""Exact Galois tower models: radical number-field towers and finite cyclic towers.
 
 Both models expose the same surface: a cyclic automorphism sigma of order n,
 an automorphism tau of order m with tau sigma tau^-1 = sigma^r, distinguished
@@ -17,8 +17,9 @@ from math import gcd, lcm
 
 from . import linalg
 from ._element import ExactElement, _Immutable
+from ._primes import _is_prime
 from .finitefield import ExtFieldElement, _smallest_extension, gf
-from .group_ring import GroupRingElement
+from .group_ring import GroupRingElement, TauData
 
 
 class TowerElement(ExactElement):
@@ -405,66 +406,50 @@ class NumberTower:
         return f"NumberTower(dim={self.dim}, n={self.n}, m={self.m}, r={self.r})"
 
 
-def _reduce_s3_monomial(coeff, a, e):
-    """Rewrite coeff * zeta^a * c^e on the basis zeta^{0,1} c^{0,1,2} (zeta^2=-1-zeta, c^3=2)."""
-    while e >= 3:
-        coeff *= 2
-        e -= 3
-    a %= 3
-    if a == 2:
-        return [(-coeff, 0, e), (-coeff, 1, e)]
-    return [(coeff, a, e)]
+def radical_tower(p, a, r, b, lam):
+    """Q(zeta_p, c) with c^p = a: an exact tower of degree p(p - 1) with group C_p x| C_(p-1).
 
+    Basis zeta^i c^e (i < p - 1, e < p) at index p*i + e, labelled 1, c, c2, z, zc, ..., z2c3, ...;
+    sigma: c -> zeta*c (n = p), tau: zeta -> zeta^r (m = p - 1), t = r^-1 mod p, s = (rt - 1)/p,
+    and rationals b and lambda; NumberTower checks the rest. ValueError when p is not prime,
+    when r is not a primitive root mod p, or when a is x^p for an integer x, as then X^p - a
+    splits and the table is no field's.
+    """
+    p, a, r = operator.index(p), operator.index(a), operator.index(r)
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if r % p == 0 or TauData(p, r % p).m != p - 1:
+        raise ValueError(f"r = {r} is not a primitive root mod {p}")
+    root, high = 0, 1 << (abs(a).bit_length() // p + 1)  # bisect root^p <= |a| < high^p
+    while high - root > 1:
+        middle = (root + high) // 2
+        root, high = (middle, high) if middle**p <= abs(a) else (root, middle)
+    if root**p == abs(a) and (a >= 0 or p % 2):
+        raise ValueError(f"a = {a} is ({root if a >= 0 else -root})^{p}, so X^{p} - a splits over Q")
+    dim = p * (p - 1)
 
-def _s3_index(a, e):
-    return 3 * a + e
+    def monomial(i, e):
+        """The coordinates of zeta^i c^e for any i and e >= 0, by c^p = a and zeta^p = 1."""
+        coords, i, e, scale = [0] * dim, i % p, e % p, a ** (e // p)
+        for k in [i] if i < p - 1 else range(p - 1):  # zeta^(p-1) = -(1 + ... + zeta^(p-2))
+            coords[p * k + e] = scale if i < p - 1 else -scale
+        return coords
+
+    basis = [(i, e) for i in range(p - 1) for e in range(p)]
+    t = pow(r, -1, p)
+    return NumberTower(
+        labels=["z" * (i > 0) + str(i) * (i > 1) + "c" * (e > 0) + str(e) * (e > 1) or "1" for i, e in basis],
+        table=[[monomial(i + j, e + f) for j, f in basis] for i, e in basis],
+        sigma_matrix=list(zip(*(monomial(i + e, e) for i, e in basis))),
+        tau_matrix=list(zip(*(monomial(r * i, e) for i, e in basis))),
+        n=p, m=p - 1, r=r, t=t, s=(r * t - 1) // p,
+        b_coords=[b] + [0] * (dim - 1), lam_coords=[lam] + [0] * (dim - 1),
+    )
 
 
 def builtin_s3():
-    """The splitting field of x^3 - 2 as an exact 6-dimensional tower.
-
-    Basis zeta^a c^e with c a cube root of 2 and zeta a primitive cube root
-    of unity; sigma(c) = zeta*c fixes zeta, tau(zeta) = zeta^2 fixes c.
-    The parameters are (b, lambda) = (-1, -1) with r = t = 2, s = 1.
-    """
-    dim = 6
-    labels = ["1", "c", "c2", "z", "zc", "zc2"]
-    table = [[None] * dim for _ in range(dim)]
-    for a1 in range(2):
-        for e1 in range(3):
-            for a2 in range(2):
-                for e2 in range(3):
-                    vec = [0] * dim
-                    for coeff, a, e in _reduce_s3_monomial(1, a1 + a2, e1 + e2):
-                        vec[_s3_index(a, e)] += coeff
-                    table[_s3_index(a1, e1)][_s3_index(a2, e2)] = tuple(vec)
-    sigma_cols = []
-    tau_cols = []
-    for a in range(2):
-        for e in range(3):
-            vec = [0] * dim
-            for coeff, aa, ee in _reduce_s3_monomial(1, a + e, e):
-                vec[_s3_index(aa, ee)] += coeff
-            sigma_cols.append(vec)
-            vec = [0] * dim
-            for coeff, aa, ee in _reduce_s3_monomial(1, 2 * a, e):
-                vec[_s3_index(aa, ee)] += coeff
-            tau_cols.append(vec)
-    sigma_matrix = [[sigma_cols[j][i] for j in range(dim)] for i in range(dim)]
-    tau_matrix = [[tau_cols[j][i] for j in range(dim)] for i in range(dim)]
-    return NumberTower(
-        labels=labels,
-        table=table,
-        sigma_matrix=sigma_matrix,
-        tau_matrix=tau_matrix,
-        n=3,
-        m=2,
-        r=2,
-        t=2,
-        s=1,
-        b_coords=(-1, 0, 0, 0, 0, 0),
-        lam_coords=(-1, 0, 0, 0, 0, 0),
-    )
+    """The splitting field of x^3 - 2, with (b, lambda) = (-1, -1), r = t = 2 and s = 1."""
+    return radical_tower(3, 2, 2, -1, -1)
 
 
 class FiniteTower:

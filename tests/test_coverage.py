@@ -887,9 +887,11 @@ def test_generators_need_no_norm_test(monkeypatch):
 
 def test_coverage_builds_no_prime_table(monkeypatch):
     # with no norm test, a large n costs no table of root powers
-    monkeypatch.setattr(quotient, "_PRIMES", {})
+    def refuse(n):
+        raise AssertionError(f"kernel prime table built for n = {n}")
+
+    monkeypatch.setattr(quotient, "_prime_table", refuse)
     assert coverage_subgroup(503, 502).is_full
-    assert 503 not in quotient._PRIMES
 
 
 def test_coverage_is_plus_minus_the_e_th_powers():
@@ -939,3 +941,69 @@ FORMER_GAPS = (
 @pytest.mark.parametrize("n, r", FORMER_GAPS)
 def test_former_gaps_are_closed(n, r):
     assert set(oracle_subgroup(n, r)) <= set(coverage_subgroup(n, r).subgroup)
+
+
+def report_problems_testing_fixedness_twice(report):
+    """verify_report as it tested each generator with is_tau_fixed, then is_unit with tau; the reference."""
+    n = report.n
+    problems = []
+    tau = TauData(n, report.r)
+    if report.m != tau.m:
+        problems.append(f"m = {report.m} is not the order {tau.m} of {report.r} mod {n}")
+    for residue in report.subgroup:
+        if gcd(residue, n) != 1:
+            problems.append(f"residue {residue} is not a unit mod {n}")
+    for unit, residue in report.generators:
+        if eps_bar(unit) != residue:
+            problems.append(f"generator residue mismatch for {unit!r}")
+        fixed = lift(unit).is_tau_fixed(tau)
+        if not is_unit(unit, tau if fixed else None):
+            problems.append(f"generator {unit!r} fails the unit test")
+        if not fixed:
+            problems.append(f"generator {unit!r} is not tau-fixed after lifting")
+    residues = [residue for _, residue in report.generators if gcd(residue, n) == 1]
+    if subgroup_closure(residues, n) != report.subgroup:
+        problems.append("subgroup is not the closure of the generator residues")
+    if report.is_full != (report.subgroup == tuple(sorted(valid_r(n)))):
+        problems.append(f"is_full = {report.is_full} disagrees with the subgroup")
+    return problems
+
+
+def reports_valid_tampered_and_random():
+    for n, r in ((7, 2), (7, 6), (13, 12), (13, 4), (16, 15), (21, 20)):
+        report = coverage_subgroup(n, r)
+        yield report
+        for extra in (SElement.rho_power(n, 1), SElement.constant(n, 2),
+                      SElement.rho_power(n, 1) + 1, SElement.constant(n, -1)):
+            yield dataclasses.replace(report, generators=report.generators + ((extra, 1),))
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randint(2, 16)
+        r = rng.choice(valid_r(n))
+        units = [SElement(n, [rng.randint(-2, 2) for _ in range(n - 1)]) for _ in range(3)]
+        units = [random_fixed_s(rng, n, TauData(n, r)) if rng.random() < 0.5 else s for s in units]
+        yield dataclasses.replace(coverage_subgroup(n, r),
+                                  generators=tuple((s, rng.randrange(n)) for s in units))
+
+
+def test_report_fixedness_is_tested_once_with_the_problems_unchanged(monkeypatch):
+    def refuse(self, tau):
+        raise AssertionError("is_tau_fixed called")
+
+    calls = []
+    real_fixed = quotient._is_fixed
+
+    def count_fixed(coeffs, r):
+        calls.append(r)
+        return real_fixed(coeffs, r)
+
+    references = [(report, report_problems_testing_fixedness_twice(report))
+                  for report in reports_valid_tampered_and_random()]
+    assert sum("tau-fixed" in " ".join(problems) for _, problems in references) >= 10
+    assert sum("unit test" in " ".join(problems) for _, problems in references) >= 10
+    monkeypatch.setattr(GroupRingElement, "is_tau_fixed", refuse)
+    monkeypatch.setattr(quotient, "_is_fixed", count_fixed)
+    for report, reference in references:
+        calls.clear()
+        assert verify_report(report) == reference, report
+        assert len(calls) == len(report.generators), report

@@ -1,13 +1,21 @@
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from sdpcert import quotient
 from sdpcert import tower as tow
-from sdpcert.coverage import coverage_subgroup
+from sdpcert.checks import CheckResult
+from sdpcert.coverage import coverage_subgroup, tau_symmetrize
 from sdpcert.group_ring import GroupRingElement, TauData, full_norm
 from sdpcert.monomial import (
+    Certificate,
     ExponentMismatchError,
     NormSetMap,
     NotCoveredError,
@@ -19,7 +27,7 @@ from sdpcert.monomial import (
     tau_conjugate,
     verify_certificate,
 )
-from sdpcert.quotient import SElement, invert, reduce
+from sdpcert.quotient import SElement, invert, is_unit, lift, reduce
 
 
 def random_map(rng, n, source_exp, span=2):
@@ -303,3 +311,96 @@ def test_certificate_for_negative_and_large_l():
         cert = make_certificate(5, 4, l)
         assert cert.l == l
         assert verify_certificate(cert).passed
+
+
+def unit_checks_testing_fixedness_twice(cert):
+    """The four fixedness and unit checks made as is_tau_fixed, then is_unit with tau; the reference."""
+    tau = TauData(cert.n, cert.r)
+    alpha_fixed = cert.alpha_tilde.is_tau_fixed(tau)
+    beta_fixed = cert.beta_tilde.is_tau_fixed(tau)
+    return (
+        CheckResult("alpha-tau-fixed", alpha_fixed),
+        CheckResult("beta-tau-fixed", beta_fixed),
+        CheckResult("alpha-unit", is_unit(reduce(cert.alpha_tilde), tau if alpha_fixed else None)),
+        CheckResult("beta-unit", is_unit(reduce(cert.beta_tilde), tau if beta_fixed else None)),
+    )
+
+
+def certificates_valid_tampered_and_random():
+    rho = GroupRingElement(7, (0, 1, 0, 0, 0, 0, 0))
+    for n, r in ((7, 6), (13, 12), (13, 4), (16, 15), (9, 8)):
+        for l in coverage_subgroup(n, r).subgroup:
+            cert = make_certificate(n, r, l)
+            yield cert
+            if n == 7:
+                yield dataclasses.replace(cert, alpha_tilde=cert.alpha_tilde + rho)
+                yield dataclasses.replace(cert, beta_tilde=cert.beta_tilde + rho)
+                yield dataclasses.replace(cert, alpha_tilde=rho, beta_tilde=rho * rho)
+                yield dataclasses.replace(cert, alpha_tilde=cert.alpha_tilde + full_norm(7))
+    rng = random.Random(29)
+    for _ in range(120):
+        n = rng.randint(2, 16)
+        r = rng.choice([r for r in range(1, n) if gcd(r, n) == 1])
+        tau = TauData(n, r)
+        alpha, beta = (GroupRingElement(n, [rng.randint(-2, 2) for _ in range(n)]) for _ in "ab")
+        if rng.random() < 0.5:
+            alpha = lift(tau_symmetrize(reduce(alpha), tau))
+        yield Certificate(n=n, r=r, l=rng.randint(1, n), alpha_tilde=alpha, k=rng.randint(-2, 2),
+                          beta_tilde=beta, s=rng.randint(-2, 2))
+
+
+def test_fixedness_is_tested_once_with_the_checks_unchanged(monkeypatch):
+    def refuse(self, tau):
+        raise AssertionError("is_tau_fixed called")
+
+    calls = {"fixed": 0, "unit": 0}
+    real_fixed, real_unit = quotient._is_fixed, quotient.is_unit
+
+    def count_fixed(coeffs, r):
+        calls["fixed"] += 1
+        return real_fixed(coeffs, r)
+
+    def count_unit(s, tau=None):
+        calls["unit"] += 1
+        return real_unit(s, tau)
+
+    references = [(cert, unit_checks_testing_fixedness_twice(cert))
+                  for cert in certificates_valid_tampered_and_random()]
+    assert sum(not ref[0].passed for _, ref in references) >= 4
+    assert sum(ref[0].passed and ref[1].passed and not ref[2].passed for _, ref in references) >= 1
+    monkeypatch.setattr(GroupRingElement, "is_tau_fixed", refuse)
+    monkeypatch.setattr(quotient, "_is_fixed", count_fixed)
+    monkeypatch.setattr(quotient, "is_unit", count_unit)
+    for cert, reference in references:
+        calls.update(fixed=0, unit=0)
+        record = verify_certificate(cert)
+        assert record.checks[:4] == reference, cert
+        # one fixedness test per element; a unit test per element, and one more
+        # call for each element that is not fixed (its first call refuses it)
+        assert calls["fixed"] == 2, cert
+        assert calls["unit"] == 2 + (not reference[0].passed) + (not reference[1].passed), cert
+
+
+VERIFIER_PROBE = """
+import json, sys
+import sdpcert.monomial as monomial
+from sdpcert.group_ring import GroupRingElement
+
+data = json.loads(sys.argv[1])
+n = data["n"]
+cert = monomial.Certificate(
+    n=n, r=data["r"], l=data["l"], k=data["k"], s=data["s"],
+    alpha_tilde=GroupRingElement(n, data["alpha"]), beta_tilde=GroupRingElement(n, data["beta"]))
+print(monomial.verify_certificate(cert).passed, "sdpcert.coverage" in sys.modules)
+"""
+
+
+def test_verifying_a_certificate_does_not_load_the_producer():
+    cert = make_certificate(13, 12, 5)
+    data = {"n": cert.n, "r": cert.r, "l": cert.l, "k": cert.k, "s": cert.s,
+            "alpha": list(cert.alpha_tilde.coeffs), "beta": list(cert.beta_tilde.coeffs)}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", VERIFIER_PROBE, json.dumps(data)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False"]

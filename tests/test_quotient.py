@@ -138,13 +138,16 @@ def test_multiplication_matrix_columns_are_the_products_with_rho_powers():
             assert column == (s * SElement.rho_power(n, j)).coeffs, (s, j)
 
 
+def refuse_prime_table(n):
+    raise AssertionError(f"kernel prime table built for n = {n}")
+
+
 def test_invert_builds_no_prime_table(monkeypatch):
     # the linear solve shares nothing with the modular norm kernel
-    monkeypatch.setattr(quotient, "_PRIMES", {})
+    monkeypatch.setattr(quotient, "_prime_table", refuse_prime_table)
     steps = coset_steps(211, 210)
     unit = cyclotomic_unit(211, steps, 3)
     assert invert(unit) == cyclotomic_unit_inverse(211, steps, 3)
-    assert 211 not in quotient._PRIMES
 
 
 def test_unit_criterion_against_linear_solve_oracle():
@@ -488,7 +491,7 @@ def coprime_pairs(draw, top=60):
 @given(coprime_pairs())
 def test_levels_are_kept_per_pair_as_tuples(pair):
     n, r = pair
-    quotient._LEVELS.pop((n, r), None)
+    _levels.cache_clear()
     cold = _levels(n, r)
     assert cold == levels_by_one_bytearray_walk(n, r), (n, r)
     # a hit returns the kept object, which no caller can change
@@ -497,12 +500,41 @@ def test_levels_are_kept_per_pair_as_tuples(pair):
     assert all(type(level) is tuple and type(level[2]) is tuple for level in cold)
 
 
-def test_a_cold_levels_cache_gives_what_a_warm_one_does(monkeypatch):
-    warm = [_levels(n, r) for n, r in [(12, 5), (21, 4), (33, 32), (7, 1)]]
-    monkeypatch.setattr(quotient, "_LEVELS", {})
-    cold = [_levels(n, r) for n, r in [(12, 5), (21, 4), (33, 32), (7, 1)]]
+def test_a_cold_levels_cache_gives_what_a_warm_one_does():
+    pairs = [(12, 5), (21, 4), (33, 32), (7, 1)]
+    warm = [_levels(n, r) for n, r in pairs]
+    _levels.cache_clear()
+    cold = [_levels(n, r) for n, r in pairs]
     assert cold == warm
-    assert sorted(quotient._LEVELS) == [(7, 1), (12, 5), (21, 4), (33, 32)]
+    # the four pairs, and only they, are kept: asking again is a hit on each
+    assert _levels.cache_info().currsize == 4
+    assert [_levels(n, r) for n, r in pairs] == cold
+    assert _levels.cache_info().hits == 4
+
+
+def test_a_sweep_keeps_at_most_the_cache_bound():
+    # a long-lived process that sweeps pairs keeps a bounded set, the latest ones
+    assert quotient._CACHE_SIZE >= 64
+    pairs = [(n, r) for n in range(2, 200) for r in range(1, n) if gcd(r, n) == 1][:2000]
+    assert len(pairs) == 2000
+    for n, r in pairs:
+        _levels(n, r)
+        quotient._prime_table(n)
+    assert _levels.cache_info().currsize == quotient._CACHE_SIZE
+    assert quotient._prime_table.cache_info().currsize <= quotient._CACHE_SIZE
+    # a hit returns the kept object; an evicted pair is rebuilt equal
+    n, r = pairs[-1]
+    assert _levels(n, r) is _levels(n, r)
+    assert quotient._prime_table(n) is quotient._prime_table(n)
+    n, r = pairs[0]
+    assert _levels(n, r) == levels_by_one_bytearray_walk(n, r)
+    assert _levels.cache_info().currsize == quotient._CACHE_SIZE
+
+
+def test_an_evicted_prime_table_is_rebuilt_with_the_same_primes():
+    first = [quotient._prime(97, k) for k in range(3)]
+    quotient._prime_table.cache_clear()
+    assert [quotient._prime(97, k) for k in range(3)] == first
 
 
 def tau_fixed_by_image(g, tau):
