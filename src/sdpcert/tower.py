@@ -70,22 +70,18 @@ class TowerElement(ExactElement):
         return _element(self.tower, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
+        """A rational factor (nonzero only on basis element 1) scales the other's numerators;
+        any other pair goes through the tower's compiled product."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         tower = self.tower
-        dim = tower.dim
-        cells = tower._table.sparse
-        out = [0] * dim
-        for i, a in enumerate(self.num):
-            if a:
-                row = i * dim
-                for j, b in enumerate(other.num):
-                    if b:
-                        ab = a * b
-                        for k, c in cells[row + j]:
-                            out[k] += ab * c
-        return _element(tower, out, self.den * other.den * tower._table.den)
+        if not any(other.num[1:]):
+            return _scaled(tower, self, other)
+        if not any(self.num[1:]):
+            return _scaled(tower, other, self)
+        product, den = tower._product
+        return _element(tower, product(self.num, other.num), self.den * other.den * den)
 
     __rmul__ = __mul__
 
@@ -137,6 +133,12 @@ def _rational(value):
     if not isinstance(value, numbers.Rational):
         raise TypeError(f"tower coordinates must be rational, not {type(value).__name__}")
     return operator.index(value.numerator), operator.index(value.denominator)
+
+
+def _scaled(tower, x, q):
+    """x times the rational element q."""
+    a = q.num[0]
+    return _element(tower, [a * c for c in x.num], x.den * q.den)
 
 
 def _element(tower, num, den):
@@ -210,6 +212,72 @@ def _matrix_powers(matrix, top):
     return powers
 
 
+# Terms per parenthesized group of a generated sum: one flat chain of a few thousand
+# terms exceeds the compiler's nesting limit.
+_GROUP = 256
+
+
+def _sum_source(terms):
+    """The source of c1*v1 + c2*v2 + ... over the (c, v) pairs, every c an int literal; 0 when empty.
+
+    A coefficient of 1 or -1 is written as a sign alone.
+    """
+    if not terms:
+        return "0"
+    signed = [("- " if c < 0 else "+ ") + (v if abs(c) == 1 else f"{abs(c)}*{v}") for c, v in terms]
+    groups = [" ".join(signed[i:i + _GROUP]).removeprefix("+ ") for i in range(0, len(signed), _GROUP)]
+    return groups[0] if len(groups) == 1 else " + ".join(f"({group})" for group in groups)
+
+
+def _kernel_source(name, operands, outputs):
+    """def name(x, ...): unpack each operand x into x0, x1, ..., return the tuple of the output sums."""
+    dim = len(outputs)
+    lines = [f"def {name}({', '.join(operands)}):"]
+    lines += [f"    {', '.join(f'{x}{i}' for i in range(dim))}, = {x}" for x in operands]
+    lines += ["    return ("] + [f"        {_sum_source(terms)}," for terms in outputs] + ["    )"]
+    return "\n".join(lines) + "\n"
+
+
+def _product_source(table, dim):
+    """def product(a, b): the numerators of a*b over table.den.
+
+    Output k is the sum of c*a_i*b_j over the cells e_i e_j whose entry on e_k is c.
+    """
+    outputs = [[] for _ in range(dim)]
+    for cell, entries in enumerate(table.sparse):
+        i, j = divmod(cell, dim)
+        for k, c in entries:
+            outputs[k].append((c, f"a{i}*b{j}"))
+    return _kernel_source("product", ("a", "b"), outputs)
+
+
+def _map_source(matrix):
+    """def linear_map(x): the numerators of matrix @ x over matrix.den, one sum per row."""
+    return _kernel_source("linear_map", ("x",), [[(c, f"x{j}") for j, c in row] for row in matrix.sparse])
+
+
+def _compile(source, name):
+    """The function name that source defines; the source holds only int literals and fixed names."""
+    namespace = {}
+    exec(source, namespace)
+    return namespace[name]
+
+
+def _map_kernel(matrix):
+    """(the compiled map of matrix on numerators, the denominator of its results)."""
+    return _compile(_map_source(matrix), "linear_map"), matrix.den
+
+
+def _pack(entries, width):
+    """sum c * 2^(width*k) over the (k, c) pairs: vectors whose entries are all below
+    2^(width-1) in absolute value pack to equal integers exactly when they are equal."""
+    return sum(c << (width * k) for k, c in entries)
+
+
+# The compiled kernels, which do not pickle: unpickling compiles them again.
+_KERNELS = ("_product", "_sigma_map", "_tau_map", "_flatten_maps")
+
+
 class NumberTower:
     """Structure-constant model of a Galois field tower over Q.
 
@@ -220,6 +288,11 @@ class NumberTower:
     being distinct; a failed check raises, so a constructed tower always
     satisfies its invariants. The E-over-L basis and
     its coordinate maps are derived there too, once per tower.
+
+    The table compiles into one straight-line product, and sigma, tau and the
+    coordinate maps each into one straight-line linear map, all on numerators;
+    the kernels hold int literals and fixed names only. They do not pickle, so
+    a copied or unpickled tower compiles its own.
     """
 
     def __init__(self, labels, table, sigma_matrix, tau_matrix, n, m, r, t, s,
@@ -234,12 +307,29 @@ class NumberTower:
         self.r = r
         self.t = t
         self.s = s
+        self._compile_kernels()
         self.one = self.basis_element(0)
         self.zero = _element(self, [0] * self.dim, 1)
         self.b = TowerElement(self, b_coords)
         self.lam = TowerElement(self, lam_coords)
         self._self_check()
         self._l_basis, self._projections = self._l_coordinates()
+        self._flatten_maps = tuple(map(_map_kernel, self._projections))
+
+    def _compile_kernels(self):
+        """The product and the sigma and tau maps; the coordinate maps follow the E-over-L basis."""
+        self._product = _compile(_product_source(self._table, self.dim), "product"), self._table.den
+        self._sigma_map = _map_kernel(self._sigma)
+        self._tau_map = _map_kernel(self._tau)
+
+    def __getstate__(self):
+        """The attributes but the kernels (see _KERNELS), for copy, deepcopy and pickle."""
+        return {name: value for name, value in self.__dict__.items() if name not in _KERNELS}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._compile_kernels()
+        self._flatten_maps = tuple(map(_map_kernel, self._projections))
 
     @property
     def table(self):
@@ -265,17 +355,15 @@ class NumberTower:
     def element(self, coords):
         return TowerElement(self, coords)
 
-    def _apply(self, matrix, x):
-        num = x.num
-        return _element(
-            self, [sum(c * num[j] for j, c in row) for row in matrix.sparse], x.den * matrix.den
-        )
+    def _apply(self, kernel, x):
+        linear_map, den = kernel
+        return _element(self, linear_map(x.num), x.den * den)
 
     def sigma(self, x):
-        return self._apply(self._sigma, x)
+        return self._apply(self._sigma_map, x)
 
     def tau(self, x):
-        return self._apply(self._tau, x)
+        return self._apply(self._tau_map, x)
 
     def inverse(self, x):
         """The reciprocal of a rational x; of any other x, the inverse by the norm tower.
@@ -342,7 +430,7 @@ class NumberTower:
 
     def flatten(self, x):
         """Coordinates of x over the E-over-L basis of l_basis(), as elements of L."""
-        return [self._apply(projection, x) for projection in self._projections]
+        return [self._apply(kernel, x) for kernel in self._flatten_maps]
 
     def l_basis(self):
         return list(self._l_basis)
@@ -350,34 +438,63 @@ class NumberTower:
     def random_element(self, rng, span=5):
         return _element(self, [rng.randint(-span, span) for _ in range(self.dim)], 1)
 
-    def _is_ring_automorphism(self, matrix):
-        basis = [self.basis_element(i) for i in range(self.dim)]
-        images = [self._apply(matrix, e) for e in basis]
-        if images[0] != self.one:
+    def _is_ring_automorphism(self, matrix, packs, width):
+        """A(e_0) = e_0 and A(e_i) A(e_j) = A(e_i e_j) for every i, j, on the packed cells.
+
+        Over the denominator a^2 D: A(e_i) A(e_j) is the sum of A_pi A_qj (e_p e_q) over
+        p and q, and a A(e_i e_j) the sum of a c_l A(e_l) over the entries c_l of e_i e_j.
+        """
+        dim, a = self.dim, matrix.den
+        if [row[0] for row in matrix.rows] != [a] + [0] * (dim - 1):
             return False
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if images[i] * images[j] != self._apply(matrix, basis[i] * basis[j]):
-                    return False
-        return True
+        columns = [[(p, row[i]) for p, row in enumerate(matrix.rows) if row[i]] for i in range(dim)]
+        images = [a * _pack(column, width) for column in columns]
+        # half[p][j] packs e_p A(e_j)
+        half = [[sum(y * packs[p * dim + q] for q, y in column) for column in columns]
+                for p in range(dim)]
+        cells = self._table.sparse
+        return all(
+            sum(x * half[p][j] for p, x in columns[i])
+            == sum(c * images[l] for l, c in cells[i * dim + j])
+            for i in range(dim) for j in range(i, dim)
+        )
 
     def _self_check(self):
-        """Validate the tower; a failed check raises RuntimeError naming it."""
-        basis = [self.basis_element(i) for i in range(self.dim)]
-        for j in range(self.dim):
-            if basis[0] * basis[j] != basis[j]:
-                raise RuntimeError("basis element 0 is not the multiplicative identity")
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if basis[i] * basis[j] != basis[j] * basis[i]:
-                    raise RuntimeError("multiplication table is not commutative")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if (basis[i] * basis[j]) * basis[k] != basis[i] * (basis[j] * basis[k]):
-                        raise RuntimeError("multiplication table is not associative")
+        """Validate the tower; a failed check raises RuntimeError naming it.
+
+        The table and the automorphisms are checked on the integer cells, with no
+        product of elements, since products run through the kernels compiled from
+        them. Cell i*dim + j holds the numerators of e_i e_j over the denominator D;
+        packed by a width at which every vector compared below fits, one integer
+        stands for each product of basis elements.
+        """
+        dim, table = self.dim, self._table
+        cells, den = table.sparse, table.den
+        if any(cells[j] != ((j, den),) for j in range(dim)):
+            raise RuntimeError("basis element 0 is not the multiplicative identity")
+        rows = table.rows
+        if any(rows[i * dim + j] != rows[j * dim + i] for i in range(dim) for j in range(i + 1, dim)):
+            raise RuntimeError("multiplication table is not commutative")
+        largest = max((abs(c) for cell in cells for _, c in cell), default=0)
+        widest = max((sum(abs(c) for _, c in cell) for cell in cells), default=0)
+        # no entry compared below exceeds bound: e_i (e_j e_k) has entries at most widest *
+        # largest; for A over a, with columns summing to at most column in absolute value
+        # and entries at most entry, A(e_i) A(e_j) at most column^2 * largest and
+        # a A(e_i e_j) at most a * widest * entry
+        bound = widest * largest
+        for matrix in (self._sigma, self._tau):
+            column = max((sum(map(abs, c)) for c in zip(*matrix.rows)), default=0)
+            entry = max((abs(c) for row in matrix.rows for c in row), default=0)
+            bound = max(bound, column * column * largest, matrix.den * widest * entry)
+        width = bound.bit_length() + 2
+        packs = [_pack(cell, width) for cell in cells]
+        # right[j*dim + k][i] packs e_i (e_j e_k), and (e_i e_j) e_k = e_k (e_i e_j)
+        right = [[sum(c * packs[i * dim + l] for l, c in cell) for i in range(dim)] for cell in cells]
+        if any(right[j * dim + k][i] != right[i * dim + j][k]
+               for i in range(dim) for j in range(dim) for k in range(dim)):
+            raise RuntimeError("multiplication table is not associative")
         for name, matrix in (("sigma", self._sigma), ("tau", self._tau)):
-            if not self._is_ring_automorphism(matrix):
+            if not self._is_ring_automorphism(matrix, packs, width):
                 raise RuntimeError(f"{name} is not a ring automorphism")
         sigma_powers = _matrix_powers(self._sigma, self.n)
         tau_powers = _matrix_powers(self._tau, self.m)
@@ -393,6 +510,9 @@ class NumberTower:
         tau_inverse = tau_powers[-2]
         if self._tau @ (self._sigma @ tau_inverse) != sigma_powers[self.r % self.n]:
             raise RuntimeError("tau sigma tau^-1 != sigma^r")
+        for name, x in (("b", self.b), ("lambda", self.lam)):
+            if not x:
+                raise RuntimeError(f"{name} must be nonzero")
         if self.sigma(self.b) != self.b or self.sigma(self.lam) != self.lam:
             raise RuntimeError("b and lambda must be sigma-fixed")
         if self.tau(self.b) != (self.lam**self.n) * (self.b**self.r):
