@@ -44,7 +44,7 @@ _MODULE_EXPORTS = {
     ),
     "tower": (
         "FiniteTower", "NormSetPoint", "NumberTower", "apply_monomial",
-        "apply_monomial_point", "builtin_finite", "builtin_s3", "dump_tower",
+        "apply_monomial_point", "builtin_s3", "dump_tower",
         "load_tower", "make_norm_point", "norm", "phi_k_apply", "radical_tower",
         "tau_hat",
     ),

@@ -4,19 +4,22 @@ _Immutable._new builds every immutable value from slot values already
 checked; no other code in the package calls object.__new__ or
 object.__setattr__. Outside input is checked only by a public constructor,
 a class's __new__, which ends in _new; every computed result goes to _new
-directly. Public constructors take integers, converted by operator.index,
-so a float, a Fraction or a string raises TypeError instead of being
-truncated; TowerElement takes numbers.Rational and raises TypeError for
-anything else. Every power converts its exponent by operator.index too.
-Every immutable value copies, deep-copies and pickles through _new as well.
+directly, except on a finite field with tables, which builds each of its
+elements once by _new and returns that one for every equal result. Public
+constructors take integers, converted by operator.index, so a float, a
+Fraction or a string raises TypeError instead of being truncated;
+TowerElement takes numbers.Rational and raises TypeError for anything else.
+Every power converts its exponent by operator.index too. Every immutable
+value copies, deep-copies and pickles through _new as well.
 
 ExactElement gives the five exact element classes subtraction, division
-and powers. GroupRingElement (Z[C_n]) and SElement (S) take the order
-check, int coercion, +, negation, integer scaling, ==, hash and repr from
+and powers; the finite-field elements write their own subtraction.
+GroupRingElement (Z[C_n]) and SElement (S) take the order check, int
+coercion, +, negation, integer scaling, ==, hash and repr from
 group_ring._IntegralElement and add their coefficient count, named
 constructors, __mul__ and inverse. PrimeFieldElement (GF(p)) and
-ExtFieldElement (GF(p^k)) take coercion, +, negation, inverse, powers, ==,
-hash and bool from finitefield._FieldElement, each one raw operation of
+ExtFieldElement (GF(p^k)) take coercion, +, -, negation, inverse, powers,
+==, hash and bool from finitefield._FieldElement, each one raw operation of
 the field, and add their public constructor, __mul__ and repr.
 TowerElement writes its own arithmetic on numerators over one common
 denominator.

@@ -6,32 +6,39 @@ first. An extension reaches its base only through the base's raw
 operations, so a nested base such as GF(4) under GF(16) runs through the
 same code as GF(p). Element objects wrap raw values at the surface.
 
-Both field classes provide the raw operations _add, _neg, _mul, _inv, _pow
-and _axpy (ys + c * xs on sequences of raw values), the constants _raw_zero
-and _raw_one, and _raw (an int, an element or, for an extension, a
-coefficient sequence, to a raw value), _wrap (raw value to element),
+Every field class provides the raw operations _add, _sub, _neg, _mul, _inv,
+_pow and _axpy (ys + c * xs on sequences of raw values), the constants
+_raw_zero and _raw_one, and _raw (an int, an element or, for an extension,
+a coefficient sequence, to a raw value), _wrap (raw value to element),
 _values (every raw value, in canonical order) and _random. The base _Field
 builds element (alias from_int), elements and random_element on them. The
-element base _FieldElement writes coercion, +, negation, inverse, powers,
-==, hash and bool once, each as one raw operation and _wrap; the public
-PrimeFieldElement and ExtFieldElement add only their constructor, __mul__
-and repr. Constructors take ints, never floats or strings: operator.index
-rejects those with TypeError.
+element base _FieldElement writes coercion, +, -, negation, inverse,
+powers, ==, hash and bool once, each as one raw operation and _wrap; the
+public PrimeFieldElement and ExtFieldElement add only their constructor,
+__mul__ and repr. Constructors take ints, never floats or strings:
+operator.index rejects those with TypeError.
 
-An extension multiplies and inverts by the polynomial route: products
-reduced by the modulus, and the extended Euclid algorithm. The fields this
-module builds from smallest_irreducible, gf(q) for a prime power q and
-the fields of FiniteTower, carry log tables when their order is at most
-_LOG_TABLE_MAX_ORDER (2^12): products, inverses and powers are then one
-lookup in the powers of a primitive element (Lidl and Niederreiter,
-Finite Fields, section 9.1). The polynomial route builds those tables, once
-per field and process, and stays the reference the tests compare them with.
+An ExtField multiplies and inverts by the polynomial route: products
+reduced by the modulus, and the extended Euclid algorithm. gf(q) for a
+prime power q and the field of a FiniteTower come from _smallest_extension,
+which keeps one canonical field per (base, degree), with the modulus of
+smallest_irreducible. When its order is at most _LOG_TABLE_MAX_ORDER (2^12)
+that field is a _TableField, on which every raw operation is a lookup that
+allocates nothing (Lidl and Niederreiter, Finite Fields, section 9.1): with
+exp[k] = g^k for a primitive g and log its inverse map, a product adds
+logarithms, and a sum g^i + g^j = g^i (1 + g^(j-i)) adds the Zech logarithm
+zech[j - i] = log(1 + g^(j-i)) to i. Negation adds log(-1), which is 0 in
+characteristic 2, and a difference is one such sum. Each element of a
+_TableField is made once, so _wrap is one dict lookup and field.element(v)
+is field.element(v). The polynomial route builds the tables, once per
+field and process, and stays the reference the tests compare them with.
 An ExtField built directly never has tables, since its modulus may be
 reducible.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -67,6 +74,13 @@ class _FieldElement(ExactElement):
         return field._wrap(field._add(self._value, other._value))
 
     __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        field = self.field
+        return field._wrap(field._sub(self._value, other._value))
 
     def __neg__(self):
         field = self.field
@@ -167,6 +181,9 @@ class PrimeField(_Field):
     def _add(self, a, b):
         return (a + b) % self.p
 
+    def _sub(self, a, b):
+        return (a - b) % self.p
+
     def _neg(self, a):
         return -a % self.p
 
@@ -207,7 +224,7 @@ class ExtFieldElement(_FieldElement):
         coeffs = tuple(coeffs)
         if len(coeffs) != field.degree:
             raise ValueError(f"expected {field.degree} coefficients, got {len(coeffs)}")
-        return cls._new(field, field._raw(coeffs))
+        return field._wrap(field._raw(coeffs))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -279,7 +296,7 @@ def _poly_inverse(a, modulus, field):
 
 
 class ExtField(_Field):
-    """base[y]/(modulus) for a monic modulus over the base field.
+    """base[y]/(modulus) for a monic modulus over the base field, by the polynomial route.
 
     The modulus must be irreducible for this to be a field; _is_irreducible
     works in the same ring with a modulus under test. Raw values are tuples
@@ -287,6 +304,8 @@ class ExtField(_Field):
     elements mix, exactly when their bases are equal and their moduli are
     the same; an equal order alone is not enough.
     """
+
+    _log = None  # the log table of a _TableField; an ExtField has none
 
     def __init__(self, base, modulus):
         modulus = tuple(base._raw(c) for c in modulus)
@@ -302,12 +321,9 @@ class ExtField(_Field):
         self._raw_one = (base._raw_one,) + self._raw_zero[1:]
         # y^degree = _top[0] + _top[1] y + ... modulo the modulus
         self._top = tuple(base._neg(c) for c in modulus[:-1])
-        # exp[k] = g^k for a primitive g and log its inverse map, set by
-        # _smallest_extension; None keeps the polynomial route
-        self._exp = self._log = None
-        self._cycle = self.order - 1
-        self.zero = self._wrap(self._raw_zero)
-        self.one = self._wrap(self._raw_one)
+        # by _new: the _wrap of a _TableField needs the tables, which come after
+        self.zero = ExtFieldElement._new(self, self._raw_zero)
+        self.one = ExtFieldElement._new(self, self._raw_one)
 
     def embed(self, base_value):
         return self._wrap((self.base._raw(base_value),) + self._raw_zero[1:])
@@ -341,48 +357,14 @@ class ExtField(_Field):
         base = self.base
         return tuple(base._axpy(base._raw_one, b, a))
 
+    def _sub(self, a, b):
+        base = self.base
+        return tuple(base._axpy(base._neg(base._raw_one), b, a))
+
     def _neg(self, a):
         return tuple(map(self.base._neg, a))
 
     def _mul(self, a, b):
-        log = self._log
-        if log is None:
-            return self._poly_mul(a, b)
-        i, j = log.get(a), log.get(b)  # only zero has no logarithm
-        if i is None or j is None:
-            return self._raw_zero
-        return self._exp[(i + j) % self._cycle]
-
-    def _inv(self, a):
-        if a == self._raw_zero:
-            raise ZeroDivisionError("0 has no inverse")
-        if self._log is None:
-            inverse = _poly_inverse(a, self.modulus, self.base)
-            return tuple(inverse) + self._raw_zero[len(inverse):]
-        return self._exp[-self._log[a] % self._cycle]
-
-    def _pow(self, a, exponent):
-        """a ** exponent: one lookup in the log tables, or square-and-multiply without them.
-
-        Neither the identity nor the square past the top bit is multiplied in.
-        """
-        if exponent < 0:
-            a, exponent = self._inv(a), -exponent
-        if self._log is not None:
-            k = self._log.get(a)  # only zero has no logarithm
-            if k is None:
-                return self._raw_one if exponent == 0 else a
-            return self._exp[k * exponent % self._cycle]
-        result = None
-        while exponent:
-            if exponent & 1:
-                result = a if result is None else self._mul(result, a)
-            exponent >>= 1
-            if exponent:
-                a = self._mul(a, a)
-        return self._raw_one if result is None else result
-
-    def _poly_mul(self, a, b):
         """Sum of a_i * (y^i * b), each y^i * b reduced by the monic modulus as it is made."""
         base = self.base
         axpy, zero = base._axpy, base._raw_zero
@@ -399,6 +381,28 @@ class ExtField(_Field):
                     shifted = axpy(lead, self._top, shifted)
         return tuple(acc)
 
+    def _inv(self, a):
+        if a == self._raw_zero:
+            raise ZeroDivisionError("0 has no inverse")
+        inverse = _poly_inverse(a, self.modulus, self.base)
+        return tuple(inverse) + self._raw_zero[len(inverse):]
+
+    def _pow(self, a, exponent):
+        """a ** exponent by square-and-multiply.
+
+        Neither the identity nor the square past the top bit is multiplied in.
+        """
+        if exponent < 0:
+            a, exponent = self._inv(a), -exponent
+        result = None
+        while exponent:
+            if exponent & 1:
+                result = a if result is None else self._mul(result, a)
+            exponent >>= 1
+            if exponent:
+                a = self._mul(a, a)
+        return self._raw_one if result is None else result
+
     def _axpy(self, c, xs, ys):
         add, mul = self._add, self._mul
         return [add(y, mul(c, x)) for x, y in zip(xs, ys)]
@@ -413,6 +417,89 @@ class ExtField(_Field):
 
     def __repr__(self):
         return f"ExtField(order={self.order})"
+
+
+class _TableField(ExtField):
+    """base[y]/(modulus) for an irreducible modulus, every raw operation a table lookup.
+
+    exp[k] = g^k for k < N - 1, where N is the order and g the first
+    primitive element in _values() order, log is its inverse map, and
+    zech[k] = log(1 + g^k), None where 1 + g^k = 0. Only zero has no
+    logarithm. _elements maps each raw value to its one element. An
+    ExtField of the same base and modulus, which has no tables, builds
+    them by the polynomial route.
+    """
+
+    def __init__(self, base, modulus):
+        super().__init__(base, modulus)
+        polynomial = ExtField(base, self.modulus)
+        self._cycle = self.order - 1
+        self._exp = exp = _primitive_powers(polynomial)
+        self._log = log = {value: k for k, value in enumerate(exp)}
+        one = self._raw_one
+        self._zech = [log.get(polynomial._add(one, value)) for value in exp]
+        self._log_minus_one = log[polynomial._neg(one)]  # 0 in characteristic 2
+        # keyed by the tuples of exp, so that no raw value is held twice
+        self._elements = {value: ExtFieldElement._new(self, value)
+                          for value in (self._raw_zero, *exp)}
+        self.zero = self._elements[self._raw_zero]
+        self.one = self._elements[one]
+
+    def _wrap(self, coeffs):
+        return self._elements[coeffs]
+
+    def _add(self, a, b):
+        log = self._log
+        i = log.get(a)
+        if i is None:
+            return b
+        j = log.get(b)
+        if j is None:
+            return a
+        k = self._zech[j - i]  # a negative index counts from the end: j - i mod N - 1
+        if k is None:
+            return self._raw_zero
+        return self._exp[(i + k) % self._cycle]
+
+    def _sub(self, a, b):
+        log = self._log
+        j = log.get(b)
+        if j is None:
+            return a
+        j += self._log_minus_one
+        i = log.get(a)
+        if i is None:
+            return self._exp[j % self._cycle]
+        k = self._zech[(j - i) % self._cycle]
+        if k is None:
+            return self._raw_zero
+        return self._exp[(i + k) % self._cycle]
+
+    def _neg(self, a):
+        i = self._log.get(a)
+        if i is None:
+            return a
+        return self._exp[(i + self._log_minus_one) % self._cycle]
+
+    def _mul(self, a, b):
+        log = self._log
+        i, j = log.get(a), log.get(b)
+        if i is None or j is None:
+            return self._raw_zero
+        return self._exp[(i + j) % self._cycle]
+
+    def _inv(self, a):
+        if a == self._raw_zero:
+            raise ZeroDivisionError("0 has no inverse")
+        return self._exp[-self._log[a] % self._cycle]
+
+    def _pow(self, a, exponent):
+        if exponent < 0:
+            a, exponent = self._inv(a), -exponent
+        k = self._log.get(a)
+        if k is None:
+            return self._raw_one if exponent == 0 else a
+        return self._exp[k * exponent % self._cycle]
 
 
 def _has_root(coeffs, base):
@@ -433,23 +520,24 @@ def _is_irreducible(coeffs, base):
     A root in the base is a linear factor, which rejects most candidates
     cheaply. Rabin's criterion decides the rest: x^(q^n) = x mod f, and
     x^(q^(n/l)) - x is coprime to f for each prime l dividing n. The powers
-    of x are taken in base[y]/(f), whose multiplication does not need f to
-    be irreducible, by repeated q-th powers.
+    of x are taken on raw values in base[y]/(f), whose multiplication does
+    not need f to be irreducible, by repeated q-th powers.
     """
     if _has_root(coeffs, base):
         return False
     degree = len(coeffs) - 1
     q = base.order
-    x = ExtField(base, coeffs).generator()
+    ring = ExtField(base, coeffs)
+    x = (base._raw_zero, base._raw_one) + ring._raw_zero[2:]
     frobenius = [x]
     for _ in range(degree):
-        frobenius.append(frobenius[-1] ** q)
+        frobenius.append(ring._pow(frobenius[-1], q))
     if frobenius[degree] != x:
         return False
     zero = base._raw_zero
     for prime in _prime_divisors(degree):
         a = list(coeffs)
-        b = _poly_trim(list((frobenius[degree // prime] - x).coeffs), zero)
+        b = _poly_trim(list(ring._sub(frobenius[degree // prime], x)), zero)
         while b:
             a, b = b, _poly_divmod(a, b, base)[1]
         if len(a) != 1:
@@ -465,6 +553,11 @@ def smallest_irreducible(base, degree):
     them for a nested base); the choice is deterministic, which keeps every
     downstream fixture reproducible.
     """
+    return _smallest_irreducible(base, degree)
+
+
+def _smallest_irreducible(base, degree):
+    """smallest_irreducible, for _smallest_extension: no public function of the module is called."""
     ordered = sorted(base._values())
     for combo in itertools.product(ordered, repeat=degree):
         coeffs = combo + (base._raw_one,)
@@ -474,44 +567,48 @@ def smallest_irreducible(base, degree):
 
 
 # 2^12 covers every field the library builds (343 elements at most) and the
-# GF(2^7) and GF(3^7) towers planned next. One field's tables stay under
-# 1 MB (0.74 MB at 2^12). A cold build takes 16 ms for GF(3^7) and 61 ms
-# for GF(2^12) on a 2-core x86 machine: the cost of about 6 000 polynomial
-# products there, each of which the tables replace by a lookup.
+# GF(2^7) and GF(3^7) towers planned next. At 2^12 one field's log and Zech
+# tables and its interned elements take 1.2 MB (tracemalloc; 0.8 MB of it the
+# exp and log tables). A cold build takes 40-50 ms for GF(3^7) and
+# 110-160 ms for GF(2^12) on a shared 2-core x86 machine, nearly all of it
+# the polynomial products of exp.
 _LOG_TABLE_MAX_ORDER = 2**12
 
-# (base, modulus) -> (exp, log) of every field with tables built so far
-_LOG_TABLES = {}
+# canonical fields kept per process; the most recently used stay
+_FIELD_CACHE_SIZE = 32
 
 
-def _log_tables(field):
-    """exp, the powers g^0 ... g^(N-2) of the first primitive g in _values() order, and log.
+def _primitive_powers(field):
+    """The powers g^0 ... g^(N-2) of the first primitive g in _values() order.
 
     N is the field's order and its modulus must be irreducible, so the
     nonzero values form a cyclic group of order N - 1; g is primitive when
-    g^((N-1)/l) != 1 for each prime l dividing N - 1. Only the polynomial
-    route is used: the field has no tables yet.
+    g^((N-1)/l) != 1 for each prime l dividing N - 1. The field's own
+    operations are used, so an ExtField builds them by the polynomial route.
     """
-    mul, one, cycle = field._poly_mul, field._raw_one, field.order - 1
+    one, cycle = field._raw_one, field.order - 1
     cofactors = [cycle // prime for prime in _prime_divisors(cycle)]
     for g in field._values():
         if g != field._raw_zero and all(field._pow(g, e) != one for e in cofactors):
             break
     exp = [one]
     for _ in range(cycle - 1):
-        exp.append(mul(exp[-1], g))
-    return exp, {value: k for k, value in enumerate(exp)}
+        exp.append(field._mul(exp[-1], g))
+    return exp
 
 
+@functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def _smallest_extension(base, degree):
-    """base[y]/(f) for f = smallest_irreducible(base, degree), with log tables when it is small."""
-    field = ExtField(base, smallest_irreducible(base, degree))
-    if field.order <= _LOG_TABLE_MAX_ORDER:
-        key = (base, field.modulus)
-        if key not in _LOG_TABLES:
-            _LOG_TABLES[key] = _log_tables(field)
-        field._exp, field._log = _LOG_TABLES[key]
-    return field
+    """The canonical base[y]/(f), f = smallest_irreducible(base, degree): a _TableField when small.
+
+    Equal bases share one field, so its tables are built once per process
+    while it stays cached. A miss calls no public function of the module,
+    so that a traced run counts the same calls cold and warm.
+    """
+    modulus = _smallest_irreducible(base, degree)
+    if base.order**degree <= _LOG_TABLE_MAX_ORDER:
+        return _TableField(base, modulus)
+    return ExtField(base, modulus)
 
 
 def gf(q):

@@ -300,7 +300,7 @@ def suite_monomial(seed=0):
             yield phi_first == monomial_first, {"n": n, "i": i, "k": k, "element": element.coeffs}
 
     def canonical_forms():
-        finite = tow.builtin_finite(5, 3, 2)
+        finite = tow.FiniteTower(5, 3, 2)
         base_points = [x for x in finite.field.elements() if tow.norm(finite, x) == finite.b]
         for _ in range(25):
             pt = tow.NormSetPoint(rng.choice(base_points), 1)

@@ -171,7 +171,8 @@ class _Matrix:
 
     @classmethod
     def from_rational(cls, rows):
-        rows = [[Fraction(c) for c in row] for row in rows]
+        # an int is its own numerator over denominator 1: only the other entries need a Fraction
+        rows = [[c if isinstance(c, int) else Fraction(c) for c in row] for row in rows]
         den = lcm(*(c.denominator for row in rows for c in row))
         return cls([[c.numerator * (den // c.denominator) for c in row] for row in rows], den)
 
@@ -579,6 +580,7 @@ class FiniteTower:
     """
 
     def __init__(self, q, n, b):
+        n = operator.index(n)  # a float n would hit the field cache kept for its int value
         if n < 2:
             raise ValueError("extension degree must be at least 2")
         base = gf(q)
@@ -639,11 +641,6 @@ class FiniteTower:
 
     def __repr__(self):
         return f"FiniteTower(q={self.q}, n={self.n})"
-
-
-def builtin_finite(q, n, b):
-    """Finite cyclic tower over the q-element field with the chosen norm target b."""
-    return FiniteTower(q, n, b)
 
 
 @dataclass(frozen=True, init=False)

@@ -22,7 +22,7 @@ from sdpcert.crossed import (
     tensor_power_check,
 )
 from sdpcert.linalg import rref
-from sdpcert.tower import builtin_finite, builtin_s3, norm
+from sdpcert.tower import FiniteTower, builtin_s3, norm
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ def s3_algebra():
 
 
 def test_standard_cocycle_n2():
-    tw = builtin_finite(3, 2, 2)
+    tw = FiniteTower(3, 2, 2)
     table = standard_cyclic_cocycle(tw)
     assert table[(1, 1)] == tw.b
     assert table[(0, 0)] == tw.one
@@ -41,12 +41,12 @@ def test_standard_cocycle_n2():
 
 def test_standard_cocycle_satisfies_condition():
     for q, n in ((3, 2), (5, 3), (3, 3)):
-        tw = builtin_finite(q, n, 2)
+        tw = FiniteTower(q, n, 2)
         assert cocycle_condition_holds(tw, standard_cyclic_cocycle(tw))
 
 
 def test_standard_cocycle_rejects_bad_b():
-    tw = builtin_finite(3, 2, 1)
+    tw = FiniteTower(3, 2, 1)
     with pytest.raises(ValueError):
         standard_cyclic_cocycle(tw, tw.zero)
     with pytest.raises(ValueError):
@@ -55,7 +55,7 @@ def test_standard_cocycle_rejects_bad_b():
 
 def test_defining_relations():
     rng = random.Random(0)
-    tw = builtin_finite(5, 3, 3)
+    tw = FiniteTower(5, 3, 3)
     algebra = CrossedProduct(tw)
     for _ in range(20):
         x = tw.random_element(rng)
@@ -67,7 +67,7 @@ def test_defining_relations():
 
 def test_multiplication_is_associative():
     rng = random.Random(1)
-    tw = builtin_finite(3, 3, 2)
+    tw = FiniteTower(3, 3, 2)
     algebra = CrossedProduct(tw)
     for _ in range(30):
         x, y, z = (tuple(tw.random_element(rng) for _ in range(3)) for _ in range(3))
@@ -78,7 +78,7 @@ def test_multiplication_is_associative():
 
 def test_corrupted_cocycle_breaks_associativity():
     rng = random.Random(2)
-    tw = builtin_finite(3, 3, 2)
+    tw = FiniteTower(3, 3, 2)
     algebra = CrossedProduct(tw)
     corrupted = dict(algebra.cocycle)
     corrupted[(1, 1)] = corrupted[(1, 1)] * tw.field.from_int(2)
@@ -417,7 +417,7 @@ def _nonzero(random_element):
 @pytest.mark.parametrize("q, n", [(None, 3), (3, 3), (5, 3), (7, 3)])
 def test_multiply_agrees_with_twisting_by_every_entry(q, n):
     rng = random.Random(20 + n + (q or 0))
-    tower = builtin_s3() if q is None else builtin_finite(q, n, 2)
+    tower = builtin_s3() if q is None else FiniteTower(q, n, 2)
 
     def draw():
         return tower.random_element(rng, 3) if q is None else tower.random_element(rng)

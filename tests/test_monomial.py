@@ -145,7 +145,7 @@ def test_tau_conjugate_round_trip_and_multiplicativity():
 
 def test_normalization_agrees_with_pointwise_action():
     rng = random.Random(5)
-    finite = tow.builtin_finite(5, 3, 2)
+    finite = tow.FiniteTower(5, 3, 2)
     points = [x for x in finite.field.elements() if tow.norm(finite, x) == finite.b]
     for _ in range(40):
         x = rng.choice(points)

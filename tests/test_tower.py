@@ -6,11 +6,11 @@ import pytest
 from sdpcert.group_ring import GroupRingElement, full_norm, partial_norm
 from sdpcert.linalg import rank_rational
 from sdpcert.tower import (
+    FiniteTower,
     NormSetPoint,
     NumberTower,
     apply_monomial,
     apply_monomial_point,
-    builtin_finite,
     builtin_s3,
     dump_tower,
     load_tower,
@@ -183,14 +183,14 @@ def test_formal_commutation_matches_points(s3):
 
 
 def test_builtin_finite_norm_counts():
-    tw = builtin_finite(3, 2, 1)
+    tw = FiniteTower(3, 2, 1)
     points = [x for x in tw.field.elements() if norm(tw, x) == tw.one]
     assert len(points) == 4  # (9 - 1) / (3 - 1)
 
 
 def test_builtin_finite_frobenius_order():
     for q, n in ((3, 2), (5, 3), (3, 3)):
-        tw = builtin_finite(q, n, 1)
+        tw = FiniteTower(q, n, 1)
         gen = tw.field.generator()
         images = {gen}
         x = gen
@@ -203,14 +203,14 @@ def test_builtin_finite_frobenius_order():
 
 def test_builtin_finite_norm_lands_in_base():
     rng = random.Random(5)
-    tw = builtin_finite(5, 3, 2)
+    tw = FiniteTower(5, 3, 2)
     for _ in range(20):
         x = tw.random_element(rng)
         assert tw.sigma(norm(tw, x)) == norm(tw, x)
 
 
 def test_builtin_finite_prime_power_base():
-    tw = builtin_finite(4, 2, 1)
+    tw = FiniteTower(4, 2, 1)
     assert tw.field.order == 16
     rng = random.Random(6)
     x, y = tw.random_unit(rng), tw.random_unit(rng)
@@ -220,11 +220,11 @@ def test_builtin_finite_prime_power_base():
 
 def test_builtin_finite_rejects_zero_b():
     with pytest.raises(ValueError):
-        builtin_finite(3, 2, 0)
+        FiniteTower(3, 2, 0)
 
 
 def test_make_norm_point_validates():
-    tw = builtin_finite(3, 2, 2)
+    tw = FiniteTower(3, 2, 2)
     with pytest.raises(ValueError):
         make_norm_point(tw, tw.one, 1)  # N(1) = 1 != b
 
@@ -251,7 +251,7 @@ def test_norm_set_points_take_integer_exponents_only(s3, k):
 def test_norm_set_points_convert_integers():
     import numpy as np
 
-    tw = builtin_finite(3, 2, 2)
+    tw = FiniteTower(3, 2, 2)
     pt = NormSetPoint(tw.one, np.int64(0))
     assert type(pt.k) is int
     assert pt == NormSetPoint(tw.one, False) == make_norm_point(tw, tw.one, 0)

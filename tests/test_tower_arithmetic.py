@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from sdpcert._element import ExactElement
 from sdpcert.group_ring import GroupRingElement
 from sdpcert.tower import (
+    FiniteTower,
     NumberTower,
     TowerElement,
     apply_monomial,
-    builtin_finite,
     builtin_s3,
     dump_tower,
     load_tower,
@@ -356,7 +356,7 @@ def test_apply_monomial_agrees_with_the_product_of_conjugate_powers(x, coeffs):
                     tower, coeffs, z), (tower, z, coeffs)
 
 
-FINITE_TOWERS = [builtin_finite(q, n, 1) for q, n in ((3, 2), (5, 3), (4, 2))]
+FINITE_TOWERS = [FiniteTower(q, n, 1) for q, n in ((3, 2), (5, 3), (4, 2))]
 
 
 @PROPERTY
