@@ -8,16 +8,10 @@ from dataclasses import dataclass
 
 from . import linalg
 from .checks import CheckResult, case_check, fact_check
-from .tower import FiniteTower, norm, sigma_partial_product
+from .tower import FiniteTower, _sigma_pow, norm, sigma_partial_product
 
 _TENSOR_GUARD_N = 3
 _TENSOR_GUARD_L = 2
-
-
-def _sigma_pow(tw, x, power):
-    for _ in range(power):
-        x = tw.sigma(x)
-    return x
 
 
 def standard_cyclic_cocycle(tw, b=None):
@@ -348,7 +342,7 @@ def _tau_on_algebra(algebra):
 
 
 def tau_action_check(algebra):
-    """Verify the tau-action on the crossed product over the degree-6 tower.
+    """Verify the tau-action on a crossed product over a NumberTower.
 
     Checks the defining relation against every basis element, the image of
     u^n, multiplicativity on the full algebra basis, and that the m-fold

@@ -11,12 +11,13 @@ that use them: a suite that does not check a layer does not load it.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from math import gcd
 
 from . import coverage as cov
 from . import monomial as mon
-from .checks import CheckResult, case_check
+from .checks import CheckResult, case_check, fact_check
 from .group_ring import GroupRingElement, TauData, full_norm, partial_norm, partial_norm_product
 from .quotient import (
     SElement,
@@ -97,18 +98,22 @@ def suite_group_ring(seed=0):
     ]
 
 
+def _orbit_weighted(tau, weights):
+    """weights[i] on every exponent of the i-th <r>-orbit of tau, in the order of TauData.orbits."""
+    coeffs = [0] * tau.n
+    for orbit, weight in zip(tau.orbits(), weights):
+        for e in orbit:
+            coeffs[e] = weight
+    return GroupRingElement(tau.n, coeffs)
+
+
 def random_fixed_s(rng, n, tau, span=9):
     """A random tau-fixed element of S, from orbit sums with random weights.
 
     One weight is drawn from [-span, span] per <r>-orbit, in the order of
     TauData.orbits.
     """
-    coeffs = [0] * n
-    for orbit in tau.orbits():
-        weight = rng.randint(-span, span)
-        for e in orbit:
-            coeffs[e] = weight
-    return reduce(GroupRingElement(n, coeffs))
+    return reduce(_orbit_weighted(tau, [rng.randint(-span, span) for _ in tau.orbits()]))
 
 
 def suite_quotient(seed=0):
@@ -335,120 +340,130 @@ def suite_monomial(seed=0):
 
 
 def s3_spanning_points(tw):
-    """Norm-set points whose elements span the degree-6 field, including x = -1."""
+    """Norm-set points of six units, with k = 0, and of their negatives, with k = 1.
+
+    The units are 1, zeta, c - 1, zeta (c - 1), (c - 1)^2 and zeta (c - 1)^2,
+    zeta and c found by their labels "z" and "c"; x = -1 is among the points.
+    On builtin_s3 the units span the field.
+    """
     from . import tower as tow
 
-    zeta = tw.basis_element(3)
-    c_minus_1 = tw.basis_element(1) - tw.one
-    units = [
-        tw.one,
-        zeta,
-        c_minus_1,
-        zeta * c_minus_1,
-        c_minus_1 * c_minus_1,
-        zeta * c_minus_1 * c_minus_1,
-    ]
+    zeta, c = (tw.basis_element(tw.labels.index(label)) for label in ("z", "c"))
+    c_minus_1 = c - tw.one
+    units = [z * d for d in (tw.one, c_minus_1, c_minus_1 * c_minus_1) for z in (tw.one, zeta)]
     points = [tow.make_norm_point(tw, u, 0) for u in units]
     points.extend(tow.make_norm_point(tw, -u, 1) for u in units)
     return points
 
 
-def suite_tower(seed=0):
+def tower_checks(tw, points, rng):
+    """The checks of a NumberTower tw on its norm-set points; rng draws the random cases.
+
+    Every size and exponent comes from tw: tau sigma = sigma^r tau on the basis,
+    tau-hat iterated m times, and the tau-fixed monomials as the weight vectors
+    in [-2, 2] over the <r>-orbits, in itertools.product order.
+    """
     from . import tower as tow
     from .linalg import rank_rational
 
-    rng = random.Random(seed)
-    s3 = tow.builtin_s3()
-    points = s3_spanning_points(s3)
-
     def construction():
-        yield s3.tau(s3.b) == s3.lam**3 * s3.b**2, {"identity": "tau(b) = lam^3 * b^2"}
-        yield s3.r * s3.t == s3.s * s3.n + 1, {"identity": "r*t = s*n + 1"}
-        for i in range(6):
-            x = s3.basis_element(i)
-            yield s3.tau(s3.sigma(s3.tau(x))) == s3.sigma(s3.sigma(x)), {
-                "identity": f"tau sigma tau = sigma^2 on basis element {i}"
+        yield tw.tau(tw.b) == tw.lam**tw.n * tw.b**tw.r, {
+            "identity": f"tau(b) = lam^{tw.n} * b^{tw.r}"
+        }
+        yield tw.r * tw.t == tw.s * tw.n + 1, {"identity": "r*t = s*n + 1"}
+        for i in range(tw.dim):
+            x = tw.basis_element(i)
+            yield tw.tau(tw.sigma(x)) == tow._sigma_pow(tw, tw.tau(x), tw.r), {
+                "identity": f"tau sigma = sigma^{tw.r} tau on basis element {i}"
             }
 
-    def fixed_dimension(matrix):
-        return 6 - rank_rational([[matrix[i][j] - (i == j) for j in range(6)] for i in range(6)])
+    def fixed_degrees():
+        def fixed_dimension(matrix):
+            size = range(tw.dim)
+            return tw.dim - rank_rational([[matrix[i][j] - (i == j) for j in size] for i in size])
+
+        sigma_dim, tau_dim = fixed_dimension(tw.sigma_matrix), fixed_dimension(tw.tau_matrix)
+        return (sigma_dim == tw.m and tau_dim == tw.n,
+                f"dim E^sigma = {sigma_dim}, dim E^tau = {tau_dim}")
 
     def norms():
         for _ in range(20):
-            x, y = s3.random_element(rng), s3.random_element(rng)
-            nx = tow.norm(s3, x)
+            x, y = tw.random_element(rng), tw.random_element(rng)
+            nx = tow.norm(tw, x)
             yield (
-                s3.sigma(nx) == nx and tow.norm(s3, x * y) == nx * tow.norm(s3, y)
+                tw.sigma(nx) == nx and tow.norm(tw, x * y) == nx * tow.norm(tw, y)
             ), {"x": x, "y": y}
 
+    def tau_hat_order():
+        for pt in points:
+            image = pt
+            for _ in range(tw.m):
+                image = tow.tau_hat(tw, image)
+            yield image.x == pt.x, {"x": pt.x, "k": pt.k}
+
     def fixed_monomials():
-        for a in range(-2, 3):
-            for w in range(-2, 3):
-                element = GroupRingElement(3, (a, w, w))
-                if element == GroupRingElement.zero(3):
-                    continue
-                for pt in points:
-                    if any(e < 0 for e in element.coeffs) and not pt.x:
-                        continue
-                    lhs = tow.tau_hat(s3, tow.apply_monomial_point(s3, element, pt))
-                    rhs = tow.apply_monomial_point(s3, element, tow.tau_hat(s3, pt))
-                    yield lhs == rhs, {"element": element.coeffs, "x": pt.x, "k": pt.k}
+        tau = TauData(tw.n, tw.r % tw.n)
+        for weights in itertools.product(range(-2, 3), repeat=len(tau.orbits())):
+            if not any(weights):
+                continue
+            element = _orbit_weighted(tau, weights)
+            for pt in points:
+                lhs = tow.tau_hat(tw, tow.apply_monomial_point(tw, element, pt))
+                rhs = tow.apply_monomial_point(tw, element, tow.tau_hat(tw, pt))
+                yield lhs == rhs, {"element": element.coeffs, "x": pt.x, "k": pt.k}
 
     def shifts():
         for k in range(-3, 4):
             for pt in points:
-                lhs = tow.tau_hat(s3, tow.phi_k_apply(s3, pt, k))
-                rhs = tow.phi_k_apply(s3, tow.tau_hat(s3, pt), k)
+                lhs = tow.tau_hat(tw, tow.phi_k_apply(tw, pt, k))
+                rhs = tow.phi_k_apply(tw, tow.tau_hat(tw, pt), k)
                 yield lhs == rhs, {"shift": k, "x": pt.x, "k": pt.k}
 
     def monomial_shift():
         for _ in range(20):
-            element = GroupRingElement(3, [rng.randint(-2, 2) for _ in range(3)])
+            element = GroupRingElement(tw.n, [rng.randint(-2, 2) for _ in range(tw.n)])
             k = rng.randint(-2, 2)
             pt = rng.choice(points)
-            via_shift_first = tow.apply_monomial_point(s3, element, tow.phi_k_apply(s3, pt, k))
+            via_shift_first = tow.apply_monomial_point(tw, element, tow.phi_k_apply(tw, pt, k))
             via_monomial_first = tow.phi_k_apply(
-                s3, tow.apply_monomial_point(s3, element, pt), element.augmentation() * k
+                tw, tow.apply_monomial_point(tw, element, pt), element.augmentation() * k
             )
             yield (
                 via_shift_first == via_monomial_first
-                and tow.norm(s3, tow.apply_monomial(s3, element, pt.x))
-                == s3.b ** (pt.k * element.augmentation())
+                and tow.norm(tw, tow.apply_monomial(tw, element, pt.x))
+                == tw.b ** (pt.k * element.augmentation())
             ), {"element": element.coeffs, "shift": k, "x": pt.x, "k": pt.k}
 
     def round_trip():
-        loaded = tow.load_tower(tow.dump_tower(s3))
+        loaded = tow.load_tower(tow.dump_tower(tw))
         differs = [
             part for part in ("table", "sigma_matrix", "tau_matrix")
-            if getattr(loaded, part) != getattr(s3, part)
+            if getattr(loaded, part) != getattr(tw, part)
         ]
-        yield not differs, {"tower": "builtin_s3", "differs": differs}
+        yield not differs, {"tower": repr(tw), "differs": differs}
 
-    sigma_fixed_dim = fixed_dimension(s3.sigma_matrix)
-    tau_fixed_dim = fixed_dimension(s3.tau_matrix)
     return [
         case_check("s3 construction self-checks", construction()),
-        CheckResult(
-            "fixed subfields have degrees m and n",
-            sigma_fixed_dim == s3.m and tau_fixed_dim == s3.n,
-            f"dim E^sigma = {sigma_fixed_dim}, dim E^tau = {tau_fixed_dim}",
-        ),
+        fact_check("fixed subfields have degrees m and n", fixed_degrees),
         case_check("norm is sigma-fixed and multiplicative", norms()),
         case_check(
             "tau-hat preserves norm sets",
-            ((tow.point_is_valid(s3, tow.tau_hat(s3, pt)), {"x": pt.x, "k": pt.k})
+            ((tow.point_is_valid(tw, tow.tau_hat(tw, pt)), {"x": pt.x, "k": pt.k})
              for pt in points),
         ),
-        case_check(
-            "tau-hat squares to the identity",
-            ((tow.tau_hat(s3, tow.tau_hat(s3, pt)).x == pt.x, {"x": pt.x, "k": pt.k})
-             for pt in points),
-        ),
+        case_check("tau-hat squares to the identity", tau_hat_order()),
         case_check("tau-hat commutes with fixed monomials", fixed_monomials()),
         case_check("phi_k commutes with tau-hat", shifts()),
         case_check("monomial/shift commutation and norm bookkeeping on points", monomial_shift()),
         case_check("fixture round trip reproduces the tower", round_trip()),
     ]
+
+
+def suite_tower(seed=0):
+    from . import tower as tow
+
+    s3 = tow.builtin_s3()
+    return tower_checks(s3, s3_spanning_points(s3), random.Random(seed))
 
 
 def suite_crossed(seed=0):

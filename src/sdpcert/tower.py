@@ -659,6 +659,12 @@ class NormSetPoint(_Immutable):
         return cls._new(x, operator.index(k))
 
 
+def _sigma_pow(tw, x, power):
+    for _ in range(power):
+        x = tw.sigma(x)
+    return x
+
+
 def sigma_partial_product(tw, x, length):
     """x * sigma(x) * ... * sigma^(length-1)(x); a negative length raises ValueError."""
     return _conjugate_product(tw.sigma, x, length, tw.one)

@@ -711,6 +711,27 @@ def test_tower_check_names_the_first_failure(monkeypatch):
     )
 
 
+def test_tower_fixed_degrees_check_fails_alone_when_rank_raises(monkeypatch):
+    from sdpcert import linalg, suites
+
+    name = "fixed subfields have degrees m and n"
+    others = [c for c in suites.suite_tower() if c.name != name]
+    real = linalg.rank_rational
+
+    def rank_raising_in_suites(rows):
+        # building a tower ranks matrices too; only the suite's own rank call raises
+        if sys._getframe(1).f_globals["__name__"] == "sdpcert.suites":
+            raise ArithmeticError("rank failed")
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "rank_rational", rank_raising_in_suites)
+    checks = suites.suite_tower()
+    assert [c for c in checks if c.name != name] == others
+    check = next(c for c in checks if c.name == name)
+    assert not check.passed
+    assert check.detail == "raised ArithmeticError('rank failed')"
+
+
 def test_crossed_check_names_the_first_failure(monkeypatch):
     from sdpcert import crossed, suites
 
@@ -802,7 +823,9 @@ ALL_MODULES = " ".join(sorted(p.stem for p in (SRC / "sdpcert").glob("*.py")
     (["certificate", "--n", "13", "--r", "12", "--l", "5"], COMMAND_MODULES),
     (["verify", "--suite", "all"], ALL_MODULES),
     (["verify", "--suite", "group-ring"], " ".join(sorted([*COMMAND_MODULES.split(), "suites"]))),
-], ids=["import", "coverage", "certificate", "verify", "verify-group-ring"])
+    (["verify", "--suite", "tower"], " ".join(sorted(
+        [*COMMAND_MODULES.split(), "finitefield", "linalg", "suites", "tower"]))),
+], ids=["import", "coverage", "certificate", "verify", "verify-group-ring", "verify-tower"])
 def test_each_command_loads_only_its_modules(argv, modules):
     # a fresh interpreter: the test session itself has every module loaded already
     env = dict(os.environ, PYTHONPATH=str(SRC))

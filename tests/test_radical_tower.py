@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sdpcert.suites import s3_spanning_points, suite_tower, tower_checks
 from sdpcert.tower import (
     builtin_s3,
     dump_tower,
@@ -121,3 +122,15 @@ def test_radical_tower_refuses_exactly_the_pth_powers_of_large_integers():
             if p <= 3:
                 for a in (x**p + 1, x**p - 1):
                     assert radical_tower(p, a, r, -1, lam).dim == p * (p - 1), (p, a)
+
+
+def test_tower_checks_pass_at_p5_with_r3():
+    # r = 3 and m = 4: tau sigma tau = sigma^2 and tau-hat^2 = id, true for x^3 - 2, fail here
+    tw = radical_tower(5, 2, 3, -1, 1)
+    checks = tower_checks(tw, s3_spanning_points(tw), random.Random(0))
+    assert [c.name for c in checks] == [c.name for c in suite_tower()]
+    assert [c for c in checks if not c.passed] == []
+    details = {c.name: c.detail for c in checks}
+    assert details["s3 construction self-checks"] == "22 cases"
+    assert details["fixed subfields have degrees m and n"] == "dim E^sigma = 4, dim E^tau = 5"
+    assert details["tau-hat commutes with fixed monomials"] == "288 cases"
