@@ -120,8 +120,9 @@ class CrossedProduct:
     def basis_elements(self):
         """The n^2 elements e_b * u_g spanning the algebra over L."""
         out = []
+        field_basis = self.tower.l_basis()
         for g in range(self.n):
-            for e_b in self.tower.l_basis():
+            for e_b in field_basis:
                 out.append(self.scale(e_b, self.u(g)))
         return out
 
@@ -219,10 +220,11 @@ def ideal_from_chain(algebra, chain):
         raise ValueError("chain does not satisfy delta z = c")
     tw = algebra.tower
     n = algebra.n
+    field_basis = tw.l_basis()
     generators = [
         algebra.scale(e_b, algebra.sub(algebra.from_field(chain.values[j]), algebra.u(j)))
         for j in range(1, n)
-        for e_b in tw.l_basis()
+        for e_b in field_basis
     ]
     rows, pivots = linalg.rref([_ideal_coordinates(algebra, g) for g in generators], tw.zero)
     if pivots != tuple(range(n * n - n)):
@@ -425,12 +427,13 @@ def tensor_power_check(algebra, l):
         raise ValueError("l must be positive")
 
     pair_basis = [(b, g) for g in range(n) for b in range(n)]
+    field_basis = tw.l_basis()
     product_cache = {}
 
     def pair_product(p1, p2):
         if (p1, p2) not in product_cache:
-            e1 = algebra.scale(tw.l_basis()[p1[0]], algebra.u(p1[1]))
-            e2 = algebra.scale(tw.l_basis()[p2[0]], algebra.u(p2[1]))
+            e1 = algebra.scale(field_basis[p1[0]], algebra.u(p1[1]))
+            e2 = algebra.scale(field_basis[p2[0]], algebra.u(p2[1]))
             product_cache[(p1, p2)] = _tensor_expand(algebra, algebra.multiply(e1, e2))
         return product_cache[(p1, p2)]
 
@@ -471,7 +474,7 @@ def tensor_power_check(algebra, l):
         yield power == expected, {"n": n, "l": l, "v^n": power}
 
     def commutation():
-        for x in tw.l_basis():
+        for x in field_basis:
             left = tensor_mul(v, tensor_from_field(x))
             yield left == tensor_mul(tensor_from_field(tw.sigma(x)), v), {"x": x}
 
@@ -479,7 +482,7 @@ def tensor_power_check(algebra, l):
         full_basis = sorted(itertools.product(pair_basis, repeat=l))
         index = {key: i for i, key in enumerate(full_basis)}
         rows = []
-        for e_b in tw.l_basis():
+        for e_b in field_basis:
             for i in range(n):
                 element = tensor_mul(tensor_from_field(e_b), v_powers()[i])
                 vector = [tw.zero] * len(full_basis)

@@ -2,8 +2,8 @@
 
 Both models expose the same surface: a cyclic automorphism sigma of order n,
 an automorphism tau of order m with tau sigma tau^-1 = sigma^r, distinguished
-base elements b and lambda with tau(b) = lambda^n * b^r, and integers t, s
-with r*t = s*n + 1. Norm sets, monomial maps, the shift maps and the induced
+base elements b and lambda with tau(b) = lambda^n * b^r, and t = r^-1 mod n
+and s = (rt - 1)/n. Norm sets, monomial maps, the shift maps and the induced
 tau-action on norm-set points are implemented on top of that surface.
 """
 
@@ -176,10 +176,6 @@ class _Matrix:
         den = lcm(*(c.denominator for row in rows for c in row))
         return cls([[c.numerator * (den // c.denominator) for c in row] for row in rows], den)
 
-    @classmethod
-    def identity(cls, size):
-        return cls([[int(i == j) for j in range(size)] for i in range(size)])
-
     def fractions(self):
         return tuple(tuple(Fraction(c, self.den) for c in row) for row in self.rows)
 
@@ -205,12 +201,15 @@ def _conjugate_product(apply, x, length, one):
     return product
 
 
-def _matrix_powers(matrix, top):
-    """[matrix^0, matrix^1, ..., matrix^top]."""
-    powers = [_Matrix.identity(len(matrix.rows))]
-    for _ in range(top):
-        powers.append(matrix @ powers[-1])
-    return powers
+def _cycle(matrix, name):
+    """[matrix^0, ..., matrix^(k-1)] for the order k of matrix; a field automorphism has k <= dim."""
+    dim = len(matrix.rows)
+    powers = [_Matrix([[int(i == j) for j in range(dim)] for i in range(dim)])]
+    while len(powers) <= dim:
+        if (power := matrix @ powers[-1]) == powers[0]:
+            return powers
+        powers.append(power)
+    raise RuntimeError(f"{name} has no order at most dim")
 
 
 # Terms per parenthesized group of a generated sum: one flat chain of a few thousand
@@ -287,8 +286,9 @@ class NumberTower:
     denominator. The table, the automorphism matrices and the distinguished
     elements are all validated at construction, the nm maps sigma^i tau^j
     being distinct; a failed check raises, so a constructed tower always
-    satisfies its invariants. The E-over-L basis and
-    its coordinate maps are derived there too, once per tower.
+    satisfies its invariants. n and m are read there as the orders of sigma
+    and tau, and t and s off r; the E-over-L basis and its coordinate maps
+    are derived there too, once per tower.
 
     The table compiles into one straight-line product, and sigma, tau and the
     coordinate maps each into one straight-line linear map, all on numerators;
@@ -296,18 +296,15 @@ class NumberTower:
     a copied or unpickled tower compiles its own.
     """
 
-    def __init__(self, labels, table, sigma_matrix, tau_matrix, n, m, r, t, s,
-                 b_coords, lam_coords):
+    def __init__(self, labels, table, sigma_matrix, tau_matrix, r, b_coords, lam_coords):
+        if not labels:
+            raise RuntimeError("a tower needs at least one basis element")
         self.dim = len(labels)
         self.labels = tuple(labels)
         self._table = _Matrix.from_rational([cell for row in table for cell in row])
         self._sigma = _Matrix.from_rational(sigma_matrix)
         self._tau = _Matrix.from_rational(tau_matrix)
-        self.n = n
-        self.m = m
         self.r = r
-        self.t = t
-        self.s = s
         self._compile_kernels()
         self.one = self.basis_element(0)
         self.zero = _element(self, [0] * self.dim, 1)
@@ -461,7 +458,7 @@ class NumberTower:
         )
 
     def _self_check(self):
-        """Validate the tower; a failed check raises RuntimeError naming it.
+        """Validate the tower and read n, m, t, s off it; a failed check raises RuntimeError naming it.
 
         The table and the automorphisms are checked on the integer cells, with no
         product of elements, since products run through the kernels compiled from
@@ -497,20 +494,17 @@ class NumberTower:
         for name, matrix in (("sigma", self._sigma), ("tau", self._tau)):
             if not self._is_ring_automorphism(matrix, packs, width):
                 raise RuntimeError(f"{name} is not a ring automorphism")
-        sigma_powers = _matrix_powers(self._sigma, self.n)
-        tau_powers = _matrix_powers(self._tau, self.m)
-        identity = sigma_powers[0]
-        for name, powers, order in (("sigma", sigma_powers, "n"), ("tau", tau_powers, "m")):
-            if identity in powers[1:-1]:
-                raise RuntimeError(f"{name} has order smaller than {order}")
-            if powers[-1] != identity:
-                raise RuntimeError(f"{name} does not have order {order}")
+        sigma_powers = _cycle(self._sigma, "sigma")
+        tau_powers = _cycle(self._tau, "tau")
+        self.n, self.m = len(sigma_powers), len(tau_powers)
         # the nm maps sigma^i tau^j are distinct exactly when no tau^j, 0 < j < m, is a sigma^i
-        if any(power in sigma_powers for power in tau_powers[1:-1]):
+        if any(power in sigma_powers for power in tau_powers[1:]):
             raise RuntimeError("a power tau^j with 0 < j < m lies in <sigma>")
-        tau_inverse = tau_powers[-2]
-        if self._tau @ (self._sigma @ tau_inverse) != sigma_powers[self.r % self.n]:
+        if self._tau @ (self._sigma @ tau_powers[-1]) != sigma_powers[self.r % self.n]:
             raise RuntimeError("tau sigma tau^-1 != sigma^r")
+        # sigma^r has the order n of its conjugate sigma, so r is a unit mod n
+        self.t = pow(self.r, -1, self.n)
+        self.s = (self.r * self.t - 1) // self.n
         for name, x in (("b", self.b), ("lambda", self.lam)):
             if not x:
                 raise RuntimeError(f"{name} must be nonzero")
@@ -518,10 +512,6 @@ class NumberTower:
             raise RuntimeError("b and lambda must be sigma-fixed")
         if self.tau(self.b) != (self.lam**self.n) * (self.b**self.r):
             raise RuntimeError("tau(b) != lambda^n * b^r")
-        if self.t < 0:
-            raise RuntimeError(f"t = {self.t} is negative; tau-hat takes a partial norm of length t")
-        if self.r * self.t != self.s * self.n + 1:
-            raise RuntimeError("r*t != s*n + 1")
 
     def __repr__(self):
         return f"NumberTower(dim={self.dim}, n={self.n}, m={self.m}, r={self.r})"
@@ -531,8 +521,8 @@ def radical_tower(p, a, r, b, lam):
     """Q(zeta_p, c) with c^p = a: an exact tower of degree p(p - 1) with group C_p x| C_(p-1).
 
     Basis zeta^i c^e (i < p - 1, e < p) at index p*i + e, labelled 1, c, c2, z, zc, ..., z2c3, ...;
-    sigma: c -> zeta*c (n = p), tau: zeta -> zeta^r (m = p - 1), t = r^-1 mod p, s = (rt - 1)/p,
-    and rationals b and lambda; NumberTower checks the rest. ValueError when p is not prime,
+    sigma: c -> zeta*c, tau: zeta -> zeta^r, rationals b and lambda; NumberTower reads n = p and
+    m = p - 1 off sigma and tau and checks the rest. ValueError when p is not prime,
     when r is not a primitive root mod p, or when a is x^p for an integer x, as then X^p - a
     splits and the table is no field's.
     """
@@ -557,13 +547,12 @@ def radical_tower(p, a, r, b, lam):
         return coords
 
     basis = [(i, e) for i in range(p - 1) for e in range(p)]
-    t = pow(r, -1, p)
     return NumberTower(
         labels=["z" * (i > 0) + str(i) * (i > 1) + "c" * (e > 0) + str(e) * (e > 1) or "1" for i, e in basis],
         table=[[monomial(i + j, e + f) for j, f in basis] for i, e in basis],
         sigma_matrix=list(zip(*(monomial(i + e, e) for i, e in basis))),
         tau_matrix=list(zip(*(monomial(r * i, e) for i, e in basis))),
-        n=p, m=p - 1, r=r, t=t, s=(r * t - 1) // p,
+        r=r,
         b_coords=[b] + [0] * (dim - 1), lam_coords=[lam] + [0] * (dim - 1),
     )
 
@@ -606,6 +595,7 @@ class FiniteTower:
         self.zero = self.field.zero
         self.lam = self.field.one
         gen = self.field.generator()
+        self._l_basis = tuple(gen**e for e in range(n))
         power = gen
         for i in range(1, n):
             power = self.sigma(power)
@@ -627,8 +617,7 @@ class FiniteTower:
         return [self.field.embed(c) for c in x.coeffs]
 
     def l_basis(self):
-        gen = self.field.generator()
-        return [gen**e for e in range(self.n)]
+        return list(self._l_basis)
 
     def random_element(self, rng):
         return self.field.random_element(rng)
@@ -792,9 +781,10 @@ def load_tower(text):
 
     A malformed line (an unknown keyword, a wrong field count, a value that
     does not parse, an index outside 0 ... dim-1, a header without one of
-    dim, n, m, r, t, s or with a key repeated or not among them, a second
-    header, a line that repeats an earlier line's keyword and indices) raises
-    ValueError naming the line. Loaded towers
+    dim, n, m, r, t, s or with a key repeated or not among them, a dim below 1,
+    a second header, a line that repeats an earlier line's keyword and indices)
+    raises ValueError naming the line; a header n, m, t or s other than the
+    tower's raises RuntimeError. Loaded towers
     support every tower-level operation and carry crossed products: like
     every NumberTower, they derive their E-over-L basis and coordinate maps
     at construction, which refuses a fixture whose dim is not n*m.
@@ -820,6 +810,8 @@ def load_tower(text):
                 if missing:
                     raise ValueError(f"the header lacks {', '.join(missing)}")
                 header = {key: int(items[key]) for key in _HEADER_KEYS}
+                if header["dim"] < 1:
+                    raise ValueError(f"dim = {header['dim']} is not positive")
             elif _FIELD_COUNTS.get(keyword) == len(fields):
                 entries.append((raw, keyword, fields))
             else:
@@ -858,12 +850,16 @@ def load_tower(text):
                 matrices[keyword][i][j] = Fraction(fields[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed fixture line {raw!r}: {exc}") from None
-    return NumberTower(
+    tower = NumberTower(
         labels=[labels.get(i, f"e{i}") for i in range(dim)],
         table=table,
         sigma_matrix=matrices["sigma"],
         tau_matrix=matrices["tau"],
-        **{key: header[key] for key in _HEADER_KEYS[1:]},
+        r=header["r"],
         b_coords=elements["b"],
         lam_coords=elements["lambda"],
     )
+    for key in ("n", "m", "t", "s"):
+        if header[key] != (value := getattr(tower, key)):
+            raise RuntimeError(f"the header's {key} = {header[key]} is not the tower's {key} = {value}")
+    return tower

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from pathlib import Path
 
@@ -26,6 +27,23 @@ def p5():
 def test_builtin_s3_is_the_hand_written_tower():
     assert dump_tower(builtin_s3()) == S3_FIXTURE.read_text()
     assert dump_tower(radical_tower(3, 2, 2, -1, -1)) == S3_FIXTURE.read_text()
+
+
+@pytest.mark.parametrize("fixture", ["s3.tower", "s3_rescaled.tower"])
+def test_fixtures_read_the_parameters_of_their_headers(fixture):
+    tw = load_tower((S3_FIXTURE.parent / fixture).read_text())
+    assert (tw.n, tw.m, tw.r, tw.t, tw.s) == (3, 2, 2, 2, 1)
+
+
+# sha256 of each dump, pinned from towers built with n, m, t and s written out by hand
+@pytest.mark.parametrize("p, parameters, digest", [
+    (5, (5, 4, 3, 2, 1), "1021d54cf455cc014d548dee46036c80485239fe74e7fd3e76fb4697f8644969"),
+    (7, (7, 6, 3, 5, 2), "a0a4a93bea9f4232d7efef152a00dd0d358da7bc4b4183d8e6f6a6232c59af77"),
+])
+def test_radical_towers_read_their_parameters_and_dump_as_pinned(p, parameters, digest):
+    tw = radical_tower(p, 2, 3, -1, 1)
+    assert (tw.n, tw.m, tw.r, tw.t, tw.s) == parameters
+    assert hashlib.sha256(dump_tower(tw).encode()).hexdigest() == digest
 
 
 def test_p5_construction(p5):

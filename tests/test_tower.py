@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -360,6 +364,8 @@ def test_fixture_rejects_malformed_input():
     ("tower dim=6 n=3 m=2 r=2 t=2 s=1 dim=6", "header key repeated, same value"),
     ("tower dim=6 n=3 m=2 r=2 t=2 s=1 s=2", "header key repeated, another value"),
     ("tower dim=6 n=3 m=2 r=2 t=2 s=1 colour=red", "unknown header key"),
+    ("tower dim=0 n=1 m=1 r=1 t=1 s=0", "zero dim"),
+    ("tower dim=-3 n=1 m=1 r=1 t=1 s=0", "negative dim"),
     ("label 1 other", "a second label 1"),
     ("mul 1 1 2 1", "a repeated mul line"),
     ("mul 1 1 2 5", "a second mul 1 1 2"),
@@ -396,14 +402,60 @@ def test_construction_rejects_broken_parameters(s3):
 def test_construction_rejects_a_negative_t(s3):
     # r*t = s*n + 1 holds with t = s = -1, but tau-hat takes a partial norm of length t
     text = dump_tower(s3).replace("r=2 t=2 s=1", "r=2 t=-1 s=-1")
-    with pytest.raises(RuntimeError, match="t = -1 is negative"):
+    with pytest.raises(RuntimeError, match="header's t = -1 is not the tower's t = 2"):
         load_tower(text)
-    parameters = dict(labels=s3.labels, table=s3.table, sigma_matrix=s3.sigma_matrix,
-                      tau_matrix=s3.tau_matrix, n=3, m=2, r=2, b_coords=s3.b.coords,
-                      lam_coords=s3.lam.coords)
-    with pytest.raises(RuntimeError, match="t = -1 is negative"):
-        NumberTower(**parameters, t=-1, s=-1)
-    assert NumberTower(**parameters, t=2, s=1).t == 2
+    # a negative r reads t off r mod n: r = -1 acts as 2, and tau(b) = lambda^3 b^-1 needs lambda = 1
+    tower = NumberTower(labels=s3.labels, table=s3.table, sigma_matrix=s3.sigma_matrix,
+                        tau_matrix=s3.tau_matrix, r=-1, b_coords=s3.b.coords, lam_coords=s3.one.coords)
+    assert (tower.r, tower.t, tower.s) == (-1, 2, -1)
+    assert load_tower(dump_tower(tower)).t == 2
+
+
+@pytest.mark.parametrize("values, key", [
+    ("n=4 m=2 r=2 t=2 s=1", "n"),
+    ("n=3 m=1 r=2 t=2 s=1", "m"),
+    ("n=3 m=3 r=2 t=2 s=1", "m"),
+    ("n=3 m=2 r=2 t=1 s=1", "t"),
+    ("n=3 m=2 r=2 t=2 s=0", "s"),
+    # 2*5 = 3*3 + 1, but t = 5 is not r^-1 mod n, which dump_tower writes
+    ("n=3 m=2 r=2 t=5 s=3", "t"),
+])
+def test_a_header_value_other_than_the_towers_is_refused(s3, values, key):
+    text = dump_tower(s3).replace("n=3 m=2 r=2 t=2 s=1", values)
+    with pytest.raises(RuntimeError, match=f"^the header's {key} = .* is not the tower's {key} = "):
+        load_tower(text)
+
+
+def test_an_r_sharing_a_factor_with_n_fails_the_conjugation_check(s3):
+    with pytest.raises(RuntimeError, match="tau sigma tau\\^-1 != sigma\\^r"):
+        load_tower(dump_tower(s3).replace("r=2", "r=3"))
+
+
+def test_a_tower_without_basis_elements_is_refused():
+    with pytest.raises(RuntimeError, match="at least one basis element"):
+        NumberTower(labels=[], table=[], sigma_matrix=[], tau_matrix=[], r=1, b_coords=[], lam_coords=[])
+
+
+# Q[x]/(x^2) with sigma: x -> 2x passes the table and automorphism checks, and sigma has no order
+INFINITE_ORDER_PROBE = """
+from sdpcert.tower import NumberTower
+try:
+    NumberTower(labels=["1", "x"], table=[[(1, 0), (0, 1)], [(0, 1), (0, 0)]],
+                sigma_matrix=[[1, 0], [0, 2]], tau_matrix=[[1, 0], [0, 1]], r=1,
+                b_coords=(1, 0), lam_coords=(1, 0))
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_an_automorphism_of_infinite_order_is_refused_instead_of_searched_forever():
+    # a fresh interpreter, so an unbounded order search fails on the timeout
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", INFINITE_ORDER_PROBE], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "sigma has no order at most dim\n"
 
 
 def test_construction_rejects_a_degree_other_than_n_times_m(s3):

@@ -142,7 +142,7 @@ def gaussian_tower():
         table=[[(1, 0), (0, 1)], [(0, 1), (-1, 0)]],
         sigma_matrix=[[1, 0], [0, -1]],
         tau_matrix=[[1, 0], [0, 1]],
-        n=2, m=1, r=1, t=1, s=0,
+        r=1,
         b_coords=(-1, 0),
         lam_coords=(1, 0),
     )
@@ -237,8 +237,8 @@ BIQUADRATIC_TAU = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
 def biquadratic_tower(tau_matrix):
     """Q(sqrt 2, sqrt 3) on the basis 1, a = sqrt 2, c = sqrt 3, ac, with sigma: a -> -a.
 
-    n = m = 2, r = t = 1, s = 0 and b = lambda = 1, so every parameter check
-    holds whatever the involution tau_matrix.
+    r = 1 and b = lambda = 1, so every parameter check holds whatever the involution
+    tau_matrix; the tower reads n = m = 2, t = 1 and s = 0 off it.
     """
     products = {(1, 1): (2, 0, 0, 0), (1, 2): (0, 0, 0, 1), (1, 3): (0, 0, 2, 0),
                 (2, 2): (3, 0, 0, 0), (2, 3): (0, 3, 0, 0), (3, 3): (6, 0, 0, 0)}
@@ -251,9 +251,16 @@ def biquadratic_tower(tau_matrix):
                 table[i][j] = products[min(i, j), max(i, j)]
     return NumberTower(
         labels=["1", "a", "c", "ac"], table=table, sigma_matrix=BIQUADRATIC_SIGMA,
-        tau_matrix=tau_matrix, n=2, m=2, r=1, t=1, s=0, b_coords=(1, 0, 0, 0),
+        tau_matrix=tau_matrix, r=1, b_coords=(1, 0, 0, 0),
         lam_coords=(1, 0, 0, 0),
     )
+
+
+def test_the_test_towers_read_their_parameters_off_their_maps():
+    tw = gaussian_tower()
+    assert (tw.n, tw.m, tw.r, tw.t, tw.s) == (2, 1, 1, 1, 0)
+    tw = biquadratic_tower(BIQUADRATIC_TAU)
+    assert (tw.n, tw.m, tw.r, tw.t, tw.s) == (2, 2, 1, 1, 0)
 
 
 def test_construction_rejects_a_tau_power_inside_sigma():

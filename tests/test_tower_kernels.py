@@ -186,7 +186,7 @@ def s3_parameters():
     s3 = builtin_s3()
     return dict(labels=s3.labels, table=[[list(cell) for cell in row] for row in s3.table],
                 sigma_matrix=[list(row) for row in s3.sigma_matrix],
-                tau_matrix=[list(row) for row in s3.tau_matrix], n=3, m=2, r=2, t=2, s=1,
+                tau_matrix=[list(row) for row in s3.tau_matrix], r=2,
                 b_coords=s3.b.coords, lam_coords=s3.lam.coords)
 
 
