@@ -55,18 +55,22 @@ class CrossedProduct:
 
     Elements are length-n tuples of E-coefficients indexed by group elements,
     representing sum_j x_j u_j with u x = sigma(x) u and u_i u_j = c(i,j) u_(i+j).
-    multiply twists by c(i,j) only where the entry is not one.
+    multiply twists by c(i,j) only where the entry is not one. The powers
+    u^0, u^1, ... are kept as they are made.
     """
 
     def __init__(self, tower, cocycle=None, validate=True):
         self.tower = tower
-        self.n = tower.n
+        self.n = n = tower.n
         self.cocycle = cocycle if cocycle is not None else standard_cyclic_cocycle(tower)
         if validate and not cocycle_condition_holds(tower, self.cocycle):
             raise ValueError("table is not a normalized 2-cocycle")
-        self._twists = {key: c for key, c in self.cocycle.items() if c != tower.one}
-        self.zero = (tower.zero,) * self.n
+        # _twists[i][j] is c(i, j), None where it is one
+        self._twists = [[None if self.cocycle[(i, j)] == tower.one else self.cocycle[(i, j)]
+                         for j in range(n)] for i in range(n)]
+        self.zero = (tower.zero,) * n
         self.one = self.from_field(tower.one)
+        self._u_powers = [self.one]
 
     def from_field(self, x):
         return (x,) + (self.tower.zero,) * (self.n - 1)
@@ -74,33 +78,63 @@ class CrossedProduct:
     def u(self, j=1):
         return tuple(self.tower.one if idx == j % self.n else self.tower.zero for idx in range(self.n))
 
+    def u_powers(self, power):
+        """The list [u^0, u^1, ..., u^power]; each power is made once per algebra."""
+        if power < 0:
+            raise ValueError("negative powers are not supported in the crossed product")
+        powers = self._u_powers
+        while len(powers) <= power:
+            powers.append(self.multiply(powers[-1], self.u(1)))
+        return powers[:power + 1]
+
     def u_power(self, power):
-        return self.power(self.u(1), power)
+        return self.u_powers(power)[-1]
+
+    def _check_lengths(self, x, y):
+        if len(x) != self.n or len(y) != self.n:
+            raise ValueError(
+                f"operands of lengths {len(x)} and {len(y)}; the algebra has n = {self.n}"
+            )
 
     def add(self, x, y):
+        self._check_lengths(x, y)
         return tuple(a + b for a, b in zip(x, y))
 
     def sub(self, x, y):
+        self._check_lengths(x, y)
         return tuple(a - b for a, b in zip(x, y))
 
     def scale(self, coefficient, x):
         return tuple(coefficient * a for a in x)
 
     def multiply(self, x, y):
-        out = [self.tower.zero] * self.n
+        """sum over i, j of x_i sigma^i(y_j) c(i, j) u_(i+j).
+
+        sigma^i(y_j) is made from sigma^(i-1)(y_j), one _sigma_pow step for
+        each nonzero y_j, up to the last nonzero x_i.
+        """
+        self._check_lengths(x, y)
+        n, tower = self.n, self.tower
+        conjugates = [(j, yj) for j, yj in enumerate(y) if yj]  # (j, sigma^step(y_j))
+        step = 0
+        out = [None] * n
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                idx = (i + j) % self.n
-                term = xi * _sigma_pow(self.tower, yj, i)
-                twist = self._twists.get((i, j))
+            for _ in range(i - step):
+                conjugates = [(j, _sigma_pow(tower, yj, 1)) for j, yj in conjugates]
+            step = i
+            twists = self._twists[i]
+            for j, yj in conjugates:
+                term = xi * yj
+                twist = twists[j]
                 if twist is not None:
                     term = term * twist
-                out[idx] = out[idx] + term
-        return tuple(out)
+                idx = i + j - n if i + j >= n else i + j
+                previous = out[idx]
+                out[idx] = term if previous is None else previous + term
+        zero = tower.zero
+        return tuple([zero if c is None else c for c in out])
 
     def power(self, x, exponent):
         if exponent < 0:
@@ -178,24 +212,34 @@ class LeftIdeal:
 
     The rows are in _ideal_coordinates, the field part last, so an ideal
     complementary to the field part has the first n^2 - n columns as pivots:
-    its rows are the graph of the L-linear map u_j -> z_j.
+    its rows are the graph of the L-linear map u_j -> z_j. The nonzero
+    entries of each row are found once, and a vector is reduced over those
+    alone.
     """
 
     def __init__(self, algebra, rows, pivots):
         self.algebra = algebra
         self.rows = tuple(tuple(row) for row in rows)
         self.pivots = tuple(pivots)
+        self._supports = tuple(tuple((j, entry) for j, entry in enumerate(row) if entry)
+                               for row in self.rows)
 
     @property
     def dimension(self):
         return len(self.rows)
 
+    def _reduce(self, element):
+        """The element's coordinates reduced against the rows: zero exactly on the ideal."""
+        vec = _ideal_coordinates(self.algebra, element)
+        for support, pivot in zip(self._supports, self.pivots):
+            factor = vec[pivot]
+            if factor:
+                for j, entry in support:
+                    vec[j] = vec[j] - factor * entry
+        return vec
+
     def contains(self, element):
-        residue = linalg.reduce_against(
-            _ideal_coordinates(self.algebra, element), self.rows, self.pivots,
-            self.algebra.tower.zero,
-        )
-        return all(c == self.algebra.tower.zero for c in residue)
+        return not any(self._reduce(element))
 
     def __eq__(self, other):
         return isinstance(other, LeftIdeal) and self.rows == other.rows
@@ -251,9 +295,7 @@ def chain_from_ideal(algebra, ideal):
     field_basis = tw.l_basis()
     values = []
     for j in range(n):
-        residue = linalg.reduce_against(
-            _ideal_coordinates(algebra, algebra.u(j)), ideal.rows, ideal.pivots, tw.zero
-        )
+        residue = ideal._reduce(algebra.u(j))
         z_j = tw.zero
         for coordinate, e_b in zip(residue[-n:], field_basis):
             z_j = z_j + coordinate * e_b
@@ -297,17 +339,16 @@ def norm_element_check(algebra, x, i):
     """Exact check that a * (x - u) = N_sigma^i(x) - u^i for the displayed element a.
 
     a = sum_k (sigma^(i-1)(x) ... sigma^(i-k)(x)) u^(i-k-1), k = 0 ... i-1; the
-    conjugates sigma^0(x) ... sigma^(i-1)(x) and the powers u^0 ... u^i are
-    built once, and each coefficient grows from the one before it.
+    conjugates sigma^0(x) ... sigma^(i-1)(x) are built once, the powers
+    u^0 ... u^i are the algebra's kept ones, and each coefficient grows from
+    the one before it.
     """
     tw = algebra.tower
     conjugates = [x]
     for _ in range(i - 1):
         conjugates.append(tw.sigma(conjugates[-1]))
     u = algebra.u(1)
-    u_powers = [algebra.one]
-    for _ in range(i):
-        u_powers.append(algebra.multiply(u_powers[-1], u))
+    u_powers = algebra.u_powers(i)
     a = algebra.zero
     coefficient = tw.one
     for k in range(i):

@@ -13,7 +13,8 @@ a coefficient sequence, to a raw value), _wrap (raw value to element),
 _values (every raw value, in canonical order) and _random. The base _Field
 builds element (alias from_int), elements and random_element on them. The
 element base _FieldElement writes coercion, +, -, negation, inverse,
-powers, ==, hash and bool once, each as one raw operation and _wrap; the
+powers, ==, hash and bool once, each as one raw operation and _wrap, or on
+a _TableField as arithmetic on the elements' logarithms (below); the
 public PrimeFieldElement and ExtFieldElement add only their constructor,
 __mul__ and repr. Constructors take ints, never floats or strings:
 operator.index rejects those with TypeError.
@@ -30,10 +31,15 @@ logarithms, and a sum g^i + g^j = g^i (1 + g^(j-i)) adds the Zech logarithm
 zech[j - i] = log(1 + g^(j-i)) to i. Negation adds log(-1), which is 0 in
 characteristic 2, and a difference is one such sum. Each element of a
 _TableField is made once, so _wrap is one dict lookup and field.element(v)
-is field.element(v). The polynomial route builds the tables, once per
-field and process, and stays the reference the tests compare them with.
-An ExtField built directly never has tables, since its modulus may be
-reducible.
+is field.element(v). Each element also carries its logarithm, _log (None
+for zero), and the field lists its elements by logarithm twice round the
+cycle in _by_log. When both operands are elements of the same _TableField
+object, +, -, *, negation, inverse and powers are integer arithmetic on
+_log and one index into _by_log, with no raw value looked up. An int
+operand, or an element of another, equal field object, takes the raw
+route. The polynomial route builds the tables, once per field and process,
+and stays the reference the tests compare both routes with. An ExtField
+built directly never has tables, since its modulus may be reducible.
 """
 
 from __future__ import annotations
@@ -47,15 +53,21 @@ from ._primes import _is_prime, _prime_divisors
 
 
 class _FieldElement(ExactElement):
-    """What elements of GF(p) and of its extensions share, each operation one raw operation.
+    """What elements of GF(p) and of its extensions share: each operation one raw operation or,
+    on a table field, arithmetic on logarithms.
 
     field is the element's field and _value its raw value, which each
-    subclass also exposes under a public name. Elements of two fields mix
-    exactly when the fields are equal; ints are coerced by field.from_int.
-    The hash is a function of the field's order and the raw value only.
+    subclass also exposes under a public name. _log is k for the element
+    g^k of a _TableField, and None for its zero and for every element of
+    any other field. When both operands are elements of the same table
+    field, an operation is integer arithmetic on _log and one index into
+    field._by_log; every other pair takes the raw route. Elements of two
+    fields mix exactly when the fields are equal; ints are coerced by
+    field.from_int. The hash is a function of the field's order and the raw
+    value only.
     """
 
-    __slots__ = ("field", "_value")
+    __slots__ = ("field", "_value", "_log")
 
     def _coerce(self, other):
         if type(other) is type(self):
@@ -67,34 +79,64 @@ class _FieldElement(ExactElement):
         return NotImplemented
 
     def __add__(self, other):
+        field = self.field
+        by_log = field._by_log
+        if by_log is not None and type(other) is type(self) and other.field is field:
+            i, j = self._log, other._log
+            if i is None:
+                return field.zero if j is None else by_log[j]
+            if j is None:
+                return by_log[i]
+            k = field._zech[j - i]  # a negative index counts from the end: j - i mod N - 1
+            return field.zero if k is None else by_log[i + k]
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.field
         return field._wrap(field._add(self._value, other._value))
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        field = self.field
+        by_log = field._by_log
+        if by_log is not None and type(other) is type(self) and other.field is field:
+            i, j = self._log, other._log
+            if j is None:
+                return field.zero if i is None else by_log[i]
+            j += field._log_minus_one
+            if i is None:
+                return by_log[j]
+            k = field._zech[(j - i) % field._cycle]
+            return field.zero if k is None else by_log[i + k]
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.field
         return field._wrap(field._sub(self._value, other._value))
 
     def __neg__(self):
         field = self.field
+        i = self._log
+        if i is not None:
+            return field._by_log[i + field._log_minus_one]
         return field._wrap(field._neg(self._value))
 
     def inverse(self):
         field = self.field
+        i = self._log
+        if i is not None:
+            return field._by_log[field._cycle - i]
         return field._wrap(field._inv(self._value))
 
     def __pow__(self, exponent):
         field = self.field
+        i = self._log
+        if i is not None:
+            return field._by_log[i * operator.index(exponent) % field._cycle]
         return field._wrap(field._pow(self._value, operator.index(exponent)))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if type(other) is type(self):
             return self._value == other._value and self.field == other.field
         other = self._coerce(other)
@@ -106,7 +148,7 @@ class _FieldElement(ExactElement):
         return hash((self.field.order, self._value))
 
     def __bool__(self):
-        return self._value != self.field._raw_zero
+        return self._log is not None or self._value != self.field._raw_zero
 
 
 class PrimeFieldElement(_FieldElement):
@@ -116,7 +158,7 @@ class PrimeFieldElement(_FieldElement):
     value = _FieldElement._value  # the raw-value slot under its public name
 
     def __new__(cls, field, value):
-        return cls._new(field, field._raw(value))
+        return cls._new(field, field._raw(value), None)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -152,6 +194,7 @@ class PrimeField(_Field):
 
     _raw_zero = 0
     _raw_one = 1
+    _by_log = None  # only a _TableField has one
 
     def __init__(self, p):
         p = operator.index(p)
@@ -170,7 +213,7 @@ class PrimeField(_Field):
         return operator.index(value) % self.p
 
     def _wrap(self, value):
-        return PrimeFieldElement._new(self, value)
+        return PrimeFieldElement._new(self, value, None)
 
     def _values(self):
         return range(self.p)
@@ -227,10 +270,16 @@ class ExtFieldElement(_FieldElement):
         return field._wrap(field._raw(coeffs))
 
     def __mul__(self, other):
+        field = self.field
+        by_log = field._by_log
+        if by_log is not None and type(other) is ExtFieldElement and other.field is field:
+            i, j = self._log, other._log
+            if i is None or j is None:
+                return field.zero
+            return by_log[i + j]
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.field
         return field._wrap(field._mul(self._value, other._value))
 
     __rmul__ = __mul__
@@ -305,7 +354,7 @@ class ExtField(_Field):
     the same; an equal order alone is not enough.
     """
 
-    _log = None  # the log table of a _TableField; an ExtField has none
+    _log = _by_log = None  # the log tables of a _TableField; an ExtField has none
 
     def __init__(self, base, modulus):
         modulus = tuple(base._raw(c) for c in modulus)
@@ -322,8 +371,8 @@ class ExtField(_Field):
         # y^degree = _top[0] + _top[1] y + ... modulo the modulus
         self._top = tuple(base._neg(c) for c in modulus[:-1])
         # by _new: the _wrap of a _TableField needs the tables, which come after
-        self.zero = ExtFieldElement._new(self, self._raw_zero)
-        self.one = ExtFieldElement._new(self, self._raw_one)
+        self.zero = ExtFieldElement._new(self, self._raw_zero, None)
+        self.one = ExtFieldElement._new(self, self._raw_one, None)
 
     def embed(self, base_value):
         return self._wrap((self.base._raw(base_value),) + self._raw_zero[1:])
@@ -345,7 +394,7 @@ class ExtField(_Field):
         return (self.base._raw(value),) + self._raw_zero[1:]
 
     def _wrap(self, coeffs):
-        return ExtFieldElement._new(self, coeffs)
+        return ExtFieldElement._new(self, coeffs, None)
 
     def _values(self):
         return itertools.product(self.base._values(), repeat=self.degree)
@@ -425,9 +474,10 @@ class _TableField(ExtField):
     exp[k] = g^k for k < N - 1, where N is the order and g the first
     primitive element in _values() order, log is its inverse map, and
     zech[k] = log(1 + g^k), None where 1 + g^k = 0. Only zero has no
-    logarithm. _elements maps each raw value to its one element. An
-    ExtField of the same base and modulus, which has no tables, builds
-    them by the polynomial route.
+    logarithm. _elements maps each raw value to its one element, and
+    _by_log[k] is the element g^k for k < 2(N - 1). An ExtField of the same
+    base and modulus, which has no tables, builds them by the polynomial
+    route.
     """
 
     def __init__(self, base, modulus):
@@ -440,10 +490,11 @@ class _TableField(ExtField):
         self._zech = [log.get(polynomial._add(one, value)) for value in exp]
         self._log_minus_one = log[polynomial._neg(one)]  # 0 in characteristic 2
         # keyed by the tuples of exp, so that no raw value is held twice
-        self._elements = {value: ExtFieldElement._new(self, value)
-                          for value in (self._raw_zero, *exp)}
-        self.zero = self._elements[self._raw_zero]
+        self._elements = {value: ExtFieldElement._new(self, value, k) for k, value in enumerate(exp)}
+        self._elements[self._raw_zero] = self.zero  # made by ExtField, with no logarithm
         self.one = self._elements[one]
+        # twice round the cycle, so that a sum of two logarithms needs no reduction
+        self._by_log = [self._elements[value] for value in exp] * 2
 
     def _wrap(self, coeffs):
         return self._elements[coeffs]

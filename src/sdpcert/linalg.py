@@ -171,7 +171,11 @@ def rref(rows, zero):
 
 
 def reduce_against(vector, rows, pivots, zero):
-    """Reduce a vector against RREF rows; the remainder is zero iff it lies in the span."""
+    """Reduce a vector against RREF rows; the remainder is zero iff it lies in the span.
+
+    The dense route, reading every entry of every row: the reference the
+    tests compare crossed.LeftIdeal's reduction over nonzero entries with.
+    """
     vec = list(vector)
     for row, piv in zip(rows, pivots):
         factor = vec[piv]

@@ -594,7 +594,10 @@ class FiniteTower:
         self.one = self.field.one
         self.zero = self.field.zero
         self.lam = self.field.one
-        gen = self.field.generator()
+        field = self.field
+        # flatten looks each base coefficient up here
+        self._embedded = {v: field.embed(v) for v in base._values()}
+        gen = field.generator()
         self._l_basis = tuple(gen**e for e in range(n))
         power = gen
         for i in range(1, n):
@@ -614,7 +617,8 @@ class FiniteTower:
         return self.field.from_int(value)
 
     def flatten(self, x):
-        return [self.field.embed(c) for c in x.coeffs]
+        embedded = self._embedded
+        return [embedded[c] for c in x.coeffs]
 
     def l_basis(self):
         return list(self._l_basis)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -433,3 +434,141 @@ def test_multiply_agrees_with_twisting_by_every_entry(q, n):
         for x in elements:
             for y in elements:
                 assert algebra.multiply(x, y) == multiply_by_every_entry(algebra, x, y), (x, y)
+
+
+# --- multiply: sigma applied once per step, against the route above --------------
+
+
+def _counting_sigma(monkeypatch, tower):
+    """Wrap the tower's sigma in a counter; the returned list holds the count."""
+    count = [0]
+    sigma = tower.sigma
+
+    def counted(x):
+        count[0] += 1
+        return sigma(x)
+
+    monkeypatch.setattr(tower, "sigma", counted, raising=False)
+    return count
+
+
+@pytest.mark.parametrize("q", [None, 5])
+def test_multiply_applies_sigma_at_most_once_per_step(monkeypatch, q):
+    rng = random.Random(40 + (q or 0))
+    tower = builtin_s3() if q is None else FiniteTower(5, 3, 2)
+    algebra = CrossedProduct(tower)
+
+    def draw():
+        return tower.random_element(rng, 3) if q is None else tower.random_element(rng)
+
+    def operand():
+        return tuple(_nonzero(draw) if rng.random() < 0.6 else tower.zero for _ in range(3))
+
+    count = _counting_sigma(monkeypatch, tower)
+    for _ in range(60):
+        x, y = operand(), operand()
+        expected = multiply_by_every_entry(algebra, x, y)
+        count[0] = 0
+        product = algebra.multiply(x, y)
+        nonzero_y = sum(1 for yj in y if yj)
+        # the count of a route that applies sigma^i to each nonzero y_j afresh
+        assert count[0] <= sum(i * nonzero_y for i, xi in enumerate(x) if xi), (x, y)
+        assert product == expected, (x, y)
+
+
+@pytest.mark.parametrize("q", [None, 3])
+def test_operands_of_the_wrong_length_are_refused(q):
+    tower = builtin_s3() if q is None else FiniteTower(3, 2, 2)
+    algebra = CrossedProduct(tower)
+    n = algebra.n
+    for short in [(tower.one,), algebra.u(1) + (tower.one,)]:
+        for x, y in [(algebra.u(1), short), (short, algebra.u(1))]:
+            lengths = f"lengths {len(x)} and {len(y)}"
+            for operation in (algebra.add, algebra.sub, algebra.multiply):
+                with pytest.raises(ValueError, match=lengths):
+                    operation(x, y)
+    assert len(algebra.add(algebra.u(1), algebra.one)) == n
+
+
+@pytest.mark.parametrize("q", [None, 5])
+def test_kept_u_powers_equal_repeated_products(q):
+    tower = builtin_s3() if q is None else FiniteTower(5, 3, 2)
+    algebra = CrossedProduct(tower)
+    u = algebra.u(1)
+    expected = [algebra.one]
+    for _ in range(8):
+        expected.append(algebra.multiply(expected[-1], u))
+    assert algebra.u_powers(3) == expected[:4]
+    assert algebra.u_powers(8) == expected
+    assert [algebra.u_power(k) for k in range(9)] == expected
+    assert algebra.u_power(3) == algebra.from_field(tower.b)
+    returned = algebra.u_powers(4)
+    returned.append(algebra.zero)
+    returned[1] = algebra.zero
+    assert algebra.u_powers(5) == expected[:6] and algebra.u_power(1) == u
+    with pytest.raises(ValueError):
+        algebra.u_powers(-1)
+
+
+def _s3_chain(algebra):
+    tw = algebra.tower
+    y = -(tw.basis_element(1) - tw.one)  # -(c - 1), of norm -1 = b
+    return chain_from_unit(algebra, y)
+
+
+@pytest.mark.parametrize("q", [None, 3, 5, 7])
+def test_ideal_membership_agrees_with_dense_reduction(q):
+    from sdpcert.linalg import reduce_against
+
+    rng = random.Random(50 + (q or 0))
+    if q is None:
+        algebra = CrossedProduct(builtin_s3())
+        chain = _s3_chain(algebra)
+
+        def draw():
+            return algebra.tower.random_element(rng, 3)
+    else:
+        algebra, chain, _ = random_cyclic_instance(q, 3, rng)
+
+        def draw():
+            return algebra.tower.random_element(rng)
+    tw = algebra.tower
+    ideal = ideal_from_chain(algebra, chain)
+
+    def dense_contains(element):
+        residue = reduce_against(_ideal_coordinates(algebra, element), ideal.rows, ideal.pivots,
+                                 tw.zero)
+        return all(c == tw.zero for c in residue)
+
+    members = [
+        algebra.multiply(tuple(draw() for _ in range(3)),
+                         algebra.sub(algebra.from_field(chain.values[j]), algebra.u(j)))
+        for j in (1, 2) for _ in range(4)
+    ]
+    others = [tuple(draw() for _ in range(3)) for _ in range(8)] + [algebra.u(1), algebra.one]
+    for element in members:
+        assert ideal.contains(element) and dense_contains(element), element
+    verdicts = [ideal.contains(element) for element in others]
+    assert verdicts == [dense_contains(element) for element in others]
+    assert not any(verdicts[-2:]) and not all(verdicts)
+
+
+# --- the finite-model outputs, pinned ------------------------------------------------
+
+# sha256 of the reprs below over (q, n) in {3, 5, 7} x {2, 3} and seeds 0-9, taken
+# before elements carried their logarithm and multiply stepped sigma once per step
+FINITE_MODELS_SHA256 = "c2d24c6770a589c9ab378e2e37341f90c043a9c72d662a9e30cc3c9b438fd552"
+
+
+def test_finite_model_outputs_are_pinned():
+    # the calls of the benchmark's finite op, and the parts of its output the checks read
+    digest = hashlib.sha256()
+    for q in (3, 5, 7):
+        for n in (2, 3):
+            for seed in range(10):
+                algebra, chain, y = random_cyclic_instance(q, n, random.Random(seed))
+                ideal = ideal_from_chain(algebra, chain)
+                recovered = chain_from_ideal(algebra, ideal)
+                passed = [norm_element_check(algebra, y, i).passed for i in range(1, 2 * n + 1)]
+                digest.update(repr((chain.values, y, ideal.rows, recovered.values, passed)).encode())
+    assert digest.hexdigest() == FINITE_MODELS_SHA256

@@ -359,6 +359,86 @@ def test_each_element_of_a_table_field_is_made_once(two_routes):
     assert y + field.one is field.element((1,) + y.coeffs[1:])
 
 
+# --- element arithmetic on logarithms against the plain field of the same modulus ---
+
+
+def _interned(field, twin_result):
+    """The table field's one element with the raw value of a twin result, or the raised error."""
+    if twin_result is ZeroDivisionError:
+        return ZeroDivisionError
+    return field.element(twin_result.coeffs)
+
+
+def test_element_logs_index_the_interned_elements(two_routes):
+    field, twin = two_routes
+    cycle = field.order - 1
+    assert len(field._by_log) == 2 * cycle
+    assert field.zero._log is None and twin.generator()._log is None
+    for k, x in enumerate(field._by_log):
+        assert x._log == k % cycle and x is field.element(field._exp[k % cycle])
+
+
+def test_element_products_sums_and_differences_match_the_plain_field(two_routes):
+    # every pair, both operands of the one table field: the route on logarithms
+    field, twin = two_routes
+    pairs = list(zip(field.elements(), twin.elements()))
+    for x, tx in pairs:
+        for y, ty in pairs:
+            assert (x * y) is _interned(field, tx * ty), (x, y)
+            assert (x + y) is _interned(field, tx + ty), (x, y)
+            assert (x - y) is _interned(field, tx - ty), (x, y)
+            assert (x == y) is (tx == ty) and (x != y) is (tx != ty), (x, y)
+
+
+def test_element_negatives_inverses_and_powers_match_the_plain_field(two_routes):
+    field, twin = two_routes
+    exponents = (-2, 0, 1, field.base.order, field.order)
+    for x, tx in zip(field.elements(), twin.elements()):
+        assert -x is _interned(field, -tx), x
+        assert _outcome(x.inverse) is _interned(field, _outcome(tx.inverse)), x
+        for e in exponents:
+            assert _outcome(lambda: x**e) is _interned(field, _outcome(lambda: tx**e)), (x, e)
+        assert bool(x) is bool(tx), x
+
+
+def test_ints_and_plain_field_elements_still_coerce(two_routes):
+    field, twin = two_routes
+    for x, tx in zip(field.elements(), twin.elements()):
+        for c in (-1, 0, 1, 2, field.order + 3):
+            assert (x + c) is (c + x) is _interned(field, tx + c), (x, c)
+            assert (x - c) is _interned(field, tx - c) and (c - x) is _interned(field, c - tx)
+            assert (x * c) is (c * x) is _interned(field, tx * c), (x, c)
+            assert (x == c) is (tx == c), (x, c)
+        # an element of the plain field mixes by value and gives the table field's element
+        assert (x * tx) is _interned(field, tx * tx) and (x + tx) is _interned(field, tx + tx)
+        assert x == tx and x - tx is field.zero
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(copy.copy, id="copy"),
+    pytest.param(copy.deepcopy, id="deepcopy"),
+    pytest.param(lambda value: pickle.loads(pickle.dumps(value)), id="pickle"),
+])
+def test_copied_elements_compute_alone_and_with_the_originals(make):
+    field = gf(27)
+    twin = _polynomial_twin(field)
+    values = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 2, 0), (2, 2, 1)]
+    for a in values:
+        x, tx = field.element(a), twin.element(a)
+        c = make(x)
+        assert c == x and hash(c) == hash(x) and bool(c) is bool(x)
+        assert (c * c).coeffs == (tx * tx).coeffs and (c + c).coeffs == (tx + tx).coeffs
+        assert (c - c).coeffs == twin.zero.coeffs and (-c).coeffs == (-tx).coeffs
+        assert (c**3).coeffs == (tx**3).coeffs and (c**0).coeffs == twin.one.coeffs
+        if x:
+            assert c.inverse().coeffs == tx.inverse().coeffs
+        for b in values:
+            y, ty = field.element(b), twin.element(b)
+            assert c * y == y * c == x * y and (c * y).coeffs == (tx * ty).coeffs
+            assert c + y == y + c == x + y and (c - y).coeffs == (tx - ty).coeffs
+            assert (y - c).coeffs == (ty - tx).coeffs and (c == y) is (x == y)
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(copy.copy, id="copy"),
     pytest.param(copy.deepcopy, id="deepcopy"),
