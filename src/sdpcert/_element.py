@@ -19,8 +19,10 @@ coercion, +, negation, integer scaling, ==, hash and repr from
 group_ring._IntegralElement and add their coefficient count, named
 constructors, __mul__ and inverse. PrimeFieldElement (GF(p)) and
 ExtFieldElement (GF(p^k)) take coercion, +, -, negation, inverse, powers,
-==, hash and bool from finitefield._FieldElement, each one raw operation of
-the field, and add their public constructor, __mul__ and repr.
+==, hash and bool from finitefield._FieldElement, and add their public
+constructor, __mul__ and repr. Each operation is one raw operation of the
+field or, on a field with tables, integer arithmetic on the operands'
+logarithms; that field's own raw operations go through these elements.
 TowerElement writes its own arithmetic on numerators over one common
 denominator.
 """

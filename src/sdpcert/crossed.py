@@ -90,11 +90,11 @@ class CrossedProduct:
     def u_power(self, power):
         return self.u_powers(power)[-1]
 
-    def _check_lengths(self, x, y):
-        if len(x) != self.n or len(y) != self.n:
-            raise ValueError(
-                f"operands of lengths {len(x)} and {len(y)}; the algebra has n = {self.n}"
-            )
+    def _check_lengths(self, *operands):
+        for x in operands:
+            if len(x) != self.n:
+                lengths = " and ".join(str(len(y)) for y in operands)
+                raise ValueError(f"operands of lengths {lengths}; the algebra has n = {self.n}")
 
     def add(self, x, y):
         self._check_lengths(x, y)
@@ -105,6 +105,7 @@ class CrossedProduct:
         return tuple(a - b for a, b in zip(x, y))
 
     def scale(self, coefficient, x):
+        self._check_lengths(x)
         return tuple(coefficient * a for a in x)
 
     def multiply(self, x, y):
@@ -239,6 +240,7 @@ class LeftIdeal:
         return vec
 
     def contains(self, element):
+        self.algebra._check_lengths(element)
         return not any(self._reduce(element))
 
     def __eq__(self, other):
@@ -341,22 +343,25 @@ def norm_element_check(algebra, x, i):
     a = sum_k (sigma^(i-1)(x) ... sigma^(i-k)(x)) u^(i-k-1), k = 0 ... i-1; the
     conjugates sigma^0(x) ... sigma^(i-1)(x) are built once, the powers
     u^0 ... u^i are the algebra's kept ones, and each coefficient grows from
-    the one before it.
+    the one before it, added into a entry by entry. The last coefficient
+    times x is the partial norm x sigma(x) ... sigma^(i-1)(x).
     """
     tw = algebra.tower
     conjugates = [x]
     for _ in range(i - 1):
         conjugates.append(tw.sigma(conjugates[-1]))
-    u = algebra.u(1)
     u_powers = algebra.u_powers(i)
-    a = algebra.zero
+    a = list(algebra.zero)
     coefficient = tw.one
     for k in range(i):
         if k:
             coefficient = coefficient * conjugates[i - k]
-        a = algebra.add(a, algebra.scale(coefficient, u_powers[i - k - 1]))
-    lhs = algebra.multiply(a, algebra.sub(algebra.from_field(x), u))
-    rhs = algebra.sub(algebra.from_field(sigma_partial_product(tw, x, i)), u_powers[i])
+        for j, entry in enumerate(u_powers[i - k - 1]):
+            if entry:
+                a[j] = a[j] + coefficient * entry
+    partial_norm = coefficient * x if i else tw.one
+    lhs = algebra.multiply(tuple(a), algebra.sub(algebra.from_field(x), algebra.u(1)))
+    rhs = algebra.sub(algebra.from_field(partial_norm), u_powers[i])
     return CheckResult(
         name=f"norm-element identity (i={i})",
         passed=lhs == rhs,

@@ -24,22 +24,25 @@ reduced by the modulus, and the extended Euclid algorithm. gf(q) for a
 prime power q and the field of a FiniteTower come from _smallest_extension,
 which keeps one canonical field per (base, degree), with the modulus of
 smallest_irreducible. When its order is at most _LOG_TABLE_MAX_ORDER (2^12)
-that field is a _TableField, on which every raw operation is a lookup that
-allocates nothing (Lidl and Niederreiter, Finite Fields, section 9.1): with
-exp[k] = g^k for a primitive g and log its inverse map, a product adds
-logarithms, and a sum g^i + g^j = g^i (1 + g^(j-i)) adds the Zech logarithm
-zech[j - i] = log(1 + g^(j-i)) to i. Negation adds log(-1), which is 0 in
-characteristic 2, and a difference is one such sum. Each element of a
-_TableField is made once, so _wrap is one dict lookup and field.element(v)
-is field.element(v). Each element also carries its logarithm, _log (None
-for zero), and the field lists its elements by logarithm twice round the
-cycle in _by_log. When both operands are elements of the same _TableField
-object, +, -, *, negation, inverse and powers are integer arithmetic on
-_log and one index into _by_log, with no raw value looked up. An int
-operand, or an element of another, equal field object, takes the raw
-route. The polynomial route builds the tables, once per field and process,
-and stays the reference the tests compare both routes with. An ExtField
-built directly never has tables, since its modulus may be reducible.
+that field is a _TableField, whose arithmetic runs on discrete logarithms
+(Lidl and Niederreiter, Finite Fields, section 9.1): each nonzero element
+is g^k for a primitive g and carries k as _log (None for zero), a product
+adds logarithms, and a sum g^i + g^j = g^i (1 + g^(j-i)) adds the Zech
+logarithm zech[j - i] = log(1 + g^(j-i)) to i. Negation adds log(-1),
+which is 0 in characteristic 2, and a difference is one such sum. Each
+element of a _TableField is made once and kept twice: in _elements by raw
+value, so _wrap is one dict lookup and field.element(v) is
+field.element(v), and in _by_log by logarithm, twice round the cycle. The
+element operations are the one place where logarithms are added: when
+both operands are elements of the same _TableField object, +, -, *,
+negation, inverse and powers are integer arithmetic on _log and one index
+into _by_log, allocating nothing. The raw operations of a _TableField,
+which an extension over it and an int operand or an element of another,
+equal field object reach, look their operands up in _elements and return
+the raw value of that element result. The polynomial route builds the
+tables, once per field and process, and stays the reference the tests
+compare with. An ExtField built directly never has tables, since its
+modulus may be reducible.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ class _FieldElement(ExactElement):
     g^k of a _TableField, and None for its zero and for every element of
     any other field. When both operands are elements of the same table
     field, an operation is integer arithmetic on _log and one index into
-    field._by_log; every other pair takes the raw route. Elements of two
+    field._by_log; every other pair takes the raw route, which on a table
+    field comes back here with that field's own elements. Elements of two
     fields mix exactly when the fields are equal; ints are coerced by
     field.from_int. The hash is a function of the field's order and the raw
     value only.
@@ -271,18 +275,21 @@ class ExtFieldElement(_FieldElement):
 
     def __mul__(self, other):
         field = self.field
-        by_log = field._by_log
-        if by_log is not None and type(other) is ExtFieldElement and other.field is field:
-            i, j = self._log, other._log
-            if i is None or j is None:
-                return field.zero
-            return by_log[i + j]
+        if field._by_log is not None and type(other) is ExtFieldElement and other.field is field:
+            return self._times(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return field._wrap(field._mul(self._value, other._value))
 
     __rmul__ = __mul__
+
+    def _times(self, other):
+        """The product of two elements of one table field: their logarithms add."""
+        i, j = self._log, other._log
+        if i is None or j is None:
+            return self.field.zero
+        return self.field._by_log[i + j]
 
     def __repr__(self):
         return f"ExtFieldElement({[self.field.base._wrap(c) for c in self.coeffs]})"
@@ -354,7 +361,7 @@ class ExtField(_Field):
     the same; an equal order alone is not enough.
     """
 
-    _log = _by_log = None  # the log tables of a _TableField; an ExtField has none
+    _by_log = None  # the elements by logarithm of a _TableField; an ExtField has none
 
     def __init__(self, base, modulus):
         modulus = tuple(base._raw(c) for c in modulus)
@@ -469,23 +476,26 @@ class ExtField(_Field):
 
 
 class _TableField(ExtField):
-    """base[y]/(modulus) for an irreducible modulus, every raw operation a table lookup.
+    """base[y]/(modulus) for an irreducible modulus, computing on the logarithms of its elements.
 
-    exp[k] = g^k for k < N - 1, where N is the order and g the first
-    primitive element in _values() order, log is its inverse map, and
+    With g the first primitive element in _values() order and N the order,
+    _elements maps each raw value to its one element, the element g^k
+    carrying _log = k; _by_log[k] is the element g^k for k < 2(N - 1); and
     zech[k] = log(1 + g^k), None where 1 + g^k = 0. Only zero has no
-    logarithm. _elements maps each raw value to its one element, and
-    _by_log[k] is the element g^k for k < 2(N - 1). An ExtField of the same
-    base and modulus, which has no tables, builds them by the polynomial
-    route.
+    logarithm. The element operations of _FieldElement and ExtFieldElement
+    are the one place where logarithms are added: each raw operation looks
+    its operands' elements up in _elements and returns the raw value of
+    their element result, with zero handled here, where the element route
+    falls back to the raw one. An ExtField of the same base and modulus,
+    which has no tables, builds them by the polynomial route.
     """
 
     def __init__(self, base, modulus):
         super().__init__(base, modulus)
         polynomial = ExtField(base, self.modulus)
         self._cycle = self.order - 1
-        self._exp = exp = _primitive_powers(polynomial)
-        self._log = log = {value: k for k, value in enumerate(exp)}
+        exp = _primitive_powers(polynomial)
+        log = {value: k for k, value in enumerate(exp)}
         one = self._raw_one
         self._zech = [log.get(polynomial._add(one, value)) for value in exp]
         self._log_minus_one = log[polynomial._neg(one)]  # 0 in characteristic 2
@@ -500,57 +510,34 @@ class _TableField(ExtField):
         return self._elements[coeffs]
 
     def _add(self, a, b):
-        log = self._log
-        i = log.get(a)
-        if i is None:
-            return b
-        j = log.get(b)
-        if j is None:
-            return a
-        k = self._zech[j - i]  # a negative index counts from the end: j - i mod N - 1
-        if k is None:
-            return self._raw_zero
-        return self._exp[(i + k) % self._cycle]
+        return (self._elements[a] + self._elements[b])._value
 
     def _sub(self, a, b):
-        log = self._log
-        j = log.get(b)
-        if j is None:
-            return a
-        j += self._log_minus_one
-        i = log.get(a)
-        if i is None:
-            return self._exp[j % self._cycle]
-        k = self._zech[(j - i) % self._cycle]
-        if k is None:
-            return self._raw_zero
-        return self._exp[(i + k) % self._cycle]
+        return (self._elements[a] - self._elements[b])._value
 
     def _neg(self, a):
-        i = self._log.get(a)
-        if i is None:
-            return a
-        return self._exp[(i + self._log_minus_one) % self._cycle]
+        return (self.zero - self._elements[a])._value
 
     def _mul(self, a, b):
-        log = self._log
-        i, j = log.get(a), log.get(b)
-        if i is None or j is None:
-            return self._raw_zero
-        return self._exp[(i + j) % self._cycle]
+        return self._elements[a]._times(self._elements[b])._value
 
     def _inv(self, a):
         if a == self._raw_zero:
             raise ZeroDivisionError("0 has no inverse")
-        return self._exp[-self._log[a] % self._cycle]
+        return self._elements[a].inverse()._value
 
     def _pow(self, a, exponent):
+        if a != self._raw_zero:
+            return (self._elements[a] ** exponent)._value
         if exponent < 0:
-            a, exponent = self._inv(a), -exponent
-        k = self._log.get(a)
-        if k is None:
-            return self._raw_one if exponent == 0 else a
-        return self._exp[k * exponent % self._cycle]
+            raise ZeroDivisionError("0 has no inverse")
+        return a if exponent else self._raw_one
+
+    def _axpy(self, c, xs, ys):
+        """ys + c * xs, with the element of c looked up once."""
+        elements = self._elements
+        c = elements[c]
+        return [(elements[y] + c._times(elements[x]))._value for x, y in zip(xs, ys)]
 
 
 def _has_root(coeffs, base):
@@ -618,11 +605,11 @@ def _smallest_irreducible(base, degree):
 
 
 # 2^12 covers every field the library builds (343 elements at most) and the
-# GF(2^7) and GF(3^7) towers planned next. At 2^12 one field's log and Zech
-# tables and its interned elements take 1.2 MB (tracemalloc; 0.8 MB of it the
-# exp and log tables). A cold build takes 40-50 ms for GF(3^7) and
-# 110-160 ms for GF(2^12) on a shared 2-core x86 machine, nearly all of it
-# the polynomial products of exp.
+# GF(2^7) and GF(3^7) towers planned next. At 2^12 one field's Zech table and
+# its interned elements, listed by value and by logarithm, take 1.25 MB
+# (tracemalloc; 0.07 MB at GF(7^3)). A cold build takes 30-50 ms for GF(3^7)
+# and 105-170 ms for GF(2^12) on a shared 2-core x86 machine, nearly all of
+# it the polynomial products of the powers of g.
 _LOG_TABLE_MAX_ORDER = 2**12
 
 # canonical fields kept per process; the most recently used stay

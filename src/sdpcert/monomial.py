@@ -157,7 +157,13 @@ class VerificationRecord:
 
 
 def verify_certificate(cert):
-    """Recompute every certificate identity exactly; failures are recorded, not raised."""
+    """Recompute every certificate identity exactly; a failed identity is recorded, not raised.
+
+    A certificate that cannot be read raises instead: an r outside [1, n - 1]
+    or sharing a factor with n raises ValueError (from TauData), and a lift
+    whose group order is not n raises group_ring.OrderMismatchError, itself
+    a ValueError.
+    """
     tau = TauData(cert.n, cert.r)
     n = cert.n
     alpha_fixed, alpha_unit = _fixed_and_unit(reduce(cert.alpha_tilde), tau)

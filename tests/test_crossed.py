@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -476,6 +477,32 @@ def test_multiply_applies_sigma_at_most_once_per_step(monkeypatch, q):
         assert product == expected, (x, y)
 
 
+@pytest.mark.parametrize("q", [None, 5])
+def test_norm_element_check_applies_sigma_once_per_conjugate(monkeypatch, q):
+    rng = random.Random(60 + (q or 0))
+    tower = builtin_s3() if q is None else FiniteTower(5, 3, 2)
+    algebra = CrossedProduct(tower)
+    count = _counting_sigma(monkeypatch, tower)
+    multiply = algebra.multiply
+
+    def uncounted(x, y):
+        # the sigma steps of a product are bounded by the multiply test above
+        before = count[0]
+        product = multiply(x, y)
+        count[0] = before
+        return product
+
+    monkeypatch.setattr(algebra, "multiply", uncounted)
+    for _ in range(4):
+        x = _nonzero(lambda: tower.random_element(rng, 3) if q is None
+                     else tower.random_element(rng))
+        for i in range(1, 2 * algebra.n + 1):
+            count[0] = 0
+            assert norm_element_check(algebra, x, i).passed, (x, i)
+            # sigma^1(x) ... sigma^(i-1)(x), each made once
+            assert count[0] <= i - 1, (x, i, count[0])
+
+
 @pytest.mark.parametrize("q", [None, 3])
 def test_operands_of_the_wrong_length_are_refused(q):
     tower = builtin_s3() if q is None else FiniteTower(3, 2, 2)
@@ -487,7 +514,19 @@ def test_operands_of_the_wrong_length_are_refused(q):
             for operation in (algebra.add, algebra.sub, algebra.multiply):
                 with pytest.raises(ValueError, match=lengths):
                     operation(x, y)
+    if q is None:
+        ideal = ideal_from_chain(algebra, _s3_chain(algebra))
+    else:
+        ideal = ideal_from_chain(*random_cyclic_instance(3, 2, random.Random(0))[:2])
+    for short in [(tower.one,), algebra.u(1) + (tower.one,)]:
+        lengths = f"lengths {len(short)};"
+        with pytest.raises(ValueError, match=lengths):
+            algebra.scale(tower.one, short)
+        with pytest.raises(ValueError, match=lengths):
+            ideal.contains(short)
     assert len(algebra.add(algebra.u(1), algebra.one)) == n
+    assert len(algebra.scale(tower.one, algebra.u(1))) == n
+    assert not ideal.contains(ideal.algebra.u(1))
 
 
 @pytest.mark.parametrize("q", [None, 5])
@@ -572,3 +611,20 @@ def test_finite_model_outputs_are_pinned():
                 passed = [norm_element_check(algebra, y, i).passed for i in range(1, 2 * n + 1)]
                 digest.update(repr((chain.values, y, ideal.rows, recovered.values, passed)).encode())
     assert digest.hexdigest() == FINITE_MODELS_SHA256
+
+
+# the same, over the nested towers (q = 4, 8, 9: a table field over a table field,
+# whose base is reached through its raw operations), taken before those raw
+# operations went through the interned elements
+NESTED_FINITE_MODELS_SHA256 = "98016da701e2a017d94cdb6734e88bc8480bfed3ea3b94a2403a4df3d1efbf9a"
+
+
+def test_nested_finite_model_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for q, n, seed in itertools.product((4, 8, 9), (2, 3), range(10)):
+        algebra, chain, y = random_cyclic_instance(q, n, random.Random(seed))
+        ideal = ideal_from_chain(algebra, chain)
+        recovered = chain_from_ideal(algebra, ideal)
+        passed = [norm_element_check(algebra, y, i).passed for i in range(1, 2 * n + 1)]
+        digest.update(repr((chain.values, y, ideal.rows, recovered.values, passed)).encode())
+    assert digest.hexdigest() == NESTED_FINITE_MODELS_SHA256

@@ -274,18 +274,22 @@ def _outcome(call):
 def two_routes(request):
     field = TABLED_FIELDS[request.param]()
     twin = _polynomial_twin(field)
-    assert field._log is not None and twin._log is None
-    assert getattr(twin.base, "_log", None) is None
+    assert field._by_log is not None and twin._by_log is None
+    assert twin.base._by_log is None
     assert twin == field
     return field, twin
 
 
 def test_log_tables_cover_every_nonzero_value_once(two_routes):
     field, _ = two_routes
+    cycle = field.order - 1
     nonzero = [v for v in field._values() if v != field._raw_zero]
-    assert len(field._exp) == len(field._log) == len(nonzero) == field.order - 1
-    assert sorted(field._log) == sorted(nonzero)
-    assert all(field._exp[k] == v for v, k in field._log.items())
+    first_round = field._by_log[:cycle]
+    assert len(first_round) == len(nonzero) == cycle
+    assert sorted(x.coeffs for x in first_round) == sorted(nonzero)
+    assert sorted(field._elements) == sorted(field._values())
+    # logarithm and value are inverse maps: each element sits at its own logarithm
+    assert all(field._by_log[x._log] is x for x in field._elements.values() if x)
 
 
 def test_table_products_match_polynomial_products(two_routes):
@@ -342,7 +346,7 @@ def test_zech_sums_differences_and_negatives_match_polynomial_ones(two_routes):
 def test_zech_table_marks_the_one_power_that_cancels_one(two_routes):
     field, twin = two_routes
     cancelling = [k for k, z in enumerate(field._zech) if z is None]
-    assert cancelling == [field._log[twin._neg(field._raw_one)]]
+    assert cancelling == [field._elements[twin._neg(field._raw_one)]._log]
     x = field.one + field.one
     assert x + (-field.one) == field.one and field.one - field.one == field.zero
 
@@ -374,8 +378,11 @@ def test_element_logs_index_the_interned_elements(two_routes):
     cycle = field.order - 1
     assert len(field._by_log) == 2 * cycle
     assert field.zero._log is None and twin.generator()._log is None
+    # _by_log[k] is g^k, the powers taken by the polynomial route
+    g, power = twin.element(field._by_log[1].coeffs), twin.one
     for k, x in enumerate(field._by_log):
-        assert x._log == k % cycle and x is field.element(field._exp[k % cycle])
+        assert x._log == k % cycle and x is field.element(power.coeffs)
+        power = power * g
 
 
 def test_element_products_sums_and_differences_match_the_plain_field(two_routes):
@@ -497,18 +504,18 @@ def test_equal_bases_share_one_canonical_field():
 
 def test_directly_built_fields_keep_the_polynomial_route():
     reducible = ExtField(PrimeField(3), (2, 0, 1))  # y^2 - 1 = (y - 1)(y + 1)
-    assert reducible._log is None
+    assert reducible._by_log is None
     with pytest.raises(ZeroDivisionError):
         reducible.element((2, 1)).inverse()
     assert reducible.element((2, 1)) * reducible.element((1, 1)) == reducible.zero
-    assert ExtField(PrimeField(3), (1, 0, 1))._log is None  # the modulus of gf(9)
-    assert gf(9)._log is not None
+    assert ExtField(PrimeField(3), (1, 0, 1))._by_log is None  # the modulus of gf(9)
+    assert gf(9)._by_log is not None
 
 
 def test_fields_above_the_order_bound_keep_the_polynomial_route():
-    assert gf(_LOG_TABLE_MAX_ORDER)._log is not None
+    assert gf(_LOG_TABLE_MAX_ORDER)._by_log is not None
     big = gf(2 * _LOG_TABLE_MAX_ORDER)
-    assert big._log is None
+    assert big._by_log is None
     x = big.generator() + big.one
     assert x * x.inverse() == big.one
     assert x ** (big.order - 1) == big.one and x**big.order == x
@@ -519,16 +526,54 @@ def test_towers_built_twice_share_tables_and_mix():
     assert t1.field is t2.field
     # the same field built directly, with no tables: its elements mix with the towers'
     direct = ExtField(PrimeField(5), t1.field.modulus)
-    assert direct is not t1.field and direct == t1.field and direct._log is None
+    assert direct is not t1.field and direct == t1.field and direct._by_log is None
     x, y = t1.field.generator(), direct.generator()
     assert x == y and hash(x) == hash(y)
     assert t1.sigma(x) == t2.sigma(y) == y**5
     assert x * y == x**2 and (x / y) == t2.one
 
 
+def test_an_extension_over_a_table_field_runs_on_its_raw_operations():
+    # GF(4^7) is above the order bound, so a plain ExtField: every coefficient
+    # operation is a raw operation of the table field GF(4), and none of its own
+    # arithmetic reaches the element route of GF(4)
+    field = FiniteTower(4, 7, 1).field
+    assert field.order > _LOG_TABLE_MAX_ORDER and field._by_log is None
+    assert field.base is gf(4) and field.base._by_log is not None
+    twin = _polynomial_twin(field)
+    rng = random.Random(47)
+    xs = [field.zero, field.one, field.generator()] + [field.random_element(rng) for _ in range(9)]
+    for x in xs:
+        tx = twin.element(x.coeffs)
+        assert (-x).coeffs == (-tx).coeffs and x - x == field.zero and x + -x == field.zero
+        if x:
+            assert x.inverse().coeffs == tx.inverse().coeffs and x * x.inverse() == field.one
+            assert (x**-2).coeffs == (tx**-2).coeffs
+        for y in xs:
+            ty = twin.element(y.coeffs)
+            assert (x * y).coeffs == (tx * ty).coeffs and x * y == y * x, (x, y)
+            assert (x + y).coeffs == (tx + ty).coeffs and x + y == y + x, (x, y)
+            assert (x - y).coeffs == (tx - ty).coeffs, (x, y)
+    for x, y, z in itertools.islice(itertools.product(xs, repeat=3), 0, None, 7):
+        assert (x * y) * z == x * (y * z) and (x + y) + z == x + (y + z), (x, y, z)
+        assert x * (y + z) == x * y + x * z, (x, y, z)
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        field.zero**-1
+    # Frobenius x -> x^4 has order 7: the generator returns after seven steps, not before
+    g = field.generator()
+    power = g
+    for _ in range(6):
+        power = power**4
+        assert power != g
+    assert power**4 == g
+    assert all((x**4).coeffs == (twin.element(x.coeffs) ** 4).coeffs for x in xs)
+
+
 # --- a field whose _mul and _inv disagree fails instead of hanging --------------
 
-# GF(4) with its own log, Zech and element tables, built apart from gf(4),
+# GF(4) with its own Zech and element tables, built apart from gf(4),
 # once with _inv the identity, once with _mul one power of the primitive
 # element too far: the remainder's top coefficient never cancels, so the
 # division would loop forever.
@@ -554,10 +599,10 @@ print(outcome(lambda: _poly_divmod([(0, 0), (0, 0), (1, 0)], [(1, 0), (0, 1)], w
 
 wrong_mul = broken_gf4()
 def off_by_one(a, b):
-    i, j = wrong_mul._log.get(a), wrong_mul._log.get(b)
-    if i is None or j is None:
+    x, y = wrong_mul._elements[a], wrong_mul._elements[b]
+    if not x or not y:
         return wrong_mul._raw_zero
-    return wrong_mul._exp[(i + j + 1) % wrong_mul._cycle]
+    return wrong_mul._by_log[x._log + y._log + 1].coeffs
 wrong_mul._mul = off_by_one
 print(outcome(lambda: smallest_irreducible(wrong_mul, 2)))
 """
