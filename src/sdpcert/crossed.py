@@ -209,13 +209,14 @@ def _ideal_coordinates(algebra, x):
 
 
 class LeftIdeal:
-    """A left ideal as a reduced row-echelon basis over L (canonical row space).
+    """A left ideal of one algebra as a reduced row-echelon basis over L (canonical row space).
 
     The rows are in _ideal_coordinates, the field part last, so an ideal
     complementary to the field part has the first n^2 - n columns as pivots:
     its rows are the graph of the L-linear map u_j -> z_j. The nonzero
     entries of each row are found once, and a vector is reduced over those
-    alone.
+    alone. Two ideals are equal when they belong to the same algebra object
+    and have the same rows; the hash reads the rows only.
     """
 
     def __init__(self, algebra, rows, pivots):
@@ -244,7 +245,8 @@ class LeftIdeal:
         return not any(self._reduce(element))
 
     def __eq__(self, other):
-        return isinstance(other, LeftIdeal) and self.rows == other.rows
+        return (isinstance(other, LeftIdeal) and self.algebra is other.algebra
+                and self.rows == other.rows)
 
     def __hash__(self):
         return hash(self.rows)
@@ -254,28 +256,26 @@ class LeftIdeal:
 
 
 def ideal_from_chain(algebra, chain):
-    """The left ideal spanned by E*(z_j - u_j) over all group elements.
+    """The left ideal spanned by E*(z_j - u_j) over all group elements, written in reduced form.
 
-    Requires delta z = c. The generator e_b*(z_j - u_j) is -1 on its own
-    column of the first n^2 - n and e_b*z_j on the field part, so its pivots
-    being exactly those columns checks both the dimension n^2 - n and the
-    complement to the field part; closure under left multiplication by u is
-    checked on the generators.
+    Requires delta z = c. The generator e_b*(z_j - u_j) is -1 on column
+    (j - 1)*n + b and e_b*z_j on the field part, and nothing elsewhere, so
+    minus it is already the reduced row (j, b): 1 on its pivot and
+    -e_b*z_j on the field part. These rows, the graph of u_j -> z_j, span an
+    (n^2 - n)-dimensional complement of the field part with no elimination;
+    closure under left multiplication by u is checked on the generators.
     """
     if not is_splitting_chain(algebra, chain):
         raise ValueError("chain does not satisfy delta z = c")
     tw = algebra.tower
     n = algebra.n
-    field_basis = tw.l_basis()
     generators = [
         algebra.scale(e_b, algebra.sub(algebra.from_field(chain.values[j]), algebra.u(j)))
         for j in range(1, n)
-        for e_b in field_basis
+        for e_b in tw.l_basis()
     ]
-    rows, pivots = linalg.rref([_ideal_coordinates(algebra, g) for g in generators], tw.zero)
-    if pivots != tuple(range(n * n - n)):
-        raise RuntimeError("span is not an (n^2 - n)-dimensional complement of the field part")
-    ideal = LeftIdeal(algebra, rows, pivots)
+    ideal = LeftIdeal(algebra, [[-c for c in _ideal_coordinates(algebra, g)] for g in generators],
+                      range(n * n - n))
     u = algebra.u(1)
     if not all(ideal.contains(algebra.multiply(u, g)) for g in generators):
         raise RuntimeError("span is not closed under left multiplication by u")
@@ -286,21 +286,22 @@ def chain_from_ideal(algebra, ideal):
     """Recover the splitting chain: z_j is the unique field part with z_j - u_j in the ideal.
 
     An ideal complementary to the field part has pivots on the first n^2 - n
-    columns, and reducing u_j against its rows leaves z_j on the field part.
-    Other pivots, or a zero z_j, mean the ideal lies outside the open locus
-    where the correspondence is defined.
+    columns. Since e_0 = 1, u_j is 1 on column (j - 1)*n alone, so of the
+    reduced rows only row (j, 0) acts on it, and u_j reduces to minus that
+    row's field part: z_j is read off it, and z_0 = 1. Other pivots, or a
+    zero z_j, mean the ideal lies outside the open locus where the
+    correspondence is defined.
     """
     n = algebra.n
     if ideal.pivots != tuple(range(n * n - n)):
         raise ValueError("ideal is not complementary to the field part")
     tw = algebra.tower
     field_basis = tw.l_basis()
-    values = []
-    for j in range(n):
-        residue = ideal._reduce(algebra.u(j))
+    values = [tw.one]
+    for j in range(1, n):
         z_j = tw.zero
-        for coordinate, e_b in zip(residue[-n:], field_basis):
-            z_j = z_j + coordinate * e_b
+        for coordinate, e_b in zip(ideal.rows[(j - 1) * n][-n:], field_basis):
+            z_j = z_j - coordinate * e_b
         if not z_j:
             raise ValueError("recovered chain value is zero; ideal is outside the open locus")
         values.append(z_j)

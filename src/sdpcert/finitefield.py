@@ -34,15 +34,15 @@ element of a _TableField is made once and kept twice: in _elements by raw
 value, so _wrap is one dict lookup and field.element(v) is
 field.element(v), and in _by_log by logarithm, twice round the cycle. The
 element operations are the one place where logarithms are added: when
-both operands are elements of the same _TableField object, +, -, *,
-negation, inverse and powers are integer arithmetic on _log and one index
-into _by_log, allocating nothing. The raw operations of a _TableField,
-which an extension over it and an int operand or an element of another,
-equal field object reach, look their operands up in _elements and return
-the raw value of that element result. The polynomial route builds the
-tables, once per field and process, and stays the reference the tests
-compare with. An ExtField built directly never has tables, since its
-modulus may be reducible.
+both operands are elements of the same _TableField object, or one is an
+int, which coerces to such an element, +, -, *, negation, inverse and
+powers are integer arithmetic on _log and one index into _by_log,
+allocating nothing. The raw operations of a _TableField, which an
+extension over it and an element of another, equal field object reach,
+look their operands up in _elements and return the raw value of that
+element result. The polynomial route builds the tables, once per field
+and process, and stays the reference the tests compare with. An ExtField
+built directly never has tables, since its modulus may be reducible.
 """
 
 from __future__ import annotations
@@ -62,13 +62,13 @@ class _FieldElement(ExactElement):
     field is the element's field and _value its raw value, which each
     subclass also exposes under a public name. _log is k for the element
     g^k of a _TableField, and None for its zero and for every element of
-    any other field. When both operands are elements of the same table
-    field, an operation is integer arithmetic on _log and one index into
-    field._by_log; every other pair takes the raw route, which on a table
-    field comes back here with that field's own elements. Elements of two
-    fields mix exactly when the fields are equal; ints are coerced by
-    field.from_int. The hash is a function of the field's order and the raw
-    value only.
+    any other field. Ints are coerced by field.from_int, into elements of
+    the field itself. When both operands are then elements of the same
+    table field, an operation is integer arithmetic on _log and one index
+    into field._by_log; every other pair takes the raw route, which on a
+    table field comes back here with that field's own elements. Elements of
+    two fields mix exactly when the fields are equal. The hash is a
+    function of the field's order and the raw value only.
     """
 
     __slots__ = ("field", "_value", "_log")
@@ -84,38 +84,40 @@ class _FieldElement(ExactElement):
 
     def __add__(self, other):
         field = self.field
+        if type(other) is not type(self) or other.field is not field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         by_log = field._by_log
-        if by_log is not None and type(other) is type(self) and other.field is field:
-            i, j = self._log, other._log
-            if i is None:
-                return field.zero if j is None else by_log[j]
-            if j is None:
-                return by_log[i]
-            k = field._zech[j - i]  # a negative index counts from the end: j - i mod N - 1
-            return field.zero if k is None else by_log[i + k]
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return field._wrap(field._add(self._value, other._value))
+        if by_log is None or other.field is not field:
+            return field._wrap(field._add(self._value, other._value))
+        i, j = self._log, other._log
+        if i is None:
+            return field.zero if j is None else by_log[j]
+        if j is None:
+            return by_log[i]
+        k = field._zech[j - i]  # a negative index counts from the end: j - i mod N - 1
+        return field.zero if k is None else by_log[i + k]
 
     __radd__ = __add__
 
     def __sub__(self, other):
         field = self.field
+        if type(other) is not type(self) or other.field is not field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         by_log = field._by_log
-        if by_log is not None and type(other) is type(self) and other.field is field:
-            i, j = self._log, other._log
-            if j is None:
-                return field.zero if i is None else by_log[i]
-            j += field._log_minus_one
-            if i is None:
-                return by_log[j]
-            k = field._zech[(j - i) % field._cycle]
-            return field.zero if k is None else by_log[i + k]
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return field._wrap(field._sub(self._value, other._value))
+        if by_log is None or other.field is not field:
+            return field._wrap(field._sub(self._value, other._value))
+        i, j = self._log, other._log
+        if j is None:
+            return field.zero if i is None else by_log[i]
+        j += field._log_minus_one
+        if i is None:
+            return by_log[j]
+        k = field._zech[(j - i) % field._cycle]
+        return field.zero if k is None else by_log[i + k]
 
     def __neg__(self):
         field = self.field
@@ -275,12 +277,13 @@ class ExtFieldElement(_FieldElement):
 
     def __mul__(self, other):
         field = self.field
-        if field._by_log is not None and type(other) is ExtFieldElement and other.field is field:
-            return self._times(other)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return field._wrap(field._mul(self._value, other._value))
+        if type(other) is not ExtFieldElement or other.field is not field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if field._by_log is None or other.field is not field:
+            return field._wrap(field._mul(self._value, other._value))
+        return self._times(other)
 
     __rmul__ = __mul__
 

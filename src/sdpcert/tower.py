@@ -390,12 +390,18 @@ class NumberTower:
     def _l_coordinates(self):
         """The E-over-L basis e_0 ... e_(n-1) and, per i, the matrix of x -> x_i.
 
-        L is the sigma-fixed subspace with a basis g_0 ... g_(m-1); the e_i are
-        picked greedily among the power-product basis elements. Writing
-        x = sum_(i,j) a_ij g_j e_i, one rref of [spanned^T | I] gives the
-        inverse of spanned^T, whose rows i*m ... i*m + m - 1 map x to the
-        a_ij; then x_i = sum_j a_ij g_j. Each map is stored as an integer
-        matrix over one denominator, like sigma and tau.
+        L is the sigma-fixed subspace with a basis g_0 ... g_(d-1), read off
+        the kernel of sigma - 1, and its size d sets the blocks. One rref of
+        [G | I], where the columns of G are the g_j e_k, ordered by k and then
+        j, does the rest. In a field the L-span of e_k meets the span of the
+        earlier columns in 0 or in all of it, so the pivots of G fill whole
+        blocks, and the power products e_k of those blocks are the e_i, each
+        the first one outside the L-span of those before it. The right block
+        is then the inverse of the pivot columns: writing
+        x = sum_(i,j) a_ij g_j e_i, its rows i*d ... i*d + d - 1 map x to the
+        a_ij, and x_i = sum_j a_ij g_j. A partial pivot block means the table
+        is not a field. Each map is stored as an integer matrix over one
+        denominator, like sigma and tau.
         """
         if self.dim != self.n * self.m:
             raise RuntimeError("total degree is not n*m; no E-over-L structure exists")
@@ -404,27 +410,21 @@ class NumberTower:
         l_elements = [TowerElement(self, v) for v in linalg.nullspace_rational(delta)]
         if len(l_elements) != self.m:
             raise RuntimeError("sigma-fixed subspace does not have dimension m")
-        chosen = []
-        spanned = []
-        for i in range(self.dim):
-            candidate = self.basis_element(i)
-            trial = spanned + [(g * candidate).coords for g in l_elements]
-            if linalg.rank_rational(trial) == len(trial):
-                chosen.append(candidate)
-                spanned = trial
-                if len(chosen) == self.n:
-                    break
-        if len(chosen) != self.n:
+        block = len(l_elements)
+        columns = [(g * self.basis_element(k)).coords for k in range(self.dim) for g in l_elements]
+        augmented = [[column[i] for column in columns] + [Fraction(int(i == j)) for j in range(self.dim)]
+                     for i in range(self.dim)]
+        rows, pivots = linalg.rref(augmented, Fraction(0))
+        chosen = [pivot // block for pivot in pivots[::block]]
+        if pivots[-1] >= len(columns) or pivots != tuple(k * block + j for k in chosen for j in range(block)):
             raise RuntimeError("no basis of E over L among the power products")
-        augmented = [[row[k] for row in spanned] + [Fraction(int(k == j)) for j in range(self.dim)]
-                     for k in range(self.dim)]
-        inverse = [row[self.dim:] for row in linalg.rref(augmented, Fraction(0))[0]]
+        inverse = [row[len(columns):] for row in rows]
         l_columns = _Matrix.from_rational(zip(*(g.coords for g in l_elements)))
         projections = tuple(
-            l_columns @ _Matrix.from_rational(inverse[i * self.m:(i + 1) * self.m])
+            l_columns @ _Matrix.from_rational(inverse[i * block:(i + 1) * block])
             for i in range(self.n)
         )
-        return tuple(chosen), projections
+        return tuple(map(self.basis_element, chosen)), projections
 
     def flatten(self, x):
         """Coordinates of x over the E-over-L basis of l_basis(), as elements of L."""

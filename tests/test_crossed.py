@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdpcert import linalg
 from sdpcert.crossed import (
     CrossedProduct,
     LeftIdeal,
@@ -24,7 +25,8 @@ from sdpcert.crossed import (
     tensor_power_check,
 )
 from sdpcert.linalg import rref
-from sdpcert.tower import FiniteTower, builtin_s3, norm
+from sdpcert.suites import s3_spanning_points
+from sdpcert.tower import FiniteTower, builtin_s3, norm, radical_tower
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +265,72 @@ def test_graph_route_matches_the_solve_route_on_s3(s3_algebra):
         chain = chain_from_unit(s3_algebra, y)
         assert is_splitting_chain(s3_algebra, chain)
         assert_graph_route_matches_solve_route(s3_algebra, chain)
+
+
+@pytest.fixture(scope="module")
+def p5_r3_algebra():
+    """The crossed product over radical_tower(5, 2, 3, -1, 1), where m = 4."""
+    return CrossedProduct(radical_tower(5, 2, 3, -1, 1))
+
+
+def p5_r3_chains(algebra):
+    # N(x) = b for the exponent-1 points, so their partial norms split the standard cocycle
+    points = [pt for pt in s3_spanning_points(algebra.tower) if pt.k == 1]
+    assert len(points) == 6
+    return [chain_from_unit(algebra, pt.x) for pt in points]
+
+
+def test_graph_route_matches_the_solve_route_with_m_above_2(p5_r3_algebra):
+    assert p5_r3_algebra.tower.m == 4
+    for chain in p5_r3_chains(p5_r3_algebra):
+        assert_graph_route_matches_solve_route(p5_r3_algebra, chain)
+
+
+def test_corrupted_chains_with_m_above_2_are_rejected(p5_r3_algebra):
+    for chain in p5_r3_chains(p5_r3_algebra):
+        bad = corrupt_chain(p5_r3_algebra, chain)
+        assert not is_splitting_chain(p5_r3_algebra, bad)
+        with pytest.raises(ValueError):
+            ideal_from_chain(p5_r3_algebra, bad)
+
+
+def test_tau_action_and_norm_elements_with_m_above_2(p5_r3_algebra):
+    assert all(c.passed for c in tau_action_check(p5_r3_algebra))
+    for x in p5_r3_algebra.tower.l_basis():
+        for i in range(1, 11):
+            assert norm_element_check(p5_r3_algebra, x, i).passed
+
+
+def test_round_trips_do_no_row_reduction(monkeypatch):
+    # the towers are built first: a NumberTower row-reduces once, when it is made
+    rng = random.Random(17)
+    cases = [random_cyclic_instance(q, n, rng)[:2] for q in (3, 4) for n in (2, 3)]
+    s3 = CrossedProduct(builtin_s3())
+    cases.append((s3, chain_from_unit(s3, s3.tower.scalar(-1))))
+
+    def refuse(*args):
+        raise AssertionError("row reduction in a chain round trip")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(linalg, "rank_rational", refuse)
+    for algebra, chain in cases:
+        ideal = ideal_from_chain(algebra, chain)
+        recovered = chain_from_ideal(algebra, ideal)
+        assert recovered.values == chain.values
+        assert ideal_from_chain(algebra, recovered) == ideal
+
+
+def test_ideals_of_different_algebras_are_not_equal():
+    tw = FiniteTower(5, 3, 2)
+    algebra = CrossedProduct(tw)
+    other = CrossedProduct(tw, standard_cyclic_cocycle(tw, tw.scalar(3)))
+    assert algebra.cocycle != other.cocycle
+    rows = [[tw.one if column == row else tw.zero for column in range(9)] for row in range(6)]
+    ideal = LeftIdeal(algebra, rows, range(6))
+    same_rows = LeftIdeal(other, rows, range(6))
+    assert same_rows != ideal and ideal != same_rows
+    assert hash(same_rows) == hash(ideal)
+    assert LeftIdeal(algebra, rows, range(6)) == ideal
 
 
 def test_ideal_rows_put_the_field_part_last():

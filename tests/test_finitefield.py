@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpcert.finitefield import (
-    _LOG_TABLE_MAX_ORDER, ExtField, ExtFieldElement, PrimeField, PrimeFieldElement,
+    _LOG_TABLE_MAX_ORDER, ExtField, ExtFieldElement, PrimeField, PrimeFieldElement, _TableField,
     _is_irreducible, _poly_divmod, gf, smallest_irreducible,
 )
 from sdpcert.tower import FiniteTower, norm
@@ -419,6 +419,22 @@ def test_ints_and_plain_field_elements_still_coerce(two_routes):
         # an element of the plain field mixes by value and gives the table field's element
         assert (x * tx) is _interned(field, tx * tx) and (x + tx) is _interned(field, tx + tx)
         assert x == tx and x - tx is field.zero
+
+
+def test_int_operands_take_the_route_on_logarithms(two_routes, monkeypatch):
+    # an int coerces to the table field's own element, so no raw operation runs
+    field, _ = two_routes
+
+    def refuse(self, *args):
+        raise AssertionError("raw operation on an int operand")
+
+    for name in ("_add", "_sub", "_mul"):
+        monkeypatch.setattr(_TableField, name, refuse)
+    for x in field.elements():
+        for k in (-1, 0, 1, 2, field.order + 3):
+            y = field.from_int(k)
+            assert (x + k) is (k + x) is x + y and (x - k) is x - y and (k - x) is y - x, (x, k)
+            assert (x * k) is (k * x) is x * y, (x, k)
 
 
 @pytest.mark.parametrize("make", [

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from sdpcert._element import ExactElement
 from sdpcert.group_ring import GroupRingElement
+from sdpcert.linalg import nullspace_rational, rank_rational, rref
 from sdpcert.tower import (
     FiniteTower,
     NumberTower,
@@ -23,6 +24,7 @@ from sdpcert.tower import (
     dump_tower,
     load_tower,
     norm,
+    radical_tower,
 )
 
 S3 = builtin_s3()
@@ -271,6 +273,69 @@ def test_construction_rejects_a_tau_power_inside_sigma():
     tower = biquadratic_tower(BIQUADRATIC_TAU)
     x = tower.element((1, 0, 1, 0))
     assert x.inverse() == tower.element((Fraction(-1, 2), 0, Fraction(1, 2), 0))
+
+
+def greedy_l_coordinates(tower):
+    """The E-over-L basis and flatten by the greedy route: one rank per candidate, then the inverse.
+
+    A power product e_k joins the basis when the g_j e_k, g_j over a basis of the
+    sigma-fixed subspace, raise the rank by their number; one rref then inverts
+    the chosen columns.
+    """
+    dim = tower.dim
+    sigma = tower.sigma_matrix
+    l_elements = [tower.element(v) for v in nullspace_rational(
+        [[sigma[i][j] - (i == j) for j in range(dim)] for i in range(dim)])]
+    chosen, spanned = [], []
+    for k in range(dim):
+        trial = spanned + [(g * tower.basis_element(k)).coords for g in l_elements]
+        if rank_rational(trial) == len(trial):
+            chosen.append(tower.basis_element(k))
+            spanned = trial
+    augmented = [[row[i] for row in spanned] + [Fraction(int(i == j)) for j in range(dim)]
+                 for i in range(dim)]
+    inverse = [row[dim:] for row in rref(augmented, Fraction(0))[0]]
+    d = len(l_elements)
+
+    def flatten(x):
+        a = [sum(c * v for c, v in zip(row, x.coords)) for row in inverse]
+        return [sum((g * a[i * d + j] for j, g in enumerate(l_elements)), tower.zero)
+                for i in range(len(chosen))]
+
+    return chosen, flatten
+
+
+@pytest.mark.parametrize("make", [
+    builtin_s3, lambda: RESCALED, lambda: radical_tower(5, 2, 3, -1, 1), gaussian_tower,
+    lambda: biquadratic_tower(BIQUADRATIC_TAU),
+], ids=["s3", "s3_rescaled", "p5_r3", "gaussian", "biquadratic"])
+def test_l_basis_and_flatten_agree_with_the_greedy_route(make):
+    tower = make()
+    chosen, flatten = greedy_l_coordinates(tower)
+    assert tower.l_basis() == chosen and len(chosen) == tower.n
+    rng = random.Random(tower.dim)
+    samples = [tower.basis_element(k) for k in range(tower.dim)]
+    samples += [tower.random_element(rng) * Fraction(rng.randint(1, 5), rng.randint(1, 7))
+                for _ in range(5)]
+    for x in samples:
+        assert tower.flatten(x) == flatten(x), x
+
+
+def test_a_table_that_is_not_a_field_has_no_e_over_l_basis():
+    # Q^4 on the basis 1, i_1, i_2, i_3 of orthogonal idempotents (i_4 = 1 - i_1 - i_2 - i_3),
+    # with sigma swapping i_1, i_2 and i_3, i_4, and tau swapping i_1, i_3 and i_2, i_4. L is
+    # {(x, x, y, y)}, of dimension 2, but L i_1 = Q i_1: the block of i_1 holds one pivot of two
+    def product(i, j):
+        if i and j and i != j:
+            return (0, 0, 0, 0)
+        return tuple(int(k == max(i, j)) for k in range(4))
+
+    table = [[product(i, j) for j in range(4)] for i in range(4)]
+    sigma = [[1, 0, 0, 1], [0, 0, 1, -1], [0, 1, 0, -1], [0, 0, 0, -1]]
+    tau = [[1, 0, 1, 0], [0, 0, -1, 1], [0, 0, -1, 0], [0, 1, -1, 0]]
+    with pytest.raises(RuntimeError, match="no basis of E over L among the power products"):
+        NumberTower(labels=["1", "i1", "i2", "i3"], table=table, sigma_matrix=sigma,
+                    tau_matrix=tau, r=1, b_coords=(1, 0, 0, 0), lam_coords=(1, 0, 0, 0))
 
 
 # --- rational elements, and the monomial action with one inverse -------------------
