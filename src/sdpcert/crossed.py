@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .checks import CheckResult, case_check, fact_check
-from .tower import FiniteTower, _sigma_pow, norm, sigma_partial_product
+from .tower import _sigma_pow, norm, sigma_partial_product
 
 _TENSOR_GUARD_N = 3
 _TENSOR_GUARD_L = 2
@@ -312,30 +312,18 @@ def chain_from_ideal(algebra, ideal):
 
 
 def corrupt_chain(algebra, chain):
-    """Scale one chain value so that delta z = c provably fails (negative-control input).
+    """Scale z_1, or else z_0, by e_1 = l_basis()[1] so that delta z = c fails (negative control).
 
-    Scaling z_1 by an element of norm 1 gives another valid chain, so
-    candidates are scanned until the delta condition actually breaks: the
-    field's elements for a finite tower, the integers 2, 3, ... for a number
-    tower, where 2 always breaks it. Where every nonzero element has norm 1,
-    as in GF(4) over GF(2), z_0 is scaled instead: delta z = c forces z_0 = 1.
+    One rule for every tower. e_1 is neither 0 nor 1. Scaling z_1 by any c != 1
+    breaks delta z = c at (n - 1, 1) when n >= 3; when n = 2 it breaks unless
+    N(c) = 1, as for every nonzero c of GF(4) over GF(2), and z_0 is scaled
+    instead: delta z = c forces z_0 = 1.
     """
-    tw = algebra.tower
-    if isinstance(tw, FiniteTower):
-        candidates = tw.field.elements()
-    else:
-        candidates = map(tw.scalar, itertools.count(2))
-    for index in (1, 0):
-        for candidate in candidates:
-            if not candidate or candidate == tw.one:
-                continue
-            values = list(chain.values)
-            values[index] = values[index] * candidate
-            bad = SplittingChain(tuple(values))
-            if not is_splitting_chain(algebra, bad):
-                return bad
-    # unreachable: every finite tower has at least 4 elements, so one lies outside {0, 1}
-    raise RuntimeError("every scaling produced a valid chain")
+    e_1, z = algebra.tower.l_basis()[1], chain.values
+    bad = SplittingChain((z[0], z[1] * e_1, *z[2:]))
+    if is_splitting_chain(algebra, bad):
+        bad = SplittingChain((z[0] * e_1, *z[1:]))
+    return bad
 
 
 def norm_element_check(algebra, x, i):
@@ -549,6 +537,7 @@ def tensor_power_check(algebra, l):
 
 def random_cyclic_instance(q, n, rng):
     """A seeded random instance: a unit y, the tower with b = N(y), and the chain from y."""
+    from .tower import FiniteTower
 
     scaffold = FiniteTower(q, n, 1)
     while True:

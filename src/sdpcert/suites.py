@@ -466,34 +466,71 @@ def suite_tower(seed=0):
     return tower_checks(s3, s3_spanning_points(s3), random.Random(seed))
 
 
+def crossed_checks(instances):
+    """The delta z = c, round-trip, dimension and corrupted-chain checks, on any tower.
+
+    instances() yields (algebra, chain) pairs; each check calls it inside its cases, so
+    a raising build fails one case of each. A failing case names repr(algebra.tower) and the chain.
+    """
+    from . import crossed as cp
+
+    ideal_of = functools.cache(cp.ideal_from_chain)
+
+    def named(algebra, chain, **more):
+        return {"tower": repr(algebra.tower), "chain": chain.values, **more}
+
+    def splitting():
+        for algebra, chain in instances():
+            yield cp.is_splitting_chain(algebra, chain), named(algebra, chain)
+
+    def round_trips():
+        for algebra, chain in instances():
+            ideal = ideal_of(algebra, chain)
+            recovered = cp.chain_from_ideal(algebra, ideal)
+            yield (
+                recovered.values == chain.values
+                and cp.ideal_from_chain(algebra, recovered) == ideal
+            ), named(algebra, chain, recovered=recovered.values)
+
+    def dimensions():
+        for algebra, chain in instances():
+            dimension = ideal_of(algebra, chain).dimension
+            yield dimension == algebra.n**2 - algebra.n, named(algebra, chain, dimension=dimension)
+
+    def corrupted_chains():
+        for algebra, chain in instances():
+            bad = cp.corrupt_chain(algebra, chain)
+            ok = not cp.is_splitting_chain(algebra, bad)
+            try:
+                cp.ideal_from_chain(algebra, bad)
+                ok = False
+            except ValueError:
+                pass
+            yield ok, named(algebra, bad)
+
+    return [
+        case_check("partial-norm chains satisfy delta z = c", splitting()),
+        case_check("chain/ideal round trips are mutually inverse", round_trips()),
+        case_check("ideals have dimension n^2 - n", dimensions()),
+        case_check("corrupted chains are rejected", corrupted_chains()),
+    ]
+
+
 def suite_crossed(seed=0):
     from . import crossed as cp
     from . import tower as tow
 
     rng = random.Random(seed)
+    finite = [cp.random_cyclic_instance(rng.choice([3, 5]), rng.choice([2, 3]), rng)[:2]
+              for _ in range(20)]
+    # built once, inside the cases of the checks that use it: a raising build fails those alone
+    s3 = functools.cache(lambda: cp.CrossedProduct(tow.builtin_s3()))
 
-    def random_instance():
-        q, n = rng.choice([3, 5]), rng.choice([2, 3])
-        algebra, chain, _ = cp.random_cyclic_instance(q, n, rng)
-        return {"q": q, "n": n, "chain": chain.values}, algebra, chain
-
-    instances = [random_instance() for _ in range(20)]
-    # one ideal per instance for both checks; a raise is not cached, so it fails a case of each
-    ideal_of = functools.cache(lambda k: cp.ideal_from_chain(*instances[k][1:]))
-
-    def round_trips():
-        for k, (inputs, algebra, chain) in enumerate(instances):
-            ideal = ideal_of(k)
-            recovered = cp.chain_from_ideal(algebra, ideal)
-            yield (
-                recovered.values == chain.values
-                and cp.ideal_from_chain(algebra, recovered) == ideal
-            ), dict(inputs, recovered=recovered.values)
-
-    def dimensions():
-        for k, (inputs, algebra, _) in enumerate(instances):
-            dimension = ideal_of(k).dimension
-            yield dimension == algebra.n**2 - algebra.n, dict(inputs, dimension=dimension)
+    def instances():
+        yield from finite
+        algebra = s3()
+        for pt in s3_spanning_points(algebra.tower)[6:]:
+            yield algebra, cp.chain_from_unit(algebra, pt.x)
 
     def corrupted_cocycle():
         algebra, _, _ = cp.random_cyclic_instance(3, 3, rng)
@@ -514,39 +551,20 @@ def suite_crossed(seed=0):
             "cocycle condition holds": holds,
         }
 
-    def corrupted_chains():
-        for _ in range(5):
-            inputs, algebra, chain = random_instance()
-            bad = cp.corrupt_chain(algebra, chain)
-            ok = not cp.is_splitting_chain(algebra, bad)
-            try:
-                cp.ideal_from_chain(algebra, bad)
-                ok = False
-            except ValueError:
-                pass
-            yield ok, dict(inputs, chain=bad.values)
-
     def norm_elements():
         algebra, _, _ = cp.random_cyclic_instance(5, 3, rng)
         spanning = algebra.tower.l_basis() + [algebra.tower.random_unit(rng) for _ in range(2)]
         for x in spanning:
-            if x:
-                for i in range(1, 2 * algebra.n + 1):
-                    yield cp.norm_element_check(algebra, x, i).passed, {"x": x, "i": i}
+            for i in range(1, 2 * algebra.n + 1):
+                yield cp.norm_element_check(algebra, x, i).passed, {"x": x, "i": i}
 
+    chains = crossed_checks(instances)
     return [
-        case_check(
-            "partial-norm chains satisfy delta z = c",
-            ((cp.is_splitting_chain(algebra, chain), inputs)
-             for inputs, algebra, chain in instances),
-        ),
-        case_check("chain/ideal round trips are mutually inverse", round_trips()),
-        case_check("ideals have dimension n^2 - n", dimensions()),
+        *chains[:3],
         case_check("corrupted cocycle breaks associativity", corrupted_cocycle()),
-        case_check("corrupted chains are rejected", corrupted_chains()),
+        chains[3],
         case_check("norm-element identity on a spanning set", norm_elements()),
-        # built inside the checks' cases, so that a raising build fails those checks alone
-        *cp.tau_action_check(lambda: cp.CrossedProduct(tow.builtin_s3())),
+        *cp.tau_action_check(s3),
         *cp.tensor_power_check(cp.random_cyclic_instance(3, 2, rng)[0], 2),
     ]
 

@@ -746,10 +746,14 @@ def dump_tower(tw):
     One entry per line: `mul i j k value` rows give the coefficient of basis
     element k in the product of basis elements i and j; `sigma`/`tau` rows give
     automorphism matrix entries; `elem` rows give coordinates of b and lambda.
-    Values are exact rationals rendered as p/q strings.
+    Values are exact rationals rendered as p/q strings. A label that load_tower
+    could not read back (empty, or holding whitespace or the comment mark #)
+    raises ValueError naming it.
     """
     lines = [f"tower dim={tw.dim} n={tw.n} m={tw.m} r={tw.r} t={tw.t} s={tw.s}"]
     for i, label in enumerate(tw.labels):
+        if not label or "#" in label or any(c.isspace() for c in label):
+            raise ValueError(f"label {i} is {label!r}, which the fixture format cannot hold")
         lines.append(f"label {i} {label}")
     table = tw.table
     for i in range(tw.dim):

@@ -402,6 +402,24 @@ def load_cli_digest():
     return module
 
 
+def test_the_digest_refuses_a_failing_verify(capsys, monkeypatch):
+    from sdpcert import coverage
+
+    digest = load_cli_digest()
+    argv = ["verify", "--suite", "coverage", "--seed", "0", "--format", "text"]
+    monkeypatch.setattr(digest, "invocations", lambda: [argv, ["verify", "--suite", "nope"]])
+    monkeypatch.setattr(digest, "DEMOS", ())
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "path", sys.path[:])  # main puts src first on it
+    digest.main()
+    assert capsys.readouterr().out.startswith("2 outputs, sha256 ")
+    monkeypatch.setattr(coverage, "cyclotomic_unit_inverse", off_by_one_inverse)
+    with pytest.raises(SystemExit) as exc:
+        digest.main()
+    assert exc.value.code == f"verify exited 1: {argv}"
+    assert capsys.readouterr().out == ""
+
+
 # beyond the digest's argument lists: leftovers, "--" tails, an attached value, an
 # abbreviated option, help after a command, options before the command, no command
 PARSE_EXTRAS = (
@@ -515,11 +533,11 @@ CASE_COUNTS = {
         "fixture round trip reproduces the tower": 1,
     },
     "crossed": {
-        "partial-norm chains satisfy delta z = c": 20,
-        "chain/ideal round trips are mutually inverse": 20,
-        "ideals have dimension n^2 - n": 20,
+        "partial-norm chains satisfy delta z = c": 26,
+        "chain/ideal round trips are mutually inverse": 26,
+        "ideals have dimension n^2 - n": 26,
         "corrupted cocycle breaks associativity": 1,
-        "corrupted chains are rejected": 5,
+        "corrupted chains are rejected": 26,
         "norm-element identity on a spanning set": 30,
         "tau(u)*tau(x) = tau(sigma(x))*tau(u)": 6,
         "tau is multiplicative on the algebra": 81,
@@ -608,11 +626,16 @@ def test_verify_reports_a_suite_that_raises_outside_its_cases(capsys, monkeypatc
         {"name": "tower suite", "passed": False, "detail": "raised RuntimeError('injected')"}
     ]
     # the crossed suite builds the same tower inside the cases of its four tau-action
-    # checks: those fail and name the error, and its other nine checks are as without the fault
+    # checks and of its four chain checks, after their 20 finite instances: those eight
+    # fail and name the error, and its other five checks are as without the fault
     raised = "raised RuntimeError('injected')"
     counted = f"1 case; first disagreement: case 1 {raised}"
+    chains = f"21 cases; first disagreement: case 21 {raised}"
     failed = {"tau(u)*tau(x) = tau(sigma(x))*tau(u)": counted, "tau(u^n) = tau(b)": raised,
-              "tau is multiplicative on the algebra": counted, "tau^m fixes u": counted}
+              "tau is multiplicative on the algebra": counted, "tau^m fixes u": counted,
+              "partial-norm chains satisfy delta z = c": chains,
+              "chain/ideal round trips are mutually inverse": chains,
+              "ideals have dimension n^2 - n": chains, "corrupted chains are rejected": chains}
     assert reported["crossed"] == [
         {"name": c["name"], "passed": False, "detail": failed[c["name"]]}
         if c["name"] in failed else c
@@ -738,7 +761,7 @@ def test_crossed_check_names_the_first_failure(monkeypatch):
     monkeypatch.setattr(crossed, "corrupt_chain", lambda algebra, chain: chain)
     check = next(c for c in suites.suite_crossed() if c.name == "corrupted chains are rejected")
     assert not check.passed
-    assert check.detail.startswith("5 cases; first disagreement: {'q': ")
+    assert check.detail.startswith("26 cases; first disagreement: {'tower': 'FiniteTower(q=")
     assert "'chain': (ExtFieldElement(" in check.detail
 
 

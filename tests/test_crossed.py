@@ -25,7 +25,7 @@ from sdpcert.crossed import (
     tensor_power_check,
 )
 from sdpcert.linalg import rref
-from sdpcert.suites import s3_spanning_points
+from sdpcert.suites import crossed_checks, s3_spanning_points
 from sdpcert.tower import FiniteTower, builtin_s3, norm, radical_tower
 
 
@@ -157,7 +157,7 @@ def test_corrupted_chain_over_the_number_tower_is_rejected(s3_algebra):
     assert is_splitting_chain(s3_algebra, chain)
     bad = corrupt_chain(s3_algebra, chain)
     assert not is_splitting_chain(s3_algebra, bad)
-    assert bad.values[1] == chain.values[1] * tw.scalar(2)
+    assert bad.values[1] == chain.values[1] * tw.l_basis()[1]
     with pytest.raises(ValueError):
         ideal_from_chain(s3_algebra, bad)
 
@@ -257,6 +257,19 @@ def test_graph_route_matches_the_solve_route(q, n):
         assert_graph_route_matches_solve_route(algebra, chain)
 
 
+@pytest.mark.parametrize("q, n", REFERENCE_CASES)
+def test_crossed_checks_pass_on_every_reference_field(q, n):
+    pairs = [random_cyclic_instance(q, n, random.Random(seed))[:2] for seed in range(2)]
+    checks = crossed_checks(lambda: pairs)
+    assert [(c.passed, c.detail) for c in checks] == [(True, "2 cases")] * 4
+    for algebra, chain in pairs:
+        # z_1 alone when n >= 3; z_0 alone where N(e_1) = 1, as in GF(4) over GF(2)
+        bad = corrupt_chain(algebra, chain)
+        changed = [j for j in range(n) if bad.values[j] != chain.values[j]]
+        assert changed == [1] or (n == 2 and changed == [0])
+        assert not is_splitting_chain(algebra, bad)
+
+
 def test_graph_route_matches_the_solve_route_on_s3(s3_algebra):
     # N(-1) = b, and x / sigma(x) has norm 1 (Hilbert 90)
     tw = s3_algebra.tower
@@ -292,6 +305,21 @@ def test_corrupted_chains_with_m_above_2_are_rejected(p5_r3_algebra):
         assert not is_splitting_chain(p5_r3_algebra, bad)
         with pytest.raises(ValueError):
             ideal_from_chain(p5_r3_algebra, bad)
+
+
+def test_crossed_checks_pass_with_m_above_2(p5_r3_algebra):
+    pairs = [(p5_r3_algebra, chain) for chain in p5_r3_chains(p5_r3_algebra)]
+    checks = crossed_checks(lambda: pairs)
+    assert [(c.passed, c.detail) for c in checks] == [(True, "6 cases")] * 4
+
+
+def test_crossed_checks_fail_each_check_on_a_raising_build():
+    def build():
+        raise RuntimeError("no algebra")
+
+    checks = crossed_checks(build)
+    raised = "1 case; first disagreement: case 1 raised RuntimeError('no algebra')"
+    assert [(c.passed, c.detail) for c in checks] == [(False, raised)] * 4
 
 
 def test_tau_action_and_norm_elements_with_m_above_2(p5_r3_algebra):

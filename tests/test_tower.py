@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -390,6 +391,16 @@ def test_fixture_rejects_a_second_header(s3):
     with pytest.raises(ValueError, match="malformed fixture line") as info:
         load_tower(dump_tower(s3) + header + "\n")
     assert repr(header) in str(info.value)
+
+
+@pytest.mark.parametrize("label", ["", "c 2", "c#2"],
+                         ids=["empty", "whitespace", "comment mark"])
+def test_dump_refuses_a_label_the_fixture_cannot_hold(s3, label):
+    # "c 2" and "" would give a fixture that fails to load, and "c#2" one that loads as "c"
+    tw = load_tower(dump_tower(s3))
+    tw.labels = tw.labels[:1] + (label,) + tw.labels[2:]
+    with pytest.raises(ValueError, match="label 1 is " + re.escape(repr(label))):
+        dump_tower(tw)
 
 
 def test_construction_rejects_broken_parameters(s3):

@@ -15,7 +15,9 @@ of 80 columns.
 Every JSON stdout is also read back and must equal
 json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n", the text
 the CLI's own writer is meant to reproduce; if one does not, the script
-names its argument list and exits 1 without printing the digest.
+names its argument list and exits 1 without printing the digest. It does the
+same when a verify invocation outside the usage errors exits non-zero, so
+that a digest never records a failing check.
 """
 
 from __future__ import annotations
@@ -102,10 +104,12 @@ def main():
     from sdpcert.cli import main as cli_main
 
     records = [(argv, *run_cli(cli_main, argv)) for argv in invocations()]
-    for argv, _, out, _ in records:
+    for argv, code, out, _ in records:
         # a usage error writes nothing to stdout
         if "json" in argv and out and out != json_dumps_of(out):
             sys.exit(f"JSON output differs from json.dumps: {argv}")
+        if argv[:1] == ["verify"] and code and argv not in USAGE_ERRORS:
+            sys.exit(f"verify exited {code}: {argv}")
     records += [(["demos/" + name], *run_demo(name)) for name in DEMOS]
     digest = hashlib.sha256()
     for record in records:
