@@ -25,6 +25,11 @@ field or, on a field with tables, integer arithmetic on the operands'
 logarithms; that field's own raw operations go through these elements.
 TowerElement writes its own arithmetic on numerators over one common
 denominator.
+
+orbit and orbit_product are the one walk along x, f(x), f^2(x), ... that
+every layer shares: the conjugates of a tower element under sigma or tau,
+the tau-orbit of an element of S, the powers of a field generator or of an
+algebra element, the Frobenius images of x modulo a candidate polynomial.
 """
 
 from __future__ import annotations
@@ -121,3 +126,32 @@ class ExactElement(_Immutable):
             if exponent:
                 base = base * base
         return self._coerce(1) if result is None else result
+
+
+def orbit(step, x, count):
+    """[x, step(x), ..., step^(count-1)(x)], by count - 1 calls of step; [] when count is 0.
+
+    A negative count raises ValueError.
+    """
+    if count < 0:
+        raise ValueError("orbit length must be nonnegative")
+    values = [x] if count else []
+    for _ in range(count - 1):
+        x = step(x)
+        values.append(x)
+    return values
+
+
+def orbit_product(step, x, count, one):
+    """x * step(x) * ... * step^(count-1)(x), by count - 1 calls of step; one when count is 0.
+
+    The identity is never multiplied in, and no list is built. A negative
+    count raises ValueError.
+    """
+    if count < 0:
+        raise ValueError("orbit length must be nonnegative")
+    product = x if count else one
+    for _ in range(count - 1):
+        x = step(x)
+        product = product * x
+    return product

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import index
 
+from ._element import orbit_product
 from ._primes import _is_prime
 from .group_ring import GroupRingElement, TauData, _orbits, partial_norm_product
 from .quotient import (
@@ -70,12 +71,7 @@ def subgroup_closure(residues, n):
 
 def tau_symmetrize(s, tau):
     """Product of s over its tau-orbit; always tau-fixed, and a unit if s is."""
-    acc = s
-    cur = s
-    for _ in range(tau.m - 1):
-        cur = tau_apply_s(cur, tau)
-        acc = acc * cur
-    return acc
+    return orbit_product(lambda x: tau_apply_s(x, tau), s, tau.m, SElement.one(s.n))
 
 
 def coset_steps(n, r):

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import linalg
+from ._element import orbit
 from .checks import CheckResult, case_check, fact_check
-from .tower import _sigma_pow, norm, sigma_partial_product
+from .tower import norm
 
 _TENSOR_GUARD_N = 3
 _TENSOR_GUARD_L = 2
@@ -36,14 +38,18 @@ def standard_cyclic_cocycle(tw, b=None):
 
 
 def cocycle_condition_holds(tw, table):
-    """Exact check of normalization and the 2-cocycle condition on all triples."""
+    """Exact check of normalization and the 2-cocycle condition on all triples.
+
+    Each entry's conjugates sigma^0(c) ... sigma^(n-1)(c) are made once.
+    """
     n = tw.n
     if table[(0, 0)] != tw.one:
         return False
+    orbits = {(j, k): orbit(tw.sigma, table[(j, k)], n) for j in range(n) for k in range(n)}
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = _sigma_pow(tw, table[(j, k)], i) * table[(i, (j + k) % n)]
+                lhs = orbits[(j, k)][i] * table[(i, (j + k) % n)]
                 rhs = table[(i, j)] * table[((i + j) % n, k)]
                 if lhs != rhs:
                     return False
@@ -56,13 +62,17 @@ class CrossedProduct:
     Elements are length-n tuples of E-coefficients indexed by group elements,
     representing sum_j x_j u_j with u x = sigma(x) u and u_i u_j = c(i,j) u_(i+j).
     multiply twists by c(i,j) only where the entry is not one. The powers
-    u^0, u^1, ... are kept as they are made.
+    u^0, u^1, ... are kept as they are made. A table without an entry for
+    some pair (i, j) of range(n)^2 raises ValueError naming the first.
     """
 
     def __init__(self, tower, cocycle=None, validate=True):
         self.tower = tower
         self.n = n = tower.n
         self.cocycle = cocycle if cocycle is not None else standard_cyclic_cocycle(tower)
+        missing = [(i, j) for i in range(n) for j in range(n) if (i, j) not in self.cocycle]
+        if missing:
+            raise ValueError(f"the cocycle table has no entry for {missing[0]}")
         if validate and not cocycle_condition_holds(tower, self.cocycle):
             raise ValueError("table is not a normalized 2-cocycle")
         # _twists[i][j] is c(i, j), None where it is one
@@ -111,8 +121,8 @@ class CrossedProduct:
     def multiply(self, x, y):
         """sum over i, j of x_i sigma^i(y_j) c(i, j) u_(i+j).
 
-        sigma^i(y_j) is made from sigma^(i-1)(y_j), one _sigma_pow step for
-        each nonzero y_j, up to the last nonzero x_i.
+        sigma^i(y_j) is made from sigma^(i-1)(y_j), one sigma step for each
+        nonzero y_j, up to the last nonzero x_i.
         """
         self._check_lengths(x, y)
         n, tower = self.n, self.tower
@@ -123,7 +133,7 @@ class CrossedProduct:
             if not xi:
                 continue
             for _ in range(i - step):
-                conjugates = [(j, _sigma_pow(tower, yj, 1)) for j, yj in conjugates]
+                conjugates = [(j, tower.sigma(yj)) for j, yj in conjugates]
             step = i
             twists = self._twists[i]
             for j, yj in conjugates:
@@ -136,14 +146,6 @@ class CrossedProduct:
                 out[idx] = term if previous is None else previous + term
         zero = tower.zero
         return tuple([zero if c is None else c for c in out])
-
-    def power(self, x, exponent):
-        if exponent < 0:
-            raise ValueError("negative powers are not supported in the crossed product")
-        result = self.one
-        for _ in range(exponent):
-            result = self.multiply(result, x)
-        return result
 
     def flatten(self, x):
         """Coordinates over L: each E-coefficient expanded along the E-over-L basis."""
@@ -182,21 +184,27 @@ def chain_from_unit(algebra, y):
     """The partial-norm chain z_j = y * sigma(y) * ... * sigma^(j-1)(y).
 
     When b = N(y) this satisfies delta z = c for the standard cocycle; the
-    property is checked by callers, never assumed.
+    property is checked by callers, never assumed. One running product over
+    y ... sigma^(n-2)(y) makes z_1 ... z_(n-1): n - 2 sigma steps and products.
     """
     tw = algebra.tower
-    return SplittingChain(tuple(sigma_partial_product(tw, y, j) for j in range(algebra.n)))
+    conjugates = orbit(tw.sigma, y, algebra.n - 1)
+    return SplittingChain((tw.one, *itertools.accumulate(conjugates, operator.mul)))
 
 
 def is_splitting_chain(algebra, chain):
-    """Exact check of delta z = c: sigma^i(z_j) * z_i == c(i,j) * z_(i+j) for all pairs."""
+    """Exact check of delta z = c: sigma^i(z_j) * z_i == c(i,j) * z_(i+j) for all pairs.
+
+    Each value's conjugates sigma^0(z_j) ... sigma^(n-1)(z_j) are made once.
+    """
     tw = algebra.tower
     z = chain.values
     if len(z) != algebra.n or any(not zj for zj in z):
         return False
+    orbits = [orbit(tw.sigma, zj, algebra.n) for zj in z]
     for i in range(algebra.n):
         for j in range(algebra.n):
-            lhs = _sigma_pow(tw, z[j], i) * z[i]
+            lhs = orbits[j][i] * z[i]
             rhs = algebra.cocycle[(i, j)] * z[(i + j) % algebra.n]
             if lhs != rhs:
                 return False
@@ -336,9 +344,7 @@ def norm_element_check(algebra, x, i):
     times x is the partial norm x sigma(x) ... sigma^(i-1)(x).
     """
     tw = algebra.tower
-    conjugates = [x]
-    for _ in range(i - 1):
-        conjugates.append(tw.sigma(conjugates[-1]))
+    conjugates = orbit(tw.sigma, x, i)
     u_powers = algebra.u_powers(i)
     a = list(algebra.zero)
     coefficient = tw.one
@@ -359,12 +365,13 @@ def norm_element_check(algebra, x, i):
 
 
 def _tau_on_algebra(algebra):
-    """The semilinear extension of tau: coefficients through tau, u through lambda*u^r."""
+    """The semilinear extension of tau, and the powers w^0 ... w^n of w = tau(u) = lambda*u^r.
+
+    Coefficients go through tau, and u^j through w^j.
+    """
     tw = algebra.tower
     w = algebra.multiply(algebra.from_field(tw.lam), algebra.u_power(tw.r))
-    w_powers = [algebra.one]
-    for _ in range(algebra.n - 1):
-        w_powers.append(algebra.multiply(w_powers[-1], w))
+    w_powers = orbit(lambda v: algebra.multiply(v, w), algebra.one, algebra.n + 1)
 
     def apply(x):
         out = algebra.zero
@@ -375,7 +382,7 @@ def _tau_on_algebra(algebra):
                 )
         return out
 
-    return apply, w
+    return apply, w_powers
 
 
 def tau_action_check(algebra):
@@ -392,19 +399,20 @@ def tau_action_check(algebra):
     @functools.cache
     def setup():
         algebra = build()
-        tau_map, w = _tau_on_algebra(algebra)
-        return algebra, algebra.tower, tau_map, w
+        tau_map, w_powers = _tau_on_algebra(algebra)
+        return algebra, algebra.tower, tau_map, w_powers
 
     def relation():
-        algebra, tw, _, w = setup()
+        algebra, tw, _, w_powers = setup()
+        w = w_powers[1]
         for x in map(tw.basis_element, range(tw.dim)):
             yield algebra.multiply(w, algebra.from_field(tw.tau(x))) == algebra.multiply(
                 algebra.from_field(tw.tau(tw.sigma(x))), w
             ), {"x": x}
 
     def u_power():
-        algebra, tw, _, w = setup()
-        return (algebra.power(w, algebra.n) == algebra.from_field(tw.tau(tw.b)),
+        algebra, tw, _, w_powers = setup()
+        return (w_powers[algebra.n] == algebra.from_field(tw.tau(tw.b)),
                 "lambda^n * b^r must equal tau(b) inside the algebra")
 
     def multiplicative():
@@ -498,10 +506,7 @@ def tensor_power_check(algebra, l):
 
     @functools.cache
     def v_powers():
-        powers = [{identity: tw.one}]
-        for _ in range(n):
-            powers.append(tensor_mul(powers[-1], v))
-        return powers
+        return orbit(lambda power: tensor_mul(power, v), {identity: tw.one}, n + 1)
 
     def v_power_n():
         power = v_powers()[n]

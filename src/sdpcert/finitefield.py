@@ -51,7 +51,7 @@ import functools
 import itertools
 import operator
 
-from ._element import ExactElement
+from ._element import ExactElement, orbit
 from ._primes import _is_prime, _prime_divisors
 
 
@@ -570,9 +570,7 @@ def _is_irreducible(coeffs, base):
     q = base.order
     ring = ExtField(base, coeffs)
     x = (base._raw_zero, base._raw_one) + ring._raw_zero[2:]
-    frobenius = [x]
-    for _ in range(degree):
-        frobenius.append(ring._pow(frobenius[-1], q))
+    frobenius = orbit(lambda y: ring._pow(y, q), x, degree + 1)
     if frobenius[degree] != x:
         return False
     zero = base._raw_zero
@@ -632,10 +630,7 @@ def _primitive_powers(field):
     for g in field._values():
         if g != field._raw_zero and all(field._pow(g, e) != one for e in cofactors):
             break
-    exp = [one]
-    for _ in range(cycle - 1):
-        exp.append(field._mul(exp[-1], g))
-    return exp
+    return orbit(lambda x: field._mul(x, g), one, cycle)
 
 
 @functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)

@@ -17,6 +17,7 @@ from math import gcd
 
 from . import coverage as cov
 from . import monomial as mon
+from ._element import orbit
 from .checks import CheckResult, case_check, fact_check
 from .group_ring import GroupRingElement, TauData, full_norm, partial_norm, partial_norm_product
 from .quotient import (
@@ -373,7 +374,7 @@ def tower_checks(tw, points, rng):
         yield tw.r * tw.t == tw.s * tw.n + 1, {"identity": "r*t = s*n + 1"}
         for i in range(tw.dim):
             x = tw.basis_element(i)
-            yield tw.tau(tw.sigma(x)) == tow._sigma_pow(tw, tw.tau(x), tw.r), {
+            yield tw.tau(tw.sigma(x)) == orbit(tw.sigma, tw.tau(x), tw.r % tw.n + 1)[-1], {
                 "identity": f"tau sigma = sigma^{tw.r} tau on basis element {i}"
             }
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from ._element import ExactElement, _Immutable
+from ._element import ExactElement, _Immutable, orbit, orbit_product
 from ._primes import _is_prime
 from .finitefield import ExtFieldElement, _smallest_extension, gf
 from .group_ring import GroupRingElement, TauData
@@ -28,7 +28,8 @@ class TowerElement(ExactElement):
     The coordinate on basis element i is num[i] / den, with den > 0 and
     gcd(num[0], ..., num[dim-1], den) == 1, so equal elements have equal
     (num, den). Elements of different towers never mix: == between them is
-    False, and arithmetic raises ValueError.
+    False, and arithmetic and the tower maps sigma, tau and flatten raise
+    ValueError.
     """
 
     __slots__ = ("tower", "num", "den")
@@ -190,17 +191,6 @@ class _Matrix:
     __hash__ = None
 
 
-def _conjugate_product(apply, x, length, one):
-    """x * apply(x) * ... * apply^(length-1)(x); one when length is 0, ValueError when negative."""
-    if length < 0:
-        raise ValueError("partial norm length must be nonnegative")
-    product = x if length else one
-    for _ in range(length - 1):
-        x = apply(x)
-        product = product * x
-    return product
-
-
 def _cycle(matrix, name):
     """[matrix^0, ..., matrix^(k-1)] for the order k of matrix; a field automorphism has k <= dim."""
     dim = len(matrix.rows)
@@ -354,6 +344,8 @@ class NumberTower:
         return TowerElement(self, coords)
 
     def _apply(self, kernel, x):
+        if x.tower is not self:
+            raise ValueError("elements belong to different towers")
         linear_map, den = kernel
         return _element(self, linear_map(x.num), x.den * den)
 
@@ -379,9 +371,9 @@ class NumberTower:
         if not any(x.num[1:]):
             a, d = x.num[0], x.den
             return TowerElement._new(self, (d if a > 0 else -d,) + x.num[1:], abs(a))
-        sc = _conjugate_product(self.sigma, self.sigma(x), self.n - 1, self.one)
+        sc = orbit_product(self.sigma, self.sigma(x), self.n - 1, self.one)
         y = x * sc
-        tc = self.one if self.m == 1 else _conjugate_product(self.tau, self.tau(y), self.m - 1, self.one)
+        tc = self.one if self.m == 1 else orbit_product(self.tau, self.tau(y), self.m - 1, self.one)
         denom = (y * tc).rational_part()
         if denom == 0:
             raise ZeroDivisionError("norm to the base field vanished")
@@ -566,6 +558,7 @@ class FiniteTower:
     """Degree-n extension of a q-element field with sigma the q-power map.
 
     A cyclic testbed: m = 1 and tau is the identity, with r = t = 1, s = 0.
+    sigma, tau and flatten raise ValueError for an element of another field.
     """
 
     def __init__(self, q, n, b):
@@ -599,26 +592,30 @@ class FiniteTower:
         self._embedded = {v: field.embed(v) for v in base._values()}
         gen = field.generator()
         self._l_basis = tuple(gen**e for e in range(n))
-        power = gen
-        for i in range(1, n):
-            power = self.sigma(power)
-            if power == gen:
-                raise RuntimeError("frobenius has order smaller than n")
-        if self.sigma(power) != gen:
+        frobenius = orbit(self.sigma, gen, n + 1)
+        if gen in frobenius[1:n]:
+            raise RuntimeError("frobenius has order smaller than n")
+        if frobenius[n] != gen:
             raise RuntimeError("frobenius does not have order n")
 
+    def _own(self, x):
+        """x, if it is an element of the tower's field: that object or an equal one, as in arithmetic."""
+        if x.field is not self.field and x.field != self.field:
+            raise ValueError("elements belong to different towers")
+        return x
+
     def sigma(self, x):
-        return x**self.q
+        return self._own(x) ** self.q
 
     def tau(self, x):
-        return x
+        return self._own(x)
 
     def scalar(self, value):
         return self.field.from_int(value)
 
     def flatten(self, x):
         embedded = self._embedded
-        return [embedded[c] for c in x.coeffs]
+        return [embedded[c] for c in self._own(x).coeffs]
 
     def l_basis(self):
         return list(self._l_basis)
@@ -652,15 +649,9 @@ class NormSetPoint(_Immutable):
         return cls._new(x, operator.index(k))
 
 
-def _sigma_pow(tw, x, power):
-    for _ in range(power):
-        x = tw.sigma(x)
-    return x
-
-
 def sigma_partial_product(tw, x, length):
     """x * sigma(x) * ... * sigma^(length-1)(x); a negative length raises ValueError."""
-    return _conjugate_product(tw.sigma, x, length, tw.one)
+    return orbit_product(tw.sigma, x, length, tw.one)
 
 
 def norm(tw, x):

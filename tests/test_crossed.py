@@ -573,6 +573,51 @@ def test_multiply_applies_sigma_at_most_once_per_step(monkeypatch, q):
         assert product == expected, (x, y)
 
 
+def test_orbits_make_each_conjugate_once_with_n_5(monkeypatch):
+    tower = radical_tower(5, 2, 3, -1, 1)
+    n = tower.n
+    units = [pt.x for pt in s3_spanning_points(tower) if pt.k == 1]
+    count = _counting_sigma(monkeypatch, tower)
+    algebra = CrossedProduct(tower)
+    # sigma(b) once, then sigma^1 ... sigma^(n-1) of each of the n^2 cocycle entries
+    assert count[0] == 1 + n * n * (n - 1) == 101
+    for y in units:
+        count[0] = 0
+        chain = chain_from_unit(algebra, y)
+        # sigma(y) ... sigma^(n-2)(y)
+        assert count[0] == n - 2 == 3
+        count[0] = 0
+        assert is_splitting_chain(algebra, chain)
+        # sigma^1 ... sigma^(n-1) of each of the n chain values
+        assert count[0] == n * (n - 1) == 20
+
+
+def test_tau_action_check_reads_w_n_off_its_kept_powers(monkeypatch):
+    algebra = CrossedProduct(builtin_s3())
+    count = [0]
+    multiply = algebra.multiply
+
+    def counted(x, y):
+        count[0] += 1
+        return multiply(x, y)
+
+    monkeypatch.setattr(algebra, "multiply", counted, raising=False)
+    assert all(c.passed for c in tau_action_check(algebra))
+    # w^0 ... w^n are made once, by n products, for both the action and tau(u^n) = tau(b)
+    assert count[0] == 272
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_an_incomplete_cocycle_table_is_refused(validate):
+    tower = FiniteTower(5, 3, 2)
+    with pytest.raises(ValueError, match=r"no entry for \(0, 0\)"):
+        CrossedProduct(tower, {}, validate=validate)
+    table = standard_cyclic_cocycle(tower)
+    del table[(2, 2)]
+    with pytest.raises(ValueError, match=r"no entry for \(2, 2\)"):
+        CrossedProduct(tower, table, validate=validate)
+
+
 @pytest.mark.parametrize("q", [None, 5])
 def test_norm_element_check_applies_sigma_once_per_conjugate(monkeypatch, q):
     rng = random.Random(60 + (q or 0))

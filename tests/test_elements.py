@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdpcert._element import _Immutable
+from sdpcert._element import _Immutable, orbit, orbit_product
 from sdpcert.coverage import cyclotomic_unit, cyclotomic_unit_inverse, exhaustive_fixed_units
 from sdpcert.finitefield import ExtFieldElement, PrimeField, PrimeFieldElement, gf
 from sdpcert.group_ring import GroupRingElement, TauData, partial_norm, partial_norm_product
@@ -334,3 +334,34 @@ def test_immutable_values_copy_and_pickle(cls):
             assert value.coords == x.coords and value.tower is not x.tower and value != x
         else:
             assert value == x and hash(value) == hash(x)
+
+
+# --- the orbit walk -------------------------------------------------------------
+
+
+def _recording_double(calls):
+    def step(x):
+        calls.append(x)
+        return 2 * x
+
+    return step
+
+
+def test_orbit_lists_the_iterates_by_count_minus_one_steps():
+    calls = []
+    step = _recording_double(calls)
+    assert orbit(step, 3, 0) == [] and orbit(step, 3, 1) == [3] and calls == []
+    assert orbit(step, 3, 4) == [3, 6, 12, 24] and calls == [3, 6, 12]
+    with pytest.raises(ValueError, match="nonnegative"):
+        orbit(step, 3, -1)
+
+
+def test_orbit_product_multiplies_the_iterates_and_never_the_identity():
+    calls = []
+    step = _recording_double(calls)
+    one = object()  # multiplying it in raises TypeError
+    assert orbit_product(step, 3, 0, one) is one and orbit_product(step, 3, 1, one) == 3
+    assert calls == []
+    assert orbit_product(step, 3, 4, one) == 3 * 6 * 12 * 24 and calls == [3, 6, 12]
+    with pytest.raises(ValueError, match="nonnegative"):
+        orbit_product(step, 3, -1, one)

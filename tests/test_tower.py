@@ -223,6 +223,22 @@ def test_builtin_finite_prime_power_base():
     assert norm(tw, x) * norm(tw, y) == norm(tw, x * y)
 
 
+def test_finite_tower_maps_refuse_elements_of_another_field():
+    import copy
+
+    tw = FiniteTower(3, 2, 1)
+    foreign = FiniteTower(3, 3, 1).field.generator()
+    for apply in (tw.sigma, tw.tau, tw.flatten):
+        with pytest.raises(ValueError, match="different towers"):
+            apply(foreign)
+    # a field equal to the tower's but another object mixes, as in arithmetic
+    twin = copy.deepcopy(tw.field)
+    assert twin is not tw.field and twin == tw.field
+    x = twin.generator()
+    assert tw.sigma(x) == x**3 and tw.tau(x) is x
+    assert tw.flatten(x) == tw.flatten(tw.field.generator())
+
+
 def test_builtin_finite_rejects_zero_b():
     with pytest.raises(ValueError):
         FiniteTower(3, 2, 0)

@@ -174,6 +174,14 @@ def test_elements_of_different_towers_do_not_mix():
             operation(i, x)
 
 
+def test_tower_maps_refuse_elements_of_another_tower():
+    loaded = load_tower(dump_tower(S3))
+    for x in (radical_tower(3, 3, 2, -1, -1).basis_element(1), loaded.basis_element(1)):
+        for apply in (S3.sigma, S3.tau, S3.flatten):
+            with pytest.raises(ValueError, match="different towers"):
+                apply(x)
+
+
 # --- inverse by the norm tower ------------------------------------------------------
 
 
