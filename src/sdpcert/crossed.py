@@ -80,7 +80,7 @@ class CrossedProduct:
                          for j in range(n)] for i in range(n)]
         self.zero = (tower.zero,) * n
         self.one = self.from_field(tower.one)
-        self._u_powers = [self.one]
+        self._u_powers = [self.one, self.u(1)]
 
     def from_field(self, x):
         return (x,) + (self.tower.zero,) * (self.n - 1)
@@ -94,7 +94,7 @@ class CrossedProduct:
             raise ValueError("negative powers are not supported in the crossed product")
         powers = self._u_powers
         while len(powers) <= power:
-            powers.append(self.multiply(powers[-1], self.u(1)))
+            powers.append(self.multiply(powers[-1], powers[1]))
         return powers[:power + 1]
 
     def u_power(self, power):
@@ -221,36 +221,26 @@ class LeftIdeal:
 
     The rows are in _ideal_coordinates, the field part last, so an ideal
     complementary to the field part has the first n^2 - n columns as pivots:
-    its rows are the graph of the L-linear map u_j -> z_j. The nonzero
-    entries of each row are found once, and a vector is reduced over those
-    alone. Two ideals are equal when they belong to the same algebra object
-    and have the same rows; the hash reads the rows only.
+    its rows are the graph of the L-linear map u_j -> z_j. contains reduces
+    a vector's coordinates against the rows by linalg.reduce_against. Two
+    ideals are equal when they belong to the same algebra object and have
+    the same rows; the hash reads the rows only.
     """
 
     def __init__(self, algebra, rows, pivots):
         self.algebra = algebra
         self.rows = tuple(tuple(row) for row in rows)
         self.pivots = tuple(pivots)
-        self._supports = tuple(tuple((j, entry) for j, entry in enumerate(row) if entry)
-                               for row in self.rows)
 
     @property
     def dimension(self):
         return len(self.rows)
 
-    def _reduce(self, element):
-        """The element's coordinates reduced against the rows: zero exactly on the ideal."""
-        vec = _ideal_coordinates(self.algebra, element)
-        for support, pivot in zip(self._supports, self.pivots):
-            factor = vec[pivot]
-            if factor:
-                for j, entry in support:
-                    vec[j] = vec[j] - factor * entry
-        return vec
-
     def contains(self, element):
         self.algebra._check_lengths(element)
-        return not any(self._reduce(element))
+        residue = linalg.reduce_against(_ideal_coordinates(self.algebra, element), self.rows,
+                                        self.pivots, self.algebra.tower.zero)
+        return not any(residue)
 
     def __eq__(self, other):
         return (isinstance(other, LeftIdeal) and self.algebra is other.algebra
@@ -266,28 +256,31 @@ class LeftIdeal:
 def ideal_from_chain(algebra, chain):
     """The left ideal spanned by E*(z_j - u_j) over all group elements, written in reduced form.
 
-    Requires delta z = c. The generator e_b*(z_j - u_j) is -1 on column
-    (j - 1)*n + b and e_b*z_j on the field part, and nothing elsewhere, so
-    minus it is already the reduced row (j, b): 1 on its pivot and
-    -e_b*z_j on the field part. These rows, the graph of u_j -> z_j, span an
-    (n^2 - n)-dimensional complement of the field part with no elimination;
-    closure under left multiplication by u is checked on the generators.
+    Requires delta z = c. With p = e_b*z_j, the generator e_b*(z_j - u_j) is
+    p at u_0 and -e_b at u_j, so minus it is already the reduced row (j, b):
+    1 on column (j - 1)*n + b and -flatten(p) on the field part. These rows,
+    the graph of u_j -> z_j, span an (n^2 - n)-dimensional complement of the
+    field part with no elimination. They span the kernel of the left-E-linear
+    form x -> sum_k x_k z_k, which is onto E (z_0 = 1), so u*g, made by
+    multiply, lies in the span exactly when the form vanishes on it: that is
+    the check of closure under left multiplication by u, one per generator g.
     """
     if not is_splitting_chain(algebra, chain):
         raise ValueError("chain does not satisfy delta z = c")
-    tw = algebra.tower
-    n = algebra.n
-    generators = [
-        algebra.scale(e_b, algebra.sub(algebra.from_field(chain.values[j]), algebra.u(j)))
-        for j in range(1, n)
-        for e_b in tw.l_basis()
-    ]
-    ideal = LeftIdeal(algebra, [[-c for c in _ideal_coordinates(algebra, g)] for g in generators],
-                      range(n * n - n))
+    tw, n, z = algebra.tower, algebra.n, chain.values
     u = algebra.u(1)
-    if not all(ideal.contains(algebra.multiply(u, g)) for g in generators):
-        raise RuntimeError("span is not closed under left multiplication by u")
-    return ideal
+    rows = []
+    for j in range(1, n):
+        for b, e_b in enumerate(tw.l_basis()):
+            p = e_b * z[j]
+            row = [tw.zero] * (n * n - n)
+            row[(j - 1) * n + b] = tw.one
+            rows.append(row + tw.flatten(-p))
+            generator = [tw.zero] * n
+            generator[0], generator[j] = p, -e_b
+            if sum(map(operator.mul, algebra.multiply(u, tuple(generator)), z), tw.zero):
+                raise RuntimeError("span is not closed under left multiplication by u")
+    return LeftIdeal(algebra, rows, range(n * n - n))
 
 
 def chain_from_ideal(algebra, ideal):
@@ -298,11 +291,14 @@ def chain_from_ideal(algebra, ideal):
     reduced rows only row (j, 0) acts on it, and u_j reduces to minus that
     row's field part: z_j is read off it, and z_0 = 1. Other pivots, or a
     zero z_j, mean the ideal lies outside the open locus where the
-    correspondence is defined.
+    correspondence is defined. An ideal of another algebra object is refused
+    before any row is read.
     """
     n = algebra.n
     if ideal.pivots != tuple(range(n * n - n)):
         raise ValueError("ideal is not complementary to the field part")
+    if ideal.algebra is not algebra:
+        raise ValueError("the ideal belongs to another algebra")
     tw = algebra.tower
     field_basis = tw.l_basis()
     values = [tw.one]
@@ -371,7 +367,7 @@ def _tau_on_algebra(algebra):
     """
     tw = algebra.tower
     w = algebra.multiply(algebra.from_field(tw.lam), algebra.u_power(tw.r))
-    w_powers = orbit(lambda v: algebra.multiply(v, w), algebra.one, algebra.n + 1)
+    w_powers = [algebra.one, *orbit(lambda v: algebra.multiply(v, w), w, algebra.n)]
 
     def apply(x):
         out = algebra.zero
@@ -506,7 +502,7 @@ def tensor_power_check(algebra, l):
 
     @functools.cache
     def v_powers():
-        return orbit(lambda power: tensor_mul(power, v), {identity: tw.one}, n + 1)
+        return [{identity: tw.one}, *orbit(lambda power: tensor_mul(power, v), v, n)]
 
     def v_power_n():
         power = v_powers()[n]

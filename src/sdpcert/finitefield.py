@@ -630,7 +630,7 @@ def _primitive_powers(field):
     for g in field._values():
         if g != field._raw_zero and all(field._pow(g, e) != one for e in cofactors):
             break
-    return orbit(lambda x: field._mul(x, g), one, cycle)
+    return [one, *orbit(lambda x: field._mul(x, g), g, cycle - 1)]
 
 
 @functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)

@@ -173,8 +173,8 @@ def rref(rows, zero):
 def reduce_against(vector, rows, pivots, zero):
     """Reduce a vector against RREF rows; the remainder is zero iff it lies in the span.
 
-    The dense route, reading every entry of every row: the reference the
-    tests compare crossed.LeftIdeal's reduction over nonzero entries with.
+    Each row with a nonzero entry of the vector on its pivot is subtracted
+    over its nonzero entries. crossed.LeftIdeal.contains reduces through it.
     """
     vec = list(vector)
     for row, piv in zip(rows, pivots):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import commuting_multiply
 from sdpcert.cli import EXIT_CHECK_FAILURE, EXIT_NOT_COVERED, EXIT_OK, EXIT_USAGE, main, render
 
 
@@ -667,14 +668,6 @@ def test_crossed_checks_of_u_x_name_the_first_failure(monkeypatch):
 
     s3_algebra = crossed.CrossedProduct(tower.builtin_s3())
     small, _, _ = crossed.random_cyclic_instance(3, 2, random.Random(0))
-
-    def commuting_multiply(algebra, x, y):
-        """sum over i, j of x_i y_j c(i, j) u_(i+j): u x = x u, with no sigma anywhere."""
-        out = [algebra.tower.zero] * algebra.n
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                out[(i + j) % algebra.n] += xi * yj * algebra.cocycle[(i, j)]
-        return tuple(out)
 
     # u x = x u in place of u x = sigma(x) u fails at the first x outside the base field
     monkeypatch.setattr(crossed.CrossedProduct, "multiply", commuting_multiply)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import commuting_multiply
 from sdpcert import linalg
 from sdpcert.crossed import (
     CrossedProduct,
@@ -341,11 +342,56 @@ def test_round_trips_do_no_row_reduction(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", refuse)
     monkeypatch.setattr(linalg, "rank_rational", refuse)
+    monkeypatch.setattr(linalg, "reduce_against", refuse)
+    monkeypatch.setattr(LeftIdeal, "contains", refuse)
     for algebra, chain in cases:
         ideal = ideal_from_chain(algebra, chain)
         recovered = chain_from_ideal(algebra, ideal)
         assert recovered.values == chain.values
         assert ideal_from_chain(algebra, recovered) == ideal
+
+
+def test_closure_is_refused_exactly_where_a_chain_value_moves(monkeypatch):
+    # with u x = x u in place of u x = sigma(x) u, the chain's form on u * e_b*(z_j - u_j)
+    # reads e_b z_1 (z_j - sigma(z_j)), while delta z = c never calls multiply
+    cases = [random_cyclic_instance(q, n, random.Random(seed))[:2]
+             for q in (3, 5) for n in (2, 3) for seed in range(3)]
+    s3 = CrossedProduct(builtin_s3())
+    cases += [(s3, chain_from_unit(s3, pt.x)) for pt in s3_spanning_points(s3.tower)[6:]]
+    monkeypatch.setattr(CrossedProduct, "multiply", commuting_multiply)
+    verdicts = []
+    for algebra, chain in cases:
+        moves = any(algebra.tower.sigma(z_j) != z_j for z_j in chain.values[1:])
+        if moves:
+            with pytest.raises(RuntimeError, match="not closed under left multiplication by u"):
+                ideal_from_chain(algebra, chain)
+        else:
+            assert ideal_from_chain(algebra, chain).dimension == algebra.n**2 - algebra.n
+        verdicts.append(moves)
+    # -1 and -zeta are sigma-fixed, so are their partial norms
+    assert verdicts == [True] * 12 + [False] * 2 + [True] * 4
+
+
+def test_chain_from_ideal_refuses_an_ideal_of_another_s3_algebra():
+    algebra, other = CrossedProduct(builtin_s3()), CrossedProduct(builtin_s3())
+    ideal = ideal_from_chain(algebra, _s3_chain(algebra))
+    with pytest.raises(ValueError, match="^the ideal belongs to another algebra$"):
+        chain_from_ideal(other, ideal)
+    assert chain_from_ideal(algebra, ideal) == _s3_chain(algebra)
+
+
+def test_chain_from_ideal_refuses_an_ideal_of_another_finite_algebra():
+    algebra, chain, _ = random_cyclic_instance(5, 3, random.Random(18))
+    ideal = ideal_from_chain(algebra, chain)
+    tw = algebra.tower
+    # the same tower, an equal one, and one over the same field with another b
+    others = [CrossedProduct(tw), CrossedProduct(FiniteTower(5, 3, tw.b)),
+              CrossedProduct(FiniteTower(5, 3, tw.b * tw.scalar(2)))]
+    assert others[2].tower.field is tw.field and others[2].tower.b != tw.b
+    for other in others:
+        with pytest.raises(ValueError, match="^the ideal belongs to another algebra$"):
+            chain_from_ideal(other, ideal)
+    assert chain_from_ideal(algebra, ideal) == chain
 
 
 def test_ideals_of_different_algebras_are_not_equal():
@@ -603,8 +649,9 @@ def test_tau_action_check_reads_w_n_off_its_kept_powers(monkeypatch):
 
     monkeypatch.setattr(algebra, "multiply", counted, raising=False)
     assert all(c.passed for c in tau_action_check(algebra))
-    # w^0 ... w^n are made once, by n products, for both the action and tau(u^n) = tau(b)
-    assert count[0] == 272
+    # w^0 ... w^n are made once, by n - 1 products from w, for both the action and
+    # tau(u^n) = tau(b); u^1 is u, with no product
+    assert count[0] == 270
 
 
 @pytest.mark.parametrize("validate", [True, False])
@@ -698,8 +745,6 @@ def _s3_chain(algebra):
 
 @pytest.mark.parametrize("q", [None, 3, 5, 7])
 def test_ideal_membership_agrees_with_dense_reduction(q):
-    from sdpcert.linalg import reduce_against
-
     rng = random.Random(50 + (q or 0))
     if q is None:
         algebra = CrossedProduct(builtin_s3())
@@ -715,10 +760,9 @@ def test_ideal_membership_agrees_with_dense_reduction(q):
     tw = algebra.tower
     ideal = ideal_from_chain(algebra, chain)
 
-    def dense_contains(element):
-        residue = reduce_against(_ideal_coordinates(algebra, element), ideal.rows, ideal.pivots,
-                                 tw.zero)
-        return all(c == tw.zero for c in residue)
+    def form_vanishes(element):
+        # the ideal is the kernel of the left-E-linear form x -> sum_j x_j z_j
+        return sum((x_j * z_j for x_j, z_j in zip(element, chain.values)), tw.zero) == tw.zero
 
     members = [
         algebra.multiply(tuple(draw() for _ in range(3)),
@@ -727,9 +771,9 @@ def test_ideal_membership_agrees_with_dense_reduction(q):
     ]
     others = [tuple(draw() for _ in range(3)) for _ in range(8)] + [algebra.u(1), algebra.one]
     for element in members:
-        assert ideal.contains(element) and dense_contains(element), element
+        assert ideal.contains(element) and form_vanishes(element), element
     verdicts = [ideal.contains(element) for element in others]
-    assert verdicts == [dense_contains(element) for element in others]
+    assert verdicts == [form_vanishes(element) for element in others]
     assert not any(verdicts[-2:]) and not all(verdicts)
 
 
