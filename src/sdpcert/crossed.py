@@ -292,13 +292,13 @@ def chain_from_ideal(algebra, ideal):
     row's field part: z_j is read off it, and z_0 = 1. Other pivots, or a
     zero z_j, mean the ideal lies outside the open locus where the
     correspondence is defined. An ideal of another algebra object is refused
-    before any row is read.
+    first, before its pivots or rows are read.
     """
+    if ideal.algebra is not algebra:
+        raise ValueError("the ideal belongs to another algebra")
     n = algebra.n
     if ideal.pivots != tuple(range(n * n - n)):
         raise ValueError("ideal is not complementary to the field part")
-    if ideal.algebra is not algebra:
-        raise ValueError("the ideal belongs to another algebra")
     tw = algebra.tower
     field_basis = tw.l_basis()
     values = [tw.one]
@@ -435,28 +435,16 @@ def tau_action_check(algebra):
     ]
 
 
-def _tensor_normalize(data, zero):
-    return {key: value for key, value in data.items() if value != zero}
-
-
-def _tensor_expand(algebra, element):
-    """L-coordinates of an algebra element, keyed by (basis index, group index)."""
-    flat = algebra.flatten(element)
-    out = {}
-    for g in range(algebra.n):
-        for b in range(algebra.n):
-            value = flat[g * algebra.n + b]
-            if value != algebra.tower.zero:
-                out[(b, g)] = value
-    return out
-
-
 def tensor_power_check(algebra, l):
     """Inside the l-fold tensor power, the span of E and v = u⊗...⊗u is (E, sigma, b^l).
 
     Verifies v^n = b^l, v x = sigma(x) v, and that the spanned subalgebra has
-    dimension n^2. Guarded to n <= 3, l <= 2 where the n^(2l)-dimensional
-    tensor algebra is desk-enumerable.
+    dimension n^2. Every element formed is a pure tensor a_1⊗...⊗a_l, kept as
+    the tuple of its factors: two are multiplied factor by factor through
+    algebra.multiply, and compared and ranked by their L-coordinates, the
+    products of the factors' flatten coordinates in Kronecker order, so
+    L-scalars move freely between factors. E enters as x⊗1⊗...⊗1. Guarded to
+    n <= 3, l <= 2, where the n^(2l)-dimensional tensor power is desk-enumerable.
     """
     n = algebra.n
     tw = algebra.tower
@@ -465,69 +453,45 @@ def tensor_power_check(algebra, l):
     if l < 1:
         raise ValueError("l must be positive")
 
-    pair_basis = [(b, g) for g in range(n) for b in range(n)]
     field_basis = tw.l_basis()
-    product_cache = {}
 
-    def pair_product(p1, p2):
-        if (p1, p2) not in product_cache:
-            e1 = algebra.scale(field_basis[p1[0]], algebra.u(p1[1]))
-            e2 = algebra.scale(field_basis[p2[0]], algebra.u(p2[1]))
-            product_cache[(p1, p2)] = _tensor_expand(algebra, algebra.multiply(e1, e2))
-        return product_cache[(p1, p2)]
+    def times(x, y):
+        return tuple(map(algebra.multiply, x, y))
 
-    def tensor_mul(x, y):
-        out = {}
-        for key1, c1 in x.items():
-            for key2, c2 in y.items():
-                partial = [((), c1 * c2)]
-                for comp in range(l):
-                    expansion = pair_product(key1[comp], key2[comp])
-                    partial = [
-                        (prefix + (pair,), coeff * value)
-                        for prefix, coeff in partial
-                        for pair, value in expansion.items()
-                    ]
-                for key, coeff in partial:
-                    out[key] = out.get(key, tw.zero) + coeff
-        return _tensor_normalize(out, tw.zero)
+    def coordinates(x):
+        # most coordinates of a pure tensor are zero, and a NumberTower product
+        # by zero still builds an element, so zero products are skipped
+        out = algebra.flatten(x[0])
+        for factor in x[1:]:
+            flat = algebra.flatten(factor)
+            out = [a * c if a and c else tw.zero for a in out for c in flat]
+        return out
 
-    def tensor_from_field(x):
-        expansion = _tensor_expand(algebra, algebra.from_field(x))
-        identity_tail = ((0, 0),) * (l - 1)
-        return {(pair,) + identity_tail: coeff for pair, coeff in expansion.items()}
+    def from_field(x):
+        return (algebra.from_field(x),) + (algebra.one,) * (l - 1)
 
-    identity = ((0, 0),) * l
-    v = {((0, 1),) * l: tw.one}
+    v = (algebra.u(1),) * l
 
     @functools.cache
     def v_powers():
-        return [{identity: tw.one}, *orbit(lambda power: tensor_mul(power, v), v, n)]
+        return [(algebra.one,) * l, *orbit(lambda power: times(power, v), v, n)]
 
     def v_power_n():
         power = v_powers()[n]
-        expected = _tensor_normalize({identity: tw.b**l}, tw.zero)
-        yield power == expected, {"n": n, "l": l, "v^n": power}
+        expected = from_field(tw.b**l)
+        yield coordinates(power) == coordinates(expected), {"n": n, "l": l, "v^n": power}
 
     def commutation():
         for x in field_basis:
-            left = tensor_mul(v, tensor_from_field(x))
-            yield left == tensor_mul(tensor_from_field(tw.sigma(x)), v), {"x": x}
+            left = times(v, from_field(x))
+            yield coordinates(left) == coordinates(times(from_field(tw.sigma(x)), v)), {"x": x}
 
     def dimension():
-        full_basis = sorted(itertools.product(pair_basis, repeat=l))
-        index = {key: i for i, key in enumerate(full_basis)}
-        rows = []
-        for e_b in field_basis:
-            for i in range(n):
-                element = tensor_mul(tensor_from_field(e_b), v_powers()[i])
-                vector = [tw.zero] * len(full_basis)
-                for key, coeff in element.items():
-                    vector[index[key]] = coeff
-                rows.append(vector)
+        rows = [coordinates(times(from_field(e_b), v_powers()[i]))
+                for e_b in field_basis for i in range(n)]
         reduced, _ = linalg.rref(rows, tw.zero)
         return (len(reduced) == n * n,
-                f"rank {len(reduced)} inside the {len(full_basis)}-dimensional tensor power")
+                f"rank {len(reduced)} inside the {n ** (2 * l)}-dimensional tensor power")
 
     return [
         case_check("v^n = b^l", v_power_n()),

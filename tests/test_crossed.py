@@ -184,16 +184,20 @@ def test_ideal_containing_field_part_is_rejected():
     tw = algebra.tower
     field_rows = [_ideal_coordinates(algebra, algebra.from_field(e_b)) for e_b in tw.l_basis()]
     rows, pivots = rref(field_rows, tw.zero)
-
-    class FakeIdeal:
-        pass
-
-    fake = FakeIdeal()
-    fake.rows = rows
-    fake.pivots = pivots
-    fake.dimension = len(rows)
+    fake = LeftIdeal(algebra, rows, pivots)
     with pytest.raises(ValueError, match="complementary"):
         chain_from_ideal(algebra, fake)
+
+
+def test_a_non_complementary_ideal_of_another_algebra_is_refused_as_foreign():
+    # the algebra is checked before the pivots, so the refusal names the algebra
+    algebra, _, _ = random_cyclic_instance(3, 2, random.Random(8))
+    tw = algebra.tower
+    field_rows = [_ideal_coordinates(algebra, algebra.from_field(e_b)) for e_b in tw.l_basis()]
+    fake = LeftIdeal(algebra, *rref(field_rows, tw.zero))
+    assert fake.pivots != tuple(range(algebra.n**2 - algebra.n))
+    with pytest.raises(ValueError, match="^the ideal belongs to another algebra$"):
+        chain_from_ideal(CrossedProduct(tw), fake)
 
 
 def test_ideal_of_the_right_dimension_meeting_the_field_part_is_rejected():
@@ -477,6 +481,30 @@ def test_tensor_power_one_is_the_algebra():
     assert all(c.passed for c in checks)
 
 
+@pytest.mark.parametrize("l", [1, 2])
+def test_tensor_power_check_fails_v_power_n_on_a_scaled_cocycle(l):
+    # c(1, 1) scaled by 2 makes v^n = (2b)^l, and 2^l != 1 mod 5 for l = 1, 2
+    tower = FiniteTower(5, 2, 2)
+    table = standard_cyclic_cocycle(tower)
+    table[(1, 1)] = table[(1, 1)] * tower.scalar(2)
+    algebra = CrossedProduct(tower, table, validate=False)
+    by_name = {c.name: c for c in tensor_power_check(algebra, l)}
+    assert not by_name["v^n = b^l"].passed
+    assert by_name["v^n = b^l"].detail.startswith("1 case; first disagreement: {'n': 2, 'l': ")
+    assert by_name["v*x = sigma(x)*v"].passed
+    assert by_name["subalgebra has dimension n^2"].passed
+
+
+def test_tensor_power_check_fails_the_dimension_when_u_is_one(monkeypatch):
+    # with u = 1, the elements e_b*v^i span only E, of dimension n
+    algebra, _, _ = random_cyclic_instance(5, 2, random.Random(12))
+    monkeypatch.setattr(algebra, "u", lambda j=1: algebra.one)
+    check = next(c for c in tensor_power_check(algebra, 2)
+                 if c.name == "subalgebra has dimension n^2")
+    assert not check.passed
+    assert check.detail == "rank 2 inside the 16-dimensional tensor power"
+
+
 def test_tensor_power_guard():
     rng = random.Random(13)
     algebra, _, _ = random_cyclic_instance(3, 2, rng)
@@ -652,6 +680,24 @@ def test_tau_action_check_reads_w_n_off_its_kept_powers(monkeypatch):
     # w^0 ... w^n are made once, by n - 1 products from w, for both the action and
     # tau(u^n) = tau(b); u^1 is u, with no product
     assert count[0] == 270
+
+
+@pytest.mark.parametrize("q", [None, 5])
+def test_building_an_algebra_makes_no_product(monkeypatch, q):
+    # u^0 and u^1 are kept as built, so the kept powers cost no multiply
+    tower = builtin_s3() if q is None else FiniteTower(5, 3, 2)
+    count = [0]
+    multiply = CrossedProduct.multiply
+
+    def counted(self, x, y):
+        count[0] += 1
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(CrossedProduct, "multiply", counted)
+    algebra = CrossedProduct(tower)
+    assert count[0] == 0
+    assert algebra.u_powers(1) == [algebra.one, algebra.u(1)]
+    assert count[0] == 0
 
 
 @pytest.mark.parametrize("validate", [True, False])
