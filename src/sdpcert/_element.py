@@ -29,7 +29,14 @@ denominator.
 orbit and orbit_product are the one walk along x, f(x), f^2(x), ... that
 every layer shares: the conjugates of a tower element under sigma or tau,
 the tau-orbit of an element of S, the powers of a field generator or of an
-algebra element, the Frobenius images of x modulo a candidate polynomial.
+algebra element, the Frobenius images of x modulo a candidate polynomial,
+and the m-fold iterates f^m(x) = orbit(f, x, m + 1)[-1] that the checks of
+tau's order take. Three walks stay written out. group_ring.TauData's order
+loop stops at 1, and is faster than the length of an _orbits orbit.
+suites.prime_reduction's order loop is the independent oracle for
+reduce_to_cyclic, whose order comes from _orbits. tower._cycle stops at the
+identity matrix, after the order of sigma or tau, where a walk of dim steps
+would make dim matrix products.
 """
 
 from __future__ import annotations

@@ -422,9 +422,7 @@ def tau_action_check(algebra):
 
     def iterate():
         algebra, tw, tau_map, _ = setup()
-        image = algebra.u(1)
-        for _ in range(tw.m):
-            image = tau_map(image)
+        image = orbit(tau_map, algebra.u(1), tw.m + 1)[-1]
         yield image == algebra.u(1), {"m": tw.m, "image": image}
 
     return [
@@ -505,12 +503,9 @@ def random_cyclic_instance(q, n, rng):
     from .tower import FiniteTower
 
     scaffold = FiniteTower(q, n, 1)
-    while True:
-        y = scaffold.random_unit(rng)
-        b = norm(scaffold, y)
-        if b:
-            break
-    tower = FiniteTower(q, n, b)
+    y = scaffold.random_unit(rng)
+    # a unit of a field has a unit norm, so b is a valid, nonzero parameter
+    tower = FiniteTower(q, n, norm(scaffold, y))
     algebra = CrossedProduct(tower)
     chain = chain_from_unit(algebra, y)
     return algebra, chain, y

@@ -659,8 +659,6 @@ def gf(q):
     while qq > 1:
         qq //= p
         k += 1
-    if p**k != q:
-        raise ValueError(f"{q} is not a prime power")
     field = PrimeField(p)
     if k == 1:
         return field

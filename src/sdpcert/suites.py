@@ -79,9 +79,7 @@ def suite_group_ring(seed=0):
             n = rng.randint(2, 24)
             tau = _random_tau(rng, n)
             a, b = _random_element(rng, n), _random_element(rng, n)
-            image = a
-            for _ in range(tau.m):
-                image = image.tau_apply(tau)
+            image = orbit(lambda x: x.tau_apply(tau), a, tau.m + 1)[-1]
             yield (
                 (a + b).tau_apply(tau) == a.tau_apply(tau) + b.tau_apply(tau)
                 and (a * b).tau_apply(tau) == a.tau_apply(tau) * b.tau_apply(tau)
@@ -162,9 +160,7 @@ def suite_quotient(seed=0):
             tau = _random_tau(rng, n)
             s = SElement.rho_power(n, rng.randrange(n)) * rng.choice([1, -1])
             image = tau_apply_s(s, tau)
-            iterate = s
-            for _ in range(tau.m):
-                iterate = tau_apply_s(iterate, tau)
+            iterate = orbit(lambda x: tau_apply_s(x, tau), s, tau.m + 1)[-1]
             yield (
                 is_unit(image) and eps_bar(image) == eps_bar(s) and iterate == s
             ), {"n": n, "r": tau.r, "s": s}
@@ -205,7 +201,7 @@ def suite_coverage(seed=0):
             s = SElement(n, [rng.randint(-3, 3) for _ in range(n - 1)])
             sym = cov.tau_symmetrize(s, tau)
             ok = tau_apply_s(sym, tau) == sym
-            steps = [pow(tau.r, k, n) for k in range(tau.m)]
+            steps = orbit(lambda k: k * tau.r % n, 1, tau.m)
             for j in range(1, n):
                 if gcd(j, n) == 1:
                     closed = reduce(partial_norm_product(n, steps, j))
@@ -397,9 +393,7 @@ def tower_checks(tw, points, rng):
 
     def tau_hat_order():
         for pt in points:
-            image = pt
-            for _ in range(tw.m):
-                image = tow.tau_hat(tw, image)
+            image = orbit(lambda x: tow.tau_hat(tw, x), pt, tw.m + 1)[-1]
             yield image.x == pt.x, {"x": pt.x, "k": pt.k}
 
     def fixed_monomials():

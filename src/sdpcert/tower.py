@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from ._element import ExactElement, _Immutable, orbit, orbit_product
+from ._element import ExactElement, _Immutable, orbit_product
 from ._primes import _is_prime
 from .finitefield import ExtFieldElement, _smallest_extension, gf
 from .group_ring import GroupRingElement, TauData
@@ -558,7 +558,13 @@ class FiniteTower:
     """Degree-n extension of a q-element field with sigma the q-power map.
 
     A cyclic testbed: m = 1 and tau is the identity, with r = t = 1, s = 0.
-    sigma, tau and flatten raise ValueError for an element of another field.
+    The field is always the canonical one, _smallest_extension(gf(q), n),
+    whose modulus is irreducible of degree n, so sigma has order n. b is an
+    int, an element of the base field, or an element of any extension of
+    order q^n that lies in that extension's base field, read as its base
+    coefficient; a coefficient in a field other than GF(p) or the tower's
+    base raises ValueError. sigma, tau and flatten raise ValueError for an
+    element of another field.
     """
 
     def __init__(self, q, n, b):
@@ -567,13 +573,12 @@ class FiniteTower:
             raise ValueError("extension degree must be at least 2")
         base = gf(q)
         if isinstance(b, ExtFieldElement) and b.field.order == base.order**n:
-            # an element of the extension itself; it must lie in the base field
+            # an element of an extension of order q^n; it must lie in the base field, and its
+            # coefficient stays an element of that field, which embed refuses if foreign
             if b != b.field.embed(b.coeffs[0]):
                 raise ValueError("b must lie in the base field")
-            self.field = b.field
-            b = b.coeffs[0]
-        else:
-            self.field = _smallest_extension(base, n)
+            b = b.field.base.element(b.coeffs[0])
+        self.field = _smallest_extension(base, n)
         self.b = self.field.embed(b)
         if not self.b:
             raise ValueError("b must be nonzero")
@@ -592,11 +597,6 @@ class FiniteTower:
         self._embedded = {v: field.embed(v) for v in base._values()}
         gen = field.generator()
         self._l_basis = tuple(gen**e for e in range(n))
-        frobenius = orbit(self.sigma, gen, n + 1)
-        if gen in frobenius[1:n]:
-            raise RuntimeError("frobenius has order smaller than n")
-        if frobenius[n] != gen:
-            raise RuntimeError("frobenius does not have order n")
 
     def _own(self, x):
         """x, if it is an element of the tower's field: that object or an equal one, as in arithmetic."""

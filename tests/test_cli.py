@@ -393,14 +393,57 @@ def test_a_usage_error_leaves_the_shared_parser_as_it_was(capsys):
     assert run_cli(capsys, *valid) == before
 
 
-def load_cli_digest():
+def load_tool(name):
     import importlib.util
 
-    path = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
-    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_cli_digest():
+    return load_tool("cli_digest")
+
+
+CODE_LINES_SAMPLE = '''"""Module docstring,
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class Point:
+    """Class docstring."""
+
+    def norm(self):
+        """Function docstring,
+
+        over three lines."""
+        total = (
+            1 + 2
+        )
+        text = """a string over
+        two lines"""
+        return total, text
+'''
+
+
+def test_code_lines_counts_only_code(tmp_path, capsys):
+    code_lines = load_tool("code_lines")
+    # import, class, def, the three-line statement, the two-line string and return
+    assert code_lines.code_lines(CODE_LINES_SAMPLE) == 1 + 1 + 1 + 3 + 2 + 1
+    assert code_lines.code_lines("") == 0
+    assert code_lines.code_lines('"""Only a docstring."""\n') == 0
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "a.py").write_text(CODE_LINES_SAMPLE)
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    code_lines.main([str(tmp_path)])
+    assert capsys.readouterr().out.splitlines() == [
+        f"9 {tmp_path / 'a.py'}", f"2 {tmp_path / 'pkg' / 'b.py'}", "11 total",
+    ]
 
 
 def test_the_digest_refuses_a_failing_verify(capsys, monkeypatch):

@@ -194,7 +194,8 @@ def test_builtin_finite_norm_counts():
 
 
 def test_builtin_finite_frobenius_order():
-    for q, n in ((3, 2), (5, 3), (3, 3)):
+    # every (q, n) that the models benchmark, verify and the tests build
+    for q, n in [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in (2, 3, 4) if q**n <= 4096]:
         tw = FiniteTower(q, n, 1)
         gen = tw.field.generator()
         images = {gen}
@@ -237,6 +238,34 @@ def test_finite_tower_maps_refuse_elements_of_another_field():
     x = twin.generator()
     assert tw.sigma(x) == x**3 and tw.tau(x) is x
     assert tw.flatten(x) == tw.flatten(tw.field.generator())
+
+
+@pytest.mark.parametrize("modulus", [(2, 1, 1), (2, 0, 1)], ids=["irreducible", "reducible"])
+def test_finite_tower_reads_an_extension_b_in_the_canonical_field(modulus):
+    from sdpcert.finitefield import ExtField, PrimeField, gf
+
+    # y^2 + y + 2 is not gf(9)'s modulus, and y^2 - 1 is not irreducible
+    other = ExtField(PrimeField(3), modulus)
+    tw = FiniteTower(3, 2, other.element((2,)))
+    assert tw.field is gf(9)
+    assert tw.b == gf(9).element(2)
+    with pytest.raises(ValueError, match="different towers"):
+        tw.sigma(other.generator())
+    with pytest.raises(ValueError, match="b must lie in the base field"):
+        FiniteTower(3, 2, other.generator())
+
+
+def test_finite_tower_refuses_a_b_over_another_gf9():
+    from sdpcert.finitefield import ExtField, PrimeField
+
+    # y of GF(3)[y]/(y^2 + y + 2) is a root of y^2 + y + 2, and the canonical y is not
+    other = ExtField(PrimeField(3), (2, 1, 1))
+    y = other.generator()
+    squares = {x * x for x in other.elements()}
+    c = next(x for x in other.elements() if x not in squares)
+    over_other = ExtField(other, (-c, 0, 1))
+    with pytest.raises(ValueError, match="different fields"):
+        FiniteTower(9, 2, over_other.embed(y))
 
 
 def test_builtin_finite_rejects_zero_b():
