@@ -1,4 +1,8 @@
-"""Command-line front end: coverage reports, certificates, verification suites."""
+"""Command-line front end: coverage reports, certificates, verification suites.
+
+Each cmd_* returns (results, status); main writes every report as
+{command, inputs, results, status}, inputs being the parsed options other than --format.
+"""
 
 from __future__ import annotations
 
@@ -87,59 +91,34 @@ def cmd_coverage(args):
         }
         if oracle_only:
             status = "check-failure"
-    return {
-        "command": "coverage",
-        "inputs": {
-            "exhaustive": args.exhaustive,
-            "n": args.n,
-            "r": args.r,
-            "seed": args.seed,
-        },
-        "results": results,
-        "status": status,
-    }
+    return results, status
 
 
 def cmd_certificate(args):
     _check_n_r(args)
     if gcd(args.l, args.n) != 1:
         raise UsageError("--l must be coprime to --n")
-    inputs = {
-        "l": args.l,
-        "n": args.n,
-        "r": args.r,
-        "seed": args.seed,
-    }
     try:
         cert = make_certificate(args.n, args.r, args.l)
     except NotCoveredError as exc:
-        return {
-            "command": "certificate",
-            "inputs": inputs,
-            "results": {"message": str(exc)},
-            "status": "not-covered",
-        }
+        return {"message": str(exc)}, "not-covered"
     record = verify_certificate(cert)
-    return {
-        "command": "certificate",
-        "inputs": inputs,
-        "results": {
-            "certificate": {
-                "alpha_tilde": list(cert.alpha_tilde.coeffs),
-                "beta_tilde": list(cert.beta_tilde.coeffs),
-                "k": cert.k,
-                "l": cert.l,
-                "n": cert.n,
-                "r": cert.r,
-                "s": cert.s,
-            },
-            "verification": {
-                "checks": [c.as_dict() for c in record.checks],
-                "passed": record.passed,
-            },
+    results = {
+        "certificate": {
+            "alpha_tilde": list(cert.alpha_tilde.coeffs),
+            "beta_tilde": list(cert.beta_tilde.coeffs),
+            "k": cert.k,
+            "l": cert.l,
+            "n": cert.n,
+            "r": cert.r,
+            "s": cert.s,
         },
-        "status": "ok" if record.passed else "check-failure",
+        "verification": {
+            "checks": [c.as_dict() for c in record.checks],
+            "passed": record.passed,
+        },
     }
+    return results, "ok" if record.passed else "check-failure"
 
 
 def cmd_verify(args):
@@ -148,17 +127,8 @@ def cmd_verify(args):
     names = SUITE_NAMES if args.suite == "all" else [args.suite]
     outcome = run_suites(names, args.seed)
     passed = all(all_passed(checks) for checks in outcome.values())
-    return {
-        "command": "verify",
-        "inputs": {"seed": args.seed, "suite": args.suite},
-        "results": {
-            "passed": passed,
-            "suites": {
-                name: [c.as_dict() for c in checks] for name, checks in outcome.items()
-            },
-        },
-        "status": "ok" if passed else "check-failure",
-    }
+    suites = {name: [c.as_dict() for c in checks] for name, checks in outcome.items()}
+    return {"passed": passed, "suites": suites}, "ok" if passed else "check-failure"
 
 
 def _render_scalar(value):
@@ -325,12 +295,15 @@ def main(argv=None):
     # looked up per call, so that a rebound cli.cmd_* is the one that runs
     handler = {"certificate": cmd_certificate, "coverage": cmd_coverage, "verify": cmd_verify}
     try:
-        report = handler[args.command](args)
+        results, status = handler[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # every option but --format is an input; both parse paths leave only the command's own
+    inputs = {key: value for key, value in vars(args).items() if key not in ("command", "format")}
+    report = {"command": args.command, "inputs": inputs, "results": results, "status": status}
     sys.stdout.write(render(report, args.format))
-    return _STATUS_TO_EXIT[report["status"]]
+    return _STATUS_TO_EXIT[status]
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .quotient import (
     _prime,
     _prime_count,
     eps_bar,
-    is_unit,  # still a coverage name; verify_report calls it through _fixed_and_unit
+    is_unit,  # still a coverage name; verify_report tests units through _fixed_and_unit
     reduce,
     tau_apply_s,
 )

@@ -148,10 +148,13 @@ class CrossedProduct:
         return tuple([zero if c is None else c for c in out])
 
     def flatten(self, x):
-        """Coordinates over L: each E-coefficient expanded along the E-over-L basis."""
+        """Coordinates over L: each E-coefficient expanded along the E-over-L basis.
+
+        A zero coefficient, the most common one, expands to n zeros without the tower.
+        """
         out = []
         for coeff in x:
-            out.extend(self.tower.flatten(coeff))
+            out.extend(self.tower.flatten(coeff) if coeff else self.zero)
         return out
 
     def basis_elements(self):

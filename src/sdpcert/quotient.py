@@ -15,10 +15,6 @@ class NotInvertibleError(ArithmeticError):
     """Raised when inversion is requested for a non-unit of S."""
 
 
-class _NotFixedError(ValueError):
-    """Raised by is_unit when its tau does not fix s."""
-
-
 class SElement(_IntegralElement):
     """Canonical residue in S: the unique representative of degree <= n-2.
 
@@ -238,9 +234,14 @@ def is_unit(s, tau=None):
     if tau is not None:
         s._require_same_order(tau)
         if not _is_fixed(s.coeffs + (0,), tau.r):
-            raise _NotFixedError(f"{s!r} is not fixed by rho -> rho^{tau.r}")
+            raise ValueError(f"{s!r} is not fixed by rho -> rho^{tau.r}")
+    return _is_unit_fixed_by(s, 1 if tau is None else tau.r)
+
+
+def _is_unit_fixed_by(s, r):
+    """is_unit's test for an s known to be fixed by rho -> rho^r."""
     signs = {}
-    for p, residues in _level_residues(s, _levels(s.n, 1 if tau is None else tau.r)):
+    for p, residues in _level_residues(s, _levels(s.n, r)):
         for level, residue in enumerate(residues):
             sign = 1 if residue == 1 else -1 if residue == p - 1 else 0
             if not sign or signs.setdefault(level, sign) != sign:
@@ -249,11 +250,10 @@ def is_unit(s, tau=None):
 
 
 def _fixed_and_unit(s, tau):
-    """(tau fixes s, s is a unit) by is_unit with tau, or without it when is_unit finds s not fixed."""
-    try:
-        return True, is_unit(s, tau)
-    except _NotFixedError:
-        return False, is_unit(s)
+    """(tau fixes s, s is a unit), fixedness tested once: the unit test uses tau only when it fixes s."""
+    s._require_same_order(tau)
+    fixed = _is_fixed(s.coeffs + (0,), tau.r)
+    return fixed, _is_unit_fixed_by(s, tau.r if fixed else 1)
 
 
 def _multiplication_matrix(s):

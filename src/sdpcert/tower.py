@@ -561,10 +561,12 @@ class FiniteTower:
     The field is always the canonical one, _smallest_extension(gf(q), n),
     whose modulus is irreducible of degree n, so sigma has order n. b is an
     int, an element of the base field, or an element of any extension of
-    order q^n that lies in that extension's base field, read as its base
-    coefficient; a coefficient in a field other than GF(p) or the tower's
-    base raises ValueError. sigma, tau and flatten raise ValueError for an
-    element of another field.
+    order q^n over a q-element field that lies in that field, read as its
+    base coefficient; a coefficient in a field other than GF(p) or the
+    tower's base raises ValueError, and so does an element of an extension
+    of order q^n over a field of another order, such as GF(81) over GF(3)
+    for q = 9. sigma, tau and flatten raise ValueError for an element of
+    another field.
     """
 
     def __init__(self, q, n, b):
@@ -575,6 +577,12 @@ class FiniteTower:
         if isinstance(b, ExtFieldElement) and b.field.order == base.order**n:
             # an element of an extension of order q^n; it must lie in the base field, and its
             # coefficient stays an element of that field, which embed refuses if foreign
+            if b.field.base.order != base.order:
+                # b's coefficients are not in a q-element field; over a smaller one GF(q) has
+                # several images, which differ by Frobenius, so b has no single image
+                raise ValueError(
+                    f"b lies in an extension of a field of order {b.field.base.order}, not of GF({q})"
+                )
             if b != b.field.embed(b.coeffs[0]):
                 raise ValueError("b must lie in the base field")
             b = b.field.base.element(b.coeffs[0])

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import commuting_multiply
-from sdpcert.cli import EXIT_CHECK_FAILURE, EXIT_NOT_COVERED, EXIT_OK, EXIT_USAGE, main, render
+from sdpcert.cli import (
+    EXIT_CHECK_FAILURE, EXIT_NOT_COVERED, EXIT_OK, EXIT_USAGE, main, render, render_text,
+)
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +237,33 @@ def test_certificate_not_covered(capsys):
     report = json.loads(out)
     assert report["status"] == "not-covered"
     assert "not covered" in report["results"]["message"]
+
+
+ENVELOPES = {
+    "certificate-not-covered": (["certificate", "--n", "7", "--r", "2", "--l", "3"],
+                                {"l": 3, "n": 7, "r": 2, "seed": 0}, "not-covered"),
+    "certificate": (["certificate", "--n", "13", "--r", "12", "--l", "5", "--seed", "4"],
+                    {"l": 5, "n": 13, "r": 12, "seed": 4}, "ok"),
+    "verify": (["verify", "--suite", "monomial", "--seed", "3"], {"seed": 3, "suite": "monomial"}, "ok"),
+    "coverage": (["coverage", "--n", "7", "--r", "2", "--exhaustive", "1", "--seed", "5"],
+                 {"exhaustive": 1, "n": 7, "r": 2, "seed": 5}, "ok"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv, inputs, status", ENVELOPES.values(), ids=ENVELOPES)
+def test_every_report_is_the_envelope_of_the_command_options(capsys, argv, inputs, status, fmt):
+    # inputs holds the options but --format, and never the command
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == (EXIT_OK if status == "ok" else EXIT_NOT_COVERED)
+    if fmt == "json":
+        report = json.loads(out)
+        assert sorted(report) == ["command", "inputs", "results", "status"]
+        assert (report["command"], report["inputs"], report["status"]) == (argv[0], inputs, status)
+    else:
+        head = ["command: " + argv[0], *render_text({"inputs": inputs}), "results:"]
+        assert out.split("\n")[:len(head)] == head
+        assert out.endswith(f"\nstatus: {status}\n")
 
 
 def test_certificate_usage_error(capsys):

@@ -481,6 +481,23 @@ def test_tensor_power_one_is_the_algebra():
     assert all(c.passed for c in checks)
 
 
+def test_flatten_expands_a_zero_coefficient_without_the_tower(monkeypatch):
+    algebra = CrossedProduct(builtin_s3())
+    real = algebra.tower.flatten
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(algebra.tower, "flatten", counting)
+    checks = tensor_power_check(algebra, 2)
+    # 102 calls when every coefficient went through the tower, 68 of them on zeros
+    assert len(calls) == 34 and all(calls)
+    monkeypatch.setattr(algebra, "flatten", lambda x: [c for coeff in x for c in real(coeff)])
+    assert tensor_power_check(algebra, 2) == checks
+
+
 @pytest.mark.parametrize("l", [1, 2])
 def test_tensor_power_check_fails_v_power_n_on_a_scaled_cocycle(l):
     # c(1, 1) scaled by 2 makes v^n = (2b)^l, and 2^l != 1 mod 5 for l = 1, 2

@@ -354,15 +354,15 @@ def test_fixedness_is_tested_once_with_the_checks_unchanged(monkeypatch):
         raise AssertionError("is_tau_fixed called")
 
     calls = {"fixed": 0, "unit": 0}
-    real_fixed, real_unit = quotient._is_fixed, quotient.is_unit
+    real_fixed, real_unit = quotient._is_fixed, quotient._is_unit_fixed_by
 
     def count_fixed(coeffs, r):
         calls["fixed"] += 1
         return real_fixed(coeffs, r)
 
-    def count_unit(s, tau=None):
+    def count_unit(s, r):
         calls["unit"] += 1
-        return real_unit(s, tau)
+        return real_unit(s, r)
 
     references = [(cert, unit_checks_testing_fixedness_twice(cert))
                   for cert in certificates_valid_tampered_and_random()]
@@ -370,15 +370,14 @@ def test_fixedness_is_tested_once_with_the_checks_unchanged(monkeypatch):
     assert sum(ref[0].passed and ref[1].passed and not ref[2].passed for _, ref in references) >= 1
     monkeypatch.setattr(GroupRingElement, "is_tau_fixed", refuse)
     monkeypatch.setattr(quotient, "_is_fixed", count_fixed)
-    monkeypatch.setattr(quotient, "is_unit", count_unit)
+    monkeypatch.setattr(quotient, "_is_unit_fixed_by", count_unit)
     for cert, reference in references:
         calls.update(fixed=0, unit=0)
         record = verify_certificate(cert)
         assert record.checks[:4] == reference, cert
-        # one fixedness test per element; a unit test per element, and one more
-        # call for each element that is not fixed (its first call refuses it)
+        # one fixedness test and one unit test per element, fixed or not
         assert calls["fixed"] == 2, cert
-        assert calls["unit"] == 2 + (not reference[0].passed) + (not reference[1].passed), cert
+        assert calls["unit"] == 2, cert
 
 
 VERIFIER_PROBE = """

@@ -268,6 +268,19 @@ def test_finite_tower_refuses_a_b_over_another_gf9():
         FiniteTower(9, 2, over_other.embed(y))
 
 
+def test_finite_tower_refuses_a_b_from_an_extension_of_a_smaller_field():
+    from sdpcert.finitefield import PrimeField, _smallest_extension
+
+    # x = g^10 lies in the GF(9) inside GF(81) = GF(3)[y]/(f), but GF(81) holds
+    # two images of the canonical gf(9), which differ by Frobenius
+    field = _smallest_extension(PrimeField(3), 4)
+    g = next(x for x in field.elements() if x and len({x**e for e in range(80)}) == 80)
+    x = g**10
+    assert x**9 == x and x**3 != x
+    with pytest.raises(ValueError, match="b lies in an extension of a field of order 3, not of GF\\(9\\)"):
+        FiniteTower(9, 2, x)
+
+
 def test_builtin_finite_rejects_zero_b():
     with pytest.raises(ValueError):
         FiniteTower(3, 2, 0)
