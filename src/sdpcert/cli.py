@@ -55,6 +55,8 @@ def _coverage_payload(report):
 def _check_n_r(args):
     if args.n < 2:
         raise UsageError("--n must be at least 2")
+    if args.n > sys.maxsize:
+        raise UsageError(f"--n must be at most {sys.maxsize}, the platform's largest size")
     if not 1 <= args.r < args.n or gcd(args.r, args.n) != 1:
         raise UsageError(f"--r must lie in [1, {args.n - 1}] and be coprime to --n")
 

@@ -381,9 +381,11 @@ def reduce_to_cyclic(p, action_images):
 def verify_report(report):
     """Re-check the CoverageReport invariants; returns a list of violations.
 
-    Its is_unit is the one norm-kernel test of each generator, independent of
-    the exact product with the closed-form inverse that fixed_unit_generators
-    proves it by; it gets tau when tau fixes the generator (tested once, in is_unit).
+    The norm-kernel unit test is the one check of each generator independent
+    of the exact product with the closed-form inverse that
+    fixed_unit_generators proves it by. Fixedness is tested once, by
+    quotient._is_fixed; the unit test then runs once, with r when tau fixes
+    the generator and with rho -> rho otherwise.
     The subgroup must be the closure of the generator residues, is_full must
     say whether that is all of (Z/nZ)*, and m the order of r.
     """

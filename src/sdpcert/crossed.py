@@ -12,9 +12,6 @@ from ._element import orbit
 from .checks import CheckResult, case_check, fact_check
 from .tower import norm
 
-_TENSOR_GUARD_N = 3
-_TENSOR_GUARD_L = 2
-
 
 def standard_cyclic_cocycle(tw, b=None):
     """The standard normalized 2-cocycle of a cyclic extension: c(i,j) = 1 or b.
@@ -444,13 +441,18 @@ def tensor_power_check(algebra, l):
     the tuple of its factors: two are multiplied factor by factor through
     algebra.multiply, and compared and ranked by their L-coordinates, the
     products of the factors' flatten coordinates in Kronecker order, so
-    L-scalars move freely between factors. E enters as x⊗1⊗...⊗1. Guarded to
-    n <= 3, l <= 2, where the n^(2l)-dimensional tensor power is desk-enumerable.
+    L-scalars move freely between factors. Only the nonzero coordinates are
+    kept, keyed by one flatten index per factor, and the n^2 rows are ranked
+    over the union of their supports. E enters as x⊗1⊗...⊗1.
+
+    At l >= 2 the dimension fact says no more than at l = 1. For i < n the
+    later factors of e_b*v^i are all u^i, which lies in the block of u_i: rows
+    of different i have disjoint supports, rows of one i share their tail,
+    and the rank is that of the e_b*u^i in the algebra. What l adds is
+    checked by v^n = b^l and the commutation.
     """
     n = algebra.n
     tw = algebra.tower
-    if n > _TENSOR_GUARD_N or l > _TENSOR_GUARD_L:
-        raise ValueError(f"tensor power check is guarded to n <= {_TENSOR_GUARD_N}, l <= {_TENSOR_GUARD_L}")
     if l < 1:
         raise ValueError("l must be positive")
 
@@ -460,12 +462,11 @@ def tensor_power_check(algebra, l):
         return tuple(map(algebra.multiply, x, y))
 
     def coordinates(x):
-        # most coordinates of a pure tensor are zero, and a NumberTower product
-        # by zero still builds an element, so zero products are skipped
-        out = algebra.flatten(x[0])
-        for factor in x[1:]:
-            flat = algebra.flatten(factor)
-            out = [a * c if a and c else tw.zero for a in out for c in flat]
+        # a product of nonzero field elements is nonzero, so the dict keeps every nonzero
+        out = {(): tw.one}
+        for factor in x:
+            flat = [(k, c) for k, c in enumerate(algebra.flatten(factor)) if c]
+            out = {key + (k,): a * c for key, a in out.items() for k, c in flat}
         return out
 
     def from_field(x):
@@ -490,7 +491,9 @@ def tensor_power_check(algebra, l):
     def dimension():
         rows = [coordinates(times(from_field(e_b), v_powers()[i]))
                 for e_b in field_basis for i in range(n)]
-        reduced, _ = linalg.rref(rows, tw.zero)
+        # a column that is zero in every row adds no rank
+        columns = sorted(set().union(*rows))
+        reduced, _ = linalg.rref([[row.get(k, tw.zero) for k in columns] for row in rows], tw.zero)
         return (len(reduced) == n * n,
                 f"rank {len(reduced)} inside the {n ** (2 * l)}-dimensional tensor power")
 

@@ -272,6 +272,18 @@ def test_certificate_usage_error(capsys):
     assert "coprime" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n", [10**20, 2**63])
+@pytest.mark.parametrize("command", [["coverage"], ["certificate", "--l", "1"]],
+                         ids=["coverage", "certificate"])
+def test_an_n_too_large_to_index_is_a_usage_error(capsys, command, n, fmt):
+    # past sys.maxsize no array of n entries can be made: refused before any work
+    code, out, err = run_cli(capsys, *command, "--n", str(n), "--r", "1", "--format", fmt)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: --n must be at most {sys.maxsize}, the platform's largest size\n"
+
+
 def test_verify_tower_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "tower", "--format", "json")
     assert code == EXIT_OK

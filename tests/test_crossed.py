@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import commuting_multiply
 from sdpcert import linalg
+from sdpcert.checks import case_check, fact_check
 from sdpcert.crossed import (
     CrossedProduct,
     LeftIdeal,
@@ -523,10 +524,151 @@ def test_tensor_power_check_fails_the_dimension_when_u_is_one(monkeypatch):
 
 
 def test_tensor_power_guard():
+    # l < 1 is refused; any l >= 1 runs
     rng = random.Random(13)
     algebra, _, _ = random_cyclic_instance(3, 2, rng)
-    with pytest.raises(ValueError):
-        tensor_power_check(algebra, 3)
+    for l in (0, -1):
+        with pytest.raises(ValueError, match="l must be positive"):
+            tensor_power_check(algebra, l)
+    assert all(c.passed for c in tensor_power_check(algebra, 3))
+
+
+def _dense_tensor_power_check(algebra, l):
+    """tensor_power_check on dense Kronecker coordinates: the reference the sparse ones must match."""
+    n, tw = algebra.n, algebra.tower
+
+    def times(x, y):
+        return tuple(map(algebra.multiply, x, y))
+
+    def coordinates(x):
+        # the Kronecker product of the factors' flatten coordinates, n^(2l) entries, zeros included
+        out = algebra.flatten(x[0])
+        for factor in x[1:]:
+            flat = algebra.flatten(factor)
+            out = [a * c if a and c else tw.zero for a in out for c in flat]
+        return out
+
+    def from_field(x):
+        return (algebra.from_field(x),) + (algebra.one,) * (l - 1)
+
+    v = (algebra.u(1),) * l
+    v_powers = [(algebra.one,) * l]
+    for _ in range(n):
+        v_powers.append(times(v_powers[-1], v))
+
+    def v_power_n():
+        power = v_powers[n]
+        yield coordinates(power) == coordinates(from_field(tw.b**l)), {"n": n, "l": l, "v^n": power}
+
+    def commutation():
+        for x in tw.l_basis():
+            left = times(v, from_field(x))
+            yield coordinates(left) == coordinates(times(from_field(tw.sigma(x)), v)), {"x": x}
+
+    def dimension():
+        rows = [coordinates(times(from_field(e_b), v_powers[i]))
+                for e_b in tw.l_basis() for i in range(n)]
+        reduced, _ = rref(rows, tw.zero)
+        return (len(reduced) == n * n,
+                f"rank {len(reduced)} inside the {n ** (2 * l)}-dimensional tensor power")
+
+    return [
+        case_check("v^n = b^l", v_power_n()),
+        case_check("v*x = sigma(x)*v", commutation()),
+        fact_check("subalgebra has dimension n^2", dimension),
+    ]
+
+
+def _assert_sparse_matches_dense(algebra, l):
+    checks = tensor_power_check(algebra, l)
+    assert checks == _dense_tensor_power_check(algebra, l), (algebra, l)
+    return checks
+
+
+def _acceptance_instance():
+    # the rng draws of test_criterion_7_norm_element_and_tensor_power, up to its tensor-power instance
+    rng = random.Random(1)
+    for q, n in ((3, 2), (5, 2), (3, 3), (5, 3)):
+        algebra, _, _ = random_cyclic_instance(q, n, rng)
+        algebra.tower.random_unit(rng)
+    return random_cyclic_instance(3, 2, rng)[0]
+
+
+def _scaled_cocycle_algebra():
+    tower = FiniteTower(5, 2, 2)
+    table = standard_cyclic_cocycle(tower)
+    table[(1, 1)] = table[(1, 1)] * tower.scalar(2)
+    return CrossedProduct(tower, table, validate=False)
+
+
+@pytest.mark.parametrize("make, ls", [
+    pytest.param(lambda: random_cyclic_instance(3, 2, random.Random(11))[0], (2,), id="q3-seed11"),
+    pytest.param(lambda: random_cyclic_instance(5, 2, random.Random(12))[0], (1, 2), id="q5-seed12"),
+    pytest.param(lambda: random_cyclic_instance(3, 2, random.Random(13))[0], (1, 2, 3),
+                 id="q3-seed13"),
+    pytest.param(lambda: random_cyclic_instance(3, 2, random.Random(0))[0], (2,), id="q3-seed0"),
+    pytest.param(_acceptance_instance, (1, 2), id="acceptance"),
+    pytest.param(_scaled_cocycle_algebra, (1, 2), id="scaled-cocycle"),
+    pytest.param(lambda: CrossedProduct(builtin_s3()), (1, 2, 3), id="s3"),
+    pytest.param(lambda: CrossedProduct(radical_tower(5, 2, 3, -1, 1)), (2,), id="radical-p5"),
+])
+def test_tensor_power_sparse_coordinates_agree_with_dense(make, ls):
+    algebra = make()
+    for l in ls:
+        _assert_sparse_matches_dense(algebra, l)
+
+
+def test_tensor_power_sparse_and_dense_agree_on_the_failing_controls(monkeypatch):
+    algebra, _, _ = random_cyclic_instance(5, 2, random.Random(12))
+    monkeypatch.setattr(algebra, "u", lambda j=1: algebra.one)
+    assert not _assert_sparse_matches_dense(algebra, 2)[2].passed
+    monkeypatch.undo()
+    small, _, _ = random_cyclic_instance(3, 2, random.Random(0))
+    monkeypatch.setattr(CrossedProduct, "multiply", commuting_multiply)
+    assert not _assert_sparse_matches_dense(small, 2)[1].passed
+
+
+def test_tensor_power_sparse_and_dense_agree_in_the_crossed_suite(monkeypatch):
+    from sdpcert import crossed, suites
+
+    seen = []
+
+    def both(algebra, l):
+        seen.append(l)
+        return _assert_sparse_matches_dense(algebra, l)
+
+    monkeypatch.setattr(crossed, "tensor_power_check", both)
+    assert all(c.passed for c in suites.suite_crossed())
+    assert seen == [2]
+
+
+@pytest.fixture(scope="module")
+def radical_algebras():
+    return {p: CrossedProduct(radical_tower(p, 2, 3, -1, 1)) for p in (5, 7)}
+
+
+@pytest.mark.parametrize("p, l", [(5, 2), (5, 3), (7, 2), (7, 3)])
+def test_tensor_power_check_passes_on_the_radical_towers(radical_algebras, p, l):
+    checks = tensor_power_check(radical_algebras[p], l)
+    assert all(c.passed for c in checks), checks
+    assert checks[2].detail == f"rank {p * p} inside the {p ** (2 * l)}-dimensional tensor power"
+
+
+def test_tensor_power_dimension_ranks_only_the_support(monkeypatch):
+    # dense rows at (n, l) = (3, 3) have 3^6 = 729 entries; the union of the supports has 9
+    from sdpcert import crossed
+
+    algebra = CrossedProduct(builtin_s3())
+    real, widths = crossed.linalg.rref, []
+
+    def recording(rows, zero):
+        widths.append(len(rows[0]))
+        return real(rows, zero)
+
+    monkeypatch.setattr(crossed.linalg, "rref", recording)
+    checks = tensor_power_check(algebra, 3)
+    assert all(c.passed for c in checks)
+    assert len(widths) == 1 and widths[0] <= 9
 
 
 def test_chain_from_unit_values():
